@@ -56,7 +56,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"hamflow: {exc}", file=sys.stderr)
         return 1
     except (InstanceError, expansion.ModelError, expansion.TableReconstructionError,
-            hamiltonian.CompileError, hamiltonian.PolynomialFormatError) as exc:
+            hamiltonian.CompileError, hamiltonian.PolynomialFormatError,
+            solvers.SearchSpaceTooLargeError) as exc:
         print(f"hamflow: {exc}", file=sys.stderr)
         return 1
 
@@ -144,12 +145,20 @@ def _load_model(args) -> Model:
 def _load_assignment(args, model: Model) -> Assignment:
     if args.assignment is None:
         raise CliError(f"{args.command} requires --assignment")
-    doc = json.loads(_read_text(args.assignment))
-    values = doc["values"] if isinstance(doc, dict) else doc
+    try:
+        doc = json.loads(_read_text(args.assignment))
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{args.assignment}: malformed JSON: {exc.msg} "
+                       f"(line {exc.lineno}, column {exc.colno})") from exc
+    values = doc.get("values") if isinstance(doc, dict) else doc
+    if not isinstance(values, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in values):
+        raise CliError(f"{args.assignment}: expected a list of integers, "
+                       "or an object with one under 'values'")
     if len(values) != len(model.variables):
         raise CliError(f"assignment has {len(values)} values, the model has "
                        f"{len(model.variables)} variables (check --no-prune)")
-    return Assignment(values=tuple(int(v) for v in values))
+    return Assignment(values=tuple(values))
 
 
 def _cmd_validate(args) -> int:

@@ -19,6 +19,7 @@ Time steps are 1-based, ``t in {1..horizon}``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable
@@ -237,6 +238,20 @@ def _as_int(value, where: str) -> int:
     return value
 
 
+def _as_number(value, where: str) -> float:
+    """A finite JSON number as a float; bools, strings, null, NaN and
+    infinities are rejected rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InstanceSchemaError(f"{where}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise InstanceSchemaError(f"{where}: expected a finite number, got {value!r}")
+    return number
+
+
 def parse_instance(text: str) -> Instance:
     """Parse an instance document (JSON text) into a validated Instance."""
     try:
@@ -256,21 +271,23 @@ def parse_instance(text: str) -> Instance:
         _require_keys(a, {"from", "to", "cost", "travel_time"},
                       {"from", "to", "cost", "travel_time"}, f"arcs[{i}]")
         arcs.append(Arc(origin=str(a["from"]), dest=str(a["to"]),
-                        cost=float(a["cost"]),
+                        cost=_as_number(a["cost"], f"arcs[{i}].cost"),
                         travel_time=_as_int(a["travel_time"], f"arcs[{i}].travel_time")))
     commodities = []
     for i, c in enumerate(doc["commodities"]):
         _require_keys(c, {"id", "load"}, {"id", "load"}, f"commodities[{i}]")
-        commodities.append(Commodity(id=str(c["id"]), load=float(c["load"])))
+        commodities.append(Commodity(id=str(c["id"]),
+                                     load=_as_number(c["load"], f"commodities[{i}].load")))
     horizon = _as_int(doc["horizon"], "horizon")
-    capacity = float(doc["capacity"])
+    capacity = _as_number(doc["capacity"], "capacity")
     schedule = []
     for i, e in enumerate(doc["schedule"]):
         _require_keys(e, {"depot", "commodity", "time", "amount"},
                       {"depot", "commodity", "time", "amount"}, f"schedule[{i}]")
         schedule.append(ScheduleEntry(depot=str(e["depot"]), commodity=str(e["commodity"]),
                                       time=_as_int(e["time"], f"schedule[{i}].time"),
-                                      amount=float(e["amount"])))
+                                      amount=_as_number(e["amount"],
+                                                        f"schedule[{i}].amount")))
 
     inst = Instance(depots=tuple(depots), arcs=tuple(arcs), commodities=tuple(commodities),
                     horizon=horizon, capacity=capacity, schedule=tuple(schedule))
@@ -476,9 +493,10 @@ def load_cost_map(text: str) -> dict[str, float]:
     out = {}
     for k, v in doc.items():
         parse_arc_key(k)
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or v < 0:
+        cost = _as_number(v, f"cost for {k}")
+        if cost < 0:
             raise InstanceSchemaError(f"cost for {k}: expected a nonnegative number, got {v!r}")
-        out[k] = float(v)
+        out[k] = cost
     return out
 
 

@@ -1,6 +1,8 @@
 """Classical back-ends: exact branch-and-bound, exhaustive enumeration for
-tiny models, and a restart-based simulated annealer over the Hamiltonian
-mirroring the sampling workflow of the target annealing hardware.
+tiny models, and a restart-based simulated annealer mirroring the sampling
+workflow of the target annealing hardware.  The annealer's energy is the
+Hamiltonian's, but it is evaluated from the model's rows and objective with
+the Hamiltonian's penalty weight alpha, not from the compiled polynomial.
 
 The branch-and-bound searches vehicle counts only; commodity flows are
 completed at the leaves by an exact integral-flow search.  Two necessary
@@ -629,11 +631,13 @@ def anneal_sample(h: Hamiltonian, model: Model, params: AnnealParams | None = No
                   seed: int = 0) -> SampleSet:
     """Restart-based simulated annealing over integer points within bounds.
 
-    Each restart runs an independent Metropolis chain with geometric cooling
-    whose random stream derives deterministically from (seed, restart index);
-    the final point of each chain is decoded, vehicle-gated, verified, and
-    recorded.  Identical inputs reproduce the SampleSet exactly (timings
-    excluded, see SampleSet.canonical_bytes).
+    The energy is the model's objective plus `h.alpha` times the squared row
+    residuals, each capacity row's slack set optimally; nothing else is read
+    from `h`.  Each restart runs an independent Metropolis chain with
+    geometric cooling whose random stream derives deterministically from
+    (seed, restart index); the final point of each chain is vehicle-gated,
+    verified, and recorded.  Identical inputs reproduce the SampleSet exactly
+    (timings excluded, see SampleSet.canonical_bytes).
     """
     if params is None:
         params = AnnealParams()
@@ -645,6 +649,7 @@ def anneal_sample(h: Hamiltonian, model: Model, params: AnnealParams | None = No
     vehicle_idx = model.vehicle_index()
     vehicle_of = [vehicle_idx.get((v.arc, v.time)) if v.kind == FLOW else None
                   for v in model.variables]
+    single, paired = _move_tables(rows, cost_of, vehicle_of)
 
     max_coeff = max((abs(coef) for terms in rows.terms for _, coef in terms), default=1)
     t_start = params.initial_temperature
@@ -658,7 +663,7 @@ def anneal_sample(h: Hamiltonian, model: Model, params: AnnealParams | None = No
     samples = []
     for restart in range(params.restarts):
         t0 = time.perf_counter()
-        values = _run_chain(rows, alpha, n, ub, cost_of, vehicle_of,
+        values = _run_chain(rows, alpha, ub, vehicle_of, single, paired,
                             params, seed, restart, t_start, cooling)
         assignment = Assignment(values=tuple(values))
         assignment, report = postprocess_flows(model, assignment)
@@ -671,53 +676,90 @@ def anneal_sample(h: Hamiltonian, model: Model, params: AnnealParams | None = No
     return SampleSet(samples=tuple(samples), seed=seed, params=params)
 
 
-def _run_chain(rows: _Rows, alpha, n, ub, cost_of, vehicle_of,
+def _move_tables(rows: _Rows, cost_of, vehicle_of):
+    """Precomputed effect of every move, indexed [variable][direction]
+    (0 for -1, 1 for +1): (d_obj, ((row, signed coeff, slack width), ...)).
+
+    The slack width is -1 for an equality row.  `single` moves one variable;
+    `paired` moves a flow together with its vehicle, the two variables'
+    row terms merged (None where the flow has no vehicle).
+    """
+    widths = [-1 if lev is None else lev for lev in rows.slack_levels]
+
+    def entry(moves):
+        d_obj = 0.0
+        row_delta: dict[int, int] = {}
+        for i, d in moves:
+            d_obj += cost_of.get(i, 0.0) * d
+            for row, coef in rows.by_var[i]:
+                row_delta[row] = row_delta.get(row, 0) + coef * d
+        return d_obj, tuple((row, c, widths[row]) for row, c in row_delta.items() if c)
+
+    single = [(entry([(v, -1)]), entry([(v, 1)])) for v in range(len(vehicle_of))]
+    paired = [None if z is None else (entry([(v, -1), (z, -1)]), entry([(v, 1), (z, 1)]))
+              for v, z in enumerate(vehicle_of)]
+    return single, paired
+
+
+def _run_chain(rows: _Rows, alpha, ub, vehicle_of, single, paired,
                params: AnnealParams, seed: int, restart: int,
                t_start: float, cooling: float) -> list[int]:
     rng = np.random.default_rng([seed, restart])
+    n = len(ub)
     values = [0] * n
-    raw = [sum(coef * values[i] for i, coef in terms) for terms in rows.terms]
+    # residual raw - rhs of every row; the chain starts at the origin
+    res = [-rhs for rhs in rows.rhs]
     if n == 0:
         return values
 
+    p_pair = params.paired_move_probability
+    exp = math.exp
     temperature = t_start
     for _ in range(params.sweeps):
-        var_draws = rng.integers(0, n, size=n)
-        dir_draws = rng.integers(0, 2, size=n)
-        kind_draws = rng.random(size=n)
-        accept_draws = rng.random(size=n)
+        var_draws = rng.integers(0, n, size=n).tolist()
+        dir_draws = rng.integers(0, 2, size=n).tolist()
+        kind_draws = rng.random(size=n).tolist()
+        accept_draws = rng.random(size=n).tolist()
         for k in range(n):
-            v = int(var_draws[k])
-            delta = 1 if dir_draws[k] else -1
-            moves = [(v, delta)]
-            if kind_draws[k] < params.paired_move_probability and vehicle_of[v] is not None:
-                moves.append((vehicle_of[v], delta))
-            ok = True
-            for i, d in moves:
-                nv = values[i] + d
-                if nv < 0 or nv > ub[i]:
-                    ok = False
-                    break
-            if not ok:
+            v = var_draws[k]
+            up = dir_draws[k]
+            d = 1 if up else -1
+            nv = values[v] + d
+            if nv < 0 or nv > ub[v]:
                 continue
-            row_delta: dict[int, int] = {}
-            d_obj = 0.0
-            for i, d in moves:
-                d_obj += cost_of.get(i, 0.0) * d
-                for row, coef in rows.by_var[i]:
-                    row_delta[row] = row_delta.get(row, 0) + coef * d
+            z = vehicle_of[v] if kind_draws[k] < p_pair else None
+            if z is None:
+                d_obj, terms = single[v][up]
+            else:
+                nz = values[z] + d
+                if nz < 0 or nz > ub[z]:
+                    continue
+                d_obj, terms = paired[v][up]
             d_pen = 0
-            for row, dr in row_delta.items():
-                d_pen += rows.penalty(row, raw[row] + dr) - rows.penalty(row, raw[row])
+            for row, c, w in terms:
+                r = res[row]
+                r1 = r + c
+                if w < 0:
+                    d_pen += (r + r1) * c
+                    continue
+                if r1 > 0:
+                    d_pen += r1 * r1
+                elif r1 < -w:
+                    d_pen += (r1 + w) * (r1 + w)
+                if r > 0:
+                    d_pen -= r * r
+                elif r < -w:
+                    d_pen -= (r + w) * (r + w)
             d_energy = d_obj + alpha * d_pen
             if d_energy > 0:
                 threshold = d_energy / temperature
-                if threshold > 700 or accept_draws[k] >= math.exp(-threshold):
+                if threshold > 700 or accept_draws[k] >= exp(-threshold):
                     continue
-            for i, d in moves:
-                values[i] += d
-            for row, dr in row_delta.items():
-                raw[row] += dr
+            values[v] = nv
+            if z is not None:
+                values[z] = nz
+            for row, c, _ in terms:
+                res[row] += c
         temperature *= cooling
     return values
 

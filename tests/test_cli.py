@@ -130,6 +130,63 @@ class TestMethodsAndFlags:
             assert proc.stderr
 
 
+def assert_one_line_error(proc):
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("hamflow: ")
+
+
+class TestInputFaults:
+    """Bad inputs end in exit 1 with a one-line diagnostic, never a traceback."""
+
+    def test_bruteforce_on_case_study_is_too_large(self, tmp_path):
+        proc = run_cli("solve", "--instance", "case-study", "--method", "bruteforce",
+                       "--out", str(tmp_path / "out"))
+        assert_one_line_error(proc)
+        assert "search space" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    @pytest.mark.parametrize("text", ['{"objective": 5.0}', '{"values": [0, 1', '"zeros"',
+                                      '{"values": [0, "1", 0]}'])
+    def test_bad_assignment_json(self, micro_doc, tmp_path, command, text):
+        path = tmp_path / "solution.json"
+        path.write_text(text)
+        proc = run_cli(command, "--instance", str(micro_doc), "--assignment", str(path),
+                       "--out", str(tmp_path / "out"))
+        assert_one_line_error(proc)
+
+    @pytest.mark.parametrize("value", [float("nan"), "100"])
+    @pytest.mark.parametrize("path", [("arcs", 0, "cost"), ("commodities", 0, "load"),
+                                      ("capacity",), ("schedule", 0, "amount")])
+    def test_non_finite_or_untyped_numbers(self, tmp_path, path, value):
+        doc = json.loads(serialize_instance(micro_instance()))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        proc = run_cli("solve", "--instance", str(bad), "--method", "exact",
+                       "--out", str(tmp_path / "out"))
+        assert_one_line_error(proc)
+        assert path[-1] in proc.stderr
+        assert "certified,True" not in proc.stdout
+
+    @pytest.mark.parametrize("value", [float("nan"), "1.5"])
+    def test_bad_case_study_cost(self, tmp_path, value):
+        costs = dict.fromkeys(("N1->N2", "N2->N3", "N2->N4", "N3->N6",
+                               "N3->N4", "N4->N5", "N6->N7", "N4->N3"), 1.0)
+        costs["N3->N4"] = value
+        path = tmp_path / "costs.json"
+        path.write_text(json.dumps(costs))
+        proc = run_cli("solve", "--instance", "case-study", "--costs", str(path),
+                       "--method", "exact", "--out", str(tmp_path / "out"))
+        assert_one_line_error(proc)
+        assert "N3->N4" in proc.stderr
+        assert "certified,True" not in proc.stdout
+
+
 class TestSeedHandling:
     def test_env_seed_fallback(self, micro_doc, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -235,3 +235,24 @@ class TestCaseStudy:
             load_cost_map('{"N1-N2": 1.0}')
         with pytest.raises(InstanceSchemaError):
             load_cost_map('{"N1->N2": -1.0}')
+
+    @pytest.mark.parametrize("text", ['{"N1->N2": NaN}', '{"N1->N2": Infinity}',
+                                      '{"N1->N2": "1.0"}', '{"N1->N2": null}'])
+    def test_cost_map_rejects_non_finite_or_untyped(self, text):
+        with pytest.raises(InstanceSchemaError):
+            load_cost_map(text)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("arcs", 0, "cost"), float("nan")), (("arcs", 0, "cost"), "2.5"),
+    (("commodities", 0, "load"), float("inf")), (("capacity",), "100"),
+    (("capacity",), 10 ** 400), (("schedule", 0, "amount"), None),
+])
+def test_parse_rejects_non_finite_or_untyped_numbers(path, value):
+    doc = json.loads(serialize_instance(build_case_study(default_case_study_costs())))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(InstanceSchemaError):
+        parse_instance(json.dumps(doc))
