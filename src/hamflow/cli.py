@@ -55,6 +55,12 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"hamflow: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # reads map their OSError to CliError in _read_text, so this one came
+        # from creating or writing the output directory
+        print(f"hamflow: cannot write {exc.filename or args.out}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 1
     except (InstanceError, expansion.ModelError, expansion.TableReconstructionError,
             hamiltonian.CompileError, hamiltonian.PolynomialFormatError,
             solvers.SearchSpaceTooLargeError) as exc:

@@ -228,6 +228,18 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
         raise InstanceSchemaError(f"{where}: missing key(s) {sorted(missing)}")
 
 
+def _objects(doc: dict, section: str) -> list[dict]:
+    """The list of objects under `section`, each entry type-checked so that
+    a null or a number in the list is reported rather than iterated."""
+    entries = doc[section]
+    if not isinstance(entries, list):
+        raise InstanceSchemaError(f"{section}: expected a list of objects, got {entries!r}")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise InstanceSchemaError(f"{section}[{i}]: expected an object, got {entry!r}")
+    return entries
+
+
 def _as_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InstanceSchemaError(f"{where}: expected a number, got {value!r}")
@@ -263,25 +275,25 @@ def parse_instance(text: str) -> Instance:
     _require_keys(doc, _TOP_KEYS, _TOP_KEYS, "instance document")
 
     depots = []
-    for i, d in enumerate(doc["depots"]):
+    for i, d in enumerate(_objects(doc, "depots")):
         _require_keys(d, {"id", "label"}, {"id", "label"}, f"depots[{i}]")
         depots.append(Depot(id=str(d["id"]), label=str(d["label"])))
     arcs = []
-    for i, a in enumerate(doc["arcs"]):
+    for i, a in enumerate(_objects(doc, "arcs")):
         _require_keys(a, {"from", "to", "cost", "travel_time"},
                       {"from", "to", "cost", "travel_time"}, f"arcs[{i}]")
         arcs.append(Arc(origin=str(a["from"]), dest=str(a["to"]),
                         cost=_as_number(a["cost"], f"arcs[{i}].cost"),
                         travel_time=_as_int(a["travel_time"], f"arcs[{i}].travel_time")))
     commodities = []
-    for i, c in enumerate(doc["commodities"]):
+    for i, c in enumerate(_objects(doc, "commodities")):
         _require_keys(c, {"id", "load"}, {"id", "load"}, f"commodities[{i}]")
         commodities.append(Commodity(id=str(c["id"]),
                                      load=_as_number(c["load"], f"commodities[{i}].load")))
     horizon = _as_int(doc["horizon"], "horizon")
     capacity = _as_number(doc["capacity"], "capacity")
     schedule = []
-    for i, e in enumerate(doc["schedule"]):
+    for i, e in enumerate(_objects(doc, "schedule")):
         _require_keys(e, {"depot", "commodity", "time", "amount"},
                       {"depot", "commodity", "time", "amount"}, f"schedule[{i}]")
         schedule.append(ScheduleEntry(depot=str(e["depot"]), commodity=str(e["commodity"]),

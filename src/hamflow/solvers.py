@@ -8,6 +8,10 @@ The branch-and-bound searches vehicle counts only; commodity flows are
 completed at the leaves by an exact integral-flow search.  Two necessary
 relaxations prune internal nodes: a per-commodity max-flow over the
 time-expanded graph (timing) and a merged-mass max-flow (joint capacity).
+Their networks are built once per solve; a node changes only the
+capacities of the arc edges of the one (arc, t) it branched on, so it keeps
+its parent's flow wherever that flow still fits and runs Edmonds-Karp from
+scratch only where it does not.
 
 The annealer searches decision variables only.  Slack variables are never
 free dimensions: every capacity penalty is evaluated with its slack at the
@@ -19,7 +23,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,11 +199,16 @@ def postprocess_flows(model: Model, a: Assignment) -> tuple[Assignment, Feasibil
 
 # --- exact search -------------------------------------------------------------
 
+def _travel_times(inst) -> dict[tuple[str, str], int]:
+    return {a.pair: a.travel_time for a in inst.arcs}
+
+
 def _exact_presence_bounds(model: Model):
     """Per-(depot, commodity, t) upper bounds on present units (forward DP)
     and absorbable units (backward DP), from the variables that exist."""
     inst = model.instance
     T = inst.horizon
+    travel = _travel_times(inst)
     flow_vars = [v for v in model.variables if v.kind == FLOW]
     present: dict[tuple[str, str, int], int] = {}
     absorb: dict[tuple[str, str, int], int] = {}
@@ -211,7 +219,7 @@ def _exact_presence_bounds(model: Model):
     departures: dict[tuple[str, str, int], list] = {}
     for v in flow_vars:
         departures.setdefault((v.arc[0], v.commodity, v.time), []).append(v)
-        t_arr = v.time + inst.arc(*v.arc).travel_time
+        t_arr = v.time + travel[v.arc]
         if t_arr <= T:
             arrivals.setdefault((v.arc[1], v.commodity, t_arr), []).append(v)
     for t in range(1, T + 1):
@@ -228,7 +236,7 @@ def _exact_presence_bounds(model: Model):
                 key = (d.id, c.id, t)
                 units = dem.get(key, 0) // loads[c.id]
                 for v in departures.get(key, ()):
-                    t_arr = t + inst.arc(*v.arc).travel_time
+                    t_arr = t + travel[v.arc]
                     if t_arr <= T:
                         units += min(absorb.get((v.arc[1], v.commodity, t_arr), 0), v.upper_bound)
                 absorb[key] = units
@@ -241,13 +249,14 @@ def _vehicle_search_caps(model: Model) -> dict[int, int]:
     fits under these caps, so the search never looks above them."""
     inst = model.instance
     capacity = int(inst.capacity)
+    travel = _travel_times(inst)
     loads = {c.id: int(c.load) for c in inst.commodities}
     present, absorb = _exact_presence_bounds(model)
     max_mass: dict[tuple, int] = {}
     for v in model.variables:
         if v.kind != FLOW:
             continue
-        t_arr = v.time + inst.arc(*v.arc).travel_time
+        t_arr = v.time + travel[v.arc]
         units = min(v.upper_bound,
                     present.get((v.arc[0], v.commodity, v.time), 0),
                     absorb.get((v.arc[1], v.commodity, t_arr), 0))
@@ -260,117 +269,152 @@ def _vehicle_search_caps(model: Model) -> dict[int, int]:
     return caps
 
 
-def _max_flow(n: int, edges: list[tuple[int, int, int]], source: int, sink: int) -> int:
-    """Edmonds-Karp on a small dense-ish graph; capacities are integers."""
-    head, nxt, cap = [], [], []
-    first = [-1] * n
+class _Network:
+    """One flow network over (depot, t) nodes whose adjacency never changes.
 
-    def add(u, v, c):
-        head.append(v); cap.append(c); nxt.append(first[u]); first[u] = len(head) - 1
-        head.append(u); cap.append(0); nxt.append(first[v]); first[v] = len(head) - 1
+    Source and sink edges have fixed capacities.  Each arc edge stands for
+    one (arc, departure t) key and has capacity min(ub, cap_mass[key] // load),
+    so only those capacities depend on the search node.  Edges are stored in
+    pairs: edge e ^ 1 is the reverse of edge e, so in a residual list the
+    flow on edge e is the residual capacity of e ^ 1.
+    """
 
-    for u, v, c in edges:
-        if c > 0:
-            add(u, v, c)
-    flow = 0
-    while True:
-        parent_edge = [-1] * n
-        parent_edge[source] = -2
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            e = first[u]
-            while e != -1:
-                v = head[e]
-                if parent_edge[v] == -1 and cap[e] > 0:
-                    parent_edge[v] = e
-                    if v == sink:
-                        queue.clear()
-                        break
-                    queue.append(v)
-                e = nxt[e]
-        if parent_edge[sink] == -1:
-            return flow
-        bottleneck = None
-        v = sink
-        while v != source:
-            e = parent_edge[v]
-            bottleneck = cap[e] if bottleneck is None else min(bottleneck, cap[e])
-            v = head[e ^ 1]
-        v = sink
-        while v != source:
-            e = parent_edge[v]
-            cap[e] -= bottleneck
-            cap[e ^ 1] += bottleneck
-            v = head[e ^ 1]
-        flow += bottleneck
+    def __init__(self, n_nodes: int, arcs, sources, sinks, need: int):
+        """arcs: (u, v, key, ub, load); sources: (v, cap); sinks: (u, cap);
+        need: the flow that must reach the sink."""
+        self.source = n_nodes
+        self.sink = n_nodes + 1
+        self.need = need
+        self.adj: list[list[int]] = [[] for _ in range(n_nodes + 2)]
+        self.head: list[int] = []
+        self.base: list[int] = []        # residual capacities before any flow
+        self.by_key: dict[tuple, list[tuple[int, int, int]]] = {}   # key: (edge, ub, load)
+        for u, v, key, ub, load in arcs:
+            self.by_key.setdefault(key, []).append((self._add(u, v, 0), ub, load))
+        for v, cap in sources:
+            self._add(self.source, v, cap)
+        for u, cap in sinks:
+            self._add(u, self.sink, cap)
+
+    def _add(self, u: int, v: int, cap: int) -> int:
+        e = len(self.head)
+        self.head += (v, u)
+        self.base += (cap, 0)
+        self.adj[u].append(e)
+        self.adj[v].append(e + 1)
+        return e
+
+    def fits(self, res: list[int], cap_mass: dict[tuple, int], key: tuple) -> bool:
+        """Whether the flow in residual list `res` respects the capacities
+        of `key`'s edges under `cap_mass`."""
+        cap = cap_mass[key]
+        return all(res[e ^ 1] <= min(ub, cap // load) for e, ub, load in self.by_key.get(key, ()))
+
+    def solve(self, cap_mass: dict[tuple, int]) -> list[int] | None:
+        """Edmonds-Karp from the empty flow, stopped once `need` units reach
+        the sink: the residual capacities, or None when they cannot."""
+        res = self.base.copy()
+        for key, edges in self.by_key.items():
+            cap = cap_mass[key]
+            for e, ub, load in edges:
+                res[e] = min(ub, cap // load)
+        adj, head = self.adj, self.head
+        source, sink, need = self.source, self.sink, self.need
+        flow = 0
+        while flow < need:
+            parent = [-1] * len(adj)
+            parent[source] = -2
+            queue = [source]
+            for u in queue:          # breadth-first: the list grows while it is read
+                for e in adj[u]:
+                    v = head[e]
+                    if parent[v] == -1 and res[e] > 0:
+                        parent[v] = e
+                        queue.append(v)
+                if parent[sink] != -1:
+                    break
+            if parent[sink] == -1:
+                return None
+            push = need - flow
+            v = sink
+            while v != source:
+                e = parent[v]
+                if res[e] < push:
+                    push = res[e]
+                v = head[e ^ 1]
+            v = sink
+            while v != source:
+                e = parent[v]
+                res[e] -= push
+                res[e ^ 1] += push
+                v = head[e ^ 1]
+            flow += push
+        return res
 
 
 class _FlowRelaxation:
-    """Necessary feasibility checks for a partial vehicle assignment."""
+    """Necessary feasibility checks for a partial vehicle assignment: one
+    max-flow network per commodity (timing) and one merged-mass network with
+    all commodities pooled (joint capacity), each built once."""
 
     def __init__(self, model: Model):
         inst = model.instance
-        self.model = model
-        self.inst = inst
-        self.capacity = int(inst.capacity)
-        self.loads = {c.id: int(c.load) for c in inst.commodities}
         T = inst.horizon
-        self.node_id = {}
+        travel = _travel_times(inst)
+        loads = {c.id: int(c.load) for c in inst.commodities}
+        node_id = {}
         for d in inst.depots:
             for t in range(1, T + 1):
-                self.node_id[(d.id, t)] = len(self.node_id)
-        self.source = len(self.node_id)
-        self.sink = self.source + 1
-        self.n_nodes = self.sink + 1
-        self.flow_vars = [v for v in model.variables
-                          if v.kind == FLOW and
-                          v.time + inst.arc(*v.arc).travel_time <= T]
-        self.sup = [(e.depot, e.commodity, e.time, int(e.amount))
-                    for e in inst.schedule if e.amount > 0]
-        self.dem = [(e.depot, e.commodity, e.time, int(-e.amount))
-                    for e in inst.schedule if e.amount < 0]
-        self.total_units = {c.id: sum(m for _, k, _, m in self.sup if k == c.id) // self.loads[c.id]
-                            for c in inst.commodities}
-        self.total_mass = sum(m for _, _, _, m in self.sup)
+                node_id[(d.id, t)] = len(node_id)
+        flow_vars = [v for v in model.variables
+                     if v.kind == FLOW and v.time + travel[v.arc] <= T]
 
-    def feasible(self, cap_mass: dict[tuple, int]) -> bool:
-        """cap_mass: available mass per (arc, departure t).  Checks one
-        max-flow per commodity plus one merged-mass max-flow."""
-        inst = self.inst
+        def arc_nodes(arc, t):
+            return node_id[(arc[0], t)], node_id[(arc[1], t + travel[arc])]
+
+        sup = [(e.commodity, node_id[(e.depot, e.time)], int(e.amount))
+               for e in inst.schedule if e.amount > 0]
+        dem = [(e.commodity, node_id[(e.depot, e.time)], int(-e.amount))
+               for e in inst.schedule if e.amount < 0]
+        self.networks = []
         for c in inst.commodities:
-            load = self.loads[c.id]
-            edges = []
-            for v in self.flow_vars:
-                if v.commodity != c.id:
-                    continue
-                cap = min(v.upper_bound, cap_mass[(v.arc, v.time)] // load)
-                t_arr = v.time + inst.arc(*v.arc).travel_time
-                edges.append((self.node_id[(v.arc[0], v.time)],
-                              self.node_id[(v.arc[1], t_arr)], cap))
-            for depot, k, t, mass in self.sup:
-                if k == c.id:
-                    edges.append((self.source, self.node_id[(depot, t)], mass // load))
-            for depot, k, t, mass in self.dem:
-                if k == c.id:
-                    edges.append((self.node_id[(depot, t)], self.sink, mass // load))
-            if _max_flow(self.n_nodes, edges, self.source, self.sink) < self.total_units[c.id]:
-                return False
-        # merged-mass relaxation: all commodities pooled, joint capacity binds
-        edges = []
+            load = loads[c.id]
+            arcs = [(*arc_nodes(v.arc, v.time), (v.arc, v.time), v.upper_bound, load)
+                    for v in flow_vars if v.commodity == c.id]
+            self.networks.append(_Network(
+                len(node_id), arcs,
+                [(n, mass // load) for k, n, mass in sup if k == c.id],
+                [(n, mass // load) for k, n, mass in dem if k == c.id],
+                sum(mass for k, _, mass in sup if k == c.id) // load))
         merged: dict[tuple, int] = {}
-        for v in self.flow_vars:
+        for v in flow_vars:
             key = (v.arc, v.time)
-            merged[key] = merged.get(key, 0) + v.upper_bound * self.loads[v.commodity]
-        for (arc, t), ub_mass in merged.items():
-            t_arr = t + inst.arc(*arc).travel_time
-            edges.append((self.node_id[(arc[0], t)], self.node_id[(arc[1], t_arr)],
-                          min(ub_mass, cap_mass[(arc, t)])))
-        for depot, _, t, mass in self.sup:
-            edges.append((self.source, self.node_id[(depot, t)], mass))
-        for depot, _, t, mass in self.dem:
-            edges.append((self.node_id[(depot, t)], self.sink, mass))
-        return _max_flow(self.n_nodes, edges, self.source, self.sink) >= self.total_mass
+            merged[key] = merged.get(key, 0) + v.upper_bound * loads[v.commodity]
+        self.networks.append(_Network(
+            len(node_id),
+            [(*arc_nodes(*key), key, ub_mass, 1) for key, ub_mass in merged.items()],
+            [(n, mass) for _, n, mass in sup],
+            [(n, mass) for _, n, mass in dem],
+            sum(mass for _, _, mass in sup)))
+
+    def feasible(self, cap_mass: dict[tuple, int], parent_flows: list | None,
+                 key: tuple | None) -> list | None:
+        """cap_mass: available mass per (arc, departure t).  Returns one
+        residual list per network when every network meets its demand, else
+        None.  `parent_flows` are the parent node's residual lists and `key`
+        the only (arc, t) whose cap_mass differs from the parent's (both None
+        at the root): a parent flow that still fits `key`'s edges proves its
+        network feasible as it stands, and only the others are solved anew."""
+        flows = []
+        for i, net in enumerate(self.networks):
+            if parent_flows is not None and net.fits(parent_flows[i], cap_mass, key):
+                res = parent_flows[i]
+            else:
+                res = net.solve(cap_mass)
+                if res is None:
+                    return None
+            flows.append(res)
+        return flows
 
 
 def find_feasible_flows(model: Model, vehicle_values: dict[int, int]) -> dict[int, int] | None:
@@ -384,6 +428,7 @@ def find_feasible_flows(model: Model, vehicle_values: dict[int, int]) -> dict[in
     inst = model.instance
     T = inst.horizon
     capacity = int(inst.capacity)
+    travel = _travel_times(inst)
     loads = {c.id: int(c.load) for c in inst.commodities}
     d_mass = {(e.depot, e.commodity, e.time): int(e.amount) for e in inst.schedule}
 
@@ -396,7 +441,7 @@ def find_feasible_flows(model: Model, vehicle_values: dict[int, int]) -> dict[in
     for v in model.variables:
         if v.kind != FLOW:
             continue
-        t_arr = v.time + inst.arc(*v.arc).travel_time
+        t_arr = v.time + travel[v.arc]
         if t_arr > T:
             continue   # arrivals beyond the horizon can never serve a demand
         out_vars.setdefault((v.arc[0], v.commodity, v.time), []).append((v, t_arr))
@@ -463,7 +508,11 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
 
     Branches the most expensive arcs first and tries smaller counts first;
     internal nodes are pruned by a demand-cut cost bound and the max-flow
-    relaxations, and leaves are completed by find_feasible_flows.  Returns a
+    relaxations, and leaves are completed by find_feasible_flows.  Each node
+    hands its relaxation flows to its children: a child reuses a network's
+    flow when the flow on the (arc, t) just branched on fits the new vehicle
+    count, which proves that network feasible, and solves it anew otherwise,
+    so every verdict equals a solve from scratch.  Returns a
     provably optimal sample, or the incumbent flagged uncertified when the
     time limit expires, or an explicit infeasible result.
     """
@@ -516,7 +565,7 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
                 bound += short * open_cost
         return bound
 
-    def dfs(depth: int, cost_so_far: float):
+    def dfs(depth: int, cost_so_far: float, parent_flows: list | None, changed: tuple | None):
         nodes[0] += 1
         if nodes[0] % 512 == 0 and time.perf_counter() - start > time_limit:
             timed_out[0] = True
@@ -526,7 +575,8 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
             return
         if cut_bound(cost_so_far) >= best_cost[0] - 1e-9:
             return
-        if not relax.feasible(cap_mass):
+        relax_flows = relax.feasible(cap_mass, parent_flows, changed)
+        if relax_flows is None:
             return
         if depth == len(branch_vars):
             flows = find_feasible_flows(model, z_fixed)
@@ -542,17 +592,18 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
             return
         v = branch_vars[depth]
         cost = cost_of.get(v.index, 0.0)
-        saved = cap_mass[(v.arc, v.time)]
+        key = (v.arc, v.time)
+        saved = cap_mass[key]
         for value in range(0, caps[v.index] + 1):
             z_fixed[v.index] = value
-            cap_mass[(v.arc, v.time)] = capacity * value
-            dfs(depth + 1, cost_so_far + cost * value)
+            cap_mass[key] = capacity * value
+            dfs(depth + 1, cost_so_far + cost * value, relax_flows, key)
             if timed_out[0]:
                 break
         del z_fixed[v.index]
-        cap_mass[(v.arc, v.time)] = saved
+        cap_mass[key] = saved
 
-    dfs(0, 0.0)
+    dfs(0, 0.0, None, None)
     wall = time.perf_counter() - start
 
     if best_values[0] is None:

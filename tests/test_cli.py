@@ -187,6 +187,32 @@ class TestInputFaults:
         assert "certified,True" not in proc.stdout
 
 
+    @pytest.mark.parametrize("section, value, expected", [
+        ("arcs", [None], "arcs[0]: expected an object"),
+        ("depots", {"id": "A"}, "depots: expected a list of objects"),
+    ])
+    def test_non_object_sections(self, tmp_path, section, value, expected):
+        doc = json.loads(serialize_instance(micro_instance()))
+        doc[section] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        proc = run_cli("validate", "--instance", str(bad))
+        assert_one_line_error(proc)
+        assert expected in proc.stderr
+
+    @pytest.mark.parametrize("command", ["compile", "solve", "report"])
+    def test_unwritable_out(self, micro_doc, tmp_path, command):
+        solution = tmp_path / "solved" / "solution.json"
+        assert run_cli("solve", "--instance", str(micro_doc),
+                       "--out", str(solution.parent)).returncode == 0
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        proc = run_cli(command, "--instance", str(micro_doc), "--assignment", str(solution),
+                       "--out", str(blocker / "out"))
+        assert_one_line_error(proc)
+        assert "cannot write" in proc.stderr
+
+
 class TestSeedHandling:
     def test_env_seed_fallback(self, micro_doc, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

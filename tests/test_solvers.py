@@ -101,8 +101,57 @@ class TestBruteForce:
             exact = solve_exact(model, time_limit=60.0)
             brute = brute_force_oracle(model)
             assert exact.status == brute.status
+            assert exact.certified and brute.certified
             if exact.status == "optimal":
                 assert exact.objective == pytest.approx(brute.objective, abs=1e-9)
+
+
+class TestExactSearch:
+    """sha256 digests recorded when every node solved its max-flows from an
+    empty flow.  The relaxation's verdicts decide which nodes the depth-first
+    search visits and in what order, so a rewrite of the relaxation that
+    changes any verdict changes a node count or an assignment here."""
+
+    def test_case_study_search(self, case_study_pruned):
+        result = solve_exact(case_study_pruned)
+        assert result.nodes == 93
+        values = ",".join(str(v) for v in result.sample.assignment.values)
+        assert hashlib.sha256(values.encode()).hexdigest() == \
+            "65f10e1f24f42d92ca0ae3c070a87a1fb4883677ee450e83cf2be2d57353be71"
+
+    def test_random_micros_search(self):
+        rng = random.Random(27182)
+        digest = hashlib.sha256()
+        for _ in range(30):
+            r = solve_exact(random_micro_model(rng), time_limit=60.0)
+            values = "" if r.sample is None else ",".join(str(v) for v in r.sample.assignment.values)
+            digest.update(f"{r.status};{r.certified};{r.nodes};{values}\n".encode())
+        assert digest.hexdigest() == \
+            "72c45a88667920606e8d660d2324af5a4d964f842293eeae2c2ee783f7f1ccda"
+
+    def test_parent_flow_reuse_matches_a_fresh_solve(self, case_study_pruned):
+        """Reducing one key's capacity under a feasible parent: the verdict
+        reached by reusing the parent's flows equals a solve from scratch."""
+        relax = solvers._FlowRelaxation(case_study_pruned)
+        capacity = int(case_study_pruned.instance.capacity)
+        keys = [(v.arc, v.time) for v in case_study_pruned.variables if v.kind == expansion.VEHICLE]
+        rng = random.Random(4242)
+        verdicts, reused = set(), 0
+        for _ in range(300):
+            cap_mass = {key: capacity * rng.randint(1, 3) for key in keys}
+            parent_flows = relax.feasible(cap_mass, None, None)
+            if parent_flows is None:
+                continue
+            key = rng.choice(keys)
+            cap_mass[key] = rng.randint(0, cap_mass[key])
+            child = relax.feasible(cap_mass, parent_flows, key)
+            fresh = relax.feasible(cap_mass, None, None)
+            assert (child is None) == (fresh is None)
+            verdicts.add(fresh is not None)
+            if child is not None:
+                reused += sum(c is p for c, p in zip(child, parent_flows))
+        assert verdicts == {True, False}
+        assert reused > 0
 
 
 class TestAnneal:
