@@ -337,20 +337,22 @@ def render_reports(model: Model, a: Assignment, out: Path) -> list[Path]:
         vehicle_lines.append(arc.key() + "," + ",".join(str(v) for v in counts))
         cargo_lines.append(arc.key() + "," + ",".join(str(m) for m in masses))
 
+    amounts = {(e.depot, e.commodity, e.time): e.amount for e in inst.schedule}
     inventory_lines = [REPORT_NOTE, "depot,commodity," + ",".join(str(t) for t in range(1, T + 1))]
     for d in inst.depots:
+        in_arcs, out_arcs = inst.in_arcs(d.id), inst.out_arcs(d.id)
         for c in inst.commodities:
             on_hand = []
             cumulative = 0
             departed_before = 0
             for t in range(1, T + 1):
                 arrived = sum(flow(arc.pair, c.id, t - arc.travel_time) * c.load
-                              for arc in inst.in_arcs(d.id))
-                supplied = max(inst.schedule_amount(d.id, c.id, t), 0)
+                              for arc in in_arcs)
+                supplied = max(amounts.get((d.id, c.id, t), 0.0), 0)
                 cumulative += arrived + supplied
                 on_hand.append(int(cumulative - departed_before))
                 departed_before += sum(flow(arc.pair, c.id, t) * c.load
-                                       for arc in inst.out_arcs(d.id))
+                                       for arc in out_arcs)
             inventory_lines.append(f"{d.id},{c.id}," + ",".join(str(v) for v in on_hand))
 
     paths = []

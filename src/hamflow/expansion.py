@@ -168,14 +168,15 @@ def expand_model(inst: Instance) -> Model:
 
     constraints: list[LinearConstraint] = []
     for d in inst.depots:
+        out_arcs, in_arcs = inst.out_arcs(d.id), inst.in_arcs(d.id)
         for c in inst.commodities:
             for t in range(1, T + 1):
                 terms: list[tuple[int, int]] = []
-                for a in inst.out_arcs(d.id):
+                for a in out_arcs:
                     i = flow_idx.get((a.pair, c.id, t))
                     if i is not None:
                         terms.append((i, loads[c.id]))
-                for a in inst.in_arcs(d.id):
+                for a in in_arcs:
                     i = flow_idx.get((a.pair, c.id, t - a.travel_time))
                     if i is not None:
                         terms.append((i, -loads[c.id]))
@@ -215,14 +216,15 @@ def prune_model(model: Model) -> Model:
     earliest = {c.id: earliest_presence(inst, c.id, dist) for c in inst.commodities}
     latest = {c.id: latest_useful_presence(inst, c.id, dist) for c in inst.commodities}
 
+    travel = {a.pair: a.travel_time for a in inst.arcs}
+
     def keep(v: Variable) -> bool:
         if v.kind != FLOW:
             return False
         tail, head = v.arc
-        a = inst.arc(tail, head)
         if v.time < earliest[v.commodity][tail]:
             return False
-        return v.time + a.travel_time <= latest[v.commodity][head]
+        return v.time + travel[v.arc] <= latest[v.commodity][head]
 
     kept_flow = [v for v in model.variables if v.kind == FLOW and keep(v)]
     live_arc_times = {(v.arc, v.time) for v in kept_flow}
@@ -249,6 +251,11 @@ def prune_model(model: Model) -> Model:
                  constraints=tuple(constraints), objective=objective)
 
 
+def row_residuals(model: Model, values) -> list[int]:
+    """Signed lhs - rhs of every constraint row at integer values, in row order."""
+    return [sum(coef * values[i] for i, coef in c.terms) - c.rhs for c in model.constraints]
+
+
 def verify_assignment(model: Model, a: Assignment) -> FeasibilityReport:
     """Exact integer residuals of every constraint at an assignment."""
     if len(a.values) != len(model.variables):
@@ -256,9 +263,7 @@ def verify_assignment(model: Model, a: Assignment) -> FeasibilityReport:
                          f"{len(model.variables)} variables")
     residuals = []
     worst: tuple[Tag, int] | None = None
-    for c in model.constraints:
-        lhs = sum(coef * a.values[i] for i, coef in c.terms)
-        r = lhs - c.rhs
+    for c, r in zip(model.constraints, row_residuals(model, a.values)):
         if c.relation == "le":
             r = max(0, r)
         residuals.append(r)

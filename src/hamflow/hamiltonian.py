@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .expansion import VEHICLE, Assignment, Model
+from .expansion import Assignment, Model, row_residuals
 
 DECISION = "decision"
 SLACK = "slack"
@@ -98,18 +98,16 @@ def compile_hamiltonian(model: Model, alpha: float | None = None) -> Hamiltonian
                  for v in model.variables]
 
     # equality rows: conservation rows verbatim, capacity rows with one slack
+    # ranging over rhs minus the lowest value the row's left side takes within
+    # the bounds (capacity * ub(z) for a capacity row)
     rows: list[tuple[list[tuple[int, int]], int]] = []
+    ub = [v.upper_bound for v in model.variables]
     for c in model.constraints:
         if c.relation == "eq":
             rows.append((list(c.terms), c.rhs))
             continue
-        vehicle_ub = 0
-        capacity = 0
-        for i, coef in c.terms:
-            if model.variables[i].kind == VEHICLE:
-                vehicle_ub = model.variables[i].upper_bound
-                capacity = -coef
-        slack = HamiltonianVariable(len(variables), (SLACK, c.tag), capacity * vehicle_ub)
+        levels = c.rhs - sum(coef * ub[i] for i, coef in c.terms if coef < 0)
+        slack = HamiltonianVariable(len(variables), (SLACK, c.tag), levels)
         variables.append(slack)
         rows.append((list(c.terms) + [(slack.index, 1)], c.rhs))
 
@@ -155,16 +153,20 @@ def evaluate_energy(h: Hamiltonian, point: Sequence[float]) -> float:
 
 def encode_assignment(h: Hamiltonian, model: Model, a: Assignment) -> list[int]:
     """Lift a model assignment to a Hamiltonian point, slacks set to the
-    value minimizing their equality's squared residual (clamped to levels)."""
+    value minimizing their equality's squared residual (clamped to levels).
+
+    Slacks pair with the model's `le` rows by position, following the
+    variable order above, so a Hamiltonian re-read from a polynomial file
+    lifts the same way as the compiled one."""
     if len(a.values) != len(model.variables):
         raise ValueError("assignment length mismatch")
-    capacity_lhs = {c.tag: sum(coef * a.values[i] for i, coef in c.terms)
-                    for c in model.constraints if c.relation == "le"}
-    point = list(a.values)
-    for v in h.variables[len(a.values):]:
-        raw = capacity_lhs[v.origin[1]]
-        point.append(min(max(-raw, 0), v.levels))
-    return point
+    le_residuals = [r for c, r in zip(model.constraints, row_residuals(model, a.values))
+                    if c.relation == "le"]
+    slacks = h.variables[len(a.values):]
+    if len(slacks) != len(le_residuals):
+        raise ValueError(f"Hamiltonian has {len(slacks)} slack variables, model has "
+                         f"{len(le_residuals)} inequality rows")
+    return list(a.values) + [min(max(-r, 0), v.levels) for v, r in zip(slacks, le_residuals)]
 
 
 def decode_point(h: Hamiltonian, model: Model, point: Sequence[float]) -> Assignment:

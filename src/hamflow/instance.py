@@ -332,7 +332,8 @@ def serialize_instance(inst: Instance) -> str:
 
 def _is_multiple(amount: float, load: float) -> bool:
     units = amount / load
-    return abs(units - round(units)) < 1e-9
+    # a subnormal load can overflow the quotient, which is then no multiple
+    return math.isfinite(units) and abs(units - round(units)) < 1e-9
 
 
 def _first_duplicate(items: Iterable):

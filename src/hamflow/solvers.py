@@ -1,8 +1,9 @@
 """Classical back-ends: exact branch-and-bound, exhaustive enumeration for
 tiny models, and a restart-based simulated annealer mirroring the sampling
 workflow of the target annealing hardware.  The annealer's energy is the
-Hamiltonian's, but it is evaluated from the model's rows and objective with
-the Hamiltonian's penalty weight alpha, not from the compiled polynomial.
+Hamiltonian's at optimal slacks: the model's objective plus the penalty
+weight alpha times the squared residuals `verify_assignment` reports, not
+the compiled polynomial.
 
 The branch-and-bound searches vehicle counts only; commodity flows are
 completed at the leaves by an exact integral-flow search.  Two necessary
@@ -16,7 +17,9 @@ scratch only where it does not.
 The annealer searches decision variables only.  Slack variables are never
 free dimensions: every capacity penalty is evaluated with its slack at the
 value minimizing the squared residual, which halves the search space and
-never worsens the energy.
+never worsens the energy.  Within the variable bounds a capacity row's
+residual r never falls below minus its slack's range, so the slack's clamp
+never binds and the penalty is max(r, 0)**2.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from .expansion import (
     Assignment,
     FeasibilityReport,
     Model,
-    verify_assignment,
     evaluate_objective,
+    row_residuals,
+    verify_assignment,
 )
 from .hamiltonian import Hamiltonian
 
@@ -130,51 +134,6 @@ class SummaryStats:
     feasible_fraction: float
     mean_wall_time: float
     bins: tuple[tuple[float, float, int], ...]   # (lower, upper, count), 20 bins
-
-
-# --- shared constraint scaffolding -------------------------------------------
-
-class _Rows:
-    """Constraint rows in a move-evaluation-friendly form."""
-
-    def __init__(self, model: Model):
-        self.terms = []        # list of ((idx, coeff), ...)
-        self.rhs = []
-        self.slack_levels = []  # None for equalities, else slack range
-        for c in model.constraints:
-            self.terms.append(tuple(c.terms))
-            self.rhs.append(c.rhs)
-            if c.relation == "eq":
-                self.slack_levels.append(None)
-            else:
-                vehicle_ub = next(model.variables[i].upper_bound for i, coef in c.terms
-                                  if model.variables[i].kind == VEHICLE)
-                capacity = next(-coef for i, coef in c.terms
-                                if model.variables[i].kind == VEHICLE)
-                self.slack_levels.append(capacity * vehicle_ub)
-        self.by_var: list[list[tuple[int, int]]] = [[] for _ in model.variables]
-        for row, terms in enumerate(self.terms):
-            for i, coef in terms:
-                self.by_var[i].append((row, coef))
-
-    def penalty(self, row: int, raw: int) -> int:
-        """Squared residual with the row's slack (if any) set optimally."""
-        r = raw - self.rhs[row]
-        lev = self.slack_levels[row]
-        if lev is None:
-            return r * r
-        if r > 0:
-            return r * r
-        if r < -lev:
-            return (r + lev) * (r + lev)
-        return 0
-
-    def total_penalty(self, values) -> int:
-        total = 0
-        for row, terms in enumerate(self.terms):
-            raw = sum(coef * values[i] for i, coef in terms)
-            total += self.penalty(row, raw)
-        return total
 
 
 # --- post-processing ----------------------------------------------------------
@@ -682,27 +641,27 @@ def anneal_sample(h: Hamiltonian, model: Model, params: AnnealParams | None = No
                   seed: int = 0) -> SampleSet:
     """Restart-based simulated annealing over integer points within bounds.
 
-    The energy is the model's objective plus `h.alpha` times the squared row
-    residuals, each capacity row's slack set optimally; nothing else is read
-    from `h`.  Each restart runs an independent Metropolis chain with
-    geometric cooling whose random stream derives deterministically from
-    (seed, restart index); the final point of each chain is vehicle-gated,
-    verified, and recorded.  Identical inputs reproduce the SampleSet exactly
-    (timings excluded, see SampleSet.canonical_bytes).
+    The energy is the model's objective plus `h.alpha` times the squared
+    residuals of the final point's verify report (a capacity row counts only
+    its excess: inside the bounds its slack's clamp cannot bind); nothing
+    else is read from `h`.  Each restart runs an independent Metropolis
+    chain with geometric cooling whose random stream derives
+    deterministically from (seed, restart index); the final point of each
+    chain is vehicle-gated, verified, and recorded.  Identical inputs
+    reproduce the SampleSet exactly (timings excluded, see
+    SampleSet.canonical_bytes).
     """
     if params is None:
         params = AnnealParams()
-    rows = _Rows(model)
     alpha = h.alpha
-    n = len(model.variables)
     ub = [v.upper_bound for v in model.variables]
     cost_of = dict(model.objective)
     vehicle_idx = model.vehicle_index()
     vehicle_of = [vehicle_idx.get((v.arc, v.time)) if v.kind == FLOW else None
                   for v in model.variables]
-    single, paired = _move_tables(rows, cost_of, vehicle_of)
+    single, paired = _move_tables(model, cost_of, vehicle_of)
 
-    max_coeff = max((abs(coef) for terms in rows.terms for _, coef in terms), default=1)
+    max_coeff = max((abs(coef) for c in model.constraints for _, coef in c.terms), default=1)
     t_start = params.initial_temperature
     if t_start is None:
         t_start = alpha * max_coeff ** 2
@@ -714,12 +673,12 @@ def anneal_sample(h: Hamiltonian, model: Model, params: AnnealParams | None = No
     samples = []
     for restart in range(params.restarts):
         t0 = time.perf_counter()
-        values = _run_chain(rows, alpha, ub, vehicle_of, single, paired,
+        values = _run_chain(model, alpha, ub, vehicle_of, single, paired,
                             params, seed, restart, t_start, cooling)
         assignment = Assignment(values=tuple(values))
         assignment, report = postprocess_flows(model, assignment)
         objective = evaluate_objective(model, assignment)
-        energy = objective + alpha * rows.total_penalty(assignment.values)
+        energy = objective + alpha * sum(r * r for r in report.residuals)
         samples.append(Sample(assignment=assignment, energy=energy, objective=objective,
                               feasible=report.feasible, restart_index=restart,
                               wall_time=time.perf_counter() - t0))
@@ -727,24 +686,28 @@ def anneal_sample(h: Hamiltonian, model: Model, params: AnnealParams | None = No
     return SampleSet(samples=tuple(samples), seed=seed, params=params)
 
 
-def _move_tables(rows: _Rows, cost_of, vehicle_of):
+def _move_tables(model: Model, cost_of, vehicle_of):
     """Precomputed effect of every move, indexed [variable][direction]
-    (0 for -1, 1 for +1): (d_obj, ((row, signed coeff, slack width), ...)).
+    (0 for -1, 1 for +1): (d_obj, ((row, signed coeff, is equality), ...)).
 
-    The slack width is -1 for an equality row.  `single` moves one variable;
-    `paired` moves a flow together with its vehicle, the two variables'
-    row terms merged (None where the flow has no vehicle).
+    `single` moves one variable; `paired` moves a flow together with its
+    vehicle, the two variables' row terms merged (None where the flow has
+    no vehicle).
     """
-    widths = [-1 if lev is None else lev for lev in rows.slack_levels]
+    is_eq = [c.relation == "eq" for c in model.constraints]
+    by_var: list[list[tuple[int, int]]] = [[] for _ in vehicle_of]
+    for row, c in enumerate(model.constraints):
+        for i, coef in c.terms:
+            by_var[i].append((row, coef))
 
     def entry(moves):
         d_obj = 0.0
         row_delta: dict[int, int] = {}
         for i, d in moves:
             d_obj += cost_of.get(i, 0.0) * d
-            for row, coef in rows.by_var[i]:
+            for row, coef in by_var[i]:
                 row_delta[row] = row_delta.get(row, 0) + coef * d
-        return d_obj, tuple((row, c, widths[row]) for row, c in row_delta.items() if c)
+        return d_obj, tuple((row, c, is_eq[row]) for row, c in row_delta.items() if c)
 
     single = [(entry([(v, -1)]), entry([(v, 1)])) for v in range(len(vehicle_of))]
     paired = [None if z is None else (entry([(v, -1), (z, -1)]), entry([(v, 1), (z, 1)]))
@@ -752,14 +715,13 @@ def _move_tables(rows: _Rows, cost_of, vehicle_of):
     return single, paired
 
 
-def _run_chain(rows: _Rows, alpha, ub, vehicle_of, single, paired,
+def _run_chain(model: Model, alpha, ub, vehicle_of, single, paired,
                params: AnnealParams, seed: int, restart: int,
                t_start: float, cooling: float) -> list[int]:
     rng = np.random.default_rng([seed, restart])
     n = len(ub)
     values = [0] * n
-    # residual raw - rhs of every row; the chain starts at the origin
-    res = [-rhs for rhs in rows.rhs]
+    res = row_residuals(model, values)
     if n == 0:
         return values
 
@@ -786,21 +748,19 @@ def _run_chain(rows: _Rows, alpha, ub, vehicle_of, single, paired,
                 if nz < 0 or nz > ub[z]:
                     continue
                 d_obj, terms = paired[v][up]
+            # a capacity row's optimal slack leaves max(r, 0): within the
+            # bounds r never falls below minus the slack's range
             d_pen = 0
-            for row, c, w in terms:
+            for row, c, eq in terms:
                 r = res[row]
                 r1 = r + c
-                if w < 0:
+                if eq:
                     d_pen += (r + r1) * c
                     continue
                 if r1 > 0:
                     d_pen += r1 * r1
-                elif r1 < -w:
-                    d_pen += (r1 + w) * (r1 + w)
                 if r > 0:
                     d_pen -= r * r
-                elif r < -w:
-                    d_pen -= (r + w) * (r + w)
             d_energy = d_obj + alpha * d_pen
             if d_energy > 0:
                 threshold = d_energy / temperature

@@ -1,11 +1,15 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hamflow import serialize_instance
+from hamflow import cli, serialize_instance
 
 from conftest import GOLDEN_DIR, micro_instance
 
@@ -200,6 +204,16 @@ class TestInputFaults:
         assert_one_line_error(proc)
         assert expected in proc.stderr
 
+    @pytest.mark.parametrize("command", ["validate", "compile", "solve"])
+    def test_subnormal_load(self, tmp_path, command):
+        doc = json.loads(serialize_instance(micro_instance()))
+        doc["commodities"][0]["load"] = 1e-320
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        proc = run_cli(command, "--instance", str(bad), "--out", str(tmp_path / "out"))
+        assert_one_line_error(proc)
+        assert "multiple of the load size" in proc.stderr
+
     @pytest.mark.parametrize("command", ["compile", "solve", "report"])
     def test_unwritable_out(self, micro_doc, tmp_path, command):
         solution = tmp_path / "solved" / "solution.json"
@@ -211,6 +225,39 @@ class TestInputFaults:
                        "--out", str(blocker / "out"))
         assert_one_line_error(proc)
         assert "cannot write" in proc.stderr
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        return [p for key, child in node.items() for p in _leaf_paths(child, path + (key,))]
+    if isinstance(node, list):
+        return [p for i, child in enumerate(node) for p in _leaf_paths(child, path + (i,))]
+    return [path]
+
+
+_CASE_STUDY = json.loads(CASE_STUDY_DOC.read_text())
+
+
+@given(path=st.sampled_from(_leaf_paths(_CASE_STUDY)),
+       value=st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                       st.lists(st.integers(-2, 2), max_size=2), st.integers(-3, 3),
+                       st.sampled_from([5e-324, 1e-320, 1e300, -1e300, 1.7e308])))
+@settings(max_examples=200, deadline=None)
+def test_mutated_case_study_never_raises(tmp_path_factory, path, value):
+    """One leaf of the case-study document replaced by a value of another
+    type or scale: validate exits 0, 1 or 2 and never raises."""
+    doc = json.loads(json.dumps(_CASE_STUDY))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path_factory.getbasetemp() / "mutated.json"
+    bad.write_text(json.dumps(doc))
+    stderr = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+        code = cli.main(["validate", "--instance", str(bad)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
 
 
 class TestSeedHandling:

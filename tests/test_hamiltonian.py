@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import random
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamflow import expansion, hamiltonian
+from hamflow.cli import DEVICE_METADATA
 from hamflow.expansion import Assignment, expand_model, prune_model
 from hamflow.hamiltonian import (
     Hamiltonian,
@@ -274,6 +276,26 @@ class TestDynamicRange:
         assert dynamic_range_db(scaled) == pytest.approx(dynamic_range_db(h), abs=1e-9)
 
 
+class TestEncode:
+    @pytest.mark.parametrize("model_name", ["micro_model", "case_study_pruned"])
+    def test_parsed_hamiltonian_lifts_like_the_compiled_one(self, request, model_name):
+        model = request.getfixturevalue(model_name)
+        h = compile_hamiltonian(model)
+        buf = io.StringIO()
+        export_hamiltonian(h, buf)
+        parsed = parse_hamiltonian(buf.getvalue())
+        rng = random.Random(31)
+        for _ in range(50):
+            a = Assignment(values=tuple(rng.randint(0, v.upper_bound) for v in model.variables))
+            assert encode_assignment(parsed, model, a) == encode_assignment(h, model, a)
+
+    def test_slack_count_mismatch_raises(self, micro_model):
+        h = compile_hamiltonian(micro_model)
+        short = replace(h, variables=h.variables[:-1])
+        with pytest.raises(ValueError, match="slack"):
+            encode_assignment(short, micro_model, expansion.zero_assignment(micro_model))
+
+
 class TestDecode:
     def test_integer_point_is_identity(self, micro_model):
         h = compile_hamiltonian(micro_model)
@@ -308,6 +330,18 @@ class TestExport:
         buf = io.StringIO()
         export_hamiltonian(h, buf)
         assert buf.getvalue() == (GOLDEN_DIR / "micro_hamiltonian.txt").read_text()
+
+    @pytest.mark.parametrize("prune, digest", [
+        (False, "480ff02c77c01dd16f697407c8f5137e4763be46002c6c2d2e601f7dba253d33"),
+        (True, "ff94782230971436d17c5decdb2d4ebe8c27ac5c104893a8285309e8de1790a8"),
+    ])
+    def test_case_study_digest(self, case_study_model, prune, digest):
+        """sha256 of the compiled case study's export, recorded before the
+        slack ranges were derived from the rows."""
+        model = prune_model(case_study_model) if prune else case_study_model
+        buf = io.StringIO()
+        export_hamiltonian(compile_hamiltonian(model), buf, metadata=DEVICE_METADATA)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
     def test_empty_hamiltonian_header_only(self):
         model = prune_model(expand_model(empty_schedule_instance()))
