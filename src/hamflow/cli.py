@@ -1,8 +1,11 @@
 """Command-line front end.
 
-    hamflow <validate|compile|solve|verify|report> --instance PATH
-            [--costs PATH] [--alpha A] [--method exact|anneal|bruteforce]
-            [--samples N] [--seed S] [--out DIR] [--format csv|json]
+    hamflow validate --instance PATH [--costs PATH] [--out DIR] [--format csv|json]
+    hamflow compile  (validate's options) [--no-prune] [--assignment PATH] [--alpha A]
+    hamflow solve    (compile's options) [--method exact|anneal|bruteforce]
+                     [--samples N] [--seed S]
+    hamflow verify   (validate's options) [--no-prune] [--assignment PATH]
+    hamflow report   (validate's options) [--no-prune] [--assignment PATH]
 
 `--instance` accepts either a JSON instance document or the literal token
 `case-study`, which builds the Earth-Moon-Mars benchmark from an arc-cost
@@ -73,27 +76,38 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="hamflow",
         description="Model space-logistics commodity flows, compile them to "
                     "penalty Hamiltonians, and solve them classically.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("validate", "compile", "solve", "verify", "report"):
-        p = sub.add_parser(name)
-        p.add_argument("--instance", required=True,
-                       help="instance JSON path, or 'case-study' for the built-in benchmark")
-        p.add_argument("--costs", default=None,
-                       help="arc-cost map JSON (case-study instance only)")
-        p.add_argument("--alpha", type=float, default=None,
-                       help="penalty multiplier; default separates feasible from infeasible")
-        p.add_argument("--method", choices=("exact", "anneal", "bruteforce"), default="exact")
-        p.add_argument("--samples", type=int, default=40,
-                       help="annealer restart count")
-        p.add_argument("--seed", type=int, default=None,
-                       help="annealer seed; falls back to HAMFLOW_SEED, then 0")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="stdout summary format")
-        p.add_argument("--assignment", default=None,
-                       help="solution JSON (verify/report)")
-        p.add_argument("--no-prune", action="store_true",
+    # Every command reads an instance.  --out, and --assignment on the commands
+    # that build a model, are accepted even where unused (validate and verify
+    # write nothing; compile and solve read no assignment) so that one argument
+    # list can drive several commands.
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--instance", required=True,
+                        help="instance JSON path, or 'case-study' for the built-in benchmark")
+    source.add_argument("--costs", default=None,
+                        help="arc-cost map JSON (case-study instance only)")
+    source.add_argument("--out", default="out", help="output directory")
+    source.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="stdout summary format")
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--no-prune", action="store_true",
                        help="keep unreachable variables in the model")
+    model.add_argument("--assignment", default=None,
+                       help="solution JSON (verify/report)")
+    penalty = argparse.ArgumentParser(add_help=False)
+    penalty.add_argument("--alpha", type=float, default=None,
+                         help="penalty multiplier; default separates feasible from infeasible")
+
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("validate", parents=[source])
+    sub.add_parser("compile", parents=[source, model, penalty])
+    solve = sub.add_parser("solve", parents=[source, model, penalty])
+    solve.add_argument("--method", choices=("exact", "anneal", "bruteforce"), default="exact")
+    solve.add_argument("--samples", type=int, default=40,
+                       help="annealer restart count")
+    solve.add_argument("--seed", type=int, default=None,
+                       help="annealer seed; falls back to HAMFLOW_SEED, then 0")
+    sub.add_parser("verify", parents=[source, model])
+    sub.add_parser("report", parents=[source, model])
     return parser
 
 

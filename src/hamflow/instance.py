@@ -13,7 +13,9 @@ files surface immediately.
 Schedule amounts are in mass units: positive entries are supply appearing at
 a depot at a time step, negative entries are demand consumed there.  Every
 amount must be a nonzero integer multiple of its commodity's load size.
-Time steps are 1-based, ``t in {1..horizon}``.
+Time steps are 1-based, ``t in {1..horizon}``.  The time expansion makes
+at most |arcs| x (|commodities| + 1) x horizon variables; an instance
+whose count exceeds MAX_EXPANDED_VARIABLES is rejected.
 """
 
 from __future__ import annotations
@@ -23,6 +25,11 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable
+
+# Expansion builds about 10 us and 1 KB per variable (2-core x86 host), and
+# the annealer makes 3000 proposals per variable a restart: well past this
+# size no back-end finishes, and a horizon like 1e300 would expand without end.
+MAX_EXPANDED_VARIABLES = 100_000
 
 
 class InstanceError(Exception):
@@ -124,6 +131,12 @@ class Instance:
     def _check(self):
         if not isinstance(self.horizon, int) or self.horizon < 1:
             raise InstanceSchemaError(f"horizon must be a positive integer, got {self.horizon!r}")
+        per_step = len(self.arcs) * (len(self.commodities) + 1)
+        if per_step * self.horizon > MAX_EXPANDED_VARIABLES:
+            raise InstanceSchemaError(
+                f"horizon exceeds {MAX_EXPANDED_VARIABLES // per_step}: {len(self.arcs)} arcs "
+                f"and {len(self.commodities)} commodities would expand to more than "
+                f"{MAX_EXPANDED_VARIABLES} variables")
         if self.capacity <= 0:
             raise InstanceSchemaError(f"capacity must be positive, got {self.capacity!r}")
         depot_ids = [d.id for d in self.depots]
@@ -332,8 +345,12 @@ def serialize_instance(inst: Instance) -> str:
 
 def _is_multiple(amount: float, load: float) -> bool:
     units = amount / load
-    # a subnormal load can overflow the quotient, which is then no multiple
-    return math.isfinite(units) and abs(units - round(units)) < 1e-9
+    # a subnormal load can overflow the quotient, which is then no multiple;
+    # a huge one rounds a nonzero amount's quotient to 0, which is none either
+    if not math.isfinite(units):
+        return False
+    whole = round(units)
+    return whole != 0 and abs(units - whole) <= 1e-9 * abs(whole)
 
 
 def _first_duplicate(items: Iterable):

@@ -20,6 +20,15 @@ value minimizing the squared residual, which halves the search space and
 never worsens the energy.  Within the variable bounds a capacity row's
 residual r never falls below minus its slack's range, so the slack's clamp
 never binds and the penalty is max(r, 0)**2.
+
+Each annealer sweep consumes the draws `rng.integers(0, n, n)`,
+`rng.integers(0, 2, n)`, `rng.random(n)` and `rng.random(n)` of a
+`default_rng([seed, restart])` stream, but `_sweep_draws` reads them for a
+block of sweeps at once with `bit_generator.random_raw` and decodes the
+words the way numpy would: Lemire's bounded draw on uint32 halves, low half
+first, and 53-bit doubles.  It falls back to the four calls for the rest of
+a chain when numpy would reject a bounded draw, and for one-variable
+models; TestAnnealStream pins the stream byte for byte.
 """
 
 from __future__ import annotations
@@ -715,6 +724,59 @@ def _move_tables(model: Model, cost_of, vehicle_of):
     return single, paired
 
 
+_BLOCK_SWEEPS = 32   # sweeps decoded per raw read; larger blocks cost memory, not time
+_U32 = 0xFFFFFFFF
+
+
+def _lemire_threshold(bound: int) -> int:
+    """numpy's bounded draw of a uint32 u rejects u when (u * bound) mod 2**32
+    falls below this value and draws again."""
+    return (2**32 - bound) % bound
+
+
+def _sweep_draws(rng: np.random.Generator, n: int, sweeps: int):
+    """Yield, for each sweep, the lists `rng.integers(0, n, n)`,
+    `rng.integers(0, 2, n)`, `rng.random(n)` and `rng.random(n)` would
+    return, called in that order, and leave `rng` where those calls would.
+
+    numpy's PCG64 hands out 64-bit words.  A bounded draw takes a uint32
+    (the low half of a word first, then its high half) and returns
+    (u * bound) >> 32 unless Lemire's rejection test fires; a double is
+    (w >> 11) * 2**-53.  So a sweep's 3n words hold, in order, 2n uint32
+    for the two bounded draws and 2n doubles, and a block of sweeps can be
+    read with one `random_raw` call and decoded with a few array operations.
+    The decode is exact only while no variable draw is rejected (about
+    22 in 2**32 draws at n = 54; a bound of 2 never rejects): on a
+    rejection the generator is reset to the block's start and the rest of
+    the chain uses the four calls, because after a rejection numpy may hold
+    half a word in its uint32 buffer.  n == 1 uses them throughout, since a
+    bound of 1 reads no words.  TestAnnealStream pins the result.
+    """
+    bitgen = rng.bit_generator
+    threshold = _lemire_threshold(n)
+    done = 0
+    while n > 1 and done < sweeps:
+        block = min(_BLOCK_SWEEPS, sweeps - done)
+        start = bitgen.state
+        raw = bitgen.random_raw(3 * n * block).reshape(block, 3 * n)
+        words = raw[:, :n]
+        u32 = np.stack((words & _U32, words >> 32), axis=-1).reshape(block, 2 * n)
+        scaled = u32[:, :n] * n
+        if ((scaled & _U32) < threshold).any():
+            bitgen.state = start
+            break
+        var_draws = (scaled >> 32).tolist()
+        dir_draws = (u32[:, n:] >> 31).tolist()
+        doubles = (raw[:, n:] >> 11) * 2.0**-53
+        kind_draws = doubles[:, :n].tolist()
+        accept_draws = doubles[:, n:].tolist()
+        yield from zip(var_draws, dir_draws, kind_draws, accept_draws)
+        done += block
+    for _ in range(sweeps - done):
+        yield (rng.integers(0, n, size=n).tolist(), rng.integers(0, 2, size=n).tolist(),
+               rng.random(size=n).tolist(), rng.random(size=n).tolist())
+
+
 def _run_chain(model: Model, alpha, ub, vehicle_of, single, paired,
                params: AnnealParams, seed: int, restart: int,
                t_start: float, cooling: float) -> list[int]:
@@ -728,19 +790,13 @@ def _run_chain(model: Model, alpha, ub, vehicle_of, single, paired,
     p_pair = params.paired_move_probability
     exp = math.exp
     temperature = t_start
-    for _ in range(params.sweeps):
-        var_draws = rng.integers(0, n, size=n).tolist()
-        dir_draws = rng.integers(0, 2, size=n).tolist()
-        kind_draws = rng.random(size=n).tolist()
-        accept_draws = rng.random(size=n).tolist()
-        for k in range(n):
-            v = var_draws[k]
-            up = dir_draws[k]
+    for var_draws, dir_draws, kind_draws, accept_draws in _sweep_draws(rng, n, params.sweeps):
+        for v, up, kind, accept in zip(var_draws, dir_draws, kind_draws, accept_draws):
             d = 1 if up else -1
             nv = values[v] + d
             if nv < 0 or nv > ub[v]:
                 continue
-            z = vehicle_of[v] if kind_draws[k] < p_pair else None
+            z = vehicle_of[v] if kind < p_pair else None
             if z is None:
                 d_obj, terms = single[v][up]
             else:
@@ -764,7 +820,7 @@ def _run_chain(model: Model, alpha, ub, vehicle_of, single, paired,
             d_energy = d_obj + alpha * d_pen
             if d_energy > 0:
                 threshold = d_energy / temperature
-                if threshold > 700 or accept_draws[k] >= exp(-threshold):
+                if threshold > 700 or accept >= exp(-threshold):
                     continue
             values[v] = nv
             if z is not None:

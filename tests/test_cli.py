@@ -3,26 +3,29 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamflow import cli, serialize_instance
+from hamflow import cli, serialize_instance, validate_instance
+from hamflow.instance import MAX_EXPANDED_VARIABLES
 
 from conftest import GOLDEN_DIR, micro_instance
 
 CASE_STUDY_DOC = GOLDEN_DIR / "case_study.json"
 
 
-def run_cli(*args, env=None, cwd=None):
+def run_cli(*args, env=None, cwd=None, timeout=None):
     import os
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
     return subprocess.run([sys.executable, "-m", "hamflow.cli", *args],
-                          capture_output=True, text=True, env=full_env, cwd=cwd)
+                          capture_output=True, text=True, env=full_env, cwd=cwd,
+                          timeout=timeout)
 
 
 @pytest.fixture
@@ -52,6 +55,14 @@ class TestExitCodes:
     def test_usage_error_is_exit_2(self):
         proc = run_cli("solve", "--instance", "x.json", "--method", "quantum")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("option", [["--method", "anneal"], ["--samples", "4"],
+                                        ["--seed", "7"], ["--assignment", "x.json"],
+                                        ["--alpha", "500"], ["--no-prune"]])
+    def test_validate_rejects_other_commands_options(self, option):
+        proc = run_cli("validate", "--instance", "case-study", *option)
+        assert proc.returncode == 2
+        assert "unrecognized arguments" in proc.stderr
 
     def test_unknown_command_is_exit_2(self):
         proc = run_cli("anneal")
@@ -213,6 +224,29 @@ class TestInputFaults:
         proc = run_cli(command, "--instance", str(bad), "--out", str(tmp_path / "out"))
         assert_one_line_error(proc)
         assert "multiple of the load size" in proc.stderr
+
+    def test_huge_load_is_no_multiple(self, tmp_path):
+        # amounts of +-10 over a load of 1e300 give a quotient that rounds to 0
+        inst = micro_instance()
+        huge = replace(inst, commodities=(replace(inst.commodities[0], load=1e300),))
+        assert [f.kind for f in validate_instance(huge).findings] == ["load_multiple"] * 2
+        bad = tmp_path / "bad.json"
+        bad.write_text(serialize_instance(huge))
+        for command in ("validate", "solve"):
+            proc = run_cli(command, "--instance", str(bad), "--out", str(tmp_path / "out"))
+            assert_one_line_error(proc)
+            assert "multiple of the load size" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["validate", "compile", "solve"])
+    def test_huge_horizon(self, tmp_path, command):
+        doc = json.loads(CASE_STUDY_DOC.read_text())
+        doc["horizon"] = 1e300
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        proc = run_cli(command, "--instance", str(bad), "--out", str(tmp_path / "out"),
+                       timeout=60)
+        assert_one_line_error(proc)
+        assert f"more than {MAX_EXPANDED_VARIABLES} variables" in proc.stderr
 
     @pytest.mark.parametrize("command", ["compile", "solve", "report"])
     def test_unwritable_out(self, micro_doc, tmp_path, command):

@@ -2,6 +2,7 @@ import hashlib
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from hamflow import expansion, solvers
@@ -235,6 +236,87 @@ class TestAnnealStream:
             digest.update(sset.canonical_bytes())
         assert digest.hexdigest() == \
             "bdb3aaedbadf0936fd773395f4a8dbf4fbf6744a1a6ccb63a33e7b385af8ce32"
+
+
+class _CountingGenerator:
+    """A numpy Generator that counts its `integers` calls."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.bit_generator = rng.bit_generator
+        self.integer_calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.integer_calls += 1
+        return self._rng.integers(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        return self._rng.random(*args, **kwargs)
+
+
+def _four_calls(rng, n, sweeps):
+    return [(rng.integers(0, n, size=n).tolist(), rng.integers(0, 2, size=n).tolist(),
+             rng.random(size=n).tolist(), rng.random(size=n).tolist())
+            for _ in range(sweeps)]
+
+
+class TestSweepDraws:
+    """`_sweep_draws` decodes blocks of raw words into exactly the lists the
+    four numpy calls a sweep would return, and leaves the generator where
+    they would.  The sweep count is not a multiple of the block."""
+
+    sweeps = 2 * solvers._BLOCK_SWEEPS + 5
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 54, 102])
+    @pytest.mark.parametrize("seed", [0, 5, 2024])
+    def test_matches_four_calls(self, n, seed):
+        ref = np.random.default_rng([seed, 1])
+        rng = np.random.default_rng([seed, 1])
+        assert list(solvers._sweep_draws(rng, n, self.sweeps)) == _four_calls(ref, n, self.sweeps)
+        assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
+
+    def test_threshold_matches_numpys_rejection(self):
+        # near 2**31 numpy rejects about half of the first draws and takes
+        # the high half of the same word next
+        bound = 2**31 + 1
+        threshold = solvers._lemire_threshold(bound)
+        rejected = 0
+        for seed in range(64):
+            word = int(np.random.default_rng(seed).bit_generator.random_raw())
+            low, high = (word & 0xFFFFFFFF) * bound, (word >> 32) * bound
+            if low & 0xFFFFFFFF >= threshold:
+                expected = low >> 32
+            elif high & 0xFFFFFFFF >= threshold:
+                rejected += 1
+                expected = high >> 32
+            else:
+                continue
+            assert np.random.default_rng(seed).integers(0, bound) == expected
+        assert rejected > 10
+
+    def test_rejection_falls_back_mid_chain(self, monkeypatch):
+        # a threshold far above numpy's makes the decoder see rejections
+        # numpy does not make; the draws must not change
+        monkeypatch.setattr(solvers, "_lemire_threshold", lambda bound: 2**32 // 400)
+        n = 3
+        fallback_sweeps = set()
+        for seed in range(20):
+            ref = np.random.default_rng([seed, 0])
+            rng = _CountingGenerator(np.random.default_rng([seed, 0]))
+            draws = list(solvers._sweep_draws(rng, n, self.sweeps))
+            assert draws == _four_calls(ref, n, self.sweeps)
+            assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
+            fallback_sweeps.add(self.sweeps - rng.integer_calls // 2)
+        block_starts = set(range(0, self.sweeps, solvers._BLOCK_SWEEPS))
+        assert fallback_sweeps <= block_starts | {self.sweeps}
+        assert fallback_sweeps & (block_starts - {0})
+
+    def test_rejection_keeps_samples(self, micro_model, monkeypatch):
+        h = compile_hamiltonian(micro_model)
+        params = AnnealParams(restarts=3, sweeps=100)
+        before = anneal_sample(h, micro_model, params, seed=4).canonical_bytes()
+        monkeypatch.setattr(solvers, "_lemire_threshold", lambda bound: 2**32 - 1)
+        assert anneal_sample(h, micro_model, params, seed=4).canonical_bytes() == before
 
 
 class TestPostprocess:
