@@ -32,6 +32,7 @@ from .instance import (
     InstanceError,
     build_case_study,
     default_case_study_costs,
+    json_number_error,
     load_cost_map,
     parse_instance,
     validate_instance,
@@ -170,6 +171,8 @@ def _load_assignment(args, model: Model) -> Assignment:
     except json.JSONDecodeError as exc:
         raise CliError(f"{args.assignment}: malformed JSON: {exc.msg} "
                        f"(line {exc.lineno}, column {exc.colno})") from exc
+    except ValueError as exc:
+        raise CliError(f"{args.assignment}: {json_number_error(exc)}") from exc
     values = doc.get("values") if isinstance(doc, dict) else doc
     if not isinstance(values, list) or not all(
             isinstance(v, int) and not isinstance(v, bool) for v in values):

@@ -132,9 +132,16 @@ def compile_hamiltonian(model: Model, alpha: float | None = None) -> Hamiltonian
 
     linear = {i: v for i, v in linear.items() if v != 0}
     quadratic = {k: v for k, v in quadratic.items() if v != 0}
+    try:
+        sum_constraint = float(sum(v.levels for v in variables))
+    except OverflowError:
+        sum_constraint = math.inf
+    if not all(math.isfinite(x) for x in (alpha, offset, sum_constraint,
+                                          *linear.values(), *quadratic.values())):
+        raise CompileError("costs or capacity too large: the Hamiltonian's coefficients "
+                           "or level count overflow a float")
     h = Hamiltonian(variables=tuple(variables), linear=linear, quadratic=quadratic,
-                    offset=offset, alpha=float(alpha),
-                    sum_constraint=float(sum(v.levels for v in variables)))
+                    offset=offset, alpha=float(alpha), sum_constraint=sum_constraint)
     return h
 
 

@@ -277,12 +277,26 @@ def _as_number(value, where: str) -> float:
     return number
 
 
-def parse_instance(text: str) -> Instance:
-    """Parse an instance document (JSON text) into a validated Instance."""
+def _load_json(text: str):
+    """json.loads, with malformed JSON and an integer literal longer than
+    Python converts (4300 digits) raised as InstanceErrors."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
+    except ValueError as exc:
+        raise InstanceSchemaError(json_number_error(exc)) from exc
+
+
+def json_number_error(exc: ValueError) -> str:
+    """The diagnostic for a JSON number Python refuses to convert, without
+    the interpreter-setting advice the ValueError ends with."""
+    return f"unreadable number: {str(exc).split(';')[0]}"
+
+
+def parse_instance(text: str) -> Instance:
+    """Parse an instance document (JSON text) into a validated Instance."""
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise InstanceSchemaError("instance document must be a JSON object")
     _require_keys(doc, _TOP_KEYS, _TOP_KEYS, "instance document")
@@ -514,10 +528,7 @@ def build_case_study(costs: dict[str, float]) -> Instance:
 
 def load_cost_map(text: str) -> dict[str, float]:
     """Parse an arc-cost map: a JSON object of 'Ni->Nj' keys to numbers."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise InstanceSchemaError("cost map must be a JSON object")
     out = {}

@@ -1,9 +1,6 @@
 """Classical back-ends: exact branch-and-bound, exhaustive enumeration for
 tiny models, and a restart-based simulated annealer mirroring the sampling
-workflow of the target annealing hardware.  The annealer's energy is the
-Hamiltonian's at optimal slacks: the model's objective plus the penalty
-weight alpha times the squared residuals `verify_assignment` reports, not
-the compiled polynomial.
+workflow of the target annealing hardware.
 
 The branch-and-bound searches vehicle counts only; commodity flows are
 completed at the leaves by an exact integral-flow search.  Two necessary
@@ -14,21 +11,26 @@ capacities of the arc edges of the one (arc, t) it branched on, so it keeps
 its parent's flow wherever that flow still fits and runs Edmonds-Karp from
 scratch only where it does not.
 
-The annealer searches decision variables only.  Slack variables are never
-free dimensions: every capacity penalty is evaluated with its slack at the
-value minimizing the squared residual, which halves the search space and
-never worsens the energy.  Within the variable bounds a capacity row's
-residual r never falls below minus its slack's range, so the slack's clamp
-never binds and the penalty is max(r, 0)**2.
+The annealer walks conservation-feasible flows only.  Each restart starts
+from a max-flow solution of every commodity's time-expanded graph (the
+relaxation's per-commodity networks with every (arc, t) open to its vehicle
+bound), and its one move pushes a unit around a cycle of at most six edges
+of one commodity's graph, the cycle neighbourhood of min-cost flow (Klein,
+Management Science 14, 1967), which leaves every conservation row as it
+was.  Vehicle counts are not searched: each is the fewest vehicles that
+carry the mass on its (arc, t), so every capacity row holds and a point's
+energy is its objective.  Travel times are at least 1, so no arc carries
+more than its commodity's supply and every visited point is within bounds.
 
 Each annealer sweep consumes the draws `rng.integers(0, n, n)`,
 `rng.integers(0, 2, n)`, `rng.random(n)` and `rng.random(n)` of a
-`default_rng([seed, restart])` stream, but `_sweep_draws` reads them for a
-block of sweeps at once with `bit_generator.random_raw` and decodes the
-words the way numpy would: Lemire's bounded draw on uint32 halves, low half
-first, and 53-bit doubles.  It falls back to the four calls for the rest of
-a chain when numpy would reject a bounded draw, and for one-variable
-models; TestAnnealStream pins the stream byte for byte.
+`default_rng([seed, restart])` stream, n the number of flow variables, but
+`_sweep_draws` reads them for a block of sweeps at once with
+`bit_generator.random_raw` and decodes the words the way numpy would:
+Lemire's bounded draw on uint32 halves, low half first, and 53-bit doubles.
+It falls back to the four calls for the rest of a chain when numpy would
+reject a bounded draw, and for one-variable models; TestAnnealStream pins
+the stream byte for byte.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .expansion import (
     FeasibilityReport,
     Model,
     evaluate_objective,
-    row_residuals,
     verify_assignment,
 )
 from .hamiltonian import Hamiltonian
@@ -84,10 +85,9 @@ class ExactResult:
 @dataclass(frozen=True)
 class AnnealParams:
     restarts: int = 40
-    sweeps: int = 3000
-    initial_temperature: float | None = None   # None: scaled from alpha at run time
-    final_temperature: float | None = None
-    paired_move_probability: float = 0.5       # vehicle-flow paired move share
+    sweeps: int = 300
+    initial_temperature: float | None = None   # None: the dearest arc cost
+    final_temperature: float | None = None     # None: half the cheapest arc cost
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -648,44 +648,43 @@ def brute_force_oracle(model: Model, limit: int = 10**7) -> ExactResult:
 
 def anneal_sample(h: Hamiltonian, model: Model, params: AnnealParams | None = None,
                   seed: int = 0) -> SampleSet:
-    """Restart-based simulated annealing over integer points within bounds.
+    """Restart-based simulated annealing over conservation-feasible flows.
 
-    The energy is the model's objective plus `h.alpha` times the squared
-    residuals of the final point's verify report (a capacity row counts only
-    its excess: inside the bounds its slack's clamp cannot bind); nothing
-    else is read from `h`.  Each restart runs an independent Metropolis
-    chain with geometric cooling whose random stream derives
-    deterministically from (seed, restart index); the final point of each
-    chain is vehicle-gated, verified, and recorded.  Identical inputs
+    Each restart runs one Metropolis chain from the max-flow start flow
+    (`_start_flows`); every proposal pushes one unit either way around a
+    cycle drawn from `_flow_cycles`, and a move that would take a flow or a
+    derived vehicle count out of its bounds is rejected.  The temperature
+    cools geometrically from the dearest arc cost, where a one-vehicle rise
+    on that arc is accepted with probability 1/e, to half the cheapest, and
+    the sample is the lowest-objective point the chain visits, so the chain
+    need not freeze to keep what it found.  When a commodity cannot be
+    routed its flows start at zero, the sample is infeasible, and its energy
+    adds `h.alpha` times the squared residuals of its verify report; nothing
+    else is read from `h`.  Each chain's random stream derives
+    deterministically from (seed, restart index), and identical inputs
     reproduce the SampleSet exactly (timings excluded, see
     SampleSet.canonical_bytes).
     """
     if params is None:
         params = AnnealParams()
     alpha = h.alpha
-    ub = [v.upper_bound for v in model.variables]
-    cost_of = dict(model.objective)
-    vehicle_idx = model.vehicle_index()
-    vehicle_of = [vehicle_idx.get((v.arc, v.time)) if v.kind == FLOW else None
-                  for v in model.variables]
-    single, paired = _move_tables(model, cost_of, vehicle_of)
+    chain = _Chain(model)
 
-    max_coeff = max((abs(coef) for c in model.constraints for _, coef in c.terms), default=1)
+    costs = [c for _, c in model.objective if c > 0]
     t_start = params.initial_temperature
     if t_start is None:
-        t_start = alpha * max_coeff ** 2
+        t_start = max(costs, default=1.0)
     t_end = params.final_temperature
     if t_end is None:
-        t_end = min(1e-2, t_start / 2)
+        t_end = min(min(costs, default=1.0), t_start) / 2
     cooling = (t_end / t_start) ** (1.0 / max(params.sweeps - 1, 1))
 
     samples = []
     for restart in range(params.restarts):
         t0 = time.perf_counter()
-        values = _run_chain(model, alpha, ub, vehicle_of, single, paired,
-                            params, seed, restart, t_start, cooling)
-        assignment = Assignment(values=tuple(values))
-        assignment, report = postprocess_flows(model, assignment)
+        assignment = Assignment(values=tuple(chain.run(params.sweeps, seed, restart,
+                                                       t_start, cooling)))
+        report = verify_assignment(model, assignment)
         objective = evaluate_objective(model, assignment)
         energy = objective + alpha * sum(r * r for r in report.residuals)
         samples.append(Sample(assignment=assignment, energy=energy, objective=objective,
@@ -695,33 +694,149 @@ def anneal_sample(h: Hamiltonian, model: Model, params: AnnealParams | None = No
     return SampleSet(samples=tuple(samples), seed=seed, params=params)
 
 
-def _move_tables(model: Model, cost_of, vehicle_of):
-    """Precomputed effect of every move, indexed [variable][direction]
-    (0 for -1, 1 for +1): (d_obj, ((row, signed coeff, is equality), ...)).
+def _start_flows(model: Model) -> list[int]:
+    """A conservation-feasible integral flow, as a full value list with every
+    vehicle count at zero: each commodity's max-flow network of
+    `_FlowRelaxation`, solved with every (arc, t) open to its vehicle bound.
+    A commodity that cannot be routed keeps zero flows."""
+    inst = model.instance
+    capacity = int(inst.capacity)
+    cap_mass = {(v.arc, v.time): capacity * v.upper_bound
+                for v in model.variables if v.kind == VEHICLE}
+    flow_idx = model.flow_index()
+    values = [0] * len(model.variables)
+    for c, net in zip(inst.commodities, _FlowRelaxation(model).networks):
+        res = net.solve(cap_mass)
+        if res is None:
+            continue
+        for (arc, t), ((e, _, _),) in net.by_key.items():
+            values[flow_idx[(arc, c.id, t)]] = res[e ^ 1]
+    return values
 
-    `single` moves one variable; `paired` moves a flow together with its
-    vehicle, the two variables' row terms merged (None where the flow has
-    no vehicle).
-    """
-    is_eq = [c.relation == "eq" for c in model.constraints]
-    by_var: list[list[tuple[int, int]]] = [[] for _ in vehicle_of]
-    for row, c in enumerate(model.constraints):
-        for i, coef in c.terms:
-            by_var[i].append((row, coef))
 
-    def entry(moves):
-        d_obj = 0.0
-        row_delta: dict[int, int] = {}
-        for i, d in moves:
-            d_obj += cost_of.get(i, 0.0) * d
-            for row, coef in by_var[i]:
-                row_delta[row] = row_delta.get(row, 0) + coef * d
-        return d_obj, tuple((row, c, is_eq[row]) for row, c in row_delta.items() if c)
+_MAX_CYCLE_EDGES = 6
 
-    single = [(entry([(v, -1)]), entry([(v, 1)])) for v in range(len(vehicle_of))]
-    paired = [None if z is None else (entry([(v, -1), (z, -1)]), entry([(v, 1), (z, 1)]))
-              for v, z in enumerate(vehicle_of)]
-    return single, paired
+
+def _flow_cycles(model: Model) -> list[tuple[tuple[int, int], ...]]:
+    """Every simple undirected cycle of at most `_MAX_CYCLE_EDGES` edges in
+    each commodity's time-expanded graph, whose nodes are (depot, t) and
+    whose edges are the commodity's flow variables.  A cycle is a tuple of
+    (flow variable, +1 or -1): pushing one unit around it adds the sign to
+    each variable, which leaves every node's balance, and so every
+    conservation row, unchanged."""
+    travel = _travel_times(model.instance)
+    cycles: list[tuple[tuple[int, int], ...]] = []
+    adj: dict[tuple, list[tuple[int, tuple, int]]] = {}
+    edges = []
+    for v in model.variables:
+        if v.kind != FLOW:
+            continue
+        tail = (v.commodity, v.arc[0], v.time)
+        head = (v.commodity, v.arc[1], v.time + travel[v.arc])
+        edges.append((v.index, tail, head))
+        adj.setdefault(tail, []).append((v.index, head, 1))
+        adj.setdefault(head, []).append((v.index, tail, -1))
+
+    def extend(first: int, home: tuple, node: tuple, path: list, on_path: set):
+        for i, nxt, sign in adj[node]:
+            if i <= first:
+                continue
+            if nxt == home:
+                cycles.append(tuple(path) + ((i, sign),))
+            elif nxt not in on_path and len(path) + 1 < _MAX_CYCLE_EDGES:
+                path.append((i, sign))
+                on_path.add(nxt)
+                extend(first, home, nxt, path, on_path)
+                on_path.discard(nxt)
+                path.pop()
+
+    # each cycle once: from the tail of its lowest-indexed edge, along that edge
+    for first, tail, head in edges:
+        extend(first, tail, head, [(first, 1)], {tail, head})
+    return cycles
+
+
+class _Chain:
+    """The annealer's tables for one model, built once per `anneal_sample`
+    call.  Every (arc, t) with a vehicle variable is a key with a cost, a
+    vehicle bound and the mass the start flow puts on it.  `moves[c][up]`
+    holds, per edge of cycle c, (flow variable, unit change, key, mass
+    change), where up = 1 pushes the unit along the cycle's orientation and
+    0 against it; decreasing edges come first, since a flow at zero is what
+    rejects most moves."""
+
+    def __init__(self, model: Model):
+        loads = {c.id: int(c.load) for c in model.instance.commodities}
+        cost_of = dict(model.objective)
+        vehicle_idx = model.vehicle_index()
+        self.capacity = int(model.instance.capacity)
+        self.start = _start_flows(model)
+        self.ub = [v.upper_bound for v in model.variables]
+        self.vehicles = list(vehicle_idx.values())
+        self.cost = [cost_of.get(z, 0.0) for z in self.vehicles]
+        self.z_ub = [self.ub[z] for z in self.vehicles]
+        self.mass = [0] * len(self.vehicles)
+        key_of = {z: k for k, z in enumerate(self.vehicles)}
+        edge = {}
+        for v in model.variables:
+            if v.kind == FLOW:
+                k = key_of[vehicle_idx[(v.arc, v.time)]]
+                edge[v.index] = (k, loads[v.commodity])
+                self.mass[k] += self.start[v.index] * loads[v.commodity]
+        self.moves = [
+            tuple(tuple(sorted(((i, d * s, edge[i][0], d * s * edge[i][1]) for i, s in cycle),
+                               key=lambda e: e[1]))
+                  for d in (-1, 1))
+            for cycle in _flow_cycles(model)]
+        self.n_flows = len(edge)
+
+    def run(self, sweeps: int, seed: int, restart: int, t_start: float,
+            cooling: float) -> list[int]:
+        """One Metropolis chain of `sweeps` sweeps, each proposing one cycle
+        move per flow variable: the flows and derived vehicle counts of the
+        lowest-objective point it visits."""
+        cap = self.capacity
+        values = self.start.copy()
+        mass = self.mass.copy()
+        counts = [-(-m // cap) for m in mass]
+        best_values, best_counts = values.copy(), counts.copy()
+        moves, ub, cost, z_ub = self.moves, self.ub, self.cost, self.z_ub
+        n_moves = len(moves)
+        if n_moves:
+            rng = np.random.default_rng([seed, restart])
+            exp = math.exp
+            temperature = t_start
+            objective = best_objective = 0.0   # relative to the start
+            for _, dir_draws, pick_draws, accept_draws in _sweep_draws(rng, self.n_flows,
+                                                                      sweeps):
+                for up, pick, accept in zip(dir_draws, pick_draws, accept_draws):
+                    move = moves[int(pick * n_moves)][up]
+                    d_obj = 0.0
+                    for i, dx, k, dm in move:
+                        nv = values[i] + dx
+                        if nv < 0 or nv > ub[i]:
+                            break
+                        nz = -(-(mass[k] + dm) // cap)
+                        if nz > z_ub[k]:
+                            break
+                        d_obj += cost[k] * (nz - counts[k])
+                    else:
+                        # no division: the temperature may underflow to zero
+                        if d_obj > 0 and (d_obj > 700 * temperature
+                                          or accept >= exp(-d_obj / temperature)):
+                            continue
+                        for i, dx, k, dm in move:
+                            values[i] += dx
+                            mass[k] += dm
+                            counts[k] = -(-mass[k] // cap)
+                        objective += d_obj
+                        if objective < best_objective - 1e-9:
+                            best_objective = objective
+                            best_values, best_counts = values.copy(), counts.copy()
+                temperature *= cooling
+        for z, count in zip(self.vehicles, best_counts):
+            best_values[z] = count
+        return best_values
 
 
 _BLOCK_SWEEPS = 32   # sweeps decoded per raw read; larger blocks cost memory, not time
@@ -777,60 +892,6 @@ def _sweep_draws(rng: np.random.Generator, n: int, sweeps: int):
                rng.random(size=n).tolist(), rng.random(size=n).tolist())
 
 
-def _run_chain(model: Model, alpha, ub, vehicle_of, single, paired,
-               params: AnnealParams, seed: int, restart: int,
-               t_start: float, cooling: float) -> list[int]:
-    rng = np.random.default_rng([seed, restart])
-    n = len(ub)
-    values = [0] * n
-    res = row_residuals(model, values)
-    if n == 0:
-        return values
-
-    p_pair = params.paired_move_probability
-    exp = math.exp
-    temperature = t_start
-    for var_draws, dir_draws, kind_draws, accept_draws in _sweep_draws(rng, n, params.sweeps):
-        for v, up, kind, accept in zip(var_draws, dir_draws, kind_draws, accept_draws):
-            d = 1 if up else -1
-            nv = values[v] + d
-            if nv < 0 or nv > ub[v]:
-                continue
-            z = vehicle_of[v] if kind < p_pair else None
-            if z is None:
-                d_obj, terms = single[v][up]
-            else:
-                nz = values[z] + d
-                if nz < 0 or nz > ub[z]:
-                    continue
-                d_obj, terms = paired[v][up]
-            # a capacity row's optimal slack leaves max(r, 0): within the
-            # bounds r never falls below minus the slack's range
-            d_pen = 0
-            for row, c, eq in terms:
-                r = res[row]
-                r1 = r + c
-                if eq:
-                    d_pen += (r + r1) * c
-                    continue
-                if r1 > 0:
-                    d_pen += r1 * r1
-                if r > 0:
-                    d_pen -= r * r
-            d_energy = d_obj + alpha * d_pen
-            if d_energy > 0:
-                threshold = d_energy / temperature
-                if threshold > 700 or accept >= exp(-threshold):
-                    continue
-            values[v] = nv
-            if z is not None:
-                values[z] = nz
-            for row, c, _ in terms:
-                res[row] += c
-        temperature *= cooling
-    return values
-
-
 def summarize_samples(s: SampleSet) -> SummaryStats:
     if not s.samples:
         raise ValueError("empty sample set")
@@ -849,10 +910,12 @@ def summarize_samples(s: SampleSet) -> SummaryStats:
 
 def energy_histogram(energies: list[float], nbins: int = 20) -> list[tuple[float, float, int]]:
     """Fixed-width bins spanning the observed range; a zero range degenerates
-    to a unit span centered on the value so exactly one bin is occupied."""
+    to a unit span centered on the value (wider where the value's float
+    spacing needs it) so exactly one bin is occupied."""
     lo, hi = min(energies), max(energies)
     if hi == lo:
-        lo, hi = lo - 0.5, hi + 0.5
+        pad = max(0.5, nbins * math.ulp(lo))
+        lo, hi = lo - pad, hi + pad
     width = (hi - lo) / nbins
     counts = [0] * nbins
     for e in energies:

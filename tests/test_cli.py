@@ -248,6 +248,33 @@ class TestInputFaults:
         assert_one_line_error(proc)
         assert f"more than {MAX_EXPANDED_VARIABLES} variables" in proc.stderr
 
+    def test_huge_integer_in_instance(self, tmp_path):
+        # Python refuses to convert an integer literal of more than 4300 digits
+        text = json.dumps(json.loads(CASE_STUDY_DOC.read_text())).replace(
+            '"horizon": 6', '"horizon": ' + "9" * 5000)
+        assert "9" * 5000 in text
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        proc = run_cli("validate", "--instance", str(bad))
+        assert_one_line_error(proc)
+        assert "4300 digits" in proc.stderr
+
+    def test_huge_integer_in_cost_map(self, tmp_path):
+        costs = dict.fromkeys(("N1->N2", "N2->N3", "N2->N4", "N3->N6",
+                               "N3->N4", "N4->N5", "N6->N7", "N4->N3"), 1)
+        path = tmp_path / "costs.json"
+        path.write_text(json.dumps(costs).replace('"N3->N4": 1', '"N3->N4": ' + "9" * 5000))
+        proc = run_cli("validate", "--instance", "case-study", "--costs", str(path))
+        assert_one_line_error(proc)
+        assert "4300 digits" in proc.stderr
+
+    def test_huge_integer_in_assignment(self, micro_doc, tmp_path):
+        path = tmp_path / "solution.json"
+        path.write_text('{"values": [0, ' + "9" * 5000 + ', 0]}')
+        proc = run_cli("verify", "--instance", str(micro_doc), "--assignment", str(path))
+        assert_one_line_error(proc)
+        assert "4300 digits" in proc.stderr
+
     @pytest.mark.parametrize("command", ["compile", "solve", "report"])
     def test_unwritable_out(self, micro_doc, tmp_path, command):
         solution = tmp_path / "solved" / "solution.json"
@@ -279,19 +306,24 @@ _CASE_STUDY = json.loads(CASE_STUDY_DOC.read_text())
 @settings(max_examples=200, deadline=None)
 def test_mutated_case_study_never_raises(tmp_path_factory, path, value):
     """One leaf of the case-study document replaced by a value of another
-    type or scale: validate exits 0, 1 or 2 and never raises."""
+    type or scale: validate, compile and an annealing solve exit 0, 1 or 2
+    and never raise."""
     doc = json.loads(json.dumps(_CASE_STUDY))
     target = doc
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
-    bad = tmp_path_factory.getbasetemp() / "mutated.json"
+    base = tmp_path_factory.getbasetemp()
+    bad = base / "mutated.json"
     bad.write_text(json.dumps(doc))
-    stderr = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
-        code = cli.main(["validate", "--instance", str(bad)])
-    assert code in (0, 1, 2)
-    assert "Traceback" not in stderr.getvalue()
+    for argv in (["validate"],
+                 ["compile", "--out", str(base / "compiled")],
+                 ["solve", "--method", "anneal", "--samples", "2", "--out", str(base / "solved")]):
+        stderr = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            code = cli.main([*argv, "--instance", str(bad)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()
 
 
 class TestSeedHandling:

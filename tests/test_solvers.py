@@ -1,11 +1,13 @@
 import hashlib
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hamflow import expansion, solvers
+from hamflow import cli, expansion, serialize_instance, solvers
 from hamflow.expansion import Assignment, expand_model, verify_assignment
 from hamflow.hamiltonian import compile_hamiltonian
 from hamflow.instance import (
@@ -25,7 +27,7 @@ from hamflow.solvers import (
     summarize_samples,
 )
 
-from conftest import empty_schedule_instance, random_micro_model
+from conftest import empty_schedule_instance, random_micro_model, waves_model
 
 
 class TestSolveExact:
@@ -224,7 +226,16 @@ class TestAnnealStream:
         h = compile_hamiltonian(case_study_pruned)
         sset = anneal_sample(h, case_study_pruned, AnnealParams(restarts=2, sweeps=300), seed=7)
         assert hashlib.sha256(sset.canonical_bytes()).hexdigest() == \
-            "c072d0fafa75ad55396c7c93cbc52c0757eda236d584cfb8d2ab775a10da7467"
+            "cdf607156f33a9601f2da21190096615dba3d3229c49e68f3893433a410604b1"
+
+    def test_waves_3_seed_1(self):
+        # short chains on ten cycles: the restarts end at different points
+        model = waves_model(3)
+        sset = anneal_sample(compile_hamiltonian(model), model,
+                             AnnealParams(restarts=4, sweeps=100), seed=1)
+        assert len({s.objective for s in sset.samples}) > 1
+        assert hashlib.sha256(sset.canonical_bytes()).hexdigest() == \
+            "9a242bb7fb0bd60a4bd1cfdbd4cf4126897adf16e7fdbf10d0db6807b72f47ba"
 
     def test_random_micros_seed_1(self):
         rng = random.Random(31415)
@@ -236,6 +247,105 @@ class TestAnnealStream:
             digest.update(sset.canonical_bytes())
         assert digest.hexdigest() == \
             "bdb3aaedbadf0936fd773395f4a8dbf4fbf6744a1a6ccb63a33e7b385af8ce32"
+
+
+class TestCycleAnnealer:
+    """The annealer starts from a max-flow solution and moves only around
+    cycles of a commodity's time-expanded graph, with vehicle counts derived
+    from the flows, so every point it visits is feasible."""
+
+    @staticmethod
+    def _derive_vehicles(model, values):
+        capacity = int(model.instance.capacity)
+        loads = {c.id: int(c.load) for c in model.instance.commodities}
+        mass = {}
+        for v in model.variables:
+            if v.kind == expansion.FLOW:
+                key = (v.arc, v.time)
+                mass[key] = mass.get(key, 0) + values[v.index] * loads[v.commodity]
+        values = list(values)
+        for (arc, t), i in model.vehicle_index().items():
+            values[i] = -(-mass.get((arc, t), 0) // capacity)
+        return values
+
+    @pytest.mark.parametrize("k, count", [(1, 2), (3, 10)])
+    def test_cycles_keep_every_conservation_row(self, k, count):
+        model = waves_model(k)
+        cycles = solvers._flow_cycles(model)
+        assert len(cycles) == count
+        for cycle in cycles:
+            assert 2 <= len(cycle) <= 6
+            assert len({i for i, _ in cycle}) == len(cycle)
+            assert all(model.variables[i].kind == expansion.FLOW for i, _ in cycle)
+            assert len({model.variables[i].commodity for i, _ in cycle}) == 1
+            delta = dict(cycle)
+            for c in model.constraints:
+                if c.relation == "eq":
+                    assert sum(coef * delta.get(i, 0) for i, coef in c.terms) == 0
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_start_flow_is_feasible(self, k):
+        model = waves_model(k)
+        values = solvers._start_flows(model)
+        assert any(values)
+        for v in model.variables:
+            assert 0 <= values[v.index] <= v.upper_bound
+            if v.kind == expansion.VEHICLE:
+                assert values[v.index] == 0
+        for c, r in zip(model.constraints, expansion.row_residuals(model, values)):
+            if c.relation == "eq":
+                assert r == 0, c.tag
+        derived = self._derive_vehicles(model, values)
+        report = verify_assignment(model, Assignment(values=tuple(derived)))
+        assert report.feasible
+        assert report.bound_findings == ()
+
+    def test_case_study_seed_7_reaches_the_optimum(self, case_study_pruned):
+        h = compile_hamiltonian(case_study_pruned)
+        sset = anneal_sample(h, case_study_pruned, AnnealParams(restarts=40), seed=7)
+        assert solve_exact(case_study_pruned).objective == pytest.approx(62.12)
+        assert all(s.feasible for s in sset.samples)
+        assert sum(s.objective == pytest.approx(62.12) for s in sset.samples) >= 38
+
+    def test_waves_2_best_is_optimal(self):
+        model = waves_model(2)
+        sset = anneal_sample(compile_hamiltonian(model), model, AnnealParams(restarts=20), seed=7)
+        assert all(s.feasible for s in sset.samples)
+        assert sset.best_feasible().objective == pytest.approx(124.24)
+
+    def test_samples_are_derived_vehicles_of_feasible_flows(self):
+        model = waves_model(3)
+        sset = anneal_sample(compile_hamiltonian(model), model,
+                             AnnealParams(restarts=4, sweeps=50), seed=3)
+        for s in sset.samples:
+            assert s.feasible
+            assert list(s.assignment.values) == self._derive_vehicles(model, s.assignment.values)
+            assert s.energy == s.objective
+
+    def test_unroutable_commodity_is_flagged_infeasible(self, tmp_path):
+        # the demand at B precedes every arrival there; without pruning the
+        # model keeps its rows and the annealer meets it
+        inst = Instance(
+            depots=(Depot("A", "A"), Depot("B", "B")),
+            arcs=(Arc("A", "B", 1.0, 1),),
+            commodities=(Commodity("K", 10.0),),
+            horizon=2, capacity=100.0,
+            schedule=(ScheduleEntry("A", "K", 2, 10.0), ScheduleEntry("B", "K", 1, -10.0)))
+        model = expand_model(inst)
+        sset = anneal_sample(compile_hamiltonian(model), model,
+                             AnnealParams(restarts=5, sweeps=50), seed=0)
+        assert sset.best_feasible() is None
+        for s in sset.samples:
+            assert not s.feasible
+            assert s.energy > s.objective
+        path = tmp_path / "late.json"
+        path.write_text(serialize_instance(inst))
+        stderr = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            code = cli.main(["solve", "--instance", str(path), "--no-prune", "--method", "anneal",
+                             "--samples", "3", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "no feasible sample" in stderr.getvalue()
 
 
 class _CountingGenerator:
