@@ -3,13 +3,15 @@ tiny models, and a restart-based simulated annealer mirroring the sampling
 workflow of the target annealing hardware.
 
 The branch-and-bound searches vehicle counts only; commodity flows are
-completed at the leaves by an exact integral-flow search.  Two necessary
-relaxations prune internal nodes: a per-commodity max-flow over the
-time-expanded graph (timing) and a merged-mass max-flow (joint capacity).
-Their networks are built once per solve; a node changes only the
-capacities of the arc edges of the one (arc, t) it branched on, so it keeps
-its parent's flow wherever that flow still fits and runs Edmonds-Karp from
-scratch only where it does not.
+completed at the leaves by an exact integral-flow search, which gives no
+flow variable more units than its destination can pass on to demands.  Two
+necessary relaxations prune internal nodes: a per-commodity max-flow over
+the time-expanded graph (timing) and a merged-mass max-flow (joint
+capacity).  Their networks are built once per solve; a node changes only
+the capacities of the arc edges of the one (arc, t) it branched on, so it
+keeps its parent's flow wherever that flow still fits and elsewhere repairs
+it: the excess on that (arc, t) is cancelled along flow paths and
+augmenting paths restore the rest.
 
 The annealer walks conservation-feasible flows only.  Each restart starts
 from a max-flow solution of every commodity's time-expanded graph (the
@@ -47,6 +49,7 @@ from .expansion import (
     Assignment,
     FeasibilityReport,
     Model,
+    ModelError,
     evaluate_objective,
     verify_assignment,
 )
@@ -173,20 +176,17 @@ def _travel_times(inst) -> dict[tuple[str, str], int]:
 
 def _exact_presence_bounds(model: Model):
     """Per-(depot, commodity, t) upper bounds on present units (forward DP)
-    and absorbable units (backward DP), from the variables that exist."""
+    and absorbable units (`_absorb_bounds`), from the variables that exist."""
     inst = model.instance
     T = inst.horizon
     travel = _travel_times(inst)
-    flow_vars = [v for v in model.variables if v.kind == FLOW]
     present: dict[tuple[str, str, int], int] = {}
-    absorb: dict[tuple[str, str, int], int] = {}
     sup = {(e.depot, e.commodity, e.time): int(e.amount) for e in inst.schedule if e.amount > 0}
-    dem = {(e.depot, e.commodity, e.time): int(-e.amount) for e in inst.schedule if e.amount < 0}
     loads = {c.id: int(c.load) for c in inst.commodities}
     arrivals: dict[tuple[str, str, int], list] = {}
-    departures: dict[tuple[str, str, int], list] = {}
-    for v in flow_vars:
-        departures.setdefault((v.arc[0], v.commodity, v.time), []).append(v)
+    for v in model.variables:
+        if v.kind != FLOW:
+            continue
         t_arr = v.time + travel[v.arc]
         if t_arr <= T:
             arrivals.setdefault((v.arc[1], v.commodity, t_arr), []).append(v)
@@ -198,17 +198,42 @@ def _exact_presence_bounds(model: Model):
                 for v in arrivals.get(key, ()):
                     units += min(present.get((v.arc[0], v.commodity, v.time), 0), v.upper_bound)
                 present[key] = units
+    return present, _absorb_bounds(model)
+
+
+def _absorb_bounds(model: Model, cap_mass: dict[tuple, int] | None = None
+                   ) -> dict[tuple[str, str, int], int]:
+    """Per-(depot, commodity, t) upper bound on the units that demands at or
+    after that cell can take (backward DP): its own demand plus, per flow
+    variable leaving it, the lesser of the variable's bound and what its
+    destination can take.  With `cap_mass`, a variable also carries at most
+    cap_mass[(arc, t)] // load units."""
+    inst = model.instance
+    T = inst.horizon
+    travel = _travel_times(inst)
+    absorb: dict[tuple[str, str, int], int] = {}
+    dem = {(e.depot, e.commodity, e.time): int(-e.amount) for e in inst.schedule if e.amount < 0}
+    loads = {c.id: int(c.load) for c in inst.commodities}
+    departures: dict[tuple[str, str, int], list] = {}
+    for v in model.variables:
+        if v.kind != FLOW:
+            continue
+        t_arr = v.time + travel[v.arc]
+        if t_arr <= T:
+            bound = v.upper_bound
+            if cap_mass is not None:
+                bound = min(bound, cap_mass.get((v.arc, v.time), 0) // loads[v.commodity])
+            departures.setdefault((v.arc[0], v.commodity, v.time), []).append(
+                ((v.arc[1], v.commodity, t_arr), bound))
     for t in range(T, 0, -1):
         for d in inst.depots:
             for c in inst.commodities:
                 key = (d.id, c.id, t)
                 units = dem.get(key, 0) // loads[c.id]
-                for v in departures.get(key, ()):
-                    t_arr = t + travel[v.arc]
-                    if t_arr <= T:
-                        units += min(absorb.get((v.arc[1], v.commodity, t_arr), 0), v.upper_bound)
+                for dest, bound in departures.get(key, ()):
+                    units += min(absorb[dest], bound)
                 absorb[key] = units
-    return present, absorb
+    return absorb
 
 
 def _vehicle_search_caps(model: Model) -> dict[int, int]:
@@ -244,7 +269,8 @@ class _Network:
     one (arc, departure t) key and has capacity min(ub, cap_mass[key] // load),
     so only those capacities depend on the search node.  Edges are stored in
     pairs: edge e ^ 1 is the reverse of edge e, so in a residual list the
-    flow on edge e is the residual capacity of e ^ 1.
+    flow on edge e is the residual capacity of e ^ 1.  Travel times are at
+    least 1, so every arc edge runs forward in time and the network is a DAG.
     """
 
     def __init__(self, n_nodes: int, arcs, sources, sinks, need: int):
@@ -272,23 +298,41 @@ class _Network:
         self.adj[v].append(e + 1)
         return e
 
-    def fits(self, res: list[int], cap_mass: dict[tuple, int], key: tuple) -> bool:
-        """Whether the flow in residual list `res` respects the capacities
-        of `key`'s edges under `cap_mass`."""
-        cap = cap_mass[key]
-        return all(res[e ^ 1] <= min(ub, cap // load) for e, ub, load in self.by_key.get(key, ()))
+    def solve(self, cap_mass: dict[tuple, int], res: list[int] | None = None,
+              key: tuple | None = None) -> list[int] | None:
+        """A flow of `need` units within the capacities of `cap_mass`, as a
+        residual list, or None when none exists (the max-flow verdict).
 
-    def solve(self, cap_mass: dict[tuple, int]) -> list[int] | None:
-        """Edmonds-Karp from the empty flow, stopped once `need` units reach
-        the sink: the residual capacities, or None when they cannot."""
-        res = self.base.copy()
-        for key, edges in self.by_key.items():
+        With `res` None the search starts from the empty flow.  Otherwise
+        `res` holds `need` units within capacities that differ from
+        `cap_mass` only on `key`'s edges.  If no edge of `key` carries more
+        than its new capacity, `res` itself is returned; its residual
+        capacities may still be those of the capacities it was solved under,
+        but its flows fit.  Else a copy is repaired: each excess is cancelled
+        along flow paths, backward to the source and forward to the sink;
+        every arc edge's residual capacity is reset from `cap_mass`; and
+        Edmonds-Karp augments back to `need`.  A flow within the capacities
+        reaches the maximum by augmenting paths alone, so the verdict is the
+        one a solve from the empty flow gives."""
+        if res is None:
+            res, flow = self.base.copy(), 0
+        else:
             cap = cap_mass[key]
+            excess = [(e, x) for e, ub, load in self.by_key.get(key, ())
+                      if (x := res[e ^ 1] - min(ub, cap // load)) > 0]
+            if not excess:
+                return res
+            res, flow = res.copy(), self.need
+            for e, x in excess:
+                self._cancel(res, e, x)
+                flow -= x
+        for k, edges in self.by_key.items():
+            cap = cap_mass[k]
             for e, ub, load in edges:
-                res[e] = min(ub, cap // load)
+                units = cap // load
+                res[e] = (ub if ub < units else units) - res[e ^ 1]
         adj, head = self.adj, self.head
         source, sink, need = self.source, self.sink, self.need
-        flow = 0
         while flow < need:
             parent = [-1] * len(adj)
             parent[source] = -2
@@ -318,6 +362,31 @@ class _Network:
                 v = head[e ^ 1]
             flow += push
         return res
+
+    def _cancel(self, res: list[int], edge: int, excess: int) -> None:
+        """Take `excess` units off the flow through `edge`, one source-to-sink
+        flow path at a time.  By conservation a node that passes flow on has
+        an edge carrying flow into it and one carrying flow out, and the
+        network is a DAG, so both walks end at the source and the sink."""
+        adj, head, source, sink = self.adj, self.head, self.source, self.sink
+        while excess:
+            path = [edge]
+            u = head[edge ^ 1]
+            while u != source:
+                # an odd entry of adj[u] is the reverse of an edge into u
+                e = next(e for e in adj[u] if e & 1 and res[e])
+                path.append(e ^ 1)
+                u = head[e]
+            v = head[edge]
+            while v != sink:
+                e = next(e for e in adj[v] if not e & 1 and res[e ^ 1])
+                path.append(e)
+                v = head[e]
+            push = min(excess, *(res[e ^ 1] for e in path))
+            for e in path:
+                res[e ^ 1] -= push
+                res[e] += push
+            excess -= push
 
 
 class _FlowRelaxation:
@@ -371,16 +440,13 @@ class _FlowRelaxation:
         residual list per network when every network meets its demand, else
         None.  `parent_flows` are the parent node's residual lists and `key`
         the only (arc, t) whose cap_mass differs from the parent's (both None
-        at the root): a parent flow that still fits `key`'s edges proves its
-        network feasible as it stands, and only the others are solved anew."""
+        at the root); each network repairs its parent's flow
+        (`_Network.solve`)."""
         flows = []
         for i, net in enumerate(self.networks):
-            if parent_flows is not None and net.fits(parent_flows[i], cap_mass, key):
-                res = parent_flows[i]
-            else:
-                res = net.solve(cap_mass)
-                if res is None:
-                    return None
+            res = net.solve(cap_mass, None if parent_flows is None else parent_flows[i], key)
+            if res is None:
+                return None
             flows.append(res)
         return flows
 
@@ -391,7 +457,12 @@ def find_feasible_flows(model: Model, vehicle_values: dict[int, int]) -> dict[in
     Depth-first search over (time, depot, commodity) cells: everything
     present at a cell must depart the same step, split over the outgoing
     flow variables without exceeding per-variable bounds or the remaining
-    shared vehicle capacity on each (arc, t).
+    shared vehicle capacity on each (arc, t).  Every unit must end at a
+    demand, so no variable takes more units than its destination cell can
+    still absorb: `_absorb_bounds` under the fixed vehicle capacities, less
+    the units already arriving there.  That cuts only subtrees without a
+    completion, so the first completion found is the one the bare
+    enumeration finds.
     """
     inst = model.instance
     T = inst.horizon
@@ -404,6 +475,7 @@ def find_feasible_flows(model: Model, vehicle_values: dict[int, int]) -> dict[in
     for v in model.variables:
         if v.kind == VEHICLE:
             cap_left[(v.arc, v.time)] = capacity * vehicle_values.get(v.index, 0)
+    absorb = _absorb_bounds(model, cap_left)
 
     out_vars: dict[tuple[str, str, int], list] = {}
     for v in model.variables:
@@ -426,7 +498,9 @@ def find_feasible_flows(model: Model, vehicle_values: dict[int, int]) -> dict[in
             return units == 0 and advance()
         (v, t_arr), rest = options[0], options[1:]
         load = loads[v.commodity]
-        cap_units = min(v.upper_bound, cap_left.get((v.arc, v.time), 0) // load)
+        dest = (v.arc[1], v.commodity, t_arr)
+        cap_units = min(v.upper_bound, cap_left.get((v.arc, v.time), 0) // load,
+                        absorb[dest] - incoming.get(dest, 0) // load)
         slack_units = sum(min(w.upper_bound, cap_left.get((w.arc, w.time), 0) // load)
                           for w, _ in rest)
         lo = max(0, units - slack_units)
@@ -434,14 +508,13 @@ def find_feasible_flows(model: Model, vehicle_values: dict[int, int]) -> dict[in
             if take:
                 chosen[v.index] = take
                 cap_left[(v.arc, v.time)] -= take * load
-                incoming[(v.arc[1], v.commodity, t_arr)] = \
-                    incoming.get((v.arc[1], v.commodity, t_arr), 0) + take * load
+                incoming[dest] = incoming.get(dest, 0) + take * load
             if distribute(rest, units - take):
                 return True
             if take:
                 chosen.pop(v.index)
                 cap_left[(v.arc, v.time)] += take * load
-                incoming[(v.arc[1], v.commodity, t_arr)] -= take * load
+                incoming[dest] -= take * load
         return False
 
     cell_no = [0]
@@ -471,19 +544,31 @@ def find_feasible_flows(model: Model, vehicle_values: dict[int, int]) -> dict[in
     return None
 
 
+def _require_finite_objective(model: Model) -> None:
+    """Raise ModelError when the objective at the vehicle bounds overflows a
+    float: every cost sum could be inf, and an inf cost never beats the
+    empty incumbent, so a feasible model would read as infeasible."""
+    worst = sum(cost * model.variables[i].upper_bound for i, cost in model.objective)
+    if not math.isfinite(worst):
+        raise ModelError("arc costs too large: the objective over the vehicle bounds "
+                         "overflows a float")
+
+
 def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     """Depth-first branch-and-bound over vehicle variables.
 
     Branches the most expensive arcs first and tries smaller counts first;
     internal nodes are pruned by a demand-cut cost bound and the max-flow
     relaxations, and leaves are completed by find_feasible_flows.  Each node
-    hands its relaxation flows to its children: a child reuses a network's
-    flow when the flow on the (arc, t) just branched on fits the new vehicle
-    count, which proves that network feasible, and solves it anew otherwise,
-    so every verdict equals a solve from scratch.  Returns a
-    provably optimal sample, or the incumbent flagged uncertified when the
-    time limit expires, or an explicit infeasible result.
+    hands its relaxation flows to its children, and a child repairs each
+    network's flow where the (arc, t) just branched on carries more than the
+    new vehicle count allows (`_Network.solve`), so every verdict equals a
+    solve from scratch.  Returns a provably optimal sample, or the incumbent
+    flagged uncertified when the time limit expires, or an explicit
+    infeasible result.  Raises ModelError when the objective overflows
+    (`_require_finite_objective`).
     """
+    _require_finite_objective(model)
     start = time.perf_counter()
     inst = model.instance
     capacity = int(inst.capacity)
@@ -589,7 +674,9 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
 
 def brute_force_oracle(model: Model, limit: int = 10**7) -> ExactResult:
     """Exhaustive enumeration over the full bound box; exists to certify
-    solve_exact on tiny models and shares no search logic with it."""
+    solve_exact on tiny models and shares no search logic with it.  Raises
+    ModelError when the objective overflows (`_require_finite_objective`)."""
+    _require_finite_objective(model)
     start = time.perf_counter()
     dims = [v.upper_bound + 1 for v in model.variables]
     space = math.prod(dims)

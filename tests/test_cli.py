@@ -259,6 +259,19 @@ class TestInputFaults:
         assert_one_line_error(proc)
         assert "4300 digits" in proc.stderr
 
+    @pytest.mark.parametrize("method", ["exact", "anneal", "bruteforce"])
+    def test_overflowing_arc_cost(self, tmp_path, method):
+        # finite, but the objective over the vehicle bounds is inf
+        doc = json.loads(CASE_STUDY_DOC.read_text())
+        doc["arcs"][3]["cost"] = 1.7e308
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        proc = run_cli("solve", "--instance", str(bad), "--method", method,
+                       "--out", str(tmp_path / "out"))
+        assert_one_line_error(proc)
+        assert "too large" in proc.stderr
+        assert "infeasible" not in proc.stderr
+
     def test_huge_integer_in_cost_map(self, tmp_path):
         costs = dict.fromkeys(("N1->N2", "N2->N3", "N2->N4", "N3->N6",
                                "N3->N4", "N4->N5", "N6->N7", "N4->N3"), 1)

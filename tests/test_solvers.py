@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -93,6 +94,19 @@ class TestBruteForce:
         assert result.objective == 0.0
         assert set(result.sample.assignment.values) == {0}
 
+    def test_overflowing_objective_is_refused(self):
+        # feasible, but its only route costs 2 * 1.7e308 = inf
+        inst = Instance(
+            depots=(Depot("A", "A"), Depot("B", "B"), Depot("C", "C")),
+            arcs=(Arc("A", "B", 1.7e308, 1), Arc("B", "C", 1.7e308, 1)),
+            commodities=(Commodity("K", 10.0),),
+            horizon=3, capacity=100.0,
+            schedule=(ScheduleEntry("A", "K", 1, 10.0), ScheduleEntry("C", "K", 3, -10.0)))
+        model = expand_model(inst)
+        for solve in (brute_force_oracle, solve_exact):
+            with pytest.raises(expansion.ModelError, match="too large"):
+                solve(model)
+
     def test_search_space_gate(self, case_study_model):
         with pytest.raises(SearchSpaceTooLargeError):
             brute_force_oracle(case_study_model)
@@ -132,29 +146,115 @@ class TestExactSearch:
         assert digest.hexdigest() == \
             "72c45a88667920606e8d660d2324af5a4d964f842293eeae2c2ee783f7f1ccda"
 
-    def test_parent_flow_reuse_matches_a_fresh_solve(self, case_study_pruned):
-        """Reducing one key's capacity under a feasible parent: the verdict
-        reached by reusing the parent's flows equals a solve from scratch."""
-        relax = solvers._FlowRelaxation(case_study_pruned)
-        capacity = int(case_study_pruned.instance.capacity)
-        keys = [(v.arc, v.time) for v in case_study_pruned.variables if v.kind == expansion.VEHICLE]
-        rng = random.Random(4242)
-        verdicts, reused = set(), 0
-        for _ in range(300):
-            cap_mass = {key: capacity * rng.randint(1, 3) for key in keys}
-            parent_flows = relax.feasible(cap_mass, None, None)
-            if parent_flows is None:
-                continue
+    def test_waves_3_search(self):
+        result = solve_exact(waves_model(3))
+        assert result.certified
+        assert result.nodes == 61448
+        assert result.objective == pytest.approx(186.36)
+        values = ",".join(str(v) for v in result.sample.assignment.values)
+        assert hashlib.sha256(values.encode()).hexdigest() == \
+            "98635df78b1b81f8c2ed6e089c7ba8e38ce5008bd1c68575d5f60d18e2e3601f"
+
+
+def _assert_flow_fits(net, res, cap_mass):
+    """The flow in residual list `res` stays within every edge's capacity
+    under `cap_mass`, is conserved at every node and brings `need` units to
+    the sink."""
+    cap = {e: min(ub, cap_mass[key] // load)
+           for key, edges in net.by_key.items() for e, ub, load in edges}
+    balance = [0] * len(net.adj)
+    for e in range(0, len(net.head), 2):
+        flow = res[e ^ 1]
+        assert 0 <= flow <= cap.get(e, net.base[e])
+        balance[net.head[e]] += flow
+        balance[net.head[e ^ 1]] -= flow
+    assert balance[net.sink] == net.need == -balance[net.source]
+    assert not any(balance[:net.source])
+
+
+class TestFlowRepair:
+    """`_Network.solve` repairs a parent's flow after one key's capacity
+    changes; its verdict must be the max-flow verdict from the empty flow."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_random_walk_matches_fresh_solves(self, k):
+        """A walk of one-key changes, each raising or lowering one vehicle
+        count and starting from the flows the step before returned.  A step
+        whose verdict is infeasible is undone, as the search backtracks."""
+        model = waves_model(k)
+        relax = solvers._FlowRelaxation(model)
+        capacity = int(model.instance.capacity)
+        bound = {(v.arc, v.time): v.upper_bound for v in model.variables
+                 if v.kind == expansion.VEHICLE}
+        keys = sorted(bound)
+        cap_mass = {key: capacity * ub for key, ub in bound.items()}
+        flows = relax.feasible(cap_mass, None, None)
+        assert flows is not None
+        rng = random.Random(7331 + k)
+        verdicts, repaired, kept = set(), 0, 0
+        for _ in range(600):
             key = rng.choice(keys)
-            cap_mass[key] = rng.randint(0, cap_mass[key])
-            child = relax.feasible(cap_mass, parent_flows, key)
-            fresh = relax.feasible(cap_mass, None, None)
+            count = rng.choice([c for c in range(bound[key] + 1)
+                                if capacity * c != cap_mass[key]])
+            raised = capacity * count > cap_mass[key]
+            child_caps = {**cap_mass, key: capacity * count}
+            child = relax.feasible(child_caps, flows, key)
+            fresh = relax.feasible(child_caps, None, None)
             assert (child is None) == (fresh is None)
-            verdicts.add(fresh is not None)
-            if child is not None:
-                reused += sum(c is p for c, p in zip(child, parent_flows))
-        assert verdicts == {True, False}
-        assert reused > 0
+            verdicts.add((raised, fresh is not None))
+            if child is None:
+                continue
+            for net, res, parent in zip(relax.networks, child, flows):
+                _assert_flow_fits(net, res, child_caps)
+                if res is parent:
+                    kept += 1
+                else:
+                    repaired += 1
+            cap_mass, flows = child_caps, child
+        assert verdicts == {(True, True), (False, True), (False, False)}
+        assert repaired >= 20 and kept > 100
+
+
+def _feasible_vehicle_vectors(model) -> set[tuple[int, ...]]:
+    """The vehicle vectors, in variable order, under which some point of the
+    flow box satisfies every row: the whole bound box, enumerated."""
+    n = len(model.variables)
+    A = np.zeros((len(model.constraints), n), dtype=np.int64)
+    rhs = np.array([c.rhs for c in model.constraints], dtype=np.int64)
+    eq = np.array([c.relation == "eq" for c in model.constraints], dtype=bool)
+    for r, c in enumerate(model.constraints):
+        for i, coef in c.terms:
+            A[r, i] = coef
+    box = np.array(list(itertools.product(*(range(v.upper_bound + 1) for v in model.variables))),
+                   dtype=np.int64).reshape(-1, n)
+    residual = box @ A.T - rhs
+    ok = (residual[:, eq] == 0).all(axis=1) & (residual[:, ~eq] <= 0).all(axis=1)
+    vehicles = [v.index for v in model.variables if v.kind == expansion.VEHICLE]
+    return {tuple(row) for row in box[ok][:, vehicles].tolist()}
+
+
+class TestLeafCompletion:
+    def test_matches_flow_box_enumeration(self):
+        """Under every vehicle vector of the box, find_feasible_flows
+        returns flows exactly when some flow point is feasible, and the flows
+        it returns verify."""
+        rng = random.Random(16180)
+        outcomes = {True: 0, False: 0}
+        for _ in range(40):
+            model = random_micro_model(rng, max_space=50_000)
+            feasible = _feasible_vehicle_vectors(model)
+            vehicles = [v for v in model.variables if v.kind == expansion.VEHICLE]
+            for counts in itertools.product(*(range(v.upper_bound + 1) for v in vehicles)):
+                fixed = {v.index: c for v, c in zip(vehicles, counts)}
+                flows = solvers.find_feasible_flows(model, fixed)
+                assert (flows is not None) == (counts in feasible)
+                outcomes[flows is not None] += 1
+                if flows is not None:
+                    values = [0] * len(model.variables)
+                    for i, units in {**flows, **fixed}.items():
+                        values[i] = units
+                    assert verify_assignment(model, Assignment(values=tuple(values))).feasible
+        assert outcomes[True] > 100 and outcomes[False] > 100
 
 
 class TestAnneal:
