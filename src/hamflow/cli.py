@@ -124,15 +124,22 @@ def _dispatch(args) -> int:
 
 
 def _seed_of(args) -> int:
+    """The annealer seed: --seed, else HAMFLOW_SEED, else 0.  numpy seeds
+    only with non-negative integers."""
     if args.seed is not None:
+        if args.seed < 0:
+            raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.seed
     env = os.environ.get("HAMFLOW_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise CliError(f"HAMFLOW_SEED={env!r} is not an integer") from exc
-    return 0
+    if env is None:
+        return 0
+    try:
+        seed = int(env)
+    except ValueError as exc:
+        raise CliError(f"HAMFLOW_SEED={env!r} is not an integer") from exc
+    if seed < 0:
+        raise CliError(f"HAMFLOW_SEED={env!r} must be a non-negative integer")
+    return seed
 
 
 def _read_text(path: str) -> str:

@@ -82,9 +82,9 @@ def choose_alpha(model: Model) -> float:
 def compile_hamiltonian(model: Model, alpha: float | None = None) -> Hamiltonian:
     """Expand P1 + alpha * P2 into linear/quadratic coefficients and offset."""
     if alpha is None:
-        alpha = choose_alpha(model)
-    if alpha <= 0:
-        raise CompileError(f"alpha must be positive, got {alpha}")
+        alpha = choose_alpha(model)   # inf when the costs overflow: reported below
+    elif not 0 < alpha < math.inf:     # NaN fails every comparison
+        raise CompileError(f"alpha must be a positive finite number, got {alpha}")
 
     for c in model.constraints:
         for i, coef in c.terms:

@@ -27,8 +27,9 @@ from importlib import resources
 from typing import Iterable
 
 # Expansion builds about 10 us and 1 KB per variable (2-core x86 host), and
-# the annealer makes 3000 proposals per variable a restart: well past this
-# size no back-end finishes, and a horizon like 1e300 would expand without end.
+# an annealer restart makes one cycle move per flow variable a sweep over 300
+# sweeps by default: well past this size no back-end finishes, and a horizon
+# like 1e300 would expand without end.
 MAX_EXPANDED_VARIABLES = 100_000
 
 

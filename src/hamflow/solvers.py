@@ -2,6 +2,10 @@
 tiny models, and a restart-based simulated annealer mirroring the sampling
 workflow of the target annealing hardware.
 
+Every back-end that walks the time-expanded network reads it from one
+`_Graph`: its (depot, commodity, t) cells, their scheduled masses and one
+edge per flow variable, derived from the model once per call.
+
 The branch-and-bound searches vehicle counts only; commodity flows are
 completed at the leaves by an exact integral-flow search, which gives no
 flow variable more units than its destination can pass on to demands.  Two
@@ -26,7 +30,9 @@ more than its commodity's supply and every visited point is within bounds.
 
 Each annealer sweep consumes the draws `rng.integers(0, n, n)`,
 `rng.integers(0, 2, n)`, `rng.random(n)` and `rng.random(n)` of a
-`default_rng([seed, restart])` stream, n the number of flow variables, but
+`default_rng([seed, restart])` stream, n the number of flow variables.  The
+chain reads only the last three; the first is still drawn, and checked for
+rejections, only so that a seed gives the samples it always gave.
 `_sweep_draws` reads them for a block of sweeps at once with
 `bit_generator.random_raw` and decodes the words the way numpy would:
 Lemire's bounded draw on uint32 halves, low half first, and 53-bit doubles.
@@ -168,71 +174,74 @@ def postprocess_flows(model: Model, a: Assignment) -> tuple[Assignment, Feasibil
     return adjusted, verify_assignment(model, adjusted)
 
 
+# --- the time-expanded graph ---------------------------------------------------
+
+class _Graph:
+    """A model's time-expanded network, derived once per call by every
+    back-end that walks it.
+
+    `cells` are the (depot, commodity, t) for t in 1..T in (t, depot,
+    commodity) order, so cell c // len(loads) is its (depot, t) node and
+    every edge runs to a later cell.  `mass` maps each scheduled cell to its
+    signed integer mass, in schedule order.  `edges` holds one (flow
+    variable, tail cell, head cell) per flow variable, in index order; in an
+    unpruned model a head may be at T + 1, past the last cell.  `out[c]`
+    holds the edges leaving cell c whose head is within the horizon:
+    arrivals beyond it can never serve a demand.
+    """
+
+    def __init__(self, model: Model):
+        inst = model.instance
+        self.variables = model.variables
+        self.loads = {c.id: int(c.load) for c in inst.commodities}
+        self.capacity = int(inst.capacity)
+        self.vehicle_index = model.vehicle_index()
+        keys = [(d.id, k, t) for t in range(1, inst.horizon + 2)
+                for d in inst.depots for k in self.loads]
+        cell = {key: c for c, key in enumerate(keys)}      # heads at T + 1 included
+        self.cells = keys[:inst.horizon * len(inst.depots) * len(self.loads)]
+        self.mass = {cell[(e.depot, e.commodity, e.time)]: int(e.amount) for e in inst.schedule}
+        travel = {a.pair: a.travel_time for a in inst.arcs}
+        self.edges = [(v.index, cell[(v.arc[0], v.commodity, v.time)],
+                       cell[(v.arc[1], v.commodity, v.time + travel[v.arc])])
+                      for v in model.variables if v.kind == FLOW]
+        self.out: list[list[tuple[int, int, int]]] = [[] for _ in self.cells]
+        for edge in self.edges:
+            if edge[2] < len(self.cells):
+                self.out[edge[1]].append(edge)
+
+
 # --- exact search -------------------------------------------------------------
 
-def _travel_times(inst) -> dict[tuple[str, str], int]:
-    return {a.pair: a.travel_time for a in inst.arcs}
+def _presence_bounds(g: _Graph) -> list[int]:
+    """Per-cell upper bound on the units present (forward DP): its own supply
+    plus, per edge into it, the lesser of the variable's bound and what its
+    tail can hold.  Every edge runs to a later cell, so a cell's bound is
+    final before its own edges are pushed."""
+    present = [max(g.mass.get(c, 0), 0) // g.loads[k] for c, (_, k, _) in enumerate(g.cells)]
+    for c, edges in enumerate(g.out):
+        for i, _, head in edges:
+            present[head] += min(present[c], g.variables[i].upper_bound)
+    return present
 
 
-def _exact_presence_bounds(model: Model):
-    """Per-(depot, commodity, t) upper bounds on present units (forward DP)
-    and absorbable units (`_absorb_bounds`), from the variables that exist."""
-    inst = model.instance
-    T = inst.horizon
-    travel = _travel_times(inst)
-    present: dict[tuple[str, str, int], int] = {}
-    sup = {(e.depot, e.commodity, e.time): int(e.amount) for e in inst.schedule if e.amount > 0}
-    loads = {c.id: int(c.load) for c in inst.commodities}
-    arrivals: dict[tuple[str, str, int], list] = {}
-    for v in model.variables:
-        if v.kind != FLOW:
-            continue
-        t_arr = v.time + travel[v.arc]
-        if t_arr <= T:
-            arrivals.setdefault((v.arc[1], v.commodity, t_arr), []).append(v)
-    for t in range(1, T + 1):
-        for d in inst.depots:
-            for c in inst.commodities:
-                key = (d.id, c.id, t)
-                units = sup.get(key, 0) // loads[c.id]
-                for v in arrivals.get(key, ()):
-                    units += min(present.get((v.arc[0], v.commodity, v.time), 0), v.upper_bound)
-                present[key] = units
-    return present, _absorb_bounds(model)
-
-
-def _absorb_bounds(model: Model, cap_mass: dict[tuple, int] | None = None
-                   ) -> dict[tuple[str, str, int], int]:
-    """Per-(depot, commodity, t) upper bound on the units that demands at or
-    after that cell can take (backward DP): its own demand plus, per flow
-    variable leaving it, the lesser of the variable's bound and what its
-    destination can take.  With `cap_mass`, a variable also carries at most
-    cap_mass[(arc, t)] // load units."""
-    inst = model.instance
-    T = inst.horizon
-    travel = _travel_times(inst)
-    absorb: dict[tuple[str, str, int], int] = {}
-    dem = {(e.depot, e.commodity, e.time): int(-e.amount) for e in inst.schedule if e.amount < 0}
-    loads = {c.id: int(c.load) for c in inst.commodities}
-    departures: dict[tuple[str, str, int], list] = {}
-    for v in model.variables:
-        if v.kind != FLOW:
-            continue
-        t_arr = v.time + travel[v.arc]
-        if t_arr <= T:
+def _absorb_bounds(g: _Graph, cap_mass: dict[tuple, int] | None = None) -> list[int]:
+    """Per-cell upper bound on the units that demands at or after that cell
+    can take (backward DP): its own demand plus, per edge leaving it, the
+    lesser of the variable's bound and what its head can take.  With
+    `cap_mass`, a variable also carries at most cap_mass[(arc, t)] // load
+    units."""
+    absorb = [0] * len(g.cells)
+    for c in range(len(g.cells) - 1, -1, -1):
+        load = g.loads[g.cells[c][1]]
+        units = max(-g.mass.get(c, 0), 0) // load
+        for i, _, head in g.out[c]:
+            v = g.variables[i]
             bound = v.upper_bound
             if cap_mass is not None:
-                bound = min(bound, cap_mass.get((v.arc, v.time), 0) // loads[v.commodity])
-            departures.setdefault((v.arc[0], v.commodity, v.time), []).append(
-                ((v.arc[1], v.commodity, t_arr), bound))
-    for t in range(T, 0, -1):
-        for d in inst.depots:
-            for c in inst.commodities:
-                key = (d.id, c.id, t)
-                units = dem.get(key, 0) // loads[c.id]
-                for dest, bound in departures.get(key, ()):
-                    units += min(absorb[dest], bound)
-                absorb[key] = units
+                bound = min(bound, cap_mass.get((v.arc, v.time), 0) // load)
+            units += min(absorb[head], bound)
+        absorb[c] = units
     return absorb
 
 
@@ -240,26 +249,17 @@ def _vehicle_search_caps(model: Model) -> dict[int, int]:
     """Largest useful vehicle count per vehicle variable: enough to cover the
     most mass that could ever traverse that (arc, t).  Some optimum always
     fits under these caps, so the search never looks above them."""
-    inst = model.instance
-    capacity = int(inst.capacity)
-    travel = _travel_times(inst)
-    loads = {c.id: int(c.load) for c in inst.commodities}
-    present, absorb = _exact_presence_bounds(model)
+    g = _Graph(model)
+    present, absorb = _presence_bounds(g), _absorb_bounds(g)
     max_mass: dict[tuple, int] = {}
-    for v in model.variables:
-        if v.kind != FLOW:
-            continue
-        t_arr = v.time + travel[v.arc]
-        units = min(v.upper_bound,
-                    present.get((v.arc[0], v.commodity, v.time), 0),
-                    absorb.get((v.arc[1], v.commodity, t_arr), 0))
-        max_mass[(v.arc, v.time)] = max_mass.get((v.arc, v.time), 0) + units * loads[v.commodity]
-    caps = {}
-    for v in model.variables:
-        if v.kind == VEHICLE:
-            mass = max_mass.get((v.arc, v.time), 0)
-            caps[v.index] = min(v.upper_bound, -(-mass // capacity))
-    return caps
+    for c, edges in enumerate(g.out):
+        for i, _, head in edges:
+            v = g.variables[i]
+            units = min(v.upper_bound, present[c], absorb[head])
+            key = (v.arc, v.time)
+            max_mass[key] = max_mass.get(key, 0) + units * g.loads[v.commodity]
+    return {z: min(g.variables[z].upper_bound, -(-max_mass.get(key, 0) // g.capacity))
+            for key, z in g.vehicle_index.items()}
 
 
 class _Network:
@@ -395,41 +395,28 @@ class _FlowRelaxation:
     all commodities pooled (joint capacity), each built once."""
 
     def __init__(self, model: Model):
-        inst = model.instance
-        T = inst.horizon
-        travel = _travel_times(inst)
-        loads = {c.id: int(c.load) for c in inst.commodities}
-        node_id = {}
-        for d in inst.depots:
-            for t in range(1, T + 1):
-                node_id[(d.id, t)] = len(node_id)
-        flow_vars = [v for v in model.variables
-                     if v.kind == FLOW and v.time + travel[v.arc] <= T]
-
-        def arc_nodes(arc, t):
-            return node_id[(arc[0], t)], node_id[(arc[1], t + travel[arc])]
-
-        sup = [(e.commodity, node_id[(e.depot, e.time)], int(e.amount))
-               for e in inst.schedule if e.amount > 0]
-        dem = [(e.commodity, node_id[(e.depot, e.time)], int(-e.amount))
-               for e in inst.schedule if e.amount < 0]
+        g = _Graph(model)
+        per_node = len(g.loads)       # cells per (depot, t) node
+        n_nodes = len(g.cells) // per_node
+        inner = [(g.variables[i], tail // per_node, head // per_node)
+                 for i, tail, head in g.edges if head < len(g.cells)]
+        sup = [(g.cells[c][1], c // per_node, mass) for c, mass in g.mass.items() if mass > 0]
+        dem = [(g.cells[c][1], c // per_node, -mass) for c, mass in g.mass.items() if mass < 0]
         self.networks = []
-        for c in inst.commodities:
-            load = loads[c.id]
-            arcs = [(*arc_nodes(v.arc, v.time), (v.arc, v.time), v.upper_bound, load)
-                    for v in flow_vars if v.commodity == c.id]
+        for k, load in g.loads.items():
+            arcs = [(u, w, (v.arc, v.time), v.upper_bound, load)
+                    for v, u, w in inner if v.commodity == k]
             self.networks.append(_Network(
-                len(node_id), arcs,
-                [(n, mass // load) for k, n, mass in sup if k == c.id],
-                [(n, mass // load) for k, n, mass in dem if k == c.id],
-                sum(mass for k, _, mass in sup if k == c.id) // load))
-        merged: dict[tuple, int] = {}
-        for v in flow_vars:
+                n_nodes, arcs,
+                [(n, mass // load) for c, n, mass in sup if c == k],
+                [(n, mass // load) for c, n, mass in dem if c == k],
+                sum(mass for c, _, mass in sup if c == k) // load))
+        merged: dict[tuple, list] = {}       # (arc, t): [u, w, key, ub mass, 1]
+        for v, u, w in inner:
             key = (v.arc, v.time)
-            merged[key] = merged.get(key, 0) + v.upper_bound * loads[v.commodity]
+            merged.setdefault(key, [u, w, key, 0, 1])[3] += v.upper_bound * g.loads[v.commodity]
         self.networks.append(_Network(
-            len(node_id),
-            [(*arc_nodes(*key), key, ub_mass, 1) for key, ub_mass in merged.items()],
+            n_nodes, merged.values(),
             [(n, mass) for _, n, mass in sup],
             [(n, mass) for _, n, mass in dem],
             sum(mass for _, _, mass in sup)))
@@ -464,84 +451,49 @@ def find_feasible_flows(model: Model, vehicle_values: dict[int, int]) -> dict[in
     completion, so the first completion found is the one the bare
     enumeration finds.
     """
-    inst = model.instance
-    T = inst.horizon
-    capacity = int(inst.capacity)
-    travel = _travel_times(inst)
-    loads = {c.id: int(c.load) for c in inst.commodities}
-    d_mass = {(e.depot, e.commodity, e.time): int(e.amount) for e in inst.schedule}
-
-    cap_left = {}
-    for v in model.variables:
-        if v.kind == VEHICLE:
-            cap_left[(v.arc, v.time)] = capacity * vehicle_values.get(v.index, 0)
-    absorb = _absorb_bounds(model, cap_left)
-
-    out_vars: dict[tuple[str, str, int], list] = {}
-    for v in model.variables:
-        if v.kind != FLOW:
-            continue
-        t_arr = v.time + travel[v.arc]
-        if t_arr > T:
-            continue   # arrivals beyond the horizon can never serve a demand
-        out_vars.setdefault((v.arc[0], v.commodity, v.time), []).append((v, t_arr))
-    for lst in out_vars.values():
-        lst.sort(key=lambda pair: pair[0].index)
-
-    cells = [(t, d.id, c.id) for t in range(1, T + 1)
-             for d in inst.depots for c in inst.commodities]
-    incoming: dict[tuple[str, str, int], int] = {}
+    g = _Graph(model)
+    cap_left = {key: g.capacity * vehicle_values.get(z, 0) for key, z in g.vehicle_index.items()}
+    absorb = _absorb_bounds(g, cap_left)
+    incoming = [0] * len(g.cells)
     chosen: dict[int, int] = {}
 
-    def distribute(options: list, units: int) -> bool:
+    def room(i: int, load: int) -> int:
+        v = g.variables[i]
+        return min(v.upper_bound, cap_left.get((v.arc, v.time), 0) // load)
+
+    def distribute(c: int, options: list, units: int, load: int) -> bool:
         if not options:
-            return units == 0 and advance()
-        (v, t_arr), rest = options[0], options[1:]
-        load = loads[v.commodity]
-        dest = (v.arc[1], v.commodity, t_arr)
-        cap_units = min(v.upper_bound, cap_left.get((v.arc, v.time), 0) // load,
-                        absorb[dest] - incoming.get(dest, 0) // load)
-        slack_units = sum(min(w.upper_bound, cap_left.get((w.arc, w.time), 0) // load)
-                          for w, _ in rest)
-        lo = max(0, units - slack_units)
+            return units == 0 and advance(c + 1)
+        (i, _, head), rest = options[0], options[1:]
+        v = g.variables[i]
+        key = (v.arc, v.time)
+        cap_units = min(room(i, load), absorb[head] - incoming[head] // load)
+        lo = max(0, units - sum(room(j, load) for j, _, _ in rest))
         for take in range(lo, min(cap_units, units) + 1):
             if take:
-                chosen[v.index] = take
-                cap_left[(v.arc, v.time)] -= take * load
-                incoming[dest] = incoming.get(dest, 0) + take * load
-            if distribute(rest, units - take):
+                chosen[i] = take
+                cap_left[key] -= take * load
+                incoming[head] += take * load
+            if distribute(c, rest, units - take, load):
                 return True
             if take:
-                chosen.pop(v.index)
-                cap_left[(v.arc, v.time)] += take * load
-                incoming[dest] -= take * load
+                chosen.pop(i)
+                cap_left[key] += take * load
+                incoming[head] -= take * load
         return False
 
-    cell_no = [0]
-
-    def advance() -> bool:
-        while cell_no[0] < len(cells):
-            t, depot, k = cells[cell_no[0]]
-            key = (depot, k, t)
-            available = incoming.get(key, 0) + d_mass.get(key, 0)
-            if available < 0 or available % loads[k] != 0:
+    def advance(first: int) -> bool:
+        """Distribute the units present at cell `first` and every later cell."""
+        for c in range(first, len(g.cells)):
+            load = g.loads[g.cells[c][1]]
+            available = incoming[c] + g.mass.get(c, 0)
+            if available < 0 or available % load != 0:
                 return False
-            units = available // loads[k]
-            if units == 0:
-                cell_no[0] += 1
-                continue
-            options = out_vars.get(key, [])
-            cell_no[0] += 1
-            saved = cell_no[0]
-            if distribute(options, units):
-                return True
-            cell_no[0] = saved - 1
-            return False
+            if available:
+                return distribute(c, g.out[c], available // load, load)
         return True
 
-    if advance():
-        return chosen
-    return None
+    return chosen if advance(0) else None
 
 
 def _require_finite_objective(model: Model) -> None:
@@ -570,8 +522,8 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     """
     _require_finite_objective(model)
     start = time.perf_counter()
-    inst = model.instance
-    capacity = int(inst.capacity)
+    g = _Graph(model)
+    capacity = g.capacity
     relax = _FlowRelaxation(model)
     caps = _vehicle_search_caps(model)
     cost_of = dict(model.objective)
@@ -581,16 +533,15 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
 
     # demand-side cut data: vehicles required into each demand depot
     demand_mass = {}
-    for e in inst.schedule:
-        if e.amount < 0:
-            demand_mass[e.depot] = demand_mass.get(e.depot, 0) + int(-e.amount)
+    for c, mass in g.mass.items():
+        if mass < 0:
+            depot = g.cells[c][0]
+            demand_mass[depot] = demand_mass.get(depot, 0) - mass
     required = {d: -(-m // capacity) for d, m in demand_mass.items()}
     in_arc_vars = {d: [v for v in branch_vars if v.arc[1] == d] for d in required}
 
-    z_fixed: dict[int, int] = {v.index: 0 for v in model.variables
-                               if v.kind == VEHICLE and caps[v.index] == 0}
-    cap_mass = {(v.arc, v.time): capacity * caps[v.index]
-                for v in model.variables if v.kind == VEHICLE}
+    z_fixed: dict[int, int] = {z: 0 for z in g.vehicle_index.values() if caps[z] == 0}
+    cap_mass = {key: capacity * caps[z] for key, z in g.vehicle_index.items()}
 
     best_cost = [math.inf]
     best_values: list[tuple[int, ...] | None] = [None]
@@ -786,18 +737,17 @@ def _start_flows(model: Model) -> list[int]:
     vehicle count at zero: each commodity's max-flow network of
     `_FlowRelaxation`, solved with every (arc, t) open to its vehicle bound.
     A commodity that cannot be routed keeps zero flows."""
-    inst = model.instance
-    capacity = int(inst.capacity)
-    cap_mass = {(v.arc, v.time): capacity * v.upper_bound
-                for v in model.variables if v.kind == VEHICLE}
+    g = _Graph(model)
+    cap_mass = {key: g.capacity * g.variables[z].upper_bound
+                for key, z in g.vehicle_index.items()}
     flow_idx = model.flow_index()
-    values = [0] * len(model.variables)
-    for c, net in zip(inst.commodities, _FlowRelaxation(model).networks):
+    values = [0] * len(g.variables)
+    for k, net in zip(g.loads, _FlowRelaxation(model).networks):
         res = net.solve(cap_mass)
         if res is None:
             continue
         for (arc, t), ((e, _, _),) in net.by_key.items():
-            values[flow_idx[(arc, c.id, t)]] = res[e ^ 1]
+            values[flow_idx[(arc, k, t)]] = res[e ^ 1]
     return values
 
 
@@ -805,26 +755,20 @@ _MAX_CYCLE_EDGES = 6
 
 
 def _flow_cycles(model: Model) -> list[tuple[tuple[int, int], ...]]:
-    """Every simple undirected cycle of at most `_MAX_CYCLE_EDGES` edges in
-    each commodity's time-expanded graph, whose nodes are (depot, t) and
-    whose edges are the commodity's flow variables.  A cycle is a tuple of
-    (flow variable, +1 or -1): pushing one unit around it adds the sign to
-    each variable, which leaves every node's balance, and so every
+    """Every simple undirected cycle of at most `_MAX_CYCLE_EDGES` edges of
+    `_Graph`, heads at T + 1 included, whose nodes are cells and whose edges
+    are flow variables, so each cycle stays within one commodity.  A cycle is
+    a tuple of (flow variable, +1 or -1): pushing one unit around it adds the
+    sign to each variable, which leaves every cell's balance, and so every
     conservation row, unchanged."""
-    travel = _travel_times(model.instance)
+    g = _Graph(model)
     cycles: list[tuple[tuple[int, int], ...]] = []
-    adj: dict[tuple, list[tuple[int, tuple, int]]] = {}
-    edges = []
-    for v in model.variables:
-        if v.kind != FLOW:
-            continue
-        tail = (v.commodity, v.arc[0], v.time)
-        head = (v.commodity, v.arc[1], v.time + travel[v.arc])
-        edges.append((v.index, tail, head))
-        adj.setdefault(tail, []).append((v.index, head, 1))
-        adj.setdefault(head, []).append((v.index, tail, -1))
+    adj: dict[int, list[tuple[int, int, int]]] = {}
+    for i, tail, head in g.edges:
+        adj.setdefault(tail, []).append((i, head, 1))
+        adj.setdefault(head, []).append((i, tail, -1))
 
-    def extend(first: int, home: tuple, node: tuple, path: list, on_path: set):
+    def extend(first: int, home: int, node: int, path: list, on_path: set):
         for i, nxt, sign in adj[node]:
             if i <= first:
                 continue
@@ -838,7 +782,7 @@ def _flow_cycles(model: Model) -> list[tuple[tuple[int, int], ...]]:
                 path.pop()
 
     # each cycle once: from the tail of its lowest-indexed edge, along that edge
-    for first, tail, head in edges:
+    for first, tail, head in g.edges:
         extend(first, tail, head, [(first, 1)], {tail, head})
     return cycles
 
@@ -853,23 +797,22 @@ class _Chain:
     rejects most moves."""
 
     def __init__(self, model: Model):
-        loads = {c.id: int(c.load) for c in model.instance.commodities}
+        g = _Graph(model)
         cost_of = dict(model.objective)
-        vehicle_idx = model.vehicle_index()
-        self.capacity = int(model.instance.capacity)
+        self.capacity = g.capacity
         self.start = _start_flows(model)
-        self.ub = [v.upper_bound for v in model.variables]
-        self.vehicles = list(vehicle_idx.values())
+        self.ub = [v.upper_bound for v in g.variables]
+        self.vehicles = list(g.vehicle_index.values())
         self.cost = [cost_of.get(z, 0.0) for z in self.vehicles]
         self.z_ub = [self.ub[z] for z in self.vehicles]
         self.mass = [0] * len(self.vehicles)
-        key_of = {z: k for k, z in enumerate(self.vehicles)}
+        key_of = {key: k for k, key in enumerate(g.vehicle_index)}
         edge = {}
-        for v in model.variables:
-            if v.kind == FLOW:
-                k = key_of[vehicle_idx[(v.arc, v.time)]]
-                edge[v.index] = (k, loads[v.commodity])
-                self.mass[k] += self.start[v.index] * loads[v.commodity]
+        for i, _, _ in g.edges:
+            v = g.variables[i]
+            k, load = key_of[(v.arc, v.time)], g.loads[v.commodity]
+            edge[i] = (k, load)
+            self.mass[k] += self.start[i] * load
         self.moves = [
             tuple(tuple(sorted(((i, d * s, edge[i][0], d * s * edge[i][1]) for i, s in cycle),
                                key=lambda e: e[1]))
@@ -894,8 +837,7 @@ class _Chain:
             exp = math.exp
             temperature = t_start
             objective = best_objective = 0.0   # relative to the start
-            for _, dir_draws, pick_draws, accept_draws in _sweep_draws(rng, self.n_flows,
-                                                                      sweeps):
+            for dir_draws, pick_draws, accept_draws in _sweep_draws(rng, self.n_flows, sweeps):
                 for up, pick, accept in zip(dir_draws, pick_draws, accept_draws):
                     move = moves[int(pick * n_moves)][up]
                     d_obj = 0.0
@@ -937,9 +879,11 @@ def _lemire_threshold(bound: int) -> int:
 
 
 def _sweep_draws(rng: np.random.Generator, n: int, sweeps: int):
-    """Yield, for each sweep, the lists `rng.integers(0, n, n)`,
-    `rng.integers(0, 2, n)`, `rng.random(n)` and `rng.random(n)` would
-    return, called in that order, and leave `rng` where those calls would.
+    """Yield, for each sweep, the lists `rng.integers(0, 2, n)`,
+    `rng.random(n)` and `rng.random(n)` would return after a call to
+    `rng.integers(0, n, n)`, called in that order, and leave `rng` where
+    those four calls would.  The first call's draws are consumed but never
+    decoded: the chain does not read them.
 
     numpy's PCG64 hands out 64-bit words.  A bounded draw takes a uint32
     (the low half of a word first, then its high half) and returns
@@ -967,16 +911,16 @@ def _sweep_draws(rng: np.random.Generator, n: int, sweeps: int):
         if ((scaled & _U32) < threshold).any():
             bitgen.state = start
             break
-        var_draws = (scaled >> 32).tolist()
         dir_draws = (u32[:, n:] >> 31).tolist()
         doubles = (raw[:, n:] >> 11) * 2.0**-53
-        kind_draws = doubles[:, :n].tolist()
+        pick_draws = doubles[:, :n].tolist()
         accept_draws = doubles[:, n:].tolist()
-        yield from zip(var_draws, dir_draws, kind_draws, accept_draws)
+        yield from zip(dir_draws, pick_draws, accept_draws)
         done += block
     for _ in range(sweeps - done):
-        yield (rng.integers(0, n, size=n).tolist(), rng.integers(0, 2, size=n).tolist(),
-               rng.random(size=n).tolist(), rng.random(size=n).tolist())
+        rng.integers(0, n, size=n)
+        yield (rng.integers(0, 2, size=n).tolist(), rng.random(size=n).tolist(),
+               rng.random(size=n).tolist())
 
 
 def summarize_samples(s: SampleSet) -> SummaryStats:

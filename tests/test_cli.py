@@ -272,6 +272,16 @@ class TestInputFaults:
         assert "too large" in proc.stderr
         assert "infeasible" not in proc.stderr
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    @pytest.mark.parametrize("command", [("compile",), ("solve", "--method", "anneal")],
+                             ids=["compile", "solve-anneal"])
+    def test_non_finite_alpha(self, micro_doc, tmp_path, command, alpha):
+        proc = run_cli(*command, "--instance", str(micro_doc), "--alpha", alpha,
+                       "--out", str(tmp_path / "out"))
+        assert_one_line_error(proc)
+        assert "alpha must be a positive finite number" in proc.stderr
+        assert "too large" not in proc.stderr
+
     def test_huge_integer_in_cost_map(self, tmp_path):
         costs = dict.fromkeys(("N1->N2", "N2->N3", "N2->N4", "N3->N6",
                                "N3->N4", "N4->N5", "N6->N7", "N4->N3"), 1)
@@ -358,6 +368,18 @@ class TestSeedHandling:
                      "--samples", "4", "--seed", "5", "--out", str(out2))
         assert (out1 / "samples.csv").read_text().splitlines()[1].split(",")[:2] == \
             (out2 / "samples.csv").read_text().splitlines()[1].split(",")[:2]
+
+    def test_negative_flag_seed(self, micro_doc, tmp_path):
+        proc = run_cli("solve", "--instance", str(micro_doc), "--method", "anneal",
+                       "--seed", "-1", "--out", str(tmp_path / "out"))
+        assert_one_line_error(proc)
+        assert "--seed must be a non-negative integer" in proc.stderr
+
+    def test_negative_env_seed(self, micro_doc, tmp_path):
+        proc = run_cli("solve", "--instance", str(micro_doc), "--method", "anneal",
+                       "--out", str(tmp_path / "out"), env={"HAMFLOW_SEED": "-4"})
+        assert_one_line_error(proc)
+        assert "HAMFLOW_SEED='-4' must be a non-negative integer" in proc.stderr
 
 
 class TestReports:

@@ -470,10 +470,15 @@ def _four_calls(rng, n, sweeps):
             for _ in range(sweeps)]
 
 
+def _last_three(rng, n, sweeps):
+    """The lists `_sweep_draws` yields: the last three of each sweep's four."""
+    return [calls[1:] for calls in _four_calls(rng, n, sweeps)]
+
+
 class TestSweepDraws:
-    """`_sweep_draws` decodes blocks of raw words into exactly the lists the
-    four numpy calls a sweep would return, and leaves the generator where
-    they would.  The sweep count is not a multiple of the block."""
+    """`_sweep_draws` decodes blocks of raw words into exactly the last three
+    lists of the four numpy calls a sweep would make, and leaves the
+    generator where they would.  The sweep count is not a multiple of the block."""
 
     sweeps = 2 * solvers._BLOCK_SWEEPS + 5
 
@@ -482,7 +487,7 @@ class TestSweepDraws:
     def test_matches_four_calls(self, n, seed):
         ref = np.random.default_rng([seed, 1])
         rng = np.random.default_rng([seed, 1])
-        assert list(solvers._sweep_draws(rng, n, self.sweeps)) == _four_calls(ref, n, self.sweeps)
+        assert list(solvers._sweep_draws(rng, n, self.sweeps)) == _last_three(ref, n, self.sweeps)
         assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
 
     def test_threshold_matches_numpys_rejection(self):
@@ -514,7 +519,7 @@ class TestSweepDraws:
             ref = np.random.default_rng([seed, 0])
             rng = _CountingGenerator(np.random.default_rng([seed, 0]))
             draws = list(solvers._sweep_draws(rng, n, self.sweeps))
-            assert draws == _four_calls(ref, n, self.sweeps)
+            assert draws == _last_three(ref, n, self.sweeps)
             assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
             fallback_sweeps.add(self.sweeps - rng.integer_calls // 2)
         block_starts = set(range(0, self.sweeps, solvers._BLOCK_SWEEPS))
