@@ -21,16 +21,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .instance import (
     Instance,
     arc_key,
     earliest_presence,
     latest_useful_presence,
+    mass_balance_findings,
     parse_arc_key,
     shortest_travel_times,
-    validate_instance,
 )
 
 FLOW = "flow"
@@ -129,8 +129,7 @@ def expand_model(inst: Instance) -> Model:
     Rejects instances whose per-commodity scheduled masses do not cancel;
     those could only produce an unsatisfiable model.
     """
-    report = validate_instance(inst)
-    balance = [f for f in report.findings if f.kind == "mass_balance"]
+    balance = mass_balance_findings(inst)
     if balance:
         raise ModelError("instance fails mass balance: " + "; ".join(f.message for f in balance))
 
@@ -142,62 +141,53 @@ def expand_model(inst: Instance) -> Model:
         demand[(e.depot, e.commodity, e.time)] = _as_exact_int(
             e.amount, f"schedule amount at ({e.depot}, {e.commodity}, t={e.time})")
 
-    supply_units = {c.id: _as_exact_int(inst.total_supply_mass(c.id), "supply mass") // loads[c.id]
-                    for c in inst.commodities}
-    total_supply_mass = sum(inst.total_supply_mass(c.id) for c in inst.commodities)
-    vehicle_ub = math.ceil(total_supply_mass / capacity)
+    supply_mass = {c.id: inst.total_supply_mass(c.id) for c in inst.commodities}
+    supply_units = {cid: _as_exact_int(mass, "supply mass") // loads[cid]
+                    for cid, mass in supply_mass.items()}
+    vehicle_ub = math.ceil(sum(supply_mass.values()) / capacity)
 
+    # (pair, end) per arc: departures run over range(1, end), the steps t
+    # with t + travel_time <= T + 1
+    arcs = [(a.pair, T + 2 - a.travel_time) for a in inst.arcs]
     variables: list[Variable] = []
     flow_idx: dict[tuple, int] = {}
     vehicle_idx: dict[tuple, int] = {}
-    for a in inst.arcs:
-        for c in inst.commodities:
-            for t in range(1, T + 1):
-                if t + a.travel_time > T + 1:
-                    continue
-                v = Variable(len(variables), FLOW, a.pair, c.id, t, supply_units[c.id])
-                variables.append(v)
-                flow_idx[(a.pair, c.id, t)] = v.index
-    for a in inst.arcs:
-        for t in range(1, T + 1):
-            if t + a.travel_time > T + 1:
-                continue
-            v = Variable(len(variables), VEHICLE, a.pair, None, t, vehicle_ub)
-            variables.append(v)
-            vehicle_idx[(a.pair, t)] = v.index
+    for pair, end in arcs:
+        for cid, units in supply_units.items():
+            for t in range(1, end):
+                flow_idx[(pair, cid, t)] = i = len(variables)
+                variables.append(Variable(i, FLOW, pair, cid, t, units))
+    for pair, end in arcs:
+        for t in range(1, end):
+            vehicle_idx[(pair, t)] = i = len(variables)
+            variables.append(Variable(i, VEHICLE, pair, None, t, vehicle_ub))
 
     constraints: list[LinearConstraint] = []
     for d in inst.depots:
-        out_arcs, in_arcs = inst.out_arcs(d.id), inst.in_arcs(d.id)
-        for c in inst.commodities:
+        out_pairs = [a.pair for a in inst.out_arcs(d.id)]
+        in_arcs = [(a.pair, a.travel_time) for a in inst.in_arcs(d.id)]
+        for cid, load in loads.items():
             for t in range(1, T + 1):
                 terms: list[tuple[int, int]] = []
-                for a in out_arcs:
-                    i = flow_idx.get((a.pair, c.id, t))
+                for pair in out_pairs:
+                    i = flow_idx.get((pair, cid, t))
                     if i is not None:
-                        terms.append((i, loads[c.id]))
-                for a in in_arcs:
-                    i = flow_idx.get((a.pair, c.id, t - a.travel_time))
+                        terms.append((i, load))
+                for pair, travel in in_arcs:
+                    i = flow_idx.get((pair, cid, t - travel))
                     if i is not None:
-                        terms.append((i, -loads[c.id]))
+                        terms.append((i, -load))
                 constraints.append(LinearConstraint(
-                    terms=tuple(terms), relation="eq",
-                    rhs=demand.get((d.id, c.id, t), 0),
-                    tag=("conservation", d.id, c.id, t)))
-    for a in inst.arcs:
-        for t in range(1, T + 1):
-            zi = vehicle_idx.get((a.pair, t))
-            if zi is None:
-                continue
-            terms = [(flow_idx[(a.pair, c.id, t)], loads[c.id]) for c in inst.commodities]
-            terms.append((zi, -capacity))
-            constraints.append(LinearConstraint(
-                terms=tuple(terms), relation="le", rhs=0,
-                tag=("capacity", a.pair, t)))
+                    tuple(terms), "eq", demand.get((d.id, cid, t), 0),
+                    ("conservation", d.id, cid, t)))
+    for pair, end in arcs:
+        for t in range(1, end):
+            terms = [(flow_idx[(pair, cid, t)], load) for cid, load in loads.items()]
+            terms.append((vehicle_idx[(pair, t)], -capacity))
+            constraints.append(LinearConstraint(tuple(terms), "le", 0, ("capacity", pair, t)))
 
-    objective = tuple((vehicle_idx[(a.pair, t)], a.cost)
-                      for a in inst.arcs for t in range(1, T + 1)
-                      if (a.pair, t) in vehicle_idx)
+    objective = tuple((vehicle_idx[(pair, t)], a.cost)
+                      for a, (pair, end) in zip(inst.arcs, arcs) for t in range(1, end))
     return Model(instance=inst, variables=tuple(variables),
                  constraints=tuple(constraints), objective=objective)
 
@@ -215,39 +205,45 @@ def prune_model(model: Model) -> Model:
     dist = shortest_travel_times(inst)
     earliest = {c.id: earliest_presence(inst, c.id, dist) for c in inst.commodities}
     latest = {c.id: latest_useful_presence(inst, c.id, dist) for c in inst.commodities}
-
     travel = {a.pair: a.travel_time for a in inst.arcs}
 
-    def keep(v: Variable) -> bool:
-        if v.kind != FLOW:
-            return False
-        tail, head = v.arc
-        if v.time < earliest[v.commodity][tail]:
-            return False
-        return v.time + travel[v.arc] <= latest[v.commodity][head]
+    live_flows = set()
+    live_arc_times = set()
+    for v in model.variables:
+        if v.kind == FLOW:
+            tail, head = arc = v.arc
+            t = v.time
+            if earliest[v.commodity][tail] <= t and t + travel[arc] <= latest[v.commodity][head]:
+                live_flows.add(v.index)
+                live_arc_times.add((arc, t))
 
-    kept_flow = [v for v in model.variables if v.kind == FLOW and keep(v)]
-    live_arc_times = {(v.arc, v.time) for v in kept_flow}
-    kept = list(kept_flow) + [v for v in model.variables
-                              if v.kind == VEHICLE and (v.arc, v.time) in live_arc_times]
-    kept.sort(key=lambda v: v.index)
-    remap = {v.index: i for i, v in enumerate(kept)}
-    variables = tuple(replace(v, index=remap[v.index]) for v in kept)
+    # variables are stored in index order, so keeping that order reindexes densely
+    remap: dict[int, int] = {}
+    variables = []
+    for v in model.variables:
+        if v.kind == FLOW:
+            keep = v.index in live_flows
+        else:
+            keep = v.kind == VEHICLE and (v.arc, v.time) in live_arc_times
+        if keep:
+            remap[v.index] = i = len(variables)
+            variables.append(Variable(i, v.kind, v.arc, v.commodity, v.time, v.upper_bound))
 
     constraints: list[LinearConstraint] = []
     for c in model.constraints:
-        terms = tuple((remap[i], a) for (i, a) in c.terms if i in remap)
-        if c.tag[0] == "capacity" and (c.tag[1], c.tag[2]) not in live_arc_times:
+        tag = c.tag
+        if tag[0] == "capacity" and (tag[1], tag[2]) not in live_arc_times:
             continue
+        terms = tuple([(remap[i], a) for i, a in c.terms if i in remap])
         if not terms:
             if c.rhs != 0:
                 raise InfeasibleModelError(
                     f"constraint {c.tag} requires {c.rhs} but every variable was pruned")
             continue
-        constraints.append(replace(c, terms=terms))
+        constraints.append(LinearConstraint(terms, c.relation, c.rhs, tag))
 
     objective = tuple((remap[i], cost) for (i, cost) in model.objective if i in remap)
-    return Model(instance=inst, variables=variables,
+    return Model(instance=inst, variables=tuple(variables),
                  constraints=tuple(constraints), objective=objective)
 
 

@@ -7,8 +7,8 @@ with range {0 .. capacity * ub(z)} to become an equality before squaring.
 
 H is stored as linear coefficients C_i, a symmetric quadratic map J_ij kept
 once per unordered pair (i <= j, diagonal included), and a constant offset;
-the polynomial degree never exceeds 2 for this compiler even though the
-export format would admit degree 3..5 terms.
+the polynomial degree never exceeds 2, and parse_hamiltonian rejects a
+term of any other degree.
 
 Variable order: all model decision variables first (model order), then one
 slack per capacity constraint in constraint order.  Each variable carries a
@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Sequence
 
 from .expansion import Assignment, Model, row_residuals
@@ -100,16 +102,16 @@ def compile_hamiltonian(model: Model, alpha: float | None = None) -> Hamiltonian
     # equality rows: conservation rows verbatim, capacity rows with one slack
     # ranging over rhs minus the lowest value the row's left side takes within
     # the bounds (capacity * ub(z) for a capacity row)
-    rows: list[tuple[list[tuple[int, int]], int]] = []
+    rows: list[tuple[tuple[tuple[int, int], ...], int]] = []
     ub = [v.upper_bound for v in model.variables]
     for c in model.constraints:
         if c.relation == "eq":
-            rows.append((list(c.terms), c.rhs))
+            rows.append((c.terms, c.rhs))
             continue
         levels = c.rhs - sum(coef * ub[i] for i, coef in c.terms if coef < 0)
         slack = HamiltonianVariable(len(variables), (SLACK, c.tag), levels)
         variables.append(slack)
-        rows.append((list(c.terms) + [(slack.index, 1)], c.rhs))
+        rows.append(((*c.terms, (slack.index, 1)), c.rhs))
 
     linear: dict[int, float] = {}
     quadratic: dict[tuple[int, int], float] = {}
@@ -117,17 +119,21 @@ def compile_hamiltonian(model: Model, alpha: float | None = None) -> Hamiltonian
     for i, cost in model.objective:
         if cost != 0:
             linear[i] = linear.get(i, 0.0) + cost
+    # scale * a and scale * b associate left to right as 2.0 * alpha * rhs * a
+    # and 2.0 * alpha * a * b do, so each product rounds the same way
+    two_alpha = 2.0 * alpha
+    lget, qget = linear.get, quadratic.get
     for terms, rhs in rows:
-        for i, a in terms:
-            if rhs != 0:
-                linear[i] = linear.get(i, 0.0) - 2.0 * alpha * rhs * a
-        for p in range(len(terms)):
-            i, a = terms[p]
-            quadratic[(i, i)] = quadratic.get((i, i), 0.0) + alpha * a * a
-            for q in range(p + 1, len(terms)):
-                j, b = terms[q]
+        if rhs != 0:
+            scale = two_alpha * rhs
+            for i, a in terms:
+                linear[i] = lget(i, 0.0) - scale * a
+        for p, (i, a) in enumerate(terms, 1):
+            quadratic[(i, i)] = qget((i, i), 0.0) + alpha * a * a
+            scale = two_alpha * a
+            for j, b in terms[p:]:
                 key = (i, j) if i <= j else (j, i)
-                quadratic[key] = quadratic.get(key, 0.0) + 2.0 * alpha * a * b
+                quadratic[key] = qget(key, 0.0) + scale * b
         offset += alpha * rhs * rhs
 
     linear = {i: v for i, v in linear.items() if v != 0}
@@ -136,8 +142,9 @@ def compile_hamiltonian(model: Model, alpha: float | None = None) -> Hamiltonian
         sum_constraint = float(sum(v.levels for v in variables))
     except OverflowError:
         sum_constraint = math.inf
-    if not all(math.isfinite(x) for x in (alpha, offset, sum_constraint,
-                                          *linear.values(), *quadratic.values())):
+    isfinite = math.isfinite
+    if not (all(map(isfinite, (alpha, offset, sum_constraint)))
+            and all(map(isfinite, linear.values())) and all(map(isfinite, quadratic.values()))):
         raise CompileError("costs or capacity too large: the Hamiltonian's coefficients "
                            "or level count overflow a float")
     h = Hamiltonian(variables=tuple(variables), linear=linear, quadratic=quadratic,
@@ -215,15 +222,21 @@ def _fmt(x: float) -> str:
 def export_hamiltonian(h: Hamiltonian, dest, metadata: dict[str, str] | None = None) -> None:
     """Write the polynomial file; byte-deterministic for identical inputs."""
     r = _fmt(h.sum_constraint) if h.sum_constraint is not None else "none"
-    dest.write(f"HAMILTONIAN v1 vars={h.num_variables} alpha={_fmt(h.alpha)} "
-               f"offset={_fmt(h.offset)} R={r}\n")
-    dest.write("LEVELS" + "".join(f" {v.levels}" for v in h.variables) + "\n")
-    for key in sorted(metadata or {}):
-        dest.write(f"# {key} {metadata[key]}\n")
-    for i in sorted(h.linear):
-        dest.write(f"1 {i} {_fmt(h.linear[i])}\n")
-    for i, j in sorted(h.quadratic):
-        dest.write(f"2 {i} {j} {_fmt(h.quadratic[(i, j)])}\n")
+    lines = [f"HAMILTONIAN v1 vars={h.num_variables} alpha={_fmt(h.alpha)} "
+             f"offset={_fmt(h.offset)} R={r}\n",
+             "LEVELS" + "".join(f" {v.levels}" for v in h.variables) + "\n"]
+    lines += [f"# {key} {metadata[key]}\n" for key in sorted(metadata or {})]
+    # a compiled Hamiltonian has few distinct coefficients: format each once.
+    # Zeros are formatted apart, since -0.0 == 0.0 as a key but not as text
+    linear, quadratic = h.linear, h.quadratic
+    text = {x: _fmt(x) for x in {*linear.values(), *quadratic.values()} if x}
+    for i in sorted(linear):
+        x = linear[i]
+        lines.append(f"1 {i} {text[x] if x else _fmt(x)}\n")
+    for key in sorted(quadratic):
+        x = quadratic[key]
+        lines.append(f"2 {key[0]} {key[1]} {text[x] if x else _fmt(x)}\n")
+    dest.write("".join(lines))
 
 
 class PolynomialFormatError(Exception):
@@ -235,42 +248,69 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
 
     Variable origins are not part of the format, so parsed variables carry
     origin None; coefficients, levels, alpha, offset, and R round-trip exactly.
+    Only degree-1 and degree-2 terms are read; any other line, a token that
+    is not a number, an index outside [0, vars) and a non-finite number
+    raise PolynomialFormatError.
     """
     lines = text.splitlines()
     if not lines or not lines[0].startswith("HAMILTONIAN v1 "):
         raise PolynomialFormatError("missing 'HAMILTONIAN v1' header")
-    fields = dict(part.split("=", 1) for part in lines[0].split()[2:])
     try:
+        fields = dict(part.split("=", 1) for part in lines[0].split()[2:])
         n = int(fields["vars"])
         alpha = float(fields["alpha"])
         offset = float(fields["offset"])
         r = None if fields["R"] == "none" else float(fields["R"])
     except (KeyError, ValueError) as exc:
         raise PolynomialFormatError(f"bad header: {lines[0]!r}") from exc
+    if not all(map(math.isfinite, (alpha, offset, 0.0 if r is None else r))):
+        raise PolynomialFormatError(f"bad header: {lines[0]!r}")
     if len(lines) < 2 or not lines[1].startswith("LEVELS"):
         raise PolynomialFormatError("missing LEVELS line")
-    levels = [int(tok) for tok in lines[1].split()[1:]]
+    levels = []
+    for tok in lines[1].split()[1:]:
+        try:
+            levels.append(int(tok))
+        except ValueError:
+            raise PolynomialFormatError(f"LEVELS entry {tok!r} is not an integer") from None
     if len(levels) != n:
         raise PolynomialFormatError(f"LEVELS lists {len(levels)} entries for {n} variables")
 
     linear: dict[int, float] = {}
     quadratic: dict[tuple[int, int], float] = {}
+    values: dict[str, float] = {}   # each distinct coefficient token converted once
     for line in lines[2:]:
-        if not line.strip() or line.startswith("#"):
-            continue
         tok = line.split()
-        if tok[0] == "1" and len(tok) == 3:
-            linear[int(tok[1])] = float(tok[2])
-        elif tok[0] == "2" and len(tok) == 4:
-            i, j = int(tok[1]), int(tok[2])
-            if i > j:
-                raise PolynomialFormatError(f"quadratic indices out of order: {line!r}")
-            quadratic[(i, j)] = float(tok[3])
-        else:
-            raise PolynomialFormatError(f"unrecognized term line: {line!r}")
-    for idx in list(linear) + [i for pair in quadratic for i in pair]:
-        if not 0 <= idx < n:
-            raise PolynomialFormatError(f"term index {idx} out of range")
+        if not tok or line[0] == "#":
+            continue
+        try:
+            if tok[0] == "1" and len(tok) == 3:
+                key = int(tok[1])
+                target = linear
+            elif tok[0] == "2" and len(tok) == 4:
+                key = (int(tok[1]), int(tok[2]))
+                if key[0] > key[1]:
+                    raise PolynomialFormatError(f"quadratic indices out of order: {line!r}")
+                target = quadratic
+            else:
+                raise PolynomialFormatError(f"unrecognized term line: {line!r}")
+            value = values.get(tok[-1])
+            if value is None:
+                value = values[tok[-1]] = float(tok[-1])
+                if not math.isfinite(value):
+                    raise PolynomialFormatError(f"non-finite coefficient: {line!r}")
+        except ValueError:
+            raise PolynomialFormatError(f"unrecognized term line: {line!r}") from None
+        target[key] = value
+
+    # quadratic pairs are ordered, so the extremes are the least first and
+    # the greatest second index; only a file that fails is walked in order
+    lo = min(min(linear, default=0), min(quadratic, default=(0,))[0])
+    hi = max(max(linear, default=0), max(map(itemgetter(1), quadratic), default=0))
+    if lo < 0 or hi >= n:
+        for idx in chain(linear, chain.from_iterable(quadratic)):
+            if not 0 <= idx < n:
+                raise PolynomialFormatError(f"term index {idx} out of range")
     return Hamiltonian(
         variables=tuple(HamiltonianVariable(i, None, lv) for i, lv in enumerate(levels)),
         linear=linear, quadratic=quadratic, offset=offset, alpha=alpha, sum_constraint=r)

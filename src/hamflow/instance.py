@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable
 
-# Expansion builds about 10 us and 1 KB per variable (2-core x86 host), and
+# Expansion builds about 8-9 us and 0.7 KB per variable, rows included
+# (waves instances of 2k-19k variables, 2-core Xeon host, Python 3.11), and
 # an annealer restart makes one cycle move per flow variable a sweep over 300
 # sweeps by default: well past this size no back-end finishes, and a horizon
 # like 1e300 would expand without end.
@@ -379,6 +380,19 @@ def _first_duplicate(items: Iterable):
 
 # --- validation -------------------------------------------------------------
 
+def mass_balance_findings(inst: Instance) -> list[Finding]:
+    """One finding per commodity whose scheduled masses do not cancel."""
+    findings = []
+    for c in inst.commodities:
+        balance = sum(e.amount for e in inst.schedule if e.commodity == c.id)
+        if abs(balance) > 1e-9:
+            findings.append(Finding(
+                "mass_balance",
+                f"commodity {c.id}: scheduled amounts sum to {balance:+g}, not 0; "
+                "instance is infeasible by mass balance"))
+    return findings
+
+
 def validate_instance(inst: Instance) -> ValidationReport:
     """Semantic checks beyond structure; findings, never exceptions.
 
@@ -388,14 +402,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
     first arrive at the depot (earliest-arrival pre-check over supply times
     and arc travel times).
     """
-    findings: list[Finding] = []
-    for c in inst.commodities:
-        balance = sum(e.amount for e in inst.schedule if e.commodity == c.id)
-        if abs(balance) > 1e-9:
-            findings.append(Finding(
-                "mass_balance",
-                f"commodity {c.id}: scheduled amounts sum to {balance:+g}, not 0; "
-                "instance is infeasible by mass balance"))
+    findings = mass_balance_findings(inst)
     by_id = {c.id: c for c in inst.commodities}
     for e in inst.schedule:
         if not _is_multiple(e.amount, by_id[e.commodity].load):

@@ -493,7 +493,10 @@ def find_feasible_flows(model: Model, vehicle_values: dict[int, int]) -> dict[in
                 return distribute(c, g.out[c], available // load, load)
         return True
 
-    return chosen if advance(0) else None
+    try:
+        return chosen if advance(0) else None
+    finally:
+        del distribute, advance   # they refer to each other: free them on return
 
 
 def _require_finite_objective(model: Model) -> None:
@@ -607,7 +610,10 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
         del z_fixed[v.index]
         cap_mass[key] = saved
 
-    dfs(0, 0.0, None, None)
+    try:
+        dfs(0, 0.0, None, None)
+    finally:
+        del dfs   # it refers to itself: free the search state on return
     wall = time.perf_counter() - start
 
     if best_values[0] is None:
@@ -782,8 +788,11 @@ def _flow_cycles(model: Model) -> list[tuple[tuple[int, int], ...]]:
                 path.pop()
 
     # each cycle once: from the tail of its lowest-indexed edge, along that edge
-    for first, tail, head in g.edges:
-        extend(first, tail, head, [(first, 1)], {tail, head})
+    try:
+        for first, tail, head in g.edges:
+            extend(first, tail, head, [(first, 1)], {tail, head})
+    finally:
+        del extend   # it refers to itself: free it on return
     return cycles
 
 

@@ -45,21 +45,25 @@ def published_schedule(case_study_pruned, reference_tables):
     return expansion.reconstruct_solution(case_study_pruned, reference_tables)
 
 
-def waves_model(k: int):
-    """The pruned model of the case study with its schedule repeated k times,
-    copy j shifted 2j steps later over a horizon of 4 + 2k; the k shifted
-    copies of the case-study optimum are optimal, at k times its cost."""
+def waves_instance(k: int) -> Instance:
+    """The case study with its schedule repeated k times, copy j shifted 2j
+    steps later over a horizon of 4 + 2k; the k shifted copies of the
+    case-study optimum are optimal, at k times its cost."""
     base = build_case_study(default_case_study_costs())
     merged: dict[tuple[str, str, int], float] = {}
     for j in range(k):
         for e in base.schedule:
             key = (e.depot, e.commodity, e.time + 2 * j)
             merged[key] = merged.get(key, 0.0) + e.amount
-    inst = Instance(depots=base.depots, arcs=base.arcs, commodities=base.commodities,
+    return Instance(depots=base.depots, arcs=base.arcs, commodities=base.commodities,
                     horizon=base.horizon + 2 * (k - 1), capacity=base.capacity,
                     schedule=tuple(ScheduleEntry(d, c, t, amount)
                                    for (d, c, t), amount in sorted(merged.items()) if amount))
-    return expansion.prune_model(expansion.expand_model(inst))
+
+
+def waves_model(k: int):
+    """The pruned model of `waves_instance(k)`."""
+    return expansion.prune_model(expansion.expand_model(waves_instance(k)))
 
 
 def micro_instance(cost: float = 5.0) -> Instance:

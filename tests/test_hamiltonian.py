@@ -16,6 +16,7 @@ from hamflow.hamiltonian import (
     Hamiltonian,
     HamiltonianVariable,
     NonIntegerCoefficientError,
+    PolynomialFormatError,
     choose_alpha,
     compile_hamiltonian,
     decode_point,
@@ -36,7 +37,7 @@ from hamflow.instance import (
 )
 from hamflow.solvers import solve_exact
 
-from conftest import GOLDEN_DIR, empty_schedule_instance, random_micro_model
+from conftest import GOLDEN_DIR, empty_schedule_instance, random_micro_model, waves_instance
 
 
 def slackwise_penalty(model, h, point):
@@ -377,6 +378,162 @@ class TestExport:
         term_lines = [l.split() for l in buf.getvalue().splitlines()[2:]]
         keys = [(int(t[0]), tuple(int(x) for x in t[1:-1])) for t in term_lines]
         assert keys == sorted(keys)
+
+
+HEADER = "HAMILTONIAN v1 vars=2 alpha=3 offset=0 R=2"
+
+
+def poly(*term_lines, header=HEADER, levels="LEVELS 1 1"):
+    return "\n".join([header, levels, *term_lines]) + "\n"
+
+
+class TestParseErrors:
+    """Every PolynomialFormatError the parser raises, with its message."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "missing 'HAMILTONIAN v1' header"),
+        ("HAMILTONIAN v2 vars=1 alpha=1 offset=0 R=1\nLEVELS 1\n",
+         "missing 'HAMILTONIAN v1' header"),
+        ("HAMILTONIAN v1 vars=2 alpha=3 offset=0 R=2\n", "missing LEVELS line"),
+        (poly(levels="LEVEL 1 1"), "missing LEVELS line"),
+        (poly(levels="LEVELS 1"), "LEVELS lists 1 entries for 2 variables"),
+        (poly(levels="LEVELS 1 1 1"), "LEVELS lists 3 entries for 2 variables"),
+    ])
+    def test_header_and_levels(self, text, message):
+        with pytest.raises(PolynomialFormatError) as exc:
+            parse_hamiltonian(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("header", [
+        "HAMILTONIAN v1 vars=two alpha=3 offset=0 R=2",
+        "HAMILTONIAN v1 vars=2 alpha=3 offset=0",
+        "HAMILTONIAN v1 vars=2 alpha=x offset=0 R=2",
+        "HAMILTONIAN v1 vars=2 alpha=3 offset=0 R=",
+        "HAMILTONIAN v1 vars=2 alpha=3 offset=0 R=2 junk",
+        "HAMILTONIAN v1 vars=2 alpha=inf offset=0 R=2",
+        "HAMILTONIAN v1 vars=2 alpha=3 offset=nan R=2",
+        "HAMILTONIAN v1 vars=2 alpha=3 offset=0 R=1e400",
+    ])
+    def test_bad_header(self, header):
+        with pytest.raises(PolynomialFormatError) as exc:
+            parse_hamiltonian(poly(header=header))
+        assert str(exc.value) == f"bad header: {header!r}"
+
+    @pytest.mark.parametrize("levels, entry", [("LEVELS 1 x", "x"), ("LEVELS 1.5 1", "1.5")])
+    def test_non_integer_levels_entry(self, levels, entry):
+        with pytest.raises(PolynomialFormatError) as exc:
+            parse_hamiltonian(poly(levels=levels))
+        assert str(exc.value) == f"LEVELS entry {entry!r} is not an integer"
+
+    @pytest.mark.parametrize("line", ["1 a 3.0", "1 0 abc", "1 0.0 1.5", "2 0 x 1.5",
+                                      "2 0 1 1.5.0"])
+    def test_non_numeric_term_token(self, line):
+        with pytest.raises(PolynomialFormatError) as exc:
+            parse_hamiltonian(poly("1 1 2.5", line))
+        assert str(exc.value) == f"unrecognized term line: {line!r}"
+
+    @pytest.mark.parametrize("line", ["1 0 1e400", "1 0 inf", "2 0 1 -inf", "2 1 1 nan"])
+    def test_non_finite_coefficient(self, line):
+        with pytest.raises(PolynomialFormatError) as exc:
+            parse_hamiltonian(poly("1 1 2.5", line))
+        assert str(exc.value) == f"non-finite coefficient: {line!r}"
+
+    def test_quadratic_indices_out_of_order(self):
+        with pytest.raises(PolynomialFormatError) as exc:
+            parse_hamiltonian(poly("1 0 1.5", "2 1 0 -2"))
+        assert str(exc.value) == "quadratic indices out of order: '2 1 0 -2'"
+
+    @pytest.mark.parametrize("line", [
+        "3 0 1 1 0.5",      # degree 3 is not read
+        "1 0",
+        "2 0 1",
+        "1 0 1.5 2",
+        "0 1.5",
+        " # not a comment: it is not at column 0",
+    ])
+    def test_unrecognized_term_line(self, line):
+        with pytest.raises(PolynomialFormatError) as exc:
+            parse_hamiltonian(poly("1 0 1.5", line))
+        assert str(exc.value) == f"unrecognized term line: {line!r}"
+
+    @pytest.mark.parametrize("lines, index", [
+        (("1 2 1.5",), 2),
+        (("1 -1 1.5",), -1),
+        (("2 0 7 1.5",), 7),
+        (("2 -3 1 1.5",), -3),
+        # linear indices are checked before quadratic ones, each in file order
+        (("2 0 9 1.5", "1 5 1.0", "1 6 1.0"), 5),
+        (("1 0 1.0", "2 0 8 1.5", "2 9 9 1.5"), 8),
+    ])
+    def test_index_out_of_range_names_the_first(self, lines, index):
+        with pytest.raises(PolynomialFormatError) as exc:
+            parse_hamiltonian(poly(*lines))
+        assert str(exc.value) == f"term index {index} out of range"
+
+    def test_comments_and_blank_lines_are_skipped(self):
+        h = parse_hamiltonian(poly("# relaxation_schedule 2", "", "   ", "1 0 1.5"))
+        assert h.linear == {0: 1.5} and h.quadratic == {}
+
+    def test_negative_zero_round_trips(self):
+        text = ("HAMILTONIAN v1 vars=1 alpha=1 offset=-0 R=-0\nLEVELS 1\n"
+                "1 0 -0\n2 0 0 -0\n")
+        h = parse_hamiltonian(text)
+        assert math.copysign(1.0, h.linear[0]) == -1.0
+        buf = io.StringIO()
+        export_hamiltonian(h, buf)
+        assert buf.getvalue() == text
+
+    def test_zero_and_negative_zero_keep_their_signs(self):
+        h = parse_hamiltonian(poly("1 0 0", "1 1 -0", "2 0 0 -0", "2 0 1 0"))
+        buf = io.StringIO()
+        export_hamiltonian(h, buf)
+        assert buf.getvalue().splitlines()[2:] == ["1 0 0", "1 1 -0", "2 0 0 -0", "2 0 1 0"]
+
+
+class TestLargeScaleBytes:
+    """sha256 pins of the 40-wave model (1926 pruned variables) through
+    dump, compile, export and parse, recorded before the front end was
+    rewritten for speed; dict orders are pinned because evaluate_energy
+    sums in dict order."""
+
+    @pytest.fixture(scope="class")
+    def waves40(self):
+        full = expand_model(waves_instance(40))
+        pruned = prune_model(full)
+        h = compile_hamiltonian(pruned)
+        buf = io.StringIO()
+        export_hamiltonian(h, buf, metadata=DEVICE_METADATA)
+        return full, pruned, h, buf.getvalue()
+
+    @staticmethod
+    def sha(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    @staticmethod
+    def ordered_terms(h) -> str:
+        return repr(list(h.linear.items())) + repr(list(h.quadratic.items()))
+
+    def test_model_dumps(self, waves40):
+        full, pruned, _, _ = waves40
+        assert self.sha(expansion.dump_model_json(full)) == \
+            "9e62b6ece006c60495089ae4292d5abb5c5b85aae9d0fe62e7ece3d78f1ec11c"
+        assert self.sha(expansion.dump_model_json(pruned)) == \
+            "78d506048ded1755570b78fd20914d2d74d197798b96f2474b689f5148269652"
+
+    def test_compiled_term_order(self, waves40):
+        _, _, h, _ = waves40
+        assert (len(h.linear), len(h.quadratic)) == (1122, 8970)
+        assert self.sha(self.ordered_terms(h)) == \
+            "0463e63a0b4c16a78808678521eb758a4c066fe77fe98c577653509cbbd0a661"
+
+    def test_export(self, waves40):
+        assert self.sha(waves40[3]) == \
+            "3b1ff10822bfb88b3db8514eaad9aa3ef4579504ae0dedbf6cbcb8083ec7cbf5"
+
+    def test_parsed_terms_in_file_order(self, waves40):
+        back = parse_hamiltonian(waves40[3])
+        assert self.sha(self.ordered_terms(back)) == \
+            "0557ca52842b975704feef74db23adef57c56c1284b24a3013bcfe91e5d1d94e"
 
 
 def test_energy_identity_on_random_micro_models():

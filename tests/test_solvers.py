@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import itertools
@@ -628,3 +629,33 @@ def test_annealer_feasible_samples_never_beat_the_oracle():
         for s in sset.samples:
             if s.feasible:
                 assert s.objective >= optimum.objective - 1e-9
+
+
+class TestNoCyclicGarbage:
+    """A solver call frees its search state on return: with the cyclic
+    collector off, a call leaves nothing for it to find."""
+
+    @pytest.fixture(scope="class")
+    def waves2(self):
+        model = waves_model(2)
+        best = solve_exact(model).sample.assignment.values
+        vehicles = {v.index: best[v.index] for v in model.variables if v.kind == expansion.VEHICLE}
+        return model, vehicles, compile_hamiltonian(model)
+
+    @pytest.mark.parametrize("name", ["solve_exact", "find_feasible_flows", "anneal_sample"])
+    def test_call_leaves_no_cycles(self, waves2, name):
+        model, vehicles, h = waves2
+        call = {
+            "solve_exact": lambda: solve_exact(model),
+            "find_feasible_flows": lambda: solvers.find_feasible_flows(model, vehicles),
+            "anneal_sample": lambda: anneal_sample(h, model, AnnealParams(restarts=1, sweeps=5),
+                                                   seed=3),
+        }[name]
+        call()   # warm up, so one-time import and cache objects are not counted
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
