@@ -277,7 +277,7 @@ def evaluate_objective(model: Model, a: Assignment) -> float:
     """Total vehicle cost sum(c * z); flow variables do not contribute."""
     if len(a.values) != len(model.variables):
         raise ValueError("assignment length mismatch")
-    return sum(cost * a.values[i] for i, cost in model.objective)
+    return sum((cost * a.values[i] for i, cost in model.objective), 0.0)
 
 
 def zero_assignment(model: Model) -> Assignment:

@@ -249,8 +249,9 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
     Variable origins are not part of the format, so parsed variables carry
     origin None; coefficients, levels, alpha, offset, and R round-trip exactly.
     Only degree-1 and degree-2 terms are read; any other line, a token that
-    is not a number, an index outside [0, vars) and a non-finite number
-    raise PolynomialFormatError.
+    is not a number, an index outside [0, vars), a non-finite number, an
+    alpha that is not positive, a negative level count and an R that no
+    point of the levels sums to raise PolynomialFormatError.
     """
     lines = text.splitlines()
     if not lines or not lines[0].startswith("HAMILTONIAN v1 "):
@@ -263,18 +264,26 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
         r = None if fields["R"] == "none" else float(fields["R"])
     except (KeyError, ValueError) as exc:
         raise PolynomialFormatError(f"bad header: {lines[0]!r}") from exc
-    if not all(map(math.isfinite, (alpha, offset, 0.0 if r is None else r))):
+    if not (alpha > 0 and all(map(math.isfinite, (alpha, offset, 0.0 if r is None else r)))):
         raise PolynomialFormatError(f"bad header: {lines[0]!r}")
     if len(lines) < 2 or not lines[1].startswith("LEVELS"):
         raise PolynomialFormatError("missing LEVELS line")
     levels = []
     for tok in lines[1].split()[1:]:
         try:
-            levels.append(int(tok))
+            level = int(tok)
         except ValueError:
             raise PolynomialFormatError(f"LEVELS entry {tok!r} is not an integer") from None
+        if level < 0:
+            raise PolynomialFormatError(f"LEVELS entry {tok!r} is negative")
+        levels.append(level)
     if len(levels) != n:
         raise PolynomialFormatError(f"LEVELS lists {len(levels)} entries for {n} variables")
+    # R is a sum of one value in 0..level per variable; compile writes
+    # float(total), which past 2**53 may round above total
+    total = sum(levels)
+    if r is not None and not (r >= 0 and r == int(r) and (r <= total or r == float(total))):
+        raise PolynomialFormatError(f"R={fields['R']} is not an integer in 0..{total}")
 
     linear: dict[int, float] = {}
     quadratic: dict[tuple[int, int], float] = {}

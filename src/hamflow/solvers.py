@@ -2,9 +2,11 @@
 tiny models, and a restart-based simulated annealer mirroring the sampling
 workflow of the target annealing hardware.
 
-Every back-end that walks the time-expanded network reads it from one
-`_Graph`: its (depot, commodity, t) cells, their scheduled masses and one
-edge per flow variable, derived from the model once per call.
+Every back-end that walks the time-expanded network builds one `_Graph`
+per call and hands it to its helpers: the (depot, commodity, t) cells, their
+scheduled masses and one edge per flow variable, tagged with the vehicle
+variable of its (arc, t).  That vehicle variable's index is the one key of
+every per-(arc, t) capacity.
 
 The branch-and-bound searches vehicle counts only; commodity flows are
 completed at the leaves by an exact integral-flow search, which gives no
@@ -12,9 +14,9 @@ flow variable more units than its destination can pass on to demands.  Two
 necessary relaxations prune internal nodes: a per-commodity max-flow over
 the time-expanded graph (timing) and a merged-mass max-flow (joint
 capacity).  Their networks are built once per solve; a node changes only
-the capacities of the arc edges of the one (arc, t) it branched on, so it
+the capacities of the arc edges of the one vehicle it branched on, so it
 keeps its parent's flow wherever that flow still fits and elsewhere repairs
-it: the excess on that (arc, t) is cancelled along flow paths and
+it: the excess on those edges is cancelled along flow paths and
 augmenting paths restore the rest.
 
 The annealer walks conservation-feasible flows only.  Each restart starts
@@ -95,20 +97,12 @@ class ExactResult:
 class AnnealParams:
     restarts: int = 40
     sweeps: int = 300
-    initial_temperature: float | None = None   # None: the dearest arc cost
-    final_temperature: float | None = None     # None: half the cheapest arc cost
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
-        for t in (self.initial_temperature, self.final_temperature):
-            if t is not None and t <= 0:
-                raise ValueError("temperatures must be positive")
-        if (self.initial_temperature is not None and self.final_temperature is not None
-                and self.final_temperature > self.initial_temperature):
-            raise ValueError("final temperature must not exceed the initial temperature")
 
 
 @dataclass(frozen=True)
@@ -162,14 +156,10 @@ def postprocess_flows(model: Model, a: Assignment) -> tuple[Assignment, Feasibil
     Vehicle variables are untouched, so the objective never changes; the
     returned report re-verifies the adjusted assignment.  Idempotent.
     """
-    vehicle_idx = model.vehicle_index()
     values = list(a.values)
-    for v in model.variables:
-        if v.kind != FLOW:
-            continue
-        zi = vehicle_idx.get((v.arc, v.time))
-        if zi is None or a.values[zi] == 0:
-            values[v.index] = 0
+    for i, _, _, z in _Graph(model).edges:
+        if a.values[z] == 0:
+            values[i] = 0
     adjusted = Assignment(values=tuple(values))
     return adjusted, verify_assignment(model, adjusted)
 
@@ -177,17 +167,21 @@ def postprocess_flows(model: Model, a: Assignment) -> tuple[Assignment, Feasibil
 # --- the time-expanded graph ---------------------------------------------------
 
 class _Graph:
-    """A model's time-expanded network, derived once per call by every
-    back-end that walks it.
+    """A model's time-expanded network, built once per back-end call and
+    passed to every helper that walks it.
 
-    `cells` are the (depot, commodity, t) for t in 1..T in (t, depot,
-    commodity) order, so cell c // len(loads) is its (depot, t) node and
-    every edge runs to a later cell.  `mass` maps each scheduled cell to its
-    signed integer mass, in schedule order.  `edges` holds one (flow
-    variable, tail cell, head cell) per flow variable, in index order; in an
-    unpruned model a head may be at T + 1, past the last cell.  `out[c]`
-    holds the edges leaving cell c whose head is within the horizon:
-    arrivals beyond it can never serve a demand.
+    `nodes` counts the (depot, t) for t in 1..T.  `cells` are the (depot,
+    commodity, t) for t in 1..T in (t, depot, commodity) order, so cell
+    c // len(loads) is its (depot, t) node and every edge runs to a later
+    cell.  `mass` maps each scheduled cell to its signed integer mass, in
+    schedule order.  `edges` holds one (flow variable, tail cell, head cell,
+    vehicle variable) per flow variable, in index order, the vehicle
+    variable being the one of the flow's (arc, t): every model that
+    `expand_model` or `prune_model` builds has one.  In an unpruned model a
+    head may be at T + 1, past the last cell.  `out[c]` holds the edges
+    leaving cell c whose head is within the horizon: arrivals beyond it can
+    never serve a demand.  `vehicles` lists the vehicle variables in index
+    order; every per-(arc, t) capacity is keyed by one of them.
     """
 
     def __init__(self, model: Model):
@@ -195,17 +189,20 @@ class _Graph:
         self.variables = model.variables
         self.loads = {c.id: int(c.load) for c in inst.commodities}
         self.capacity = int(inst.capacity)
-        self.vehicle_index = model.vehicle_index()
+        vehicle = model.vehicle_index()
+        self.vehicles = list(vehicle.values())
+        self.nodes = inst.horizon * len(inst.depots)
         keys = [(d.id, k, t) for t in range(1, inst.horizon + 2)
                 for d in inst.depots for k in self.loads]
         cell = {key: c for c, key in enumerate(keys)}      # heads at T + 1 included
-        self.cells = keys[:inst.horizon * len(inst.depots) * len(self.loads)]
+        self.cells = keys[:self.nodes * len(self.loads)]
         self.mass = {cell[(e.depot, e.commodity, e.time)]: int(e.amount) for e in inst.schedule}
         travel = {a.pair: a.travel_time for a in inst.arcs}
         self.edges = [(v.index, cell[(v.arc[0], v.commodity, v.time)],
-                       cell[(v.arc[1], v.commodity, v.time + travel[v.arc])])
+                       cell[(v.arc[1], v.commodity, v.time + travel[v.arc])],
+                       vehicle[(v.arc, v.time)])
                       for v in model.variables if v.kind == FLOW]
-        self.out: list[list[tuple[int, int, int]]] = [[] for _ in self.cells]
+        self.out: list[list[tuple[int, int, int, int]]] = [[] for _ in self.cells]
         for edge in self.edges:
             if edge[2] < len(self.cells):
                 self.out[edge[1]].append(edge)
@@ -220,57 +217,54 @@ def _presence_bounds(g: _Graph) -> list[int]:
     final before its own edges are pushed."""
     present = [max(g.mass.get(c, 0), 0) // g.loads[k] for c, (_, k, _) in enumerate(g.cells)]
     for c, edges in enumerate(g.out):
-        for i, _, head in edges:
+        for i, _, head, _ in edges:
             present[head] += min(present[c], g.variables[i].upper_bound)
     return present
 
 
-def _absorb_bounds(g: _Graph, cap_mass: dict[tuple, int] | None = None) -> list[int]:
+def _absorb_bounds(g: _Graph, cap_mass: dict[int, int] | None = None) -> list[int]:
     """Per-cell upper bound on the units that demands at or after that cell
     can take (backward DP): its own demand plus, per edge leaving it, the
     lesser of the variable's bound and what its head can take.  With
-    `cap_mass`, a variable also carries at most cap_mass[(arc, t)] // load
-    units."""
+    `cap_mass`, a variable also carries at most cap_mass[z] // load units,
+    z its vehicle variable."""
     absorb = [0] * len(g.cells)
     for c in range(len(g.cells) - 1, -1, -1):
         load = g.loads[g.cells[c][1]]
         units = max(-g.mass.get(c, 0), 0) // load
-        for i, _, head in g.out[c]:
-            v = g.variables[i]
-            bound = v.upper_bound
+        for i, _, head, z in g.out[c]:
+            bound = g.variables[i].upper_bound
             if cap_mass is not None:
-                bound = min(bound, cap_mass.get((v.arc, v.time), 0) // load)
+                bound = min(bound, cap_mass[z] // load)
             units += min(absorb[head], bound)
         absorb[c] = units
     return absorb
 
 
-def _vehicle_search_caps(model: Model) -> dict[int, int]:
+def _vehicle_search_caps(g: _Graph) -> dict[int, int]:
     """Largest useful vehicle count per vehicle variable: enough to cover the
-    most mass that could ever traverse that (arc, t).  Some optimum always
+    most mass that could ever traverse its (arc, t).  Some optimum always
     fits under these caps, so the search never looks above them."""
-    g = _Graph(model)
     present, absorb = _presence_bounds(g), _absorb_bounds(g)
-    max_mass: dict[tuple, int] = {}
+    max_mass = dict.fromkeys(g.vehicles, 0)
     for c, edges in enumerate(g.out):
-        for i, _, head in edges:
-            v = g.variables[i]
-            units = min(v.upper_bound, present[c], absorb[head])
-            key = (v.arc, v.time)
-            max_mass[key] = max_mass.get(key, 0) + units * g.loads[v.commodity]
-    return {z: min(g.variables[z].upper_bound, -(-max_mass.get(key, 0) // g.capacity))
-            for key, z in g.vehicle_index.items()}
+        load = g.loads[g.cells[c][1]]
+        for i, _, head, z in edges:
+            max_mass[z] += min(g.variables[i].upper_bound, present[c], absorb[head]) * load
+    return {z: min(g.variables[z].upper_bound, -(-mass // g.capacity))
+            for z, mass in max_mass.items()}
 
 
 class _Network:
     """One flow network over (depot, t) nodes whose adjacency never changes.
 
-    Source and sink edges have fixed capacities.  Each arc edge stands for
-    one (arc, departure t) key and has capacity min(ub, cap_mass[key] // load),
-    so only those capacities depend on the search node.  Edges are stored in
-    pairs: edge e ^ 1 is the reverse of edge e, so in a residual list the
-    flow on edge e is the residual capacity of e ^ 1.  Travel times are at
-    least 1, so every arc edge runs forward in time and the network is a DAG.
+    Source and sink edges have fixed capacities.  Each arc edge is keyed by
+    the vehicle variable of its (arc, departure t) and has capacity
+    min(ub, cap_mass[key] // load), so only those capacities depend on the
+    search node.  Edges are stored in pairs: edge e ^ 1 is the reverse of
+    edge e, so in a residual list the flow on edge e is the residual capacity
+    of e ^ 1.  Travel times are at least 1, so every arc edge runs forward in
+    time and the network is a DAG.
     """
 
     def __init__(self, n_nodes: int, arcs, sources, sinks, need: int):
@@ -282,7 +276,7 @@ class _Network:
         self.adj: list[list[int]] = [[] for _ in range(n_nodes + 2)]
         self.head: list[int] = []
         self.base: list[int] = []        # residual capacities before any flow
-        self.by_key: dict[tuple, list[tuple[int, int, int]]] = {}   # key: (edge, ub, load)
+        self.by_key: dict[int, list[tuple[int, int, int]]] = {}   # key: (edge, ub, load)
         for u, v, key, ub, load in arcs:
             self.by_key.setdefault(key, []).append((self._add(u, v, 0), ub, load))
         for v, cap in sources:
@@ -298,8 +292,8 @@ class _Network:
         self.adj[v].append(e + 1)
         return e
 
-    def solve(self, cap_mass: dict[tuple, int], res: list[int] | None = None,
-              key: tuple | None = None) -> list[int] | None:
+    def solve(self, cap_mass: dict[int, int], res: list[int] | None = None,
+              key: int | None = None) -> list[int] | None:
         """A flow of `need` units within the capacities of `cap_mass`, as a
         residual list, or None when none exists (the max-flow verdict).
 
@@ -394,41 +388,37 @@ class _FlowRelaxation:
     max-flow network per commodity (timing) and one merged-mass network with
     all commodities pooled (joint capacity), each built once."""
 
-    def __init__(self, model: Model):
-        g = _Graph(model)
+    def __init__(self, g: _Graph):
         per_node = len(g.loads)       # cells per (depot, t) node
-        n_nodes = len(g.cells) // per_node
-        inner = [(g.variables[i], tail // per_node, head // per_node)
-                 for i, tail, head in g.edges if head < len(g.cells)]
+        inner = [(g.variables[i], tail // per_node, head // per_node, z)
+                 for i, tail, head, z in g.edges if head < len(g.cells)]
         sup = [(g.cells[c][1], c // per_node, mass) for c, mass in g.mass.items() if mass > 0]
         dem = [(g.cells[c][1], c // per_node, -mass) for c, mass in g.mass.items() if mass < 0]
         self.networks = []
         for k, load in g.loads.items():
-            arcs = [(u, w, (v.arc, v.time), v.upper_bound, load)
-                    for v, u, w in inner if v.commodity == k]
+            arcs = [(u, w, z, v.upper_bound, load) for v, u, w, z in inner if v.commodity == k]
             self.networks.append(_Network(
-                n_nodes, arcs,
+                g.nodes, arcs,
                 [(n, mass // load) for c, n, mass in sup if c == k],
                 [(n, mass // load) for c, n, mass in dem if c == k],
                 sum(mass for c, _, mass in sup if c == k) // load))
-        merged: dict[tuple, list] = {}       # (arc, t): [u, w, key, ub mass, 1]
-        for v, u, w in inner:
-            key = (v.arc, v.time)
-            merged.setdefault(key, [u, w, key, 0, 1])[3] += v.upper_bound * g.loads[v.commodity]
+        merged: dict[int, list] = {}       # z: [u, w, z, ub mass, 1]
+        for v, u, w, z in inner:
+            merged.setdefault(z, [u, w, z, 0, 1])[3] += v.upper_bound * g.loads[v.commodity]
         self.networks.append(_Network(
-            n_nodes, merged.values(),
+            g.nodes, merged.values(),
             [(n, mass) for _, n, mass in sup],
             [(n, mass) for _, n, mass in dem],
             sum(mass for _, _, mass in sup)))
 
-    def feasible(self, cap_mass: dict[tuple, int], parent_flows: list | None,
-                 key: tuple | None) -> list | None:
-        """cap_mass: available mass per (arc, departure t).  Returns one
-        residual list per network when every network meets its demand, else
-        None.  `parent_flows` are the parent node's residual lists and `key`
-        the only (arc, t) whose cap_mass differs from the parent's (both None
-        at the root); each network repairs its parent's flow
-        (`_Network.solve`)."""
+    def feasible(self, cap_mass: dict[int, int], parent_flows: list | None,
+                 key: int | None) -> list | None:
+        """cap_mass: available mass per vehicle variable, that is per (arc,
+        departure t).  Returns one residual list per network when every
+        network meets its demand, else None.  `parent_flows` are the parent
+        node's residual lists and `key` the only vehicle variable whose
+        cap_mass differs from the parent's (both None at the root); each
+        network repairs its parent's flow (`_Network.solve`)."""
         flows = []
         for i, net in enumerate(self.networks):
             res = net.solve(cap_mass, None if parent_flows is None else parent_flows[i], key)
@@ -438,7 +428,7 @@ class _FlowRelaxation:
         return flows
 
 
-def find_feasible_flows(model: Model, vehicle_values: dict[int, int]) -> dict[int, int] | None:
+def find_feasible_flows(g: _Graph, vehicle_values: dict[int, int]) -> dict[int, int] | None:
     """Exact integral commodity flows under fixed vehicle counts, or None.
 
     Depth-first search over (time, depot, commodity) cells: everything
@@ -451,34 +441,30 @@ def find_feasible_flows(model: Model, vehicle_values: dict[int, int]) -> dict[in
     completion, so the first completion found is the one the bare
     enumeration finds.
     """
-    g = _Graph(model)
-    cap_left = {key: g.capacity * vehicle_values.get(z, 0) for key, z in g.vehicle_index.items()}
+    cap_left = {z: g.capacity * vehicle_values.get(z, 0) for z in g.vehicles}
     absorb = _absorb_bounds(g, cap_left)
     incoming = [0] * len(g.cells)
     chosen: dict[int, int] = {}
 
-    def room(i: int, load: int) -> int:
-        v = g.variables[i]
-        return min(v.upper_bound, cap_left.get((v.arc, v.time), 0) // load)
+    def room(i: int, z: int, load: int) -> int:
+        return min(g.variables[i].upper_bound, cap_left[z] // load)
 
     def distribute(c: int, options: list, units: int, load: int) -> bool:
         if not options:
             return units == 0 and advance(c + 1)
-        (i, _, head), rest = options[0], options[1:]
-        v = g.variables[i]
-        key = (v.arc, v.time)
-        cap_units = min(room(i, load), absorb[head] - incoming[head] // load)
-        lo = max(0, units - sum(room(j, load) for j, _, _ in rest))
+        (i, _, head, z), rest = options[0], options[1:]
+        cap_units = min(room(i, z, load), absorb[head] - incoming[head] // load)
+        lo = max(0, units - sum(room(j, y, load) for j, _, _, y in rest))
         for take in range(lo, min(cap_units, units) + 1):
             if take:
                 chosen[i] = take
-                cap_left[key] -= take * load
+                cap_left[z] -= take * load
                 incoming[head] += take * load
             if distribute(c, rest, units - take, load):
                 return True
             if take:
                 chosen.pop(i)
-                cap_left[key] += take * load
+                cap_left[z] += take * load
                 incoming[head] -= take * load
         return False
 
@@ -527,8 +513,8 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     start = time.perf_counter()
     g = _Graph(model)
     capacity = g.capacity
-    relax = _FlowRelaxation(model)
-    caps = _vehicle_search_caps(model)
+    relax = _FlowRelaxation(g)
+    caps = _vehicle_search_caps(g)
     cost_of = dict(model.objective)
 
     branch_vars = [v for v in model.variables if v.kind == VEHICLE and caps[v.index] > 0]
@@ -543,8 +529,8 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     required = {d: -(-m // capacity) for d, m in demand_mass.items()}
     in_arc_vars = {d: [v for v in branch_vars if v.arc[1] == d] for d in required}
 
-    z_fixed: dict[int, int] = {z: 0 for z in g.vehicle_index.values() if caps[z] == 0}
-    cap_mass = {key: capacity * caps[z] for key, z in g.vehicle_index.items()}
+    z_fixed: dict[int, int] = {z: 0 for z in g.vehicles if caps[z] == 0}
+    cap_mass = {z: capacity * caps[z] for z in g.vehicles}
 
     best_cost = [math.inf]
     best_values: list[tuple[int, ...] | None] = [None]
@@ -572,7 +558,7 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
                 bound += short * open_cost
         return bound
 
-    def dfs(depth: int, cost_so_far: float, parent_flows: list | None, changed: tuple | None):
+    def dfs(depth: int, cost_so_far: float, parent_flows: list | None, changed: int | None):
         nodes[0] += 1
         if nodes[0] % 512 == 0 and time.perf_counter() - start > time_limit:
             timed_out[0] = True
@@ -586,7 +572,7 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
         if relax_flows is None:
             return
         if depth == len(branch_vars):
-            flows = find_feasible_flows(model, z_fixed)
+            flows = find_feasible_flows(g, z_fixed)
             if flows is None:
                 return
             values = [0] * len(model.variables)
@@ -597,18 +583,17 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
             best_cost[0] = cost_so_far
             best_values[0] = tuple(values)
             return
-        v = branch_vars[depth]
-        cost = cost_of.get(v.index, 0.0)
-        key = (v.arc, v.time)
-        saved = cap_mass[key]
-        for value in range(0, caps[v.index] + 1):
-            z_fixed[v.index] = value
-            cap_mass[key] = capacity * value
-            dfs(depth + 1, cost_so_far + cost * value, relax_flows, key)
+        z = branch_vars[depth].index
+        cost = cost_of.get(z, 0.0)
+        saved = cap_mass[z]
+        for value in range(0, caps[z] + 1):
+            z_fixed[z] = value
+            cap_mass[z] = capacity * value
+            dfs(depth + 1, cost_so_far + cost * value, relax_flows, z)
             if timed_out[0]:
                 break
-        del z_fixed[v.index]
-        cap_mass[key] = saved
+        del z_fixed[z]
+        cap_mass[z] = saved
 
     try:
         dfs(0, 0.0, None, None)
@@ -632,13 +617,21 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
 def brute_force_oracle(model: Model, limit: int = 10**7) -> ExactResult:
     """Exhaustive enumeration over the full bound box; exists to certify
     solve_exact on tiny models and shares no search logic with it.  Raises
-    ModelError when the objective overflows (`_require_finite_objective`)."""
+    ModelError when the objective overflows (`_require_finite_objective`) or
+    when a row's terms could leave int64, in which the box is evaluated:
+    the row's sum of |coefficient| * max(bound, 1), plus |rhs|, reaches
+    2**63."""
     _require_finite_objective(model)
     start = time.perf_counter()
     dims = [v.upper_bound + 1 for v in model.variables]
     space = math.prod(dims)
     if space > limit:
         raise SearchSpaceTooLargeError(f"search space {space} exceeds limit {limit}")
+    for c in model.constraints:
+        if abs(c.rhs) + sum(abs(a) * max(model.variables[i].upper_bound, 1)
+                                 for i, a in c.terms) >= 2**63:
+            raise ModelError(f"row {c.tag} too large for exhaustive enumeration: "
+                             "its terms can reach 2**63")
 
     n = len(model.variables)
     m = len(model.constraints)
@@ -715,12 +708,8 @@ def anneal_sample(h: Hamiltonian, model: Model, params: AnnealParams | None = No
     chain = _Chain(model)
 
     costs = [c for _, c in model.objective if c > 0]
-    t_start = params.initial_temperature
-    if t_start is None:
-        t_start = max(costs, default=1.0)
-    t_end = params.final_temperature
-    if t_end is None:
-        t_end = min(min(costs, default=1.0), t_start) / 2
+    t_start = max(costs, default=1.0)
+    t_end = min(costs, default=1.0) / 2
     cooling = (t_end / t_start) ** (1.0 / max(params.sweeps - 1, 1))
 
     samples = []
@@ -738,39 +727,37 @@ def anneal_sample(h: Hamiltonian, model: Model, params: AnnealParams | None = No
     return SampleSet(samples=tuple(samples), seed=seed, params=params)
 
 
-def _start_flows(model: Model) -> list[int]:
+def _start_flows(g: _Graph) -> list[int]:
     """A conservation-feasible integral flow, as a full value list with every
     vehicle count at zero: each commodity's max-flow network of
-    `_FlowRelaxation`, solved with every (arc, t) open to its vehicle bound.
-    A commodity that cannot be routed keeps zero flows."""
-    g = _Graph(model)
-    cap_mass = {key: g.capacity * g.variables[z].upper_bound
-                for key, z in g.vehicle_index.items()}
-    flow_idx = model.flow_index()
+    `_FlowRelaxation`, solved with every vehicle variable at its bound.  A
+    commodity that cannot be routed keeps zero flows."""
+    cap_mass = {z: g.capacity * g.variables[z].upper_bound for z in g.vehicles}
     values = [0] * len(g.variables)
-    for k, net in zip(g.loads, _FlowRelaxation(model).networks):
+    for k, net in zip(g.loads, _FlowRelaxation(g).networks):
         res = net.solve(cap_mass)
         if res is None:
             continue
-        for (arc, t), ((e, _, _),) in net.by_key.items():
-            values[flow_idx[(arc, k, t)]] = res[e ^ 1]
+        for i, _, head, z in g.edges:   # net holds the edges of k within the horizon
+            if head < len(g.cells) and g.variables[i].commodity == k:
+                [(e, _, _)] = net.by_key[z]
+                values[i] = res[e ^ 1]
     return values
 
 
 _MAX_CYCLE_EDGES = 6
 
 
-def _flow_cycles(model: Model) -> list[tuple[tuple[int, int], ...]]:
+def _flow_cycles(g: _Graph) -> list[tuple[tuple[int, int], ...]]:
     """Every simple undirected cycle of at most `_MAX_CYCLE_EDGES` edges of
     `_Graph`, heads at T + 1 included, whose nodes are cells and whose edges
     are flow variables, so each cycle stays within one commodity.  A cycle is
     a tuple of (flow variable, +1 or -1): pushing one unit around it adds the
     sign to each variable, which leaves every cell's balance, and so every
     conservation row, unchanged."""
-    g = _Graph(model)
     cycles: list[tuple[tuple[int, int], ...]] = []
     adj: dict[int, list[tuple[int, int, int]]] = {}
-    for i, tail, head in g.edges:
+    for i, tail, head, _ in g.edges:
         adj.setdefault(tail, []).append((i, head, 1))
         adj.setdefault(head, []).append((i, tail, -1))
 
@@ -789,7 +776,7 @@ def _flow_cycles(model: Model) -> list[tuple[tuple[int, int], ...]]:
 
     # each cycle once: from the tail of its lowest-indexed edge, along that edge
     try:
-        for first, tail, head in g.edges:
+        for first, tail, head, _ in g.edges:
             extend(first, tail, head, [(first, 1)], {tail, head})
     finally:
         del extend   # it refers to itself: free it on return
@@ -798,36 +785,34 @@ def _flow_cycles(model: Model) -> list[tuple[tuple[int, int], ...]]:
 
 class _Chain:
     """The annealer's tables for one model, built once per `anneal_sample`
-    call.  Every (arc, t) with a vehicle variable is a key with a cost, a
-    vehicle bound and the mass the start flow puts on it.  `moves[c][up]`
-    holds, per edge of cycle c, (flow variable, unit change, key, mass
-    change), where up = 1 pushes the unit along the cycle's orientation and
-    0 against it; decreasing edges come first, since a flow at zero is what
-    rejects most moves."""
+    call.  Each vehicle variable z has a cost, a bound and the mass the start
+    flow puts on its (arc, t); `start` holds the start flow with every
+    vehicle count derived from that mass.  `moves[c][up]` holds, per edge of
+    cycle c, (flow variable, unit change, vehicle variable, mass change),
+    where up = 1 pushes the unit along the cycle's orientation and 0 against
+    it; decreasing edges come first, since a flow at zero is what rejects
+    most moves."""
 
     def __init__(self, model: Model):
         g = _Graph(model)
-        cost_of = dict(model.objective)
         self.capacity = g.capacity
-        self.start = _start_flows(model)
         self.ub = [v.upper_bound for v in g.variables]
-        self.vehicles = list(g.vehicle_index.values())
-        self.cost = [cost_of.get(z, 0.0) for z in self.vehicles]
-        self.z_ub = [self.ub[z] for z in self.vehicles]
-        self.mass = [0] * len(self.vehicles)
-        key_of = {key: k for k, key in enumerate(g.vehicle_index)}
-        edge = {}
-        for i, _, _ in g.edges:
-            v = g.variables[i]
-            k, load = key_of[(v.arc, v.time)], g.loads[v.commodity]
-            edge[i] = (k, load)
-            self.mass[k] += self.start[i] * load
+        self.cost = [0.0] * len(g.variables)
+        for z, cost in model.objective:
+            self.cost[z] = cost
+        self.start = _start_flows(g)
+        self.mass = [0] * len(g.variables)
+        edge = {i: (z, g.loads[g.variables[i].commodity]) for i, _, _, z in g.edges}
+        for i, (z, load) in edge.items():
+            self.mass[z] += self.start[i] * load
+        for z in g.vehicles:
+            self.start[z] = -(-self.mass[z] // g.capacity)
         self.moves = [
             tuple(tuple(sorted(((i, d * s, edge[i][0], d * s * edge[i][1]) for i, s in cycle),
                                key=lambda e: e[1]))
                   for d in (-1, 1))
-            for cycle in _flow_cycles(model)]
-        self.n_flows = len(edge)
+            for cycle in _flow_cycles(g)]
+        self.n_flows = len(g.edges)
 
     def run(self, sweeps: int, seed: int, restart: int, t_start: float,
             cooling: float) -> list[int]:
@@ -837,9 +822,8 @@ class _Chain:
         cap = self.capacity
         values = self.start.copy()
         mass = self.mass.copy()
-        counts = [-(-m // cap) for m in mass]
-        best_values, best_counts = values.copy(), counts.copy()
-        moves, ub, cost, z_ub = self.moves, self.ub, self.cost, self.z_ub
+        best_values = values.copy()
+        moves, ub, cost = self.moves, self.ub, self.cost
         n_moves = len(moves)
         if n_moves:
             rng = np.random.default_rng([seed, restart])
@@ -850,30 +834,28 @@ class _Chain:
                 for up, pick, accept in zip(dir_draws, pick_draws, accept_draws):
                     move = moves[int(pick * n_moves)][up]
                     d_obj = 0.0
-                    for i, dx, k, dm in move:
+                    for i, dx, z, dm in move:
                         nv = values[i] + dx
                         if nv < 0 or nv > ub[i]:
                             break
-                        nz = -(-(mass[k] + dm) // cap)
-                        if nz > z_ub[k]:
+                        nz = -(-(mass[z] + dm) // cap)
+                        if nz > ub[z]:
                             break
-                        d_obj += cost[k] * (nz - counts[k])
+                        d_obj += cost[z] * (nz - values[z])
                     else:
                         # no division: the temperature may underflow to zero
                         if d_obj > 0 and (d_obj > 700 * temperature
                                           or accept >= exp(-d_obj / temperature)):
                             continue
-                        for i, dx, k, dm in move:
+                        for i, dx, z, dm in move:
                             values[i] += dx
-                            mass[k] += dm
-                            counts[k] = -(-mass[k] // cap)
+                            mass[z] += dm
+                            values[z] = -(-mass[z] // cap)
                         objective += d_obj
                         if objective < best_objective - 1e-9:
                             best_objective = objective
-                            best_values, best_counts = values.copy(), counts.copy()
+                            best_values = values.copy()
                 temperature *= cooling
-        for z, count in zip(self.vehicles, best_counts):
-            best_values[z] = count
         return best_values
 
 

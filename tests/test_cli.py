@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamflow import cli, serialize_instance, validate_instance
-from hamflow.instance import MAX_EXPANDED_VARIABLES
+from hamflow.instance import (
+    MAX_EXPANDED_VARIABLES,
+    Arc,
+    Commodity,
+    Depot,
+    Instance,
+    ScheduleEntry,
+)
 
 from conftest import GOLDEN_DIR, micro_instance
 
@@ -144,6 +151,21 @@ class TestMethodsAndFlags:
             assert proc.returncode == 1
             assert proc.stderr
 
+    @pytest.mark.parametrize("method", ["exact", "anneal", "bruteforce"])
+    @pytest.mark.parametrize("extra", [[], ["--no-prune"]], ids=["pruned", "no-prune"])
+    def test_no_commodities_solves_to_zero(self, tmp_path, method, extra):
+        doc = {
+            "depots": [{"id": "A", "label": "A"}, {"id": "B", "label": "B"}],
+            "arcs": [{"from": "A", "to": "B", "cost": 1.0, "travel_time": 1}],
+            "commodities": [], "horizon": 2, "capacity": 10, "schedule": [],
+        }
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("solve", "--instance", str(path), "--method", method,
+                       "--out", str(tmp_path / "out"), *extra)
+        assert proc.returncode == 0, proc.stderr
+        assert "objective,0.0" in proc.stdout.splitlines()
+
 
 def assert_one_line_error(proc):
     assert proc.returncode == 1
@@ -271,6 +293,25 @@ class TestInputFaults:
         assert_one_line_error(proc)
         assert "too large" in proc.stderr
         assert "infeasible" not in proc.stderr
+
+    @pytest.mark.parametrize("capacity", [2.0**62, 1e300])
+    def test_bruteforce_rows_past_int64(self, tmp_path, capacity):
+        # two loads of 2**62 share one vehicle: the capacity row reaches 2**63,
+        # which the enumeration's int64 products cannot hold
+        big = 2.0**62
+        inst = Instance(
+            depots=(Depot("A", "A"), Depot("B", "B")), arcs=(Arc("A", "B", 1.0, 1),),
+            commodities=(Commodity("K1", big), Commodity("K2", big)),
+            horizon=2, capacity=capacity,
+            schedule=(ScheduleEntry("A", "K1", 1, big), ScheduleEntry("B", "K1", 2, -big),
+                      ScheduleEntry("A", "K2", 1, big), ScheduleEntry("B", "K2", 2, -big)))
+        bad = tmp_path / "big.json"
+        bad.write_text(serialize_instance(inst))
+        proc = run_cli("solve", "--instance", str(bad), "--method", "bruteforce",
+                       "--out", str(tmp_path / "out"))
+        assert_one_line_error(proc)
+        assert "too large" in proc.stderr
+        assert "certified" not in proc.stdout
 
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     @pytest.mark.parametrize("command", [("compile",), ("solve", "--method", "anneal")],

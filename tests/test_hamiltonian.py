@@ -419,6 +419,40 @@ class TestParseErrors:
             parse_hamiltonian(poly(header=header))
         assert str(exc.value) == f"bad header: {header!r}"
 
+    @pytest.mark.parametrize("alpha", ["0", "-0", "-3"])
+    def test_non_positive_alpha(self, alpha):
+        header = f"HAMILTONIAN v1 vars=2 alpha={alpha} offset=0 R=2"
+        with pytest.raises(PolynomialFormatError) as exc:
+            parse_hamiltonian(poly(header=header))
+        assert str(exc.value) == f"bad header: {header!r}"
+
+    @pytest.mark.parametrize("levels, entry", [("LEVELS 1 -1", "-1"), ("LEVELS -5 2", "-5")])
+    def test_negative_levels_entry(self, levels, entry):
+        header = "HAMILTONIAN v1 vars=2 alpha=3 offset=0 R=0"
+        with pytest.raises(PolynomialFormatError) as exc:
+            parse_hamiltonian(poly(header=header, levels=levels))
+        assert str(exc.value) == f"LEVELS entry {entry!r} is negative"
+
+    @pytest.mark.parametrize("r", ["99", "4", "-1", "1.5"])
+    def test_sum_constraint_outside_the_levels(self, r):
+        # the levels 1 2 sum to 3: no point of {0..1} x {0..2} sums to R
+        header = f"HAMILTONIAN v1 vars=2 alpha=3 offset=0 R={r}"
+        with pytest.raises(PolynomialFormatError) as exc:
+            parse_hamiltonian(poly(header=header, levels="LEVELS 1 2"))
+        assert str(exc.value) == f"R={r} is not an integer in 0..3"
+
+    def test_sum_constraint_rounded_above_the_levels_round_trips(self):
+        # the levels sum to 2**62 + 1001, which the float R rounds up to 2**62 + 1024
+        inst = Instance(
+            depots=(Depot("A", "A"), Depot("B", "B")), arcs=(Arc("A", "B", 1.0, 1),),
+            commodities=(Commodity("K", 1.0),), horizon=2, capacity=2.0**62,
+            schedule=(ScheduleEntry("A", "K", 1, 1000.0), ScheduleEntry("B", "K", 2, -1000.0)))
+        h = compile_hamiltonian(prune_model(expand_model(inst)))
+        assert h.sum_constraint > sum(v.levels for v in h.variables)
+        buf = io.StringIO()
+        export_hamiltonian(h, buf)
+        assert parse_hamiltonian(buf.getvalue()).sum_constraint == h.sum_constraint
+
     @pytest.mark.parametrize("levels, entry", [("LEVELS 1 x", "x"), ("LEVELS 1.5 1", "1.5")])
     def test_non_integer_levels_entry(self, levels, entry):
         with pytest.raises(PolynomialFormatError) as exc:

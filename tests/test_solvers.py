@@ -183,9 +183,9 @@ class TestFlowRepair:
         count and starting from the flows the step before returned.  A step
         whose verdict is infeasible is undone, as the search backtracks."""
         model = waves_model(k)
-        relax = solvers._FlowRelaxation(model)
+        relax = solvers._FlowRelaxation(solvers._Graph(model))
         capacity = int(model.instance.capacity)
-        bound = {(v.arc, v.time): v.upper_bound for v in model.variables
+        bound = {v.index: v.upper_bound for v in model.variables
                  if v.kind == expansion.VEHICLE}
         keys = sorted(bound)
         cap_mass = {key: capacity * ub for key, ub in bound.items()}
@@ -247,7 +247,7 @@ class TestLeafCompletion:
             vehicles = [v for v in model.variables if v.kind == expansion.VEHICLE]
             for counts in itertools.product(*(range(v.upper_bound + 1) for v in vehicles)):
                 fixed = {v.index: c for v, c in zip(vehicles, counts)}
-                flows = solvers.find_feasible_flows(model, fixed)
+                flows = solvers.find_feasible_flows(solvers._Graph(model), fixed)
                 assert (flows is not None) == (counts in feasible)
                 outcomes[flows is not None] += 1
                 if flows is not None:
@@ -350,6 +350,52 @@ class TestAnnealStream:
             "bdb3aaedbadf0936fd773395f4a8dbf4fbf6744a1a6ccb63a33e7b385af8ce32"
 
 
+class TestUnprunedCaseStudy:
+    """sha256 pins of the unpruned case study, whose graph keeps arrivals
+    past the horizon: the exact assignment with its node count, and an
+    annealer sample set."""
+
+    def test_exact(self, case_study_model):
+        result = solve_exact(case_study_model)
+        assert result.nodes == 93
+        values = ",".join(str(v) for v in result.sample.assignment.values)
+        assert hashlib.sha256(values.encode()).hexdigest() == \
+            "d35a509fca7e77e5587657c1fcb7842bfda6b4a8c8474fe0d7c6fe8d33ffff98"
+
+    def test_anneal_seed_7(self, case_study_model):
+        sset = anneal_sample(compile_hamiltonian(case_study_model), case_study_model,
+                             AnnealParams(restarts=6), seed=7)
+        assert hashlib.sha256(sset.canonical_bytes()).hexdigest() == \
+            "7ec79777a9504e5908af0a783e99ab3bd87aab946f8927e4e4d9c0fe568e1d65"
+
+
+class TestOneGraph:
+    """Each back-end call derives the time-expanded graph once and hands it
+    to every helper."""
+
+    @pytest.mark.parametrize("name", ["solve_exact", "anneal_sample", "postprocess_flows"])
+    def test_one_graph_per_call(self, monkeypatch, name):
+        model = waves_model(2)
+        h = compile_hamiltonian(model)
+        call = {
+            "solve_exact": lambda: solve_exact(model),
+            "anneal_sample": lambda: anneal_sample(h, model, AnnealParams(restarts=2, sweeps=5),
+                                                   seed=3),
+            "postprocess_flows": lambda: postprocess_flows(
+                model, Assignment(values=(1,) * len(model.variables))),
+        }[name]
+        built = []
+
+        class Counting(solvers._Graph):
+            def __init__(self, model):
+                built.append(1)
+                super().__init__(model)
+
+        monkeypatch.setattr(solvers, "_Graph", Counting)
+        call()
+        assert len(built) == 1
+
+
 class TestCycleAnnealer:
     """The annealer starts from a max-flow solution and moves only around
     cycles of a commodity's time-expanded graph, with vehicle counts derived
@@ -372,7 +418,7 @@ class TestCycleAnnealer:
     @pytest.mark.parametrize("k, count", [(1, 2), (3, 10)])
     def test_cycles_keep_every_conservation_row(self, k, count):
         model = waves_model(k)
-        cycles = solvers._flow_cycles(model)
+        cycles = solvers._flow_cycles(solvers._Graph(model))
         assert len(cycles) == count
         for cycle in cycles:
             assert 2 <= len(cycle) <= 6
@@ -387,7 +433,7 @@ class TestCycleAnnealer:
     @pytest.mark.parametrize("k", [1, 3])
     def test_start_flow_is_feasible(self, k):
         model = waves_model(k)
-        values = solvers._start_flows(model)
+        values = solvers._start_flows(solvers._Graph(model))
         assert any(values)
         for v in model.variables:
             assert 0 <= values[v.index] <= v.upper_bound
@@ -647,7 +693,8 @@ class TestNoCyclicGarbage:
         model, vehicles, h = waves2
         call = {
             "solve_exact": lambda: solve_exact(model),
-            "find_feasible_flows": lambda: solvers.find_feasible_flows(model, vehicles),
+            "find_feasible_flows": lambda: solvers.find_feasible_flows(solvers._Graph(model),
+                                                                       vehicles),
             "anneal_sample": lambda: anneal_sample(h, model, AnnealParams(restarts=1, sweeps=5),
                                                    seed=3),
         }[name]
