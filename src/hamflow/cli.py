@@ -276,9 +276,15 @@ def _cmd_verify(args) -> int:
     model = _load_model(args)
     a = _load_assignment(args, model)
     report = expansion.verify_assignment(model, a)
+    try:
+        objective = expansion.evaluate_objective(model, a)
+    except OverflowError as exc:
+        raise CliError(f"the objective overflows a float; the assignment violates "
+                       f"{len(report.bound_findings)} variable bound(s)") from exc
+    feasible = report.feasible and not report.bound_findings
     summary = {
-        "feasible": report.feasible,
-        "objective": expansion.evaluate_objective(model, a),
+        "feasible": feasible,
+        "objective": objective,
         "nonzero_residuals": sum(1 for r in report.residuals if r != 0),
         "bound_violations": len(report.bound_findings),
     }
@@ -286,7 +292,7 @@ def _cmd_verify(args) -> int:
         summary["worst_constraint"] = expansion.tag_str(report.worst[0])
         summary["worst_residual"] = report.worst[1]
     _print_summary(summary, args.format)
-    return 0 if report.feasible and not report.bound_findings else 1
+    return 0 if feasible else 1
 
 
 def _cmd_report(args) -> int:
@@ -297,6 +303,10 @@ def _cmd_report(args) -> int:
         worst = expansion.tag_str(report.worst[0]) if report.worst else "?"
         raise CliError(f"assignment is infeasible (worst residual at {worst}); "
                        "refusing to render reports")
+    if report.bound_findings:
+        first = model.variables[report.bound_findings[0][0]].name()
+        raise CliError(f"assignment violates {len(report.bound_findings)} variable bound(s), "
+                       f"first at {first}; refusing to render reports")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     render_reports(model, a, out)
@@ -333,50 +343,43 @@ def render_reports(model: Model, a: Assignment, out: Path) -> list[Path]:
     """Write vehicles.csv, cargo.csv, and inventory.csv for an assignment.
 
     vehicles: vehicle count per (arc, departure t).  cargo: total mass per
-    (arc, departure t).  inventory: on-hand mass per (depot, commodity, t)
-    with delivered demand retained; a unit is on hand from the step it
-    arrives (or is supplied) through the step it departs, inclusive.
+    (arc, departure t), the positive terms of its capacity row.  inventory:
+    on-hand mass per (depot, commodity, t) with delivered demand retained;
+    a unit is on hand from the step it arrives (or is supplied) through the
+    step it departs, inclusive.  Departures, arrivals and supply are the
+    positive terms, the negative terms and the positive right-hand side of
+    the cell's conservation row.
     """
     inst = model.instance
-    T = inst.horizon
+    steps = range(1, inst.horizon + 1)
     out = Path(out)
-    flow_idx = model.flow_index()
-    vehicle_idx = model.vehicle_index()
+    vehicles = {key: a.values[i] for key, i in model.vehicle_index().items()}
+    # row tag -> (mass of its positive terms, mass of its negative terms, rhs);
+    # a pruned row moves nothing
+    halves = {}
+    for c in model.constraints:
+        positive = sum(k * a.values[i] for i, k in c.terms if k > 0)
+        halves[c.tag] = (positive, positive - sum(k * a.values[i] for i, k in c.terms), c.rhs)
+    nothing = (0, 0, 0)
 
-    def flow(pair, cid, t) -> int:
-        i = flow_idx.get((pair, cid, t))
-        return a.values[i] if i is not None else 0
-
-    def vehicles(pair, t) -> int:
-        i = vehicle_idx.get((pair, t))
-        return a.values[i] if i is not None else 0
-
-    header = "arc," + ",".join(str(t) for t in range(1, T + 1))
+    header = "arc," + ",".join(str(t) for t in steps)
     vehicle_lines = [REPORT_NOTE, header]
     cargo_lines = [REPORT_NOTE, header]
     for arc in inst.arcs:
-        counts = [vehicles(arc.pair, t) for t in range(1, T + 1)]
-        masses = [int(sum(flow(arc.pair, c.id, t) * c.load for c in inst.commodities))
-                  for t in range(1, T + 1)]
+        counts = [vehicles.get((arc.pair, t), 0) for t in steps]
+        masses = [halves.get(("capacity", arc.pair, t), nothing)[0] for t in steps]
         vehicle_lines.append(arc.key() + "," + ",".join(str(v) for v in counts))
         cargo_lines.append(arc.key() + "," + ",".join(str(m) for m in masses))
 
-    amounts = {(e.depot, e.commodity, e.time): e.amount for e in inst.schedule}
-    inventory_lines = [REPORT_NOTE, "depot,commodity," + ",".join(str(t) for t in range(1, T + 1))]
+    inventory_lines = [REPORT_NOTE, "depot,commodity," + ",".join(str(t) for t in steps)]
     for d in inst.depots:
-        in_arcs, out_arcs = inst.in_arcs(d.id), inst.out_arcs(d.id)
         for c in inst.commodities:
-            on_hand = []
-            cumulative = 0
-            departed_before = 0
-            for t in range(1, T + 1):
-                arrived = sum(flow(arc.pair, c.id, t - arc.travel_time) * c.load
-                              for arc in in_arcs)
-                supplied = max(amounts.get((d.id, c.id, t), 0.0), 0)
-                cumulative += arrived + supplied
-                on_hand.append(int(cumulative - departed_before))
-                departed_before += sum(flow(arc.pair, c.id, t) * c.load
-                                       for arc in out_arcs)
+            on_hand, held = [], 0
+            for t in steps:
+                departed, arrived, rhs = halves.get(("conservation", d.id, c.id, t), nothing)
+                held += arrived + max(rhs, 0)
+                on_hand.append(held)
+                held -= departed
             inventory_lines.append(f"{d.id},{c.id}," + ",".join(str(v) for v in on_hand))
 
     paths = []

@@ -329,13 +329,19 @@ def reconstruct_solution(model: Model, tables: dict) -> Assignment:
                       totals are used (published per-step labels are not
                       consistent between tables)
       inventory       {node: {commodity: [on-hand mass per t=1..T]}} with
-                      delivered demand retained in inventory
+                      delivered demand retained
 
-    Flows are derived from the inventory story: arrivals are recovered
-    per (node, commodity, t), everything present must depart the same step
-    (the conservation model has no holdover), and departures are split over
-    outgoing arcs by elimination.  The split must be unique and integral in
-    flow units; per-arc cargo totals and vehicle capacities are cross-checked.
+    The unknowns are the model's flow variables.  The inventory recurrence
+    gives the mass arriving at and the mass departing each (depot,
+    commodity, t) cell; everything present departs the same step, since the
+    conservation rows have no holdover.  Each cell's conservation row splits
+    into two equations: its positive terms sum to the departing mass and its
+    negative terms to the arriving mass (a cell without a row has no
+    variables, so both masses must be zero).  Repeated single-open-variable
+    elimination solves them; the solution must be unique, nonnegative and
+    integral in flow units.  The capacity rows then check the vehicle cover,
+    and their positive terms give the per-arc cargo totals, which must match
+    the cargo table.
     """
     inst = model.instance
     T = inst.horizon
@@ -351,119 +357,73 @@ def reconstruct_solution(model: Model, tables: dict) -> Assignment:
             raise TableReconstructionError(f"row {key!r} must have {T} columns")
         return [float(v) for v in values]
 
-    vehicles_doc = tables["vehicles"]
-    cargo_doc = tables["cargo"]
-    inventory_doc = tables["inventory"]
+    vehicles_doc, cargo_doc, inventory_doc = (tables[k] for k in
+                                              ("vehicles", "cargo", "inventory"))
     for key in set(vehicles_doc) | set(cargo_doc):
-        pair = parse_arc_key(key)
-        inst.arc(*pair)   # raises on unknown arcs
+        inst.arc(*parse_arc_key(key))   # raises on unknown arcs
 
-    loads = {c.id: c.load for c in inst.commodities}
-    sup = {(e.depot, e.commodity, e.time): max(e.amount, 0.0) for e in inst.schedule}
-    dem = {(e.depot, e.commodity, e.time): max(-e.amount, 0.0) for e in inst.schedule}
+    rows = {c.tag[1:]: (c.rhs, c.terms) for c in model.constraints
+            if c.tag[0] == "conservation"}
 
-    # arrivals from the inventory recurrence:
-    # inv(t) - inv(t-1) = arr(t) + sup(t) - dep(t-1),  dep = arr + sup - dem
-    arr: dict[tuple[str, str, int], float] = {}
-    dep: dict[tuple[str, str, int], float] = {}
+    # arrivals from the inventory recurrence, with supply - demand = rhs:
+    # inv(t) - inv(t-1) = arr(t) + supply(t) - dep(t-1),  dep = arr + rhs
+    # and per cell the two equations (cell, mass, [(flow variable, mass per unit)])
+    equations = []
     for d in inst.depots:
         for c in inst.commodities:
-            inv_row = row(inventory_doc.get(d.id, {}), c.id) if d.id in inventory_doc \
-                else [0.0] * T
+            inv_row = row(inventory_doc.get(d.id, {}), c.id)
             prev_inv = prev_dep = 0.0
             for t in range(1, T + 1):
-                s = sup.get((d.id, c.id, t), 0.0)
-                m = dem.get((d.id, c.id, t), 0.0)
-                a_t = inv_row[t - 1] - prev_inv - s + prev_dep
+                cell = (d.id, c.id, t)
+                rhs, terms = rows.get(cell, (0, ()))
+                a_t = inv_row[t - 1] - prev_inv - max(rhs, 0) + prev_dep
                 if a_t < -1e-9:
                     raise TableReconstructionError(
                         f"inventory at ({d.id}, {c.id}, t={t}) implies negative arrivals")
-                d_t = a_t + s - m
+                d_t = a_t + rhs
                 if d_t < -1e-9:
                     raise TableReconstructionError(
                         f"inventory at ({d.id}, {c.id}, t={t}) cannot cover the demand")
-                arr[(d.id, c.id, t)] = max(a_t, 0.0)
-                dep[(d.id, c.id, t)] = max(d_t, 0.0)
+                equations.append((cell, max(d_t, 0.0), [(i, k) for i, k in terms if k > 0]))
+                equations.append((cell, max(a_t, 0.0), [(i, -k) for i, k in terms if k < 0]))
                 prev_inv, prev_dep = inv_row[t - 1], d_t
 
-    # Split departures over outgoing arcs by elimination, jointly over all
-    # departure steps per commodity.  One unknown per (arc, departure t); the
-    # balance rows are: outflow rows, one per (depot, t) summing to dep; and
-    # arrival rows, one per (depot, t') summing to arr.  The system must be
-    # uniquely determined (repeated single-open-unknown elimination succeeds).
-    send: dict[tuple[tuple[str, str], str, int], float] = {}
-    for c in inst.commodities:
-        unknowns: dict[tuple[tuple[str, str], int], float | None] = {
-            (a.pair, t): None
-            for a in inst.arcs for t in range(1, T + 1)
-            if t + a.travel_time <= T}   # arrivals beyond T carry nothing
-        out_rows = {}    # (depot, t) -> (need, [unknown keys])
-        in_rows = {}     # (depot, t') -> (need, [unknown keys])
-        for d in inst.depots:
-            for t in range(1, T + 1):
-                members = [(a.pair, t) for a in inst.out_arcs(d.id) if (a.pair, t) in unknowns]
-                need = dep.get((d.id, c.id, t), 0.0)
-                if members or need:
-                    out_rows[(d.id, t)] = (need, members)
-                in_members = [(a.pair, t - a.travel_time) for a in inst.in_arcs(d.id)
-                              if (a.pair, t - a.travel_time) in unknowns]
-                in_need = arr.get((d.id, c.id, t), 0.0)
-                if in_members or in_need:
-                    in_rows[(d.id, t)] = (in_need, in_members)
+    units: dict[int, float] = {}
 
-        def eliminate(rows) -> bool:
-            changed = False
-            for key, (need, members) in rows.items():
-                open_members = [m for m in members if unknowns[m] is None]
-                fixed = sum(unknowns[m] for m in members if unknowns[m] is not None)
-                if len(open_members) == 1:
-                    unknowns[open_members[0]] = need - fixed
-                    changed = True
-                elif not open_members and abs(fixed - need) > 1e-9:
-                    raise TableReconstructionError(
-                        f"flow balance at ({key[0]}, {c.id}, t={key[1]}) moves {fixed}, "
-                        f"needs {need}")
-                elif open_members and abs(fixed - need) < 1e-9:
-                    # the row is already satisfied; remaining members carry nothing
-                    for m in open_members:
-                        unknowns[m] = 0.0
-                    changed = True
-            return changed
-
-        while any(v is None for v in unknowns.values()):
-            progressed = eliminate(out_rows)
-            progressed = eliminate(in_rows) or progressed
-            if not progressed:
-                stuck = [k for k, v in unknowns.items() if v is None]
+    def eliminate() -> bool:
+        changed = False
+        for cell, need, members in equations:
+            open_members = [(i, k) for i, k in members if i not in units]
+            fixed = sum(k * units[i] for i, k in members if i in units)
+            if len(open_members) == 1:
+                i, k = open_members[0]
+                units[i] = (need - fixed) / k
+                changed = True
+            elif not open_members and abs(fixed - need) > 1e-9:
                 raise TableReconstructionError(
-                    f"ambiguous flow split for {c.id}; undetermined on "
-                    f"{[(arc_key(*p), t) for p, t in stuck]}")
-        eliminate(out_rows)   # final consistency pass over fully-fixed rows
-        eliminate(in_rows)
+                    f"flow balance at {cell} moves {fixed}, needs {need}")
+            elif open_members and abs(fixed - need) < 1e-9:
+                # the equation is already satisfied; its open members carry nothing
+                units.update((i, 0.0) for i, _ in open_members)
+                changed = True
+        return changed
 
-        for (pair, t), value in unknowns.items():
-            if value < -1e-9:
-                raise TableReconstructionError(
-                    f"negative flow implied on {arc_key(*pair)} for {c.id} at t={t}")
-            if value > 1e-9:
-                send[(pair, c.id, t)] = value
-
-    flow_idx = model.flow_index()
-    vehicle_idx = model.vehicle_index()
+    while eliminate():
+        pass
+    stuck = [v.name() for v in model.variables if v.kind == FLOW and v.index not in units]
+    if stuck:
+        raise TableReconstructionError(f"ambiguous flow split; undetermined on {stuck}")
     values = [0] * len(model.variables)
-    for (pair, cid, t), mass in send.items():
-        units = mass / loads[cid]
-        if abs(units - round(units)) > 1e-9:
+    for i, u in units.items():
+        if u < -1e-9:
+            raise TableReconstructionError(f"negative flow {u} on {model.variables[i].name()}")
+        if abs(u - round(u)) > 1e-9:
             raise TableReconstructionError(
-                f"mass {mass} on {arc_key(*pair)} at t={t} is not an integral "
-                f"number of {cid} units")
-        idx = flow_idx.get((pair, cid, t))
-        if idx is None:
-            raise TableReconstructionError(
-                f"tables require flow on pruned variable ({arc_key(*pair)}, {cid}, t={t})")
-        values[idx] = int(round(units))
+                f"{u} units on {model.variables[i].name()} is not an integral number")
+        values[i] = int(round(u))
 
-    for key, counts in vehicles_doc.items():
+    vehicle_idx = model.vehicle_index()
+    for key in vehicles_doc:
         pair = parse_arc_key(key)
         dt = inst.arc(*pair).travel_time
         for col, count in enumerate(row(vehicles_doc, key), start=1):
@@ -478,19 +438,20 @@ def reconstruct_solution(model: Model, tables: dict) -> Assignment:
                 raise TableReconstructionError(f"bad vehicle count {count} on {key}")
             values[idx] = int(count)
 
-    # cross-checks: per-arc cargo totals and capacity cover
+    # cross-checks on the capacity rows: vehicle cover and per-arc cargo totals
+    cargo: dict[tuple[str, str], int] = {}
+    for c, r in zip(model.constraints, row_residuals(model, values)):
+        if c.tag[0] != "capacity":
+            continue
+        _, pair, t = c.tag
+        if r > 0:
+            raise TableReconstructionError(
+                f"cargo on {arc_key(*pair)} departing t={t} exceeds the vehicle cover by {r}")
+        cargo[pair] = cargo.get(pair, 0) + sum(k * values[i] for i, k in c.terms if k > 0)
     for a in inst.arcs:
-        total_doc = sum(row(cargo_doc, a.key())) if a.key() in cargo_doc else 0.0
-        total_flow = sum(mass for (pair, cid, t), mass in send.items() if pair == a.pair)
+        total_doc, total_flow = sum(row(cargo_doc, a.key())), cargo.get(a.pair, 0)
         if abs(total_doc - total_flow) > 1e-9:
             raise TableReconstructionError(
                 f"cargo total on {a.key()}: tables say {total_doc}, flows say {total_flow}")
-        for t in range(1, T + 1):
-            mass = sum(send.get((a.pair, c.id, t), 0.0) for c in inst.commodities)
-            zi = vehicle_idx.get((a.pair, t))
-            cover = inst.capacity * (values[zi] if zi is not None else 0)
-            if mass > cover + 1e-9:
-                raise TableReconstructionError(
-                    f"cargo {mass} on {a.key()} departing t={t} exceeds vehicle cover {cover}")
 
     return Assignment(values=tuple(values))

@@ -178,12 +178,6 @@ class Instance:
 
     # --- lookups -----------------------------------------------------------
 
-    def depot(self, depot_id: str) -> Depot:
-        for d in self.depots:
-            if d.id == depot_id:
-                return d
-        raise UnknownIdError(f"no depot {depot_id!r}")
-
     def commodity(self, commodity_id: str) -> Commodity:
         for c in self.commodities:
             if c.id == commodity_id:
@@ -444,10 +438,9 @@ def shortest_travel_times(inst: Instance) -> dict[tuple[str, str], float]:
 
 
 def earliest_presence(inst: Instance, commodity: str,
-                      dist: dict[tuple[str, str], float] | None = None) -> dict[str, float]:
-    """Earliest time step any mass of a commodity can be present at each depot."""
-    if dist is None:
-        dist = shortest_travel_times(inst)
+                      dist: dict[tuple[str, str], float]) -> dict[str, float]:
+    """Earliest time step any mass of a commodity can be present at each depot,
+    given the shortest travel times `dist`."""
     earliest: dict[str, float] = {}
     supplies = [(e.depot, e.time) for e in inst.schedule
                 if e.commodity == commodity and e.amount > 0]
@@ -460,10 +453,9 @@ def earliest_presence(inst: Instance, commodity: str,
 
 
 def latest_useful_presence(inst: Instance, commodity: str,
-                           dist: dict[tuple[str, str], float] | None = None) -> dict[str, float]:
-    """Latest time step at which mass present at a depot can still reach a demand."""
-    if dist is None:
-        dist = shortest_travel_times(inst)
+                           dist: dict[tuple[str, str], float]) -> dict[str, float]:
+    """Latest time step at which mass present at a depot can still reach a
+    demand, given the shortest travel times `dist`."""
     latest: dict[str, float] = {}
     demands = [(e.depot, e.time) for e in inst.schedule
                if e.commodity == commodity and e.amount < 0]

@@ -339,6 +339,37 @@ class TestInputFaults:
         assert_one_line_error(proc)
         assert "4300 digits" in proc.stderr
 
+    @pytest.fixture
+    def out_of_bounds(self, tmp_path, case_study_pruned, published_schedule):
+        """Write the published schedule with one vehicle count set to a value."""
+        def write(value) -> Path:
+            values = list(published_schedule.values)
+            values[case_study_pruned.vehicle_index()[(("N1", "N2"), 1)]] = value
+            path = tmp_path / "solution.json"
+            path.write_text(json.dumps({"values": values}))
+            return path
+        return write
+
+    def test_report_refuses_bound_violation(self, tmp_path, out_of_bounds):
+        path = out_of_bounds(1_000_000)
+        proc = run_cli("verify", "--instance", "case-study", "--assignment", str(path))
+        assert proc.returncode == 1
+        assert "feasible,False" in proc.stdout
+        assert "bound_violations,1" in proc.stdout
+        proc = run_cli("report", "--instance", "case-study", "--assignment", str(path),
+                       "--out", str(tmp_path / "r"))
+        assert_one_line_error(proc)
+        assert "z[N1->N2,t=1]" in proc.stderr
+        assert not (tmp_path / "r" / "vehicles.csv").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    def test_400_digit_assignment_value(self, tmp_path, out_of_bounds, command):
+        path = out_of_bounds(10 ** 399)
+        proc = run_cli(command, "--instance", "case-study", "--assignment", str(path),
+                       "--out", str(tmp_path / "r"))
+        assert_one_line_error(proc)
+        assert "bound" in proc.stderr
+
     @pytest.mark.parametrize("command", ["compile", "solve", "report"])
     def test_unwritable_out(self, micro_doc, tmp_path, command):
         solution = tmp_path / "solved" / "solution.json"

@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -314,6 +315,70 @@ class TestReconstruction:
         tables["horizon"] = 5
         with pytest.raises(TableReconstructionError):
             reconstruct_solution(case_study_pruned, tables)
+
+    @pytest.mark.parametrize("path, value, match", [
+        (("time_labeling",), "departure", "labeling"),
+        (("cargo", "N1->N2"), [0, 120, 180, 0, 0], "6 columns"),
+        (("inventory", "N1", "L1", 1), 50, "negative arrivals"),   # 60 supplied at t=2
+        (("inventory", "N5", "L1", 5), 40, "cover the demand"),    # 20 arrive, 30 demanded
+        (("vehicles", "N1->N2", 0), 1, "no model variable"),       # departs t=0
+        (("vehicles", "N1->N2", 1), 2.5, "bad vehicle count"),
+    ], ids=["labeling", "short-row", "negative-arrivals", "uncovered-demand",
+            "vehicle-without-variable", "fractional-vehicles"])
+    def test_tampered_entry_rejected(self, case_study_pruned, reference_tables,
+                                     path, value, match):
+        tables = copy.deepcopy(reference_tables)
+        target = tables
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(TableReconstructionError, match=match):
+            reconstruct_solution(case_study_pruned, tables)
+
+    def test_ambiguous_split_rejected(self):
+        # A and B each send 10 to C and D: any split a + b = 10 fits the tables
+        inst = _instance(("A", "B", "C", "D"), [("A", "C", 1), ("A", "D", 1),
+                                                ("B", "C", 1), ("B", "D", 1)],
+                         horizon=2, load=1.0, schedule=[("A", 1, 10), ("B", 1, 10),
+                                                        ("C", 2, -10), ("D", 2, -10)])
+        tables = _tables(inst, {"A": [10, 0], "B": [10, 0], "C": [0, 10], "D": [0, 10]})
+        with pytest.raises(TableReconstructionError, match="ambiguous"):
+            reconstruct_solution(expand_model(inst), tables)
+
+    def test_negative_flow_rejected(self):
+        # 20 arrive at B from A, which sends 10 in all: A->D must carry -10
+        inst = _instance(("A", "B", "D"), [("A", "B", 1), ("A", "D", 2), ("B", "D", 1)],
+                         horizon=3, load=1.0, schedule=[("A", 1, 10), ("D", 3, -10)])
+        tables = _tables(inst, {"A": [10, 0, 0], "B": [0, 20, 0], "D": [0, 0, 10]})
+        with pytest.raises(TableReconstructionError, match="negative flow"):
+            reconstruct_solution(expand_model(inst), tables)
+
+    def test_fractional_units_rejected(self):
+        inst = _instance(("A", "B"), [("A", "B", 1)], horizon=2, load=10.0,
+                         schedule=[("A", 1, 15), ("B", 2, -15)])
+        tables = _tables(inst, {"A": [15, 0], "B": [0, 15]})
+        with pytest.raises(TableReconstructionError, match="integral"):
+            reconstruct_solution(expand_model(inst), tables)
+
+    def test_flow_without_a_model_variable_rejected(self, micro, micro_model):
+        tables = _tables(micro, {"A": [10, 0], "B": [0, 10]})
+        bare = replace(micro_model, variables=(), constraints=(), objective=())
+        with pytest.raises(TableReconstructionError):
+            reconstruct_solution(bare, tables)
+
+
+def _instance(depots, arcs, horizon, load, schedule) -> Instance:
+    """One commodity K over the given (origin, dest, travel time) arcs."""
+    return Instance(depots=tuple(Depot(d, d) for d in depots),
+                    arcs=tuple(Arc(o, d, 1.0, tt) for o, d, tt in arcs),
+                    commodities=(Commodity("K", load),), horizon=horizon, capacity=100.0,
+                    schedule=tuple(ScheduleEntry(d, "K", t, float(m)) for d, t, m in schedule))
+
+
+def _tables(inst, inventory: dict[str, list[int]]) -> dict:
+    """Schedule tables for commodity K with no vehicle or cargo rows."""
+    return {"horizon": inst.horizon, "time_labeling": "arrival", "vehicles": {},
+            "cargo": {}, "inventory": {d: {"K": row} for d, row in inventory.items()}}
 
 
 def test_conservation_telescoping_on_random_micros():

@@ -4,9 +4,16 @@ full inventory story (the inventory convention is arrival-through-departure
 occupancy with delivered demand retained, which is exactly what the
 reference table records)."""
 
+import hashlib
+import random
 from pathlib import Path
 
 from hamflow.cli import render_reports
+from hamflow.expansion import Assignment, prune_model
+from hamflow.hamiltonian import compile_hamiltonian
+from hamflow.solvers import AnnealParams, anneal_sample, solve_exact
+
+from conftest import random_micro_model, waves_model
 
 
 def _load(path: Path) -> dict[str, list[int]]:
@@ -56,3 +63,30 @@ def test_per_arc_totals_match_reference_tables(tmp_path, case_study_pruned,
                 continue
             arc, *values = line.split(",")
             assert sum(int(v) for v in values) == sum(table[arc]), (name, arc)
+
+
+def test_report_bytes_pinned(tmp_path, case_study_model, case_study_pruned):
+    """sha256 of the three report files over a fixed set of assignments,
+    recorded before render_reports read the model's rows: the exact optima
+    of the case study (pruned and unpruned) and of waves(2), the best
+    annealer sample at seed 7, and 20 random in-bounds assignments of micro
+    models, every other one pruned.  The random ones are mostly infeasible,
+    which render_reports does not check."""
+    cases = [(m, solve_exact(m).sample.assignment)
+             for m in (case_study_pruned, case_study_model, waves_model(2))]
+    sset = anneal_sample(compile_hamiltonian(case_study_pruned), case_study_pruned,
+                         AnnealParams(restarts=6), seed=7)
+    cases.append((case_study_pruned, sset.best_feasible().assignment))
+    rng = random.Random(4242)
+    for i in range(20):
+        model = random_micro_model(rng)
+        if i % 2:
+            model = prune_model(model)
+        values = tuple(rng.randint(0, v.upper_bound) for v in model.variables)
+        cases.append((model, Assignment(values=values)))
+    digest = hashlib.sha256()
+    for model, a in cases:
+        for path in render_reports(model, a, tmp_path):
+            digest.update(path.read_bytes())
+    assert digest.hexdigest() == \
+        "966fdd436cb0060bbfad1e5d9959b821490ac4fb8df182f1bd0f6b18d3c6e6e9"
