@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -281,6 +282,9 @@ def _cmd_verify(args) -> int:
     except OverflowError as exc:
         raise CliError(f"the objective overflows a float; the assignment violates "
                        f"{len(report.bound_findings)} variable bound(s)") from exc
+    if not math.isfinite(objective):
+        raise CliError("arc costs too large: the objective at this assignment "
+                       "overflows a float")
     feasible = report.feasible and not report.bound_findings
     summary = {
         "feasible": feasible,

@@ -41,6 +41,9 @@ Lemire's bounded draw on uint32 halves, low half first, and 53-bit doubles.
 It falls back to the four calls for the rest of a chain when numpy would
 reject a bounded draw, and for one-variable models; TestAnnealStream pins
 the stream byte for byte.
+
+numpy is imported inside `brute_force_oracle`, `_Chain` and `_sweep_draws`
+only, so commands that never anneal or enumerate do not load it.
 """
 
 from __future__ import annotations
@@ -48,8 +51,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from .expansion import (
     FLOW,
@@ -622,6 +623,8 @@ def brute_force_oracle(model: Model, limit: int = 10**7) -> ExactResult:
     the row's sum of |coefficient| * max(bound, 1), plus |rhs|, reaches
     2**63."""
     _require_finite_objective(model)
+    import numpy as np   # before the clock starts, as in _Chain
+
     start = time.perf_counter()
     dims = [v.upper_bound + 1 for v in model.variables]
     space = math.prod(dims)
@@ -813,6 +816,9 @@ class _Chain:
                   for d in (-1, 1))
             for cycle in _flow_cycles(g)]
         self.n_flows = len(g.edges)
+        import numpy as np   # here, not in run, so that no sample's wall time holds it
+
+        self.default_rng = np.random.default_rng
 
     def run(self, sweeps: int, seed: int, restart: int, t_start: float,
             cooling: float) -> list[int]:
@@ -826,7 +832,7 @@ class _Chain:
         moves, ub, cost = self.moves, self.ub, self.cost
         n_moves = len(moves)
         if n_moves:
-            rng = np.random.default_rng([seed, restart])
+            rng = self.default_rng([seed, restart])
             exp = math.exp
             temperature = t_start
             objective = best_objective = 0.0   # relative to the start
@@ -889,6 +895,8 @@ def _sweep_draws(rng: np.random.Generator, n: int, sweeps: int):
     half a word in its uint32 buffer.  n == 1 uses them throughout, since a
     bound of 1 reads no words.  TestAnnealStream pins the result.
     """
+    import numpy as np
+
     bitgen = rng.bit_generator
     threshold = _lemire_threshold(n)
     done = 0

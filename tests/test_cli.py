@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -294,6 +295,22 @@ class TestInputFaults:
         assert "too large" in proc.stderr
         assert "infeasible" not in proc.stderr
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_verify_overflowing_objective(self, tmp_path, published_schedule, fmt):
+        # the published schedule is feasible and in bounds, but its cost sum is inf
+        doc = json.loads(CASE_STUDY_DOC.read_text())
+        assert (doc["arcs"][0]["from"], doc["arcs"][0]["to"]) == ("N1", "N2")
+        doc["arcs"][0]["cost"] = 1.7e308
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        solution = tmp_path / "solution.json"
+        solution.write_text(json.dumps({"values": list(published_schedule.values)}))
+        proc = run_cli("verify", "--instance", str(bad), "--assignment", str(solution),
+                       "--format", fmt)
+        assert_one_line_error(proc)
+        assert "too large" in proc.stderr
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("capacity", [2.0**62, 1e300])
     def test_bruteforce_rows_past_int64(self, tmp_path, capacity):
         # two loads of 2**62 share one vehicle: the capacity row reaches 2**63,
@@ -526,6 +543,31 @@ class TestReports:
         for name in ("vehicles.csv", "cargo.csv", "inventory.csv"):
             table = _read_table(out / name)
             assert all(v == 0 for row in table.values() for v in row)
+
+
+# Runs in a fresh interpreter: the test process has imported numpy already.
+_NUMPY_PROBE = """
+import sys
+from hamflow.cli import main
+out = sys.argv[1]
+solution = out + "/exact/solution.json"
+for command in (["validate"], ["compile", "--out", out + "/compiled"],
+                ["solve", "--method", "exact", "--out", out + "/exact"],
+                ["verify", "--assignment", solution],
+                ["report", "--assignment", solution, "--out", out + "/report"]):
+    assert main([command[0], "--instance", "case-study", *command[1:]]) == 0, command
+    assert "numpy" not in sys.modules, command
+assert main(["solve", "--instance", "case-study", "--method", "anneal", "--samples", "1",
+             "--out", out + "/anneal"]) == 0
+assert "numpy" in sys.modules, "anneal ran without numpy"
+"""
+
+
+def test_only_anneal_imports_numpy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _read_table(path: Path) -> dict[str, list[int]]:
