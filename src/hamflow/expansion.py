@@ -15,6 +15,13 @@ Constraints:
 All constraint coefficients and right-hand sides are integers so that
 residual arithmetic is exact; loads, capacity, and schedule amounts must be
 integral (rejected otherwise).
+
+Variables, constraint rows and models are values: once built they are never
+mutated, and `dataclasses.replace` makes a changed copy.  `Variable` and
+`LinearConstraint` are slotted rather than frozen dataclasses, because an
+expansion builds thousands of them and a frozen dataclass's `__init__` sets
+each field through `object.__setattr__` at three to four times the cost; the
+few-per-call `Model`, `Assignment` and `FeasibilityReport` stay frozen.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .instance import (
     earliest_presence,
     latest_useful_presence,
     mass_balance_findings,
+    ordered_sum,
     parse_arc_key,
     shortest_travel_times,
 )
@@ -45,7 +53,7 @@ class InfeasibleModelError(ModelError):
     """Pruning removed every variable from a constraint with nonzero rhs."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Variable:
     index: int
     kind: str                       # FLOW or VEHICLE
@@ -66,7 +74,7 @@ class Variable:
 Tag = tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LinearConstraint:
     terms: tuple[tuple[int, int], ...]   # (variable index, integer coefficient)
     relation: str                        # "eq" or "le"
@@ -144,7 +152,7 @@ def expand_model(inst: Instance) -> Model:
     supply_mass = {c.id: inst.total_supply_mass(c.id) for c in inst.commodities}
     supply_units = {cid: _as_exact_int(mass, "supply mass") // loads[cid]
                     for cid, mass in supply_mass.items()}
-    vehicle_ub = math.ceil(sum(supply_mass.values()) / capacity)
+    vehicle_ub = math.ceil(ordered_sum(supply_mass.values()) / capacity)
 
     # (pair, end) per arc: departures run over range(1, end), the steps t
     # with t + travel_time <= T + 1
@@ -277,7 +285,7 @@ def evaluate_objective(model: Model, a: Assignment) -> float:
     """Total vehicle cost sum(c * z); flow variables do not contribute."""
     if len(a.values) != len(model.variables):
         raise ValueError("assignment length mismatch")
-    return sum((cost * a.values[i] for i, cost in model.objective), 0.0)
+    return ordered_sum((cost * a.values[i] for i, cost in model.objective), 0.0)
 
 
 def zero_assignment(model: Model) -> Assignment:
@@ -394,7 +402,7 @@ def reconstruct_solution(model: Model, tables: dict) -> Assignment:
         changed = False
         for cell, need, members in equations:
             open_members = [(i, k) for i, k in members if i not in units]
-            fixed = sum(k * units[i] for i, k in members if i in units)
+            fixed = ordered_sum(k * units[i] for i, k in members if i in units)
             if len(open_members) == 1:
                 i, k = open_members[0]
                 units[i] = (need - fixed) / k
@@ -449,7 +457,7 @@ def reconstruct_solution(model: Model, tables: dict) -> Assignment:
                 f"cargo on {arc_key(*pair)} departing t={t} exceeds the vehicle cover by {r}")
         cargo[pair] = cargo.get(pair, 0) + sum(k * values[i] for i, k in c.terms if k > 0)
     for a in inst.arcs:
-        total_doc, total_flow = sum(row(cargo_doc, a.key())), cargo.get(a.pair, 0)
+        total_doc, total_flow = ordered_sum(row(cargo_doc, a.key())), cargo.get(a.pair, 0)
         if abs(total_doc - total_flow) > 1e-9:
             raise TableReconstructionError(
                 f"cargo total on {a.key()}: tables say {total_doc}, flows say {total_flow}")

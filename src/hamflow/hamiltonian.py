@@ -15,6 +15,11 @@ slack per capacity constraint in constraint order.  Each variable carries a
 `levels` count equal to its upper bound; the sum of all levels is exported
 as the target-device sum constraint R (metadata only -- classical solvers
 ignore it).
+
+Hamiltonian variables are values that are never mutated once built; like
+the model's `Variable`, `HamiltonianVariable` is a slotted rather than a
+frozen dataclass because a compile or parse builds one per variable.
+`Hamiltonian` stays frozen.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ class NonIntegerCoefficientError(CompileError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class HamiltonianVariable:
     index: int
     origin: tuple | None     # ("decision", model variable index) or ("slack", constraint tag);
@@ -128,16 +133,22 @@ def compile_hamiltonian(model: Model, alpha: float | None = None) -> Hamiltonian
             scale = two_alpha * rhs
             for i, a in terms:
                 linear[i] = lget(i, 0.0) - scale * a
-        for p, (i, a) in enumerate(terms, 1):
-            quadratic[(i, i)] = qget((i, i), 0.0) + alpha * a * a
+            offset += alpha * rhs * rhs
+        rest = list(terms)   # the terms after (i, a)
+        for i, a in terms:
+            del rest[0]
+            key = (i, i)
+            quadratic[key] = qget(key, 0.0) + alpha * a * a
             scale = two_alpha * a
-            for j, b in terms[p:]:
+            for j, b in rest:
                 key = (i, j) if i <= j else (j, i)
                 quadratic[key] = qget(key, 0.0) + scale * b
-        offset += alpha * rhs * rhs
 
-    linear = {i: v for i, v in linear.items() if v != 0}
-    quadratic = {k: v for k, v in quadratic.items() if v != 0}
+    # a coefficient that cancelled is dropped; -0.0 == 0.0, so both signs are
+    if 0.0 in linear.values():
+        linear = {i: v for i, v in linear.items() if v != 0}
+    if 0.0 in quadratic.values():
+        quadratic = {k: v for k, v in quadratic.items() if v != 0}
     try:
         sum_constraint = float(sum(v.levels for v in variables))
     except OverflowError:
@@ -197,12 +208,20 @@ def decode_point(h: Hamiltonian, model: Model, point: Sequence[float]) -> Assign
 
 def dynamic_range_db(h: Hamiltonian) -> float:
     """10*log10(max |coef| / min nonzero |coef|) over linear and quadratic
-    coefficients; the offset does not participate."""
+    coefficients; the offset does not participate.
+
+    When the ratio overflows a float (the least coefficient subnormal), the
+    difference of the two logarithms is returned instead, so the result is
+    finite for every finite Hamiltonian."""
     magnitudes = [abs(c) for c in h.linear.values() if c != 0]
     magnitudes += [abs(c) for c in h.quadratic.values() if c != 0]
     if not magnitudes:
         raise ValueError("dynamic range undefined: Hamiltonian has no nonzero coefficients")
-    return 10.0 * math.log10(max(magnitudes) / min(magnitudes))
+    hi, lo = max(magnitudes), min(magnitudes)
+    ratio = hi / lo
+    if ratio < math.inf:
+        return 10.0 * math.log10(ratio)
+    return 10.0 * (math.log10(hi) - math.log10(lo))
 
 
 # --- polynomial file format ---------------------------------------------------
@@ -288,22 +307,24 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
     linear: dict[int, float] = {}
     quadratic: dict[tuple[int, int], float] = {}
     values: dict[str, float] = {}   # each distinct coefficient token converted once
+    vget = values.get
     for line in lines[2:]:
         tok = line.split()
-        if not tok or line[0] == "#":
-            continue
         try:
-            if tok[0] == "1" and len(tok) == 3:
+            if len(tok) == 4 and tok[0] == "2":
+                i, j = int(tok[1]), int(tok[2])
+                if i > j:
+                    raise PolynomialFormatError(f"quadratic indices out of order: {line!r}")
+                key = i, j
+                target = quadratic
+            elif len(tok) == 3 and tok[0] == "1":
                 key = int(tok[1])
                 target = linear
-            elif tok[0] == "2" and len(tok) == 4:
-                key = (int(tok[1]), int(tok[2]))
-                if key[0] > key[1]:
-                    raise PolynomialFormatError(f"quadratic indices out of order: {line!r}")
-                target = quadratic
+            elif not tok or line[0] == "#":
+                continue
             else:
                 raise PolynomialFormatError(f"unrecognized term line: {line!r}")
-            value = values.get(tok[-1])
+            value = vget(tok[-1])
             if value is None:
                 value = values[tok[-1]] = float(tok[-1])
                 if not math.isfinite(value):

@@ -34,6 +34,18 @@ from typing import Iterable
 MAX_EXPANDED_VARIABLES = 100_000
 
 
+def ordered_sum(values: Iterable, start=0):
+    """start + v0 + v1 + ..., added strictly left to right.
+
+    From Python 3.12 on, `sum()` compensates the rounding of float sums, so
+    a float total that reaches an output would change with the interpreter
+    version; every such total goes through here instead."""
+    total = start
+    for v in values:
+        total += v
+    return total
+
+
 class InstanceError(Exception):
     """Base class for instance construction and parsing failures."""
 
@@ -198,8 +210,8 @@ class Instance:
         return 0.0
 
     def total_supply_mass(self, commodity: str) -> float:
-        return sum(e.amount for e in self.schedule
-                   if e.commodity == commodity and e.amount > 0)
+        return ordered_sum(e.amount for e in self.schedule
+                           if e.commodity == commodity and e.amount > 0)
 
     def out_arcs(self, depot_id: str) -> list[Arc]:
         return [a for a in self.arcs if a.origin == depot_id]
@@ -378,7 +390,7 @@ def mass_balance_findings(inst: Instance) -> list[Finding]:
     """One finding per commodity whose scheduled masses do not cancel."""
     findings = []
     for c in inst.commodities:
-        balance = sum(e.amount for e in inst.schedule if e.commodity == c.id)
+        balance = ordered_sum(e.amount for e in inst.schedule if e.commodity == c.id)
         if abs(balance) > 1e-9:
             findings.append(Finding(
                 "mass_balance",

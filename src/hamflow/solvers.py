@@ -63,6 +63,7 @@ from .expansion import (
     verify_assignment,
 )
 from .hamiltonian import Hamiltonian
+from .instance import ordered_sum
 
 
 class SearchSpaceTooLargeError(Exception):
@@ -490,7 +491,7 @@ def _require_finite_objective(model: Model) -> None:
     """Raise ModelError when the objective at the vehicle bounds overflows a
     float: every cost sum could be inf, and an inf cost never beats the
     empty incumbent, so a feasible model would read as infeasible."""
-    worst = sum(cost * model.variables[i].upper_bound for i, cost in model.objective)
+    worst = ordered_sum(cost * model.variables[i].upper_bound for i, cost in model.objective)
     if not math.isfinite(worst):
         raise ModelError("arc costs too large: the objective over the vehicle bounds "
                          "overflows a float")
@@ -933,7 +934,7 @@ def summarize_samples(s: SampleSet) -> SummaryStats:
         median_energy=median,
         worst_energy=energies[-1],
         feasible_fraction=sum(1 for x in s.samples if x.feasible) / k,
-        mean_wall_time=sum(x.wall_time for x in s.samples) / k,
+        mean_wall_time=ordered_sum(x.wall_time for x in s.samples) / k,
         bins=tuple(energy_histogram([x.energy for x in s.samples])),
     )
 

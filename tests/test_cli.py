@@ -135,6 +135,21 @@ class TestMethodsAndFlags:
         assert json.loads(proc.stdout)["alpha"] == 500.0
         assert "alpha=500" in (tmp_path / "hamiltonian.txt").read_text().splitlines()[0]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_subnormal_alpha_prints_a_finite_range(self, tmp_path, fmt):
+        # the least coefficient is subnormal, so max/min overflows a float
+        proc = run_cli("compile", "--instance", "case-study", "--alpha", "1e-320",
+                       "--out", str(tmp_path), "--format", fmt)
+        assert proc.returncode == 0, proc.stderr
+        assert "inf" not in proc.stdout.replace(str(tmp_path), "").lower()
+        if fmt == "json":
+            summary = json.loads(proc.stdout, parse_constant=pytest.fail)
+            db = summary["dynamic_range_db"]
+        else:
+            db = float(dict(line.split(",", 1) for line in proc.stdout.splitlines())
+                       ["dynamic_range_db"])
+        assert 3000 < db < 4000
+
     def test_solve_infeasible_is_exit_1(self, tmp_path):
         doc = {
             "depots": [{"id": "A", "label": "A"}, {"id": "B", "label": "B"}],

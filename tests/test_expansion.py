@@ -1,16 +1,19 @@
 import copy
 import json
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
 from hamflow import expansion
 from hamflow.expansion import (
+    FLOW,
     Assignment,
     InfeasibleModelError,
+    LinearConstraint,
     ModelError,
     TableReconstructionError,
+    Variable,
     evaluate_objective,
     expand_model,
     prune_model,
@@ -18,6 +21,7 @@ from hamflow.expansion import (
     verify_assignment,
     zero_assignment,
 )
+from hamflow.hamiltonian import HamiltonianVariable, compile_hamiltonian
 from hamflow.instance import (
     Arc,
     Commodity,
@@ -26,10 +30,43 @@ from hamflow.instance import (
     ScheduleEntry,
     build_case_study,
     default_case_study_costs,
+    ordered_sum,
 )
 from hamflow.solvers import solve_exact
 
 from conftest import GOLDEN_DIR, empty_schedule_instance, random_micro_model
+
+
+class TestRecords:
+    """Variables, rows and Hamiltonian variables are values: equal fields
+    make equal, equally hashed records, and `replace` builds a new one."""
+
+    @pytest.mark.parametrize("cls, fields, name, other", [
+        (Variable, (0, FLOW, ("A", "B"), "K", 1, 3), "upper_bound", 4),
+        (LinearConstraint, (((0, 10), (1, -10)), "eq", 10, ("conservation", "A", "K", 1)),
+         "rhs", 0),
+        (HamiltonianVariable, (0, ("decision", 0), 3), "levels", 4),
+    ], ids=lambda x: x.__name__ if isinstance(x, type) else None)
+    def test_value_semantics(self, cls, fields, name, other):
+        a, b = cls(*fields), cls(*fields)
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert {a, b} == {a} and {a: "kept"}[b] == "kept"
+        assert a != fields
+        changed = replace(a, **{name: other})
+        assert getattr(changed, name) == other and changed != a and changed not in {a}
+        assert getattr(a, name) != other
+        assert replace(changed, **{name: getattr(a, name)}) == a
+
+    def test_model_records_hash_apart(self, case_study_model):
+        assert len(set(case_study_model.variables)) == len(case_study_model.variables)
+        assert len(set(case_study_model.constraints)) == len(case_study_model.constraints)
+
+    def test_model_and_hamiltonian_stay_frozen(self, micro_model):
+        h = compile_hamiltonian(micro_model)
+        with pytest.raises(FrozenInstanceError):
+            micro_model.variables = ()
+        with pytest.raises(FrozenInstanceError):
+            h.alpha = 1.0
 
 
 def interval_survivors(inst):
@@ -257,6 +294,16 @@ class TestObjective:
                     + 3 * costs["N3->N4"] + 2 * costs["N4->N5"] + 2 * costs["N6->N7"])
         got = evaluate_objective(case_study_pruned, published_schedule)
         assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_costs_add_left_to_right(self, case_study_pruned):
+        # 1e16 + 1.0 rounds back to 1e16, twice; a compensated sum (Python
+        # 3.12's sum()) would give 1e16 + 2
+        (i, _), (j, _), (k, _) = case_study_pruned.objective[:3]
+        model = replace(case_study_pruned, objective=((i, 1e16), (j, 1.0), (k, 1.0)))
+        values = [0] * len(model.variables)
+        values[i] = values[j] = values[k] = 1
+        assert evaluate_objective(model, Assignment(values=tuple(values))) == 1e16
+        assert ordered_sum([1e16, 1.0, 1.0]) == 1e16 != 1e16 + 2
 
 
 class TestReconstruction:

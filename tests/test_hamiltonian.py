@@ -178,6 +178,29 @@ class TestCompile:
         assert h.alpha == 50.0
         assert h.offset == 50.0 * (100 + 100)
 
+    def test_cancelled_coefficient_is_dropped(self):
+        # x[A->B,t=1] departs A's supply row (rhs +10, coefficient +10) and
+        # arrives in B's supply row (rhs +10, coefficient -10), so its linear
+        # coefficient is -2*alpha*100 + 2*alpha*100 = 0.0
+        inst = Instance(
+            depots=(Depot("A", "A"), Depot("B", "B"), Depot("C", "C")),
+            arcs=(Arc("A", "B", 1.0, 1), Arc("B", "C", 1.0, 1)),
+            commodities=(Commodity("K", 10.0),), horizon=3, capacity=100.0,
+            schedule=(ScheduleEntry("A", "K", 1, 10.0), ScheduleEntry("B", "K", 2, 10.0),
+                      ScheduleEntry("C", "K", 3, -20.0)))
+        model = prune_model(expand_model(inst))
+        x = model.flow_index()[(("A", "B"), "K", 1)]
+        h = compile_hamiltonian(model)
+        assert x not in h.linear
+        assert 0.0 not in h.linear.values() and 0.0 not in h.quadratic.values()
+        buf = io.StringIO()
+        export_hamiltonian(h, buf)
+        parsed = parse_hamiltonian(buf.getvalue())
+        assert list(parsed.linear.items()) == sorted(h.linear.items())
+        assert list(parsed.quadratic.items()) == sorted(h.quadratic.items())
+        assert (parsed.offset, parsed.alpha, parsed.sum_constraint) == \
+            (h.offset, h.alpha, h.sum_constraint)
+
 
 class TestEvaluate:
     def test_zero_point_zero_rhs(self):
