@@ -248,28 +248,22 @@ def _cmd_solve(args) -> int:
             _print_summary({"method": "anneal", "seed": seed, "feasible": False,
                             "best_energy": sset.best().energy}, args.format)
             return 1
-        _write_solution(out, model, best.assignment, "anneal", best.objective)
-        render_reports(model, best.assignment, out)
-        _print_summary({"method": "anneal", "seed": seed, "feasible": True,
-                        "objective": best.objective, "best_energy": best.energy,
-                        "feasible_samples": sum(1 for s in sset.samples if s.feasible)},
-                       args.format)
-        return 0
-
-    if args.method == "exact":
-        result = solvers.solve_exact(model)
+        summary = {"method": "anneal", "seed": seed, "feasible": True,
+                   "objective": best.objective, "best_energy": best.energy,
+                   "feasible_samples": sum(1 for s in sset.samples if s.feasible)}
     else:
-        result = solvers.brute_force_oracle(model)
-    if result.sample is None:
-        raise CliError(f"model is {result.status}: no feasible assignment exists"
-                       if result.status == "infeasible"
-                       else "time limit expired without an incumbent")
-    _write_solution(out, model, result.sample.assignment, args.method,
-                    result.sample.objective)
-    render_reports(model, result.sample.assignment, out)
-    _print_summary({"method": args.method, "objective": result.sample.objective,
-                    "certified": result.certified, "nodes": result.nodes},
-                   args.format)
+        solve = solvers.solve_exact if args.method == "exact" else solvers.brute_force_oracle
+        result = solve(model)
+        best = result.sample
+        if best is None:
+            raise CliError(f"model is {result.status}: no feasible assignment exists"
+                           if result.status == "infeasible"
+                           else "time limit expired without an incumbent")
+        summary = {"method": args.method, "objective": best.objective,
+                   "certified": result.certified, "nodes": result.nodes}
+    _write_solution(out, model, best.assignment, args.method, best.objective)
+    render_reports(model, best.assignment, out)
+    _print_summary(summary, args.format)
     return 0
 
 

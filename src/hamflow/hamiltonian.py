@@ -262,21 +262,31 @@ class PolynomialFormatError(Exception):
     pass
 
 
+def _unwritten(tok: str) -> bool:
+    """Whether `tok` is a number that int() or float() reads but export
+    never writes: one holding a non-ASCII character (a fullwidth digit, say)
+    or an underscore, or one that starts with '+'."""
+    return not tok.isascii() or "_" in tok or tok[:1] == "+"
+
+
 def parse_hamiltonian(text: str) -> Hamiltonian:
     """Re-read an exported polynomial file.
 
     Variable origins are not part of the format, so parsed variables carry
     origin None; coefficients, levels, alpha, offset, and R round-trip exactly.
     Only degree-1 and degree-2 terms are read; any other line, a token that
-    is not a number, an index outside [0, vars), a non-finite number, an
-    alpha that is not positive, a negative level count and an R that no
-    point of the levels sums to raise PolynomialFormatError.
+    is not a number as export writes one (`_unwritten`), an index outside
+    [0, vars), a non-finite number, an alpha that is not positive, a
+    negative level count and an R that no point of the levels sums to raise
+    PolynomialFormatError.
     """
     lines = text.splitlines()
     if not lines or not lines[0].startswith("HAMILTONIAN v1 "):
         raise PolynomialFormatError("missing 'HAMILTONIAN v1' header")
     try:
         fields = dict(part.split("=", 1) for part in lines[0].split()[2:])
+        if any(map(_unwritten, fields.values())):
+            raise ValueError(lines[0])
         n = int(fields["vars"])
         alpha = float(fields["alpha"])
         offset = float(fields["offset"])
@@ -308,6 +318,7 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
     quadratic: dict[tuple[int, int], float] = {}
     values: dict[str, float] = {}   # each distinct coefficient token converted once
     vget = values.get
+    comment_marks = 0   # underscores in comment lines, which may hold any text
     for line in lines[2:]:
         tok = line.split()
         try:
@@ -321,6 +332,7 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
                 key = int(tok[1])
                 target = linear
             elif not tok or line[0] == "#":
+                comment_marks += line.count("_")
                 continue
             else:
                 raise PolynomialFormatError(f"unrecognized term line: {line!r}")
@@ -332,6 +344,16 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
         except ValueError:
             raise PolynomialFormatError(f"unrecognized term line: {line!r}") from None
         target[key] = value
+
+    # export writes ASCII only, with '_' only in comments and '+' only in
+    # exponents: only a text with more is read again token by token
+    if not text.isascii() or "+" in text or text.count("_") > comment_marks:
+        for tok in lines[1].split()[1:]:
+            if _unwritten(tok):
+                raise PolynomialFormatError(f"LEVELS entry {tok!r} is not an integer")
+        for line in lines[2:]:
+            if line[:1] != "#" and any(map(_unwritten, line.split())):
+                raise PolynomialFormatError(f"unrecognized term line: {line!r}")
 
     # quadratic pairs are ordered, so the extremes are the least first and
     # the greatest second index; only a file that fails is walked in order

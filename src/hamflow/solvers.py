@@ -54,7 +54,6 @@ from dataclasses import dataclass
 
 from .expansion import (
     FLOW,
-    VEHICLE,
     Assignment,
     FeasibilityReport,
     Model,
@@ -62,7 +61,7 @@ from .expansion import (
     evaluate_objective,
     verify_assignment,
 )
-from .hamiltonian import Hamiltonian
+from .hamiltonian import Hamiltonian, choose_alpha
 from .instance import ordered_sum
 
 
@@ -224,21 +223,17 @@ def _presence_bounds(g: _Graph) -> list[int]:
     return present
 
 
-def _absorb_bounds(g: _Graph, cap_mass: dict[int, int] | None = None) -> list[int]:
+def _absorb_bounds(g: _Graph, cap_mass: dict[int, int]) -> list[int]:
     """Per-cell upper bound on the units that demands at or after that cell
     can take (backward DP): its own demand plus, per edge leaving it, the
-    lesser of the variable's bound and what its head can take.  With
-    `cap_mass`, a variable also carries at most cap_mass[z] // load units,
-    z its vehicle variable."""
+    least of the variable's bound, cap_mass[z] // load (z its vehicle
+    variable) and what its head can take."""
     absorb = [0] * len(g.cells)
     for c in range(len(g.cells) - 1, -1, -1):
         load = g.loads[g.cells[c][1]]
         units = max(-g.mass.get(c, 0), 0) // load
         for i, _, head, z in g.out[c]:
-            bound = g.variables[i].upper_bound
-            if cap_mass is not None:
-                bound = min(bound, cap_mass[z] // load)
-            units += min(absorb[head], bound)
+            units += min(absorb[head], g.variables[i].upper_bound, cap_mass[z] // load)
         absorb[c] = units
     return absorb
 
@@ -247,7 +242,8 @@ def _vehicle_search_caps(g: _Graph) -> dict[int, int]:
     """Largest useful vehicle count per vehicle variable: enough to cover the
     most mass that could ever traverse its (arc, t).  Some optimum always
     fits under these caps, so the search never looks above them."""
-    present, absorb = _presence_bounds(g), _absorb_bounds(g)
+    present = _presence_bounds(g)
+    absorb = _absorb_bounds(g, {z: g.capacity * g.variables[z].upper_bound for z in g.vehicles})
     max_mass = dict.fromkeys(g.vehicles, 0)
     for c, edges in enumerate(g.out):
         load = g.loads[g.cells[c][1]]
@@ -430,20 +426,20 @@ class _FlowRelaxation:
         return flows
 
 
-def find_feasible_flows(g: _Graph, vehicle_values: dict[int, int]) -> dict[int, int] | None:
-    """Exact integral commodity flows under fixed vehicle counts, or None.
+def find_feasible_flows(g: _Graph, cap_mass: dict[int, int]) -> dict[int, int] | None:
+    """Exact integral commodity flows within the vehicle capacities `cap_mass`, or None.
 
     Depth-first search over (time, depot, commodity) cells: everything
     present at a cell must depart the same step, split over the outgoing
     flow variables without exceeding per-variable bounds or the remaining
     shared vehicle capacity on each (arc, t).  Every unit must end at a
     demand, so no variable takes more units than its destination cell can
-    still absorb: `_absorb_bounds` under the fixed vehicle capacities, less
-    the units already arriving there.  That cuts only subtrees without a
+    still absorb: `_absorb_bounds` under the fixed capacities, less the
+    units already arriving there.  That cuts only subtrees without a
     completion, so the first completion found is the one the bare
     enumeration finds.
     """
-    cap_left = {z: g.capacity * vehicle_values.get(z, 0) for z in g.vehicles}
+    cap_left = dict(cap_mass)
     absorb = _absorb_bounds(g, cap_left)
     incoming = [0] * len(g.cells)
     chosen: dict[int, int] = {}
@@ -488,20 +484,34 @@ def find_feasible_flows(g: _Graph, vehicle_values: dict[int, int]) -> dict[int, 
 
 
 def _require_finite_objective(model: Model) -> None:
-    """Raise ModelError when the objective at the vehicle bounds overflows a
-    float: every cost sum could be inf, and an inf cost never beats the
-    empty incumbent, so a feasible model would read as infeasible."""
-    worst = ordered_sum(cost * model.variables[i].upper_bound for i, cost in model.objective)
-    if not math.isfinite(worst):
+    """Raise ModelError when `choose_alpha`, one more than the objective at
+    the vehicle bounds, overflows a float: an inf cost never beats the empty
+    incumbent, so a feasible model would read as infeasible."""
+    if not math.isfinite(choose_alpha(model)):
         raise ModelError("arc costs too large: the objective over the vehicle bounds "
                          "overflows a float")
+
+
+def _exact_result(best: Assignment | None, objective: float, nodes: int, start: float,
+                  timed_out: bool = False) -> ExactResult:
+    """An exact back-end's result: `best` is the best point found, of cost
+    `objective`, or None when there is none; the wall time runs from `start`."""
+    wall = time.perf_counter() - start
+    sample = None if best is None else Sample(assignment=best, energy=objective,
+                                              objective=objective, feasible=True,
+                                              restart_index=0, wall_time=wall)
+    status = "time_limit" if timed_out else "infeasible" if best is None else "optimal"
+    return ExactResult(status=status, sample=sample, certified=not timed_out, nodes=nodes,
+                       wall_time=wall)
 
 
 def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     """Depth-first branch-and-bound over vehicle variables.
 
-    Branches the most expensive arcs first and tries smaller counts first;
-    internal nodes are pruned by a demand-cut cost bound and the max-flow
+    Branches the most expensive arcs first and tries smaller counts first.
+    A node is its depth and `cap_mass`, the mass each vehicle variable can
+    carry: capacity times its count, or times its search cap while unbranched.
+    Internal nodes are pruned by a demand-cut cost bound and the max-flow
     relaxations, and leaves are completed by find_feasible_flows.  Each node
     hands its relaxation flows to its children, and a child repairs each
     network's flow where the (arc, t) just branched on carries more than the
@@ -519,8 +529,7 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     caps = _vehicle_search_caps(g)
     cost_of = dict(model.objective)
 
-    branch_vars = [v for v in model.variables if v.kind == VEHICLE and caps[v.index] > 0]
-    branch_vars.sort(key=lambda v: (-cost_of.get(v.index, 0.0), v.index))
+    branch_vars = sorted(filter(caps.get, caps), key=lambda z: (-cost_of.get(z, 0.0), z))
 
     # demand-side cut data: vehicles required into each demand depot
     demand_mass = {}
@@ -529,17 +538,16 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
             depot = g.cells[c][0]
             demand_mass[depot] = demand_mass.get(depot, 0) - mass
     required = {d: -(-m // capacity) for d, m in demand_mass.items()}
-    in_arc_vars = {d: [v for v in branch_vars if v.arc[1] == d] for d in required}
+    in_arc_vars = {d: [(n, z) for n, z in enumerate(branch_vars) if g.variables[z].arc[1] == d]
+                   for d in required}   # (branch depth, vehicle variable) pairs
 
-    z_fixed: dict[int, int] = {z: 0 for z in g.vehicles if caps[z] == 0}
     cap_mass = {z: capacity * caps[z] for z in g.vehicles}
+    best_cost = math.inf
+    best: Assignment | None = None
+    nodes = 0
+    timed_out = False
 
-    best_cost = [math.inf]
-    best_values: list[tuple[int, ...] | None] = [None]
-    nodes = [0]
-    timed_out = [False]
-
-    def cut_bound(cost_so_far: float) -> float:
+    def cut_bound(depth: int, cost_so_far: float) -> float:
         """Lower bound: every demand depot still needs enough vehicle
         arrivals to carry its total demanded mass."""
         bound = cost_so_far
@@ -547,12 +555,12 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
             have = 0
             open_cost = math.inf
             open_caps = 0
-            for v in in_arc_vars[d]:
-                if v.index in z_fixed:
-                    have += z_fixed[v.index]
+            for branched_at, z in in_arc_vars[d]:
+                if branched_at < depth:
+                    have += cap_mass[z] // capacity
                 else:
-                    open_cost = min(open_cost, cost_of.get(v.index, 0.0))
-                    open_caps += caps[v.index]
+                    open_cost = min(open_cost, cost_of.get(z, 0.0))
+                    open_caps += caps[z]
             short = req - have
             if short > 0:
                 if short > open_caps:
@@ -561,59 +569,41 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
         return bound
 
     def dfs(depth: int, cost_so_far: float, parent_flows: list | None, changed: int | None):
-        nodes[0] += 1
-        if nodes[0] % 512 == 0 and time.perf_counter() - start > time_limit:
-            timed_out[0] = True
-        if timed_out[0]:
+        nonlocal best_cost, best, nodes, timed_out
+        nodes += 1
+        if nodes % 512 == 0 and time.perf_counter() - start > time_limit:
+            timed_out = True   # every ancestor stops branching once this returns
             return
-        if cost_so_far >= best_cost[0] - 1e-9:
+        if cost_so_far >= best_cost - 1e-9:
             return
-        if cut_bound(cost_so_far) >= best_cost[0] - 1e-9:
+        if cut_bound(depth, cost_so_far) >= best_cost - 1e-9:
             return
         relax_flows = relax.feasible(cap_mass, parent_flows, changed)
         if relax_flows is None:
             return
         if depth == len(branch_vars):
-            flows = find_feasible_flows(g, z_fixed)
+            flows = find_feasible_flows(g, cap_mass)
             if flows is None:
                 return
-            values = [0] * len(model.variables)
-            for i, units in flows.items():
-                values[i] = units
-            for i, count in z_fixed.items():
-                values[i] = count
-            best_cost[0] = cost_so_far
-            best_values[0] = tuple(values)
+            flows.update((z, cap_mass[z] // capacity) for z in branch_vars)
+            best_cost = cost_so_far
+            best = Assignment(values=tuple(flows.get(i, 0) for i in range(len(model.variables))))
             return
-        z = branch_vars[depth].index
+        z = branch_vars[depth]
         cost = cost_of.get(z, 0.0)
-        saved = cap_mass[z]
         for value in range(0, caps[z] + 1):
-            z_fixed[z] = value
             cap_mass[z] = capacity * value
             dfs(depth + 1, cost_so_far + cost * value, relax_flows, z)
-            if timed_out[0]:
+            if timed_out:
                 break
-        del z_fixed[z]
-        cap_mass[z] = saved
+        cap_mass[z] = capacity * caps[z]
 
     try:
         dfs(0, 0.0, None, None)
     finally:
         del dfs   # it refers to itself: free the search state on return
-    wall = time.perf_counter() - start
-
-    if best_values[0] is None:
-        status = "time_limit" if timed_out[0] else "infeasible"
-        return ExactResult(status=status, sample=None, certified=not timed_out[0],
-                           nodes=nodes[0], wall_time=wall)
-    assignment = Assignment(values=best_values[0])
-    objective = evaluate_objective(model, assignment)
-    sample = Sample(assignment=assignment, energy=objective, objective=objective,
-                    feasible=True, restart_index=0, wall_time=wall)
-    status = "time_limit" if timed_out[0] else "optimal"
-    return ExactResult(status=status, sample=sample, certified=not timed_out[0],
-                       nodes=nodes[0], wall_time=wall)
+    objective = math.inf if best is None else evaluate_objective(model, best)
+    return _exact_result(best, objective, nodes, start, timed_out)
 
 
 def brute_force_oracle(model: Model, limit: int = 10**7) -> ExactResult:
@@ -652,7 +642,7 @@ def brute_force_oracle(model: Model, limit: int = 10**7) -> ExactResult:
         cost[i] = c_val
 
     best_obj = math.inf
-    best_x = None
+    best = None
     chunk = 1 << 16
     for lo in range(0, space, chunk):
         hi = min(lo + chunk, space)
@@ -673,16 +663,8 @@ def brute_force_oracle(model: Model, limit: int = 10**7) -> ExactResult:
         j = int(np.argmin(obj))
         if obj[j] < best_obj - 1e-12:
             best_obj = float(obj[j])
-            best_x = tuple(int(v) for v in X[j])
-    wall = time.perf_counter() - start
-    if best_x is None:
-        return ExactResult(status="infeasible", sample=None, certified=True,
-                           nodes=space, wall_time=wall)
-    assignment = Assignment(values=best_x)
-    sample = Sample(assignment=assignment, energy=best_obj, objective=best_obj,
-                    feasible=True, restart_index=0, wall_time=wall)
-    return ExactResult(status="optimal", sample=sample, certified=True,
-                       nodes=space, wall_time=wall)
+            best = Assignment(values=tuple(int(v) for v in X[j]))
+    return _exact_result(best, best_obj, space, start)
 
 
 # --- simulated annealing -------------------------------------------------------
@@ -939,16 +921,19 @@ def summarize_samples(s: SampleSet) -> SummaryStats:
     )
 
 
-def energy_histogram(energies: list[float], nbins: int = 20) -> list[tuple[float, float, int]]:
-    """Fixed-width bins spanning the observed range; a zero range degenerates
-    to a unit span centered on the value (wider where the value's float
-    spacing needs it) so exactly one bin is occupied."""
+_HISTOGRAM_BINS = 20
+
+
+def energy_histogram(energies: list[float]) -> list[tuple[float, float, int]]:
+    """`_HISTOGRAM_BINS` fixed-width bins spanning the observed range; a zero
+    range degenerates to a unit span centered on the value (wider where the
+    value's float spacing needs it) so exactly one bin is occupied."""
     lo, hi = min(energies), max(energies)
     if hi == lo:
-        pad = max(0.5, nbins * math.ulp(lo))
+        pad = max(0.5, _HISTOGRAM_BINS * math.ulp(lo))
         lo, hi = lo - pad, hi + pad
-    width = (hi - lo) / nbins
-    counts = [0] * nbins
+    width = (hi - lo) / _HISTOGRAM_BINS
+    counts = [0] * _HISTOGRAM_BINS
     for e in energies:
-        counts[min(int((e - lo) / width), nbins - 1)] += 1
-    return [(lo + i * width, lo + (i + 1) * width, counts[i]) for i in range(nbins)]
+        counts[min(int((e - lo) / width), _HISTOGRAM_BINS - 1)] += 1
+    return [(lo + i * width, lo + (i + 1) * width, counts[i]) for i in range(_HISTOGRAM_BINS)]

@@ -436,6 +436,10 @@ class TestParseErrors:
         "HAMILTONIAN v1 vars=2 alpha=inf offset=0 R=2",
         "HAMILTONIAN v1 vars=2 alpha=3 offset=nan R=2",
         "HAMILTONIAN v1 vars=2 alpha=3 offset=0 R=1e400",
+        # int() and float() read these; export never writes them
+        "HAMILTONIAN v1 vars=2 alpha=3 offset=0 R=1_1",
+        "HAMILTONIAN v1 vars=2 alpha=+3 offset=0 R=2",
+        "HAMILTONIAN v1 vars=\uff12 alpha=3 offset=0 R=2",
     ])
     def test_bad_header(self, header):
         with pytest.raises(PolynomialFormatError) as exc:
@@ -476,14 +480,19 @@ class TestParseErrors:
         export_hamiltonian(h, buf)
         assert parse_hamiltonian(buf.getvalue()).sum_constraint == h.sum_constraint
 
-    @pytest.mark.parametrize("levels, entry", [("LEVELS 1 x", "x"), ("LEVELS 1.5 1", "1.5")])
+    @pytest.mark.parametrize("levels, entry", [("LEVELS 1 x", "x"), ("LEVELS 1.5 1", "1.5"),
+                                               ("LEVELS 1 1_0", "1_0"), ("LEVELS +1 1", "+1"),
+                                               ("LEVELS 1 \uff11", "\uff11")])
     def test_non_integer_levels_entry(self, levels, entry):
         with pytest.raises(PolynomialFormatError) as exc:
             parse_hamiltonian(poly(levels=levels))
         assert str(exc.value) == f"LEVELS entry {entry!r} is not an integer"
 
     @pytest.mark.parametrize("line", ["1 a 3.0", "1 0 abc", "1 0.0 1.5", "2 0 x 1.5",
-                                      "2 0 1 1.5.0"])
+                                      "2 0 1 1.5.0",
+                                      # int() and float() read these; export never writes them
+                                      "1 1_0 1_5.0", "2 \uff10 1_0 2", "1 +0 +1.5", "1 0 +1.5",
+                                      "2 0 1 1.5e+1_0", "1 0 \uff11.5"])
     def test_non_numeric_term_token(self, line):
         with pytest.raises(PolynomialFormatError) as exc:
             parse_hamiltonian(poly("1 1 2.5", line))
@@ -528,8 +537,15 @@ class TestParseErrors:
         assert str(exc.value) == f"term index {index} out of range"
 
     def test_comments_and_blank_lines_are_skipped(self):
-        h = parse_hamiltonian(poly("# relaxation_schedule 2", "", "   ", "1 0 1.5"))
+        h = parse_hamiltonian(poly("# relaxation_schedule 2", "", "   ", "1 0 1.5",
+                                   "# +1 1_0 \uff10"))
         assert h.linear == {0: 1.5} and h.quadratic == {}
+
+    def test_exponents_keep_their_signs(self):
+        header = "HAMILTONIAN v1 vars=2 alpha=1e+300 offset=-2.5e-05 R=2"
+        h = parse_hamiltonian(poly("1 0 1e+300", "2 0 1 -1.5e-07", header=header))
+        assert (h.alpha, h.offset) == (1e300, -2.5e-05)
+        assert h.linear == {0: 1e300} and h.quadratic == {(0, 1): -1.5e-07}
 
     def test_negative_zero_round_trips(self):
         text = ("HAMILTONIAN v1 vars=1 alpha=1 offset=-0 R=-0\nLEVELS 1\n"

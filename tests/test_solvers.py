@@ -156,6 +156,26 @@ class TestExactSearch:
         assert hashlib.sha256(values.encode()).hexdigest() == \
             "98635df78b1b81f8c2ed6e089c7ba8e38ce5008bd1c68575d5f60d18e2e3601f"
 
+    @pytest.mark.parametrize("prune", [False, True])
+    def test_per_commodity_networks_prune(self, prune):
+        """A and B each supply 10 of K1 and of K2; C takes 20 of K1 and D 20
+        of K2.  The merged-mass network routes all of it over the cheap arcs
+        A->D and B->C; only the per-commodity networks see that K1 at A and
+        K2 at B need the dear arcs, which cuts the search from 25 nodes to 9."""
+        inst = Instance(
+            depots=tuple(Depot(d, d) for d in "ABCD"),
+            arcs=(Arc("A", "C", 9.0, 1), Arc("B", "D", 8.0, 1),
+                  Arc("A", "D", 1.0, 1), Arc("B", "C", 1.0, 1)),
+            commodities=(Commodity("K1", 10.0), Commodity("K2", 10.0)),
+            horizon=2, capacity=20.0,
+            schedule=tuple(ScheduleEntry(d, k, 1, 10.0) for d in "AB" for k in ("K1", "K2"))
+            + (ScheduleEntry("C", "K1", 2, -20.0), ScheduleEntry("D", "K2", 2, -20.0)))
+        model = expand_model(inst)
+        result = solve_exact(expansion.prune_model(model) if prune else model)
+        assert result.status == "optimal"
+        assert result.objective == 19.0
+        assert result.nodes == 9
+
 
 def _assert_flow_fits(net, res, cap_mass):
     """The flow in residual list `res` stays within every edge's capacity
@@ -245,9 +265,11 @@ class TestLeafCompletion:
             model = random_micro_model(rng, max_space=50_000)
             feasible = _feasible_vehicle_vectors(model)
             vehicles = [v for v in model.variables if v.kind == expansion.VEHICLE]
+            capacity = int(model.instance.capacity)
             for counts in itertools.product(*(range(v.upper_bound + 1) for v in vehicles)):
                 fixed = {v.index: c for v, c in zip(vehicles, counts)}
-                flows = solvers.find_feasible_flows(solvers._Graph(model), fixed)
+                flows = solvers.find_feasible_flows(
+                    solvers._Graph(model), {z: capacity * c for z, c in fixed.items()})
                 assert (flows is not None) == (counts in feasible)
                 outcomes[flows is not None] += 1
                 if flows is not None:
@@ -685,16 +707,18 @@ class TestNoCyclicGarbage:
     def waves2(self):
         model = waves_model(2)
         best = solve_exact(model).sample.assignment.values
-        vehicles = {v.index: best[v.index] for v in model.variables if v.kind == expansion.VEHICLE}
-        return model, vehicles, compile_hamiltonian(model)
+        capacity = int(model.instance.capacity)
+        cap_mass = {v.index: capacity * best[v.index] for v in model.variables
+                    if v.kind == expansion.VEHICLE}
+        return model, cap_mass, compile_hamiltonian(model)
 
     @pytest.mark.parametrize("name", ["solve_exact", "find_feasible_flows", "anneal_sample"])
     def test_call_leaves_no_cycles(self, waves2, name):
-        model, vehicles, h = waves2
+        model, cap_mass, h = waves2
         call = {
             "solve_exact": lambda: solve_exact(model),
             "find_feasible_flows": lambda: solvers.find_feasible_flows(solvers._Graph(model),
-                                                                       vehicles),
+                                                                       cap_mass),
             "anneal_sample": lambda: anneal_sample(h, model, AnnealParams(restarts=1, sweeps=5),
                                                    seed=3),
         }[name]
