@@ -262,6 +262,9 @@ class PolynomialFormatError(Exception):
     pass
 
 
+_HEADER_KEYS = {"vars", "alpha", "offset", "R"}
+
+
 def _unwritten(tok: str) -> bool:
     """Whether `tok` is a number that int() or float() reads but export
     never writes: one holding a non-ASCII character (a fullwidth digit, say)
@@ -277,15 +280,18 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
     Only degree-1 and degree-2 terms are read; any other line, a token that
     is not a number as export writes one (`_unwritten`), an index outside
     [0, vars), a non-finite number, an alpha that is not positive, a
-    negative level count and an R that no point of the levels sums to raise
-    PolynomialFormatError.
+    negative level count, an R that no point of the levels sums to, a term
+    given twice and a header whose keys are not vars, alpha, offset and R,
+    each once, raise PolynomialFormatError.
     """
     lines = text.splitlines()
     if not lines or not lines[0].startswith("HAMILTONIAN v1 "):
         raise PolynomialFormatError("missing 'HAMILTONIAN v1' header")
     try:
-        fields = dict(part.split("=", 1) for part in lines[0].split()[2:])
-        if any(map(_unwritten, fields.values())):
+        parts = lines[0].split()[2:]
+        fields = dict(part.split("=", 1) for part in parts)
+        if len(parts) != 4 or fields.keys() != _HEADER_KEYS \
+                or any(map(_unwritten, fields.values())):
             raise ValueError(lines[0])
         n = int(fields["vars"])
         alpha = float(fields["alpha"])
@@ -319,6 +325,7 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
     values: dict[str, float] = {}   # each distinct coefficient token converted once
     vget = values.get
     comment_marks = 0   # underscores in comment lines, which may hold any text
+    skipped = 0   # comment and blank lines
     for line in lines[2:]:
         tok = line.split()
         try:
@@ -333,6 +340,7 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
                 target = linear
             elif not tok or line[0] == "#":
                 comment_marks += line.count("_")
+                skipped += 1
                 continue
             else:
                 raise PolynomialFormatError(f"unrecognized term line: {line!r}")
@@ -354,6 +362,17 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
         for line in lines[2:]:
             if line[:1] != "#" and any(map(_unwritten, line.split())):
                 raise PolynomialFormatError(f"unrecognized term line: {line!r}")
+
+    # export writes each term once: a repeat leaves fewer keys than term lines
+    if len(linear) + len(quadratic) < len(lines) - 2 - skipped:
+        seen = set()
+        for line in lines[2:]:
+            tok = line.split()
+            if tok and line[0] != "#":
+                key = tuple(map(int, tok[:-1]))
+                if key in seen:
+                    raise PolynomialFormatError(f"repeated term line: {line!r}")
+                seen.add(key)
 
     # quadratic pairs are ordered, so the extremes are the least first and
     # the greatest second index; only a file that fails is walked in order

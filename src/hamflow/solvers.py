@@ -38,9 +38,11 @@ rejections, only so that a seed gives the samples it always gave.
 `_sweep_draws` reads them for a block of sweeps at once with
 `bit_generator.random_raw` and decodes the words the way numpy would:
 Lemire's bounded draw on uint32 halves, low half first, and 53-bit doubles.
-It falls back to the four calls for the rest of a chain when numpy would
-reject a bounded draw, and for one-variable models; TestAnnealStream pins
-the stream byte for byte.
+It hands the chain each proposal's move index, 2 * int(pick * cycles) + up
+from the second and third draws, and the fourth draw for the Metropolis
+test.  It falls back to the four calls for the rest of a chain when numpy
+would reject a bounded draw, and for one-variable models; TestAnnealStream
+pins the stream byte for byte.
 
 numpy is imported inside `brute_force_oracle`, `_Chain` and `_sweep_draws`
 only, so commands that never anneal or enumerate do not load it.
@@ -683,7 +685,11 @@ def anneal_sample(h: Hamiltonian, model: Model, params: AnnealParams | None = No
     need not freeze to keep what it found.  When a commodity cannot be
     routed its flows start at zero, the sample is infeasible, and its energy
     adds `h.alpha` times the squared residuals of its verify report; nothing
-    else is read from `h`.  Each chain's random stream derives
+    else is read from `h`.  The chain caches each move's objective change
+    and recomputes it only after an accepted move that shares a variable
+    with it (`_Chain.touches`); a recomputed change is summed over the
+    move's edges in their fixed order, so the cache changes no float and
+    no decision.  Each chain's random stream derives
     deterministically from (seed, restart index), and identical inputs
     reproduce the SampleSet exactly (timings excluded, see
     SampleSet.canonical_bytes).
@@ -773,11 +779,13 @@ class _Chain:
     """The annealer's tables for one model, built once per `anneal_sample`
     call.  Each vehicle variable z has a cost, a bound and the mass the start
     flow puts on its (arc, t); `start` holds the start flow with every
-    vehicle count derived from that mass.  `moves[c][up]` holds, per edge of
-    cycle c, (flow variable, unit change, vehicle variable, mass change),
-    where up = 1 pushes the unit along the cycle's orientation and 0 against
-    it; decreasing edges come first, since a flow at zero is what rejects
-    most moves."""
+    vehicle count derived from that mass.  Move 2c + up pushes one unit
+    around cycle c, along the cycle's orientation when up = 1 and against it
+    when up = 0; `moves[m]` holds, per edge, (flow variable, unit change,
+    vehicle variable, mass change), decreasing edges first, since a flow at
+    zero is what rejects most moves.  `touches[m]` lists every move that
+    shares a flow or vehicle variable with move m, m and its reverse
+    included: the moves whose objective change an accepted m can alter."""
 
     def __init__(self, model: Model):
         g = _Graph(model)
@@ -794,10 +802,16 @@ class _Chain:
         for z in g.vehicles:
             self.start[z] = -(-self.mass[z] // g.capacity)
         self.moves = [
-            tuple(tuple(sorted(((i, d * s, edge[i][0], d * s * edge[i][1]) for i, s in cycle),
-                               key=lambda e: e[1]))
-                  for d in (-1, 1))
-            for cycle in _flow_cycles(g)]
+            tuple(sorted(((i, d * s, edge[i][0], d * s * edge[i][1]) for i, s in cycle),
+                         key=lambda e: e[1]))
+            for cycle in _flow_cycles(g) for d in (-1, 1)]
+        on_var: dict[int, list[int]] = {}
+        for m, move in enumerate(self.moves):
+            for i, _, z, _ in move:
+                on_var.setdefault(i, []).append(m)
+                on_var.setdefault(z, []).append(m)
+        self.touches = [sorted({k for i, _, z, _ in move for k in on_var[i] + on_var[z]})
+                        for move in self.moves]
         self.n_flows = len(g.edges)
         import numpy as np   # here, not in run, so that no sample's wall time holds it
 
@@ -807,47 +821,61 @@ class _Chain:
             cooling: float) -> list[int]:
         """One Metropolis chain of `sweeps` sweeps, each proposing one cycle
         move per flow variable: the flows and derived vehicle counts of the
-        lowest-objective point it visits."""
+        lowest-objective point it visits.
+
+        A move's objective change, or None when it would take a flow or a
+        derived vehicle count out of its bounds, depends only on the
+        variables of its edges, so it is cached per move and recomputed only
+        after an accepted move in its `touches` list.  The change is summed
+        over the move's edges in their fixed order, so a cached value is the
+        float a fresh walk of the edges would give."""
         cap = self.capacity
         values = self.start.copy()
         mass = self.mass.copy()
         best_values = values.copy()
-        moves, ub, cost = self.moves, self.ub, self.cost
-        n_moves = len(moves)
-        if n_moves:
+        moves, touches, ub, cost = self.moves, self.touches, self.ub, self.cost
+        if moves:
             rng = self.default_rng([seed, restart])
             exp = math.exp
+            stale = _STALE
+            cache = [stale] * len(moves)
             temperature = t_start
             objective = best_objective = 0.0   # relative to the start
-            for dir_draws, pick_draws, accept_draws in _sweep_draws(rng, self.n_flows, sweeps):
-                for up, pick, accept in zip(dir_draws, pick_draws, accept_draws):
-                    move = moves[int(pick * n_moves)][up]
-                    d_obj = 0.0
-                    for i, dx, z, dm in move:
-                        nv = values[i] + dx
-                        if nv < 0 or nv > ub[i]:
-                            break
-                        nz = -(-(mass[z] + dm) // cap)
-                        if nz > ub[z]:
-                            break
-                        d_obj += cost[z] * (nz - values[z])
-                    else:
-                        # no division: the temperature may underflow to zero
-                        if d_obj > 0 and (d_obj > 700 * temperature
-                                          or accept >= exp(-d_obj / temperature)):
-                            continue
-                        for i, dx, z, dm in move:
-                            values[i] += dx
-                            mass[z] += dm
-                            values[z] = -(-mass[z] // cap)
-                        objective += d_obj
-                        if objective < best_objective - 1e-9:
-                            best_objective = objective
-                            best_values = values.copy()
+            for picks, accept_draws in _sweep_draws(rng, self.n_flows, sweeps, len(moves) // 2):
+                for m, accept in zip(picks, accept_draws):
+                    d_obj = cache[m]
+                    if d_obj is stale:
+                        d_obj = 0.0
+                        for i, dx, z, dm in moves[m]:
+                            nv = values[i] + dx
+                            if nv < 0 or nv > ub[i]:
+                                d_obj = None
+                                break
+                            nz = -(-(mass[z] + dm) // cap)
+                            if nz > ub[z]:
+                                d_obj = None
+                                break
+                            d_obj += cost[z] * (nz - values[z])
+                        cache[m] = d_obj
+                    # no division: the temperature may underflow to zero
+                    if d_obj is None or d_obj > 0 and (d_obj > 700 * temperature
+                                                       or accept >= exp(-d_obj / temperature)):
+                        continue
+                    for i, dx, z, dm in moves[m]:
+                        values[i] += dx
+                        mass[z] += dm
+                        values[z] = -(-mass[z] // cap)
+                    for k in touches[m]:
+                        cache[k] = stale
+                    objective += d_obj
+                    if objective < best_objective - 1e-9:
+                        best_objective = objective
+                        best_values = values.copy()
                 temperature *= cooling
         return best_values
 
 
+_STALE = object()   # a cached objective change that an accepted move may have altered
 _BLOCK_SWEEPS = 32   # sweeps decoded per raw read; larger blocks cost memory, not time
 _U32 = 0xFFFFFFFF
 
@@ -858,19 +886,23 @@ def _lemire_threshold(bound: int) -> int:
     return (2**32 - bound) % bound
 
 
-def _sweep_draws(rng: np.random.Generator, n: int, sweeps: int):
-    """Yield, for each sweep, the lists `rng.integers(0, 2, n)`,
-    `rng.random(n)` and `rng.random(n)` would return after a call to
-    `rng.integers(0, n, n)`, called in that order, and leave `rng` where
+def _sweep_draws(rng: np.random.Generator, n: int, sweeps: int, n_moves: int):
+    """Yield, for each sweep, the move indices `2 * int(pick * n_moves) + up`
+    and the list `accept`, where `rng.integers(0, n, n)`,
+    `up = rng.integers(0, 2, n)`, `pick = rng.random(n)` and
+    `accept = rng.random(n)` are called in that order, and leave `rng` where
     those four calls would.  The first call's draws are consumed but never
-    decoded: the chain does not read them.
+    decoded: the chain does not read them.  `n_moves` counts cycles, each
+    the two moves 2c and 2c + 1.
 
     numpy's PCG64 hands out 64-bit words.  A bounded draw takes a uint32
     (the low half of a word first, then its high half) and returns
     (u * bound) >> 32 unless Lemire's rejection test fires; a double is
     (w >> 11) * 2**-53.  So a sweep's 3n words hold, in order, 2n uint32
     for the two bounded draws and 2n doubles, and a block of sweeps can be
-    read with one `random_raw` call and decoded with a few array operations.
+    read with one `random_raw` call and decoded with a few array operations;
+    `pick * n_moves` is the same IEEE product in numpy as in Python, and
+    casting it to an integer truncates it as `int` does.
     The decode is exact only while no variable draw is rejected (about
     22 in 2**32 draws at n = 54; a bound of 2 never rejects): on a
     rejection the generator is reset to the block's start and the rest of
@@ -893,15 +925,15 @@ def _sweep_draws(rng: np.random.Generator, n: int, sweeps: int):
         if ((scaled & _U32) < threshold).any():
             bitgen.state = start
             break
-        dir_draws = (u32[:, n:] >> 31).tolist()
         doubles = (raw[:, n:] >> 11) * 2.0**-53
-        pick_draws = doubles[:, :n].tolist()
-        accept_draws = doubles[:, n:].tolist()
-        yield from zip(dir_draws, pick_draws, accept_draws)
+        picks = (doubles[:, :n] * n_moves).astype(np.uint64) * 2 + (u32[:, n:] >> 31)
+        yield from zip(picks.tolist(), doubles[:, n:].tolist())
         done += block
     for _ in range(sweeps - done):
         rng.integers(0, n, size=n)
-        yield (rng.integers(0, 2, size=n).tolist(), rng.random(size=n).tolist(),
+        ups = rng.integers(0, 2, size=n).tolist()
+        picks = rng.random(size=n).tolist()
+        yield ([2 * int(pick * n_moves) + up for up, pick in zip(ups, picks)],
                rng.random(size=n).tolist())
 
 

@@ -446,6 +446,34 @@ class TestParseErrors:
             parse_hamiltonian(poly(header=header))
         assert str(exc.value) == f"bad header: {header!r}"
 
+    @pytest.mark.parametrize("header", [
+        # export writes the four keys once each and nothing else
+        "HAMILTONIAN v1 vars=2 alpha=3 offset=0 R=2 junk=1",
+        "HAMILTONIAN v1 vars=2 alpha=3 offset=0 R=2 junk=1 vars=2",
+        "HAMILTONIAN v1 vars=2 alpha=3 offset=0 R=2 vars=2",
+        "HAMILTONIAN v1 vars=2 alpha=3 alpha=3 offset=0 R=2",
+        "HAMILTONIAN v1 vars=2 alpha=3 offset=0 r=2",
+    ])
+    def test_unknown_or_repeated_header_key(self, header):
+        with pytest.raises(PolynomialFormatError) as exc:
+            parse_hamiltonian(poly(header=header))
+        assert str(exc.value) == f"bad header: {header!r}"
+
+    def test_header_keys_in_any_order(self):
+        h = parse_hamiltonian(poly(header="HAMILTONIAN v1 R=2 offset=0 alpha=3 vars=2"))
+        assert (h.num_variables, h.alpha, h.offset, h.sum_constraint) == (2, 3.0, 0.0, 2.0)
+
+    @pytest.mark.parametrize("lines, repeat", [
+        (("1 0 1.5", "1 0 2.5"), "1 0 2.5"),
+        (("1 0 1.5", "2 0 1 1", "2 0 1 7"), "2 0 1 7"),
+        (("2 0 1 1", "# between", "", "1 1 2", "2 0 1 1"), "2 0 1 1"),
+        (("1 1 2", "1 0 1.5", "1 00 1.5"), "1 00 1.5"),
+    ])
+    def test_repeated_term_line(self, lines, repeat):
+        with pytest.raises(PolynomialFormatError) as exc:
+            parse_hamiltonian(poly(*lines))
+        assert str(exc.value) == f"repeated term line: {repeat!r}"
+
     @pytest.mark.parametrize("alpha", ["0", "-0", "-3"])
     def test_non_positive_alpha(self, alpha):
         header = f"HAMILTONIAN v1 vars=2 alpha={alpha} offset=0 R=2"

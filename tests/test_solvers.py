@@ -2,6 +2,7 @@ import gc
 import hashlib
 import io
 import itertools
+import math
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -539,25 +540,32 @@ def _four_calls(rng, n, sweeps):
             for _ in range(sweeps)]
 
 
-def _last_three(rng, n, sweeps):
-    """The lists `_sweep_draws` yields: the last three of each sweep's four."""
-    return [calls[1:] for calls in _four_calls(rng, n, sweeps)]
+def _decoded(rng, n, sweeps, n_moves):
+    """What `_sweep_draws` yields, from numpy's four calls a sweep: the move
+    indices `2 * int(pick * n_moves) + up` and the accept draws."""
+    return [([2 * int(pick * n_moves) + up for up, pick in zip(ups, picks)], accepts)
+            for _, ups, picks, accepts in _four_calls(rng, n, sweeps)]
 
 
 class TestSweepDraws:
-    """`_sweep_draws` decodes blocks of raw words into exactly the last three
-    lists of the four numpy calls a sweep would make, and leaves the
-    generator where they would.  The sweep count is not a multiple of the block."""
+    """`_sweep_draws` decodes blocks of raw words into exactly the move
+    indices and accept draws of the four numpy calls a sweep would make, and
+    leaves the generator where they would.  The sweep count is not a
+    multiple of the block; 2**20 cycles make a move index depend on almost
+    every bit of its pick draw."""
 
     sweeps = 2 * solvers._BLOCK_SWEEPS + 5
+    cycle_counts = (1, 2, 7, 2**20)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 54, 102])
     @pytest.mark.parametrize("seed", [0, 5, 2024])
     def test_matches_four_calls(self, n, seed):
-        ref = np.random.default_rng([seed, 1])
-        rng = np.random.default_rng([seed, 1])
-        assert list(solvers._sweep_draws(rng, n, self.sweeps)) == _last_three(ref, n, self.sweeps)
-        assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
+        for n_moves in self.cycle_counts:
+            ref = np.random.default_rng([seed, 1])
+            rng = np.random.default_rng([seed, 1])
+            assert list(solvers._sweep_draws(rng, n, self.sweeps, n_moves)) == \
+                _decoded(ref, n, self.sweeps, n_moves)
+            assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
 
     def test_threshold_matches_numpys_rejection(self):
         # near 2**31 numpy rejects about half of the first draws and takes
@@ -585,10 +593,11 @@ class TestSweepDraws:
         n = 3
         fallback_sweeps = set()
         for seed in range(20):
+            n_moves = self.cycle_counts[seed % len(self.cycle_counts)]
             ref = np.random.default_rng([seed, 0])
             rng = _CountingGenerator(np.random.default_rng([seed, 0]))
-            draws = list(solvers._sweep_draws(rng, n, self.sweeps))
-            assert draws == _last_three(ref, n, self.sweeps)
+            draws = list(solvers._sweep_draws(rng, n, self.sweeps, n_moves))
+            assert draws == _decoded(ref, n, self.sweeps, n_moves)
             assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
             fallback_sweeps.add(self.sweeps - rng.integer_calls // 2)
         block_starts = set(range(0, self.sweeps, solvers._BLOCK_SWEEPS))
@@ -601,6 +610,85 @@ class TestSweepDraws:
         before = anneal_sample(h, micro_model, params, seed=4).canonical_bytes()
         monkeypatch.setattr(solvers, "_lemire_threshold", lambda bound: 2**32 - 1)
         assert anneal_sample(h, micro_model, params, seed=4).canonical_bytes() == before
+
+
+def _reference_run(chain, sweeps, seed, restart, t_start, cooling):
+    """`_Chain.run` as the `_Chain` docstring describes it, with no cache:
+    every proposal walks its move's edges afresh, and its draws come from
+    numpy's four calls a sweep."""
+    cap, ub, cost, moves = chain.capacity, chain.ub, chain.cost, chain.moves
+    values, mass = chain.start.copy(), chain.mass.copy()
+    best_values = values.copy()
+    if not moves:
+        return best_values
+    rng = np.random.default_rng([seed, restart])
+    temperature = t_start
+    objective = best_objective = 0.0
+    for _, ups, picks, accepts in _four_calls(rng, chain.n_flows, sweeps):
+        for up, pick, accept in zip(ups, picks, accepts):
+            move = moves[2 * int(pick * (len(moves) // 2)) + up]
+            d_obj = 0.0
+            for i, dx, z, dm in move:
+                nz = -(-(mass[z] + dm) // cap)
+                if not 0 <= values[i] + dx <= ub[i] or nz > ub[z]:
+                    break
+                d_obj += cost[z] * (nz - values[z])
+            else:
+                if d_obj > 0 and (d_obj > 700 * temperature
+                                  or accept >= math.exp(-d_obj / temperature)):
+                    continue
+                for i, dx, z, dm in move:
+                    values[i] += dx
+                    mass[z] += dm
+                    values[z] = -(-mass[z] // cap)
+                objective += d_obj
+                if objective < best_objective - 1e-9:
+                    best_objective = objective
+                    best_values = values.copy()
+        temperature *= cooling
+    return best_values
+
+
+class TestChainCache:
+    """`_Chain.run` caches each move's objective change and drops only the
+    entries its `touches` lists name; a chain that walks every proposal's
+    edges afresh must visit the same points and keep the same best one."""
+
+    @staticmethod
+    def _check(model, seeds, sweeps):
+        chain = solvers._Chain(model)
+        costs = [c for _, c in model.objective if c > 0]
+        t_start = max(costs, default=1.0)
+        cooling = (min(costs, default=1.0) / 2 / t_start) ** (1.0 / (sweeps - 1))
+        for seed in seeds:
+            assert chain.run(sweeps, seed, 0, t_start, cooling) == \
+                _reference_run(chain, sweeps, seed, 0, t_start, cooling)
+
+    def test_random_micros(self):
+        rng = random.Random(2718)
+        for _ in range(12):
+            model = random_micro_model(rng)
+            for m in (model, expansion.prune_model(model)):
+                self._check(m, seeds=(0, 1), sweeps=80)
+
+    def test_case_study(self, case_study_model, case_study_pruned):
+        self._check(case_study_model, seeds=(7, 8), sweeps=300)
+        self._check(case_study_pruned, seeds=(1, 2, 3), sweeps=300)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_waves(self, k):
+        self._check(waves_model(k), seeds=(4, 5), sweeps=120)
+
+    def test_fallback_draws(self, case_study_pruned, monkeypatch):
+        monkeypatch.setattr(solvers, "_lemire_threshold", lambda bound: 2**32 - 1)
+        self._check(case_study_pruned, seeds=(9,), sweeps=100)
+
+    def test_touches_are_symmetric(self):
+        chain = solvers._Chain(waves_model(3))
+        assert len(chain.touches) == len(chain.moves) == 20
+        for m, near in enumerate(chain.touches):
+            assert m in near and m ^ 1 in near
+            assert all(m in chain.touches[k] for k in near)
 
 
 class TestPostprocess:
