@@ -17,7 +17,15 @@ capacity).  Their networks are built once per solve; a node changes only
 the capacities of the arc edges of the one vehicle it branched on, so it
 keeps its parent's flow wherever that flow still fits and elsewhere repairs
 it: the excess on those edges is cancelled along flow paths and
-augmenting paths restore the rest.
+augmenting paths restore the rest.  A repair that fails has found a
+minimum cut of capacity below the demand (Ford & Fulkerson, 1956), and
+each network keeps it as a learned nogood, stored under every vehicle
+whose edges it crosses.  Before repairing, a child evaluates the cuts
+stored under the one vehicle it branched on; one below the demand proves
+it infeasible.  Those are the only cuts that can: the parent was
+feasible, so every cut held the demand at the parent's capacities, and a
+cut that falls short at the child's must cross an edge whose capacity
+changed.
 
 The annealer walks conservation-feasible flows only.  Each restart starts
 from a max-flow solution of every commodity's time-expanded graph (the
@@ -265,6 +273,14 @@ class _Network:
     edge e, so in a residual list the flow on edge e is the residual capacity
     of e ^ 1.  Travel times are at least 1, so every arc edge runs forward in
     time and the network is a DAG.
+
+    `cuts` maps each key to the cuts learned from failed solves that cross
+    one of its edges.  A cut is (fixed, arcs): the capacity of the source
+    and sink edges leaving its source side S, and the (key, ub, load) of
+    each arc edge leaving S.  Its capacity under any `cap_mass`, fixed plus
+    the sum of min(ub, cap_mass[key] // load) over arcs, bounds the maximum
+    flow from above, so a cut below `need` certifies that no flow of `need`
+    units exists.
     """
 
     def __init__(self, n_nodes: int, arcs, sources, sinks, need: int):
@@ -277,8 +293,12 @@ class _Network:
         self.head: list[int] = []
         self.base: list[int] = []        # residual capacities before any flow
         self.by_key: dict[int, list[tuple[int, int, int]]] = {}   # key: (edge, ub, load)
+        self.arc_of: dict[int, tuple[int, int, int]] = {}         # edge: (key, ub, load)
+        self.cuts: dict[int, list[tuple[int, tuple]]] = {}        # key: learned cuts
         for u, v, key, ub, load in arcs:
-            self.by_key.setdefault(key, []).append((self._add(u, v, 0), ub, load))
+            e = self._add(u, v, 0)
+            self.by_key.setdefault(key, []).append((e, ub, load))
+            self.arc_of[e] = (key, ub, load)
         for v, cap in sources:
             self._add(self.source, v, cap)
         for u, cap in sinks:
@@ -307,7 +327,17 @@ class _Network:
         every arc edge's residual capacity is reset from `cap_mass`; and
         Edmonds-Karp augments back to `need`.  A flow within the capacities
         reaches the maximum by augmenting paths alone, so the verdict is the
-        one a solve from the empty flow gives."""
+        one a solve from the empty flow gives.
+
+        Before that copy, the cuts stored under `key` are evaluated at
+        `cap_mass`, and one below `need` returns None at once.  No other cut
+        can: `res` is a flow of `need` units, so every cut held at least
+        `need` under the old capacities, and a cut that now falls short
+        crosses an edge of `key`.  When the breadth-first search finds no
+        augmenting path, the nodes it reached are the source side of a
+        minimum cut whose capacity, the flow so far, is below `need`; that
+        cut is learned (`_learn`).  A certificate is a proof, so the verdict
+        is still the max-flow verdict."""
         if res is None:
             res, flow = self.base.copy(), 0
         else:
@@ -316,6 +346,12 @@ class _Network:
                       if (x := res[e ^ 1] - min(ub, cap // load)) > 0]
             if not excess:
                 return res
+            for fixed, arcs in self.cuts.get(key, ()):
+                for k, ub, load in arcs:
+                    units = cap_mass[k] // load
+                    fixed += ub if ub < units else units
+                if fixed < self.need:
+                    return None
             res, flow = res.copy(), self.need
             for e, x in excess:
                 self._cancel(res, e, x)
@@ -340,6 +376,7 @@ class _Network:
                 if parent[sink] != -1:
                     break
             if parent[sink] == -1:
+                self._learn(queue, parent)
                 return None
             push = need - flow
             v = sink
@@ -356,6 +393,24 @@ class _Network:
                 v = head[e ^ 1]
             flow += push
         return res
+
+    def _learn(self, reached: list[int], parent: list[int]) -> None:
+        """Store the minimum cut of a failed solve: S is the set `reached`
+        from the source in the residual network, whose `parent` entries are
+        set.  The cut is the fixed capacity of the source and sink edges
+        leaving S plus the (key, ub, load) of each arc edge leaving S, and it
+        is stored under every key it crosses."""
+        fixed, arcs = 0, []
+        for u in reached:
+            for e in self.adj[u]:
+                if not e & 1 and parent[self.head[e]] == -1:
+                    if e in self.arc_of:
+                        arcs.append(self.arc_of[e])
+                    else:
+                        fixed += self.base[e]
+        cut = (fixed, tuple(arcs))
+        for key in dict.fromkeys(k for k, _, _ in arcs):
+            self.cuts.setdefault(key, []).append(cut)
 
     def _cancel(self, res: list[int], edge: int, excess: int) -> None:
         """Take `excess` units off the flow through `edge`, one source-to-sink
@@ -428,7 +483,12 @@ class _FlowRelaxation:
         return flows
 
 
-def find_feasible_flows(g: _Graph, cap_mass: dict[int, int]) -> dict[int, int] | None:
+class _Expired(Exception):
+    """The exact search's time limit passed before it finished."""
+
+
+def find_feasible_flows(g: _Graph, cap_mass: dict[int, int],
+                        deadline: float = math.inf) -> dict[int, int] | None:
     """Exact integral commodity flows within the vehicle capacities `cap_mass`, or None.
 
     Depth-first search over (time, depot, commodity) cells: everything
@@ -440,16 +500,25 @@ def find_feasible_flows(g: _Graph, cap_mass: dict[int, int]) -> dict[int, int] |
     units already arriving there.  That cuts only subtrees without a
     completion, so the first completion found is the one the bare
     enumeration finds.
+
+    The clock is read on the first `distribute` call and every 256th after
+    it; past `deadline` (a `time.perf_counter` value) the search gives up
+    and raises `_Expired`, so an unfinished completion never reads as None.
     """
     cap_left = dict(cap_mass)
     absorb = _absorb_bounds(g, cap_left)
     incoming = [0] * len(g.cells)
     chosen: dict[int, int] = {}
+    calls = 0
 
     def room(i: int, z: int, load: int) -> int:
         return min(g.variables[i].upper_bound, cap_left[z] // load)
 
     def distribute(c: int, options: list, units: int, load: int) -> bool:
+        nonlocal calls
+        if not calls & 255 and time.perf_counter() > deadline:
+            raise _Expired
+        calls += 1
         if not options:
             return units == 0 and advance(c + 1)
         (i, _, head, z), rest = options[0], options[1:]
@@ -514,7 +583,8 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     A node is its depth and `cap_mass`, the mass each vehicle variable can
     carry: capacity times its count, or times its search cap while unbranched.
     Internal nodes are pruned by a demand-cut cost bound and the max-flow
-    relaxations, and leaves are completed by find_feasible_flows.  Each node
+    relaxations, and leaves are completed by find_feasible_flows.  The
+    clock is read at every node and inside each leaf completion.  Each node
     hands its relaxation flows to its children, and a child repairs each
     network's flow where the (arc, t) just branched on carries more than the
     new vehicle count allows (`_Network.solve`), so every verdict equals a
@@ -525,6 +595,7 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     """
     _require_finite_objective(model)
     start = time.perf_counter()
+    deadline = start + time_limit
     g = _Graph(model)
     capacity = g.capacity
     relax = _FlowRelaxation(g)
@@ -571,11 +642,10 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
         return bound
 
     def dfs(depth: int, cost_so_far: float, parent_flows: list | None, changed: int | None):
-        nonlocal best_cost, best, nodes, timed_out
+        nonlocal best_cost, best, nodes
         nodes += 1
-        if nodes % 512 == 0 and time.perf_counter() - start > time_limit:
-            timed_out = True   # every ancestor stops branching once this returns
-            return
+        if time.perf_counter() > deadline:
+            raise _Expired
         if cost_so_far >= best_cost - 1e-9:
             return
         if cut_bound(depth, cost_so_far) >= best_cost - 1e-9:
@@ -584,7 +654,7 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
         if relax_flows is None:
             return
         if depth == len(branch_vars):
-            flows = find_feasible_flows(g, cap_mass)
+            flows = find_feasible_flows(g, cap_mass, deadline)
             if flows is None:
                 return
             flows.update((z, cap_mass[z] // capacity) for z in branch_vars)
@@ -596,12 +666,12 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
         for value in range(0, caps[z] + 1):
             cap_mass[z] = capacity * value
             dfs(depth + 1, cost_so_far + cost * value, relax_flows, z)
-            if timed_out:
-                break
         cap_mass[z] = capacity * caps[z]
 
     try:
         dfs(0, 0.0, None, None)
+    except _Expired:
+        timed_out = True
     finally:
         del dfs   # it refers to itself: free the search state on return
     objective = math.inf if best is None else evaluate_objective(model, best)

@@ -202,9 +202,12 @@ class TestFlowRepair:
     def test_random_walk_matches_fresh_solves(self, k):
         """A walk of one-key changes, each raising or lowering one vehicle
         count and starting from the flows the step before returned.  A step
-        whose verdict is infeasible is undone, as the search backtracks."""
+        whose verdict is infeasible is undone, as the search backtracks.  The
+        fresh solves run on a second relaxation, which shares no learned cut
+        with the walk's."""
         model = waves_model(k)
         relax = solvers._FlowRelaxation(solvers._Graph(model))
+        oracle = solvers._FlowRelaxation(solvers._Graph(model))
         capacity = int(model.instance.capacity)
         bound = {v.index: v.upper_bound for v in model.variables
                  if v.kind == expansion.VEHICLE}
@@ -213,18 +216,21 @@ class TestFlowRepair:
         flows = relax.feasible(cap_mass, None, None)
         assert flows is not None
         rng = random.Random(7331 + k)
-        verdicts, repaired, kept = set(), 0, 0
+        verdicts, repaired, kept, certified = set(), 0, 0, 0
         for _ in range(600):
             key = rng.choice(keys)
             count = rng.choice([c for c in range(bound[key] + 1)
                                 if capacity * c != cap_mass[key]])
             raised = capacity * count > cap_mass[key]
             child_caps = {**cap_mass, key: capacity * count}
+            learned = _stored_cuts(relax)
             child = relax.feasible(child_caps, flows, key)
-            fresh = relax.feasible(child_caps, None, None)
+            fresh = oracle.feasible(child_caps, None, None)
             assert (child is None) == (fresh is None)
             verdicts.add((raised, fresh is not None))
             if child is None:
+                # a failure that reaches the augmenting-path search learns a cut
+                certified += _stored_cuts(relax) == learned
                 continue
             for net, res, parent in zip(relax.networks, child, flows):
                 _assert_flow_fits(net, res, child_caps)
@@ -235,6 +241,49 @@ class TestFlowRepair:
             cap_mass, flows = child_caps, child
         assert verdicts == {(True, True), (False, True), (False, False)}
         assert repaired >= 20 and kept > 100
+        assert certified >= 1
+
+
+def _stored_cuts(relax) -> int:
+    return sum(len(cuts) for net in relax.networks for cuts in net.cuts.values())
+
+
+class TestLearnedCuts:
+    def test_cuts_from_a_search_are_certificates(self, monkeypatch):
+        """Every cut a waves(2) search learned, evaluated at random vehicle
+        vectors: wherever one comes out below its network's `need`, a fresh
+        network finds no flow.  Each count is its upper bound with
+        probability 0.7 and uniform below it otherwise, so both verdicts
+        occur often."""
+        model = waves_model(2)
+        fresh = solvers._FlowRelaxation(solvers._Graph(model))
+        searched = []
+
+        class Recording(solvers._FlowRelaxation):
+            def __init__(self, g):
+                super().__init__(g)
+                searched.append(self)
+
+        monkeypatch.setattr(solvers, "_FlowRelaxation", Recording)
+        assert solve_exact(model).nodes == 2711
+        (relax,) = searched
+        capacity = int(model.instance.capacity)
+        bound = {v.index: v.upper_bound for v in model.variables
+                 if v.kind == expansion.VEHICLE}
+        rng = random.Random(4242)
+        outcomes = {"certified": 0, "feasible": 0}
+        for _ in range(200):
+            cap_mass = {z: capacity * (ub if rng.random() < 0.7 else rng.randint(0, ub))
+                        for z, ub in bound.items()}
+            for net, fresh_net in zip(relax.networks, fresh.networks):
+                cuts = {id(cut): cut for cuts in net.cuts.values() for cut in cuts}.values()
+                if any(fixed + sum(min(ub, cap_mass[key] // load) for key, ub, load in arcs)
+                       < net.need for fixed, arcs in cuts):
+                    assert fresh_net.solve(cap_mass) is None
+                    outcomes["certified"] += 1
+                elif fresh_net.solve(cap_mass) is not None:
+                    outcomes["feasible"] += 1
+        assert outcomes["certified"] > 50 and outcomes["feasible"] > 50
 
 
 def _feasible_vehicle_vectors(model) -> set[tuple[int, ...]]:
@@ -279,6 +328,35 @@ class TestLeafCompletion:
                         values[i] = units
                     assert verify_assignment(model, Assignment(values=tuple(values))).feasible
         assert outcomes[True] > 100 and outcomes[False] > 100
+
+    def test_expired_deadline_is_not_infeasible(self):
+        """A completion handed a deadline already past gives up and raises,
+        where a finished one returns flows."""
+        model = waves_model(2)
+        g = solvers._Graph(model)
+        capacity = int(model.instance.capacity)
+        best = solve_exact(model).sample.assignment.values
+        cap_mass = {z: capacity * best[z] for z in g.vehicles}
+        assert solvers.find_feasible_flows(g, cap_mass) is not None
+        with pytest.raises(solvers._Expired):
+            solvers.find_feasible_flows(g, cap_mass, deadline=-math.inf)
+
+
+class TestTimeLimit:
+    def test_zero_limit_stops_uncertified(self):
+        result = solve_exact(waves_model(3), time_limit=0.0)
+        assert result.status == "time_limit"
+        assert not result.certified
+        assert result.sample is None
+
+    def test_leaf_expiry_ends_the_search(self, monkeypatch):
+        """A leaf completion that runs out of time ends the search as
+        time_limit, not as infeasible."""
+        complete = solvers.find_feasible_flows
+        monkeypatch.setattr(solvers, "find_feasible_flows",
+                            lambda g, cap_mass, deadline: complete(g, cap_mass, -math.inf))
+        result = solve_exact(waves_model(1))
+        assert (result.status, result.certified, result.sample) == ("time_limit", False, None)
 
 
 class TestAnneal:
