@@ -33,12 +33,10 @@ from dataclasses import dataclass
 from .instance import (
     Instance,
     arc_key,
-    earliest_presence,
-    latest_useful_presence,
     mass_balance_findings,
     ordered_sum,
     parse_arc_key,
-    shortest_travel_times,
+    presence_windows,
 )
 
 FLOW = "flow"
@@ -203,16 +201,15 @@ def expand_model(inst: Instance) -> Model:
 def prune_model(model: Model) -> Model:
     """Drop variables that can carry no useful flow and reindex densely.
 
-    A flow variable (arc, k, t) is kept only if t is no earlier than the
-    earliest possible presence of commodity k at the arc tail, and the
-    arrival t + travel_time can still reach some demand for k in time.
-    Vehicle variables and capacity rows survive only where some flow does;
+    A flow variable (arc, k, t) is kept only if commodity k can be present
+    at the arc tail by step t and its arrival t + travel_time at the head
+    can still reach a demand for k: the windows of `presence_windows`,
+    which `validate_instance` also checks demands against.  Vehicle
+    variables and capacity rows survive only where some flow does;
     conservation rows that become 0 = 0 are dropped.
     """
     inst = model.instance
-    dist = shortest_travel_times(inst)
-    earliest = {c.id: earliest_presence(inst, c.id, dist) for c in inst.commodities}
-    latest = {c.id: latest_useful_presence(inst, c.id, dist) for c in inst.commodities}
+    windows = presence_windows(inst)
     travel = {a.pair: a.travel_time for a in inst.arcs}
 
     live_flows = set()
@@ -221,7 +218,8 @@ def prune_model(model: Model) -> Model:
         if v.kind == FLOW:
             tail, head = arc = v.arc
             t = v.time
-            if earliest[v.commodity][tail] <= t and t + travel[arc] <= latest[v.commodity][head]:
+            earliest, latest = windows[v.commodity]
+            if earliest[tail] <= t and t + travel[arc] <= latest[head]:
                 live_flows.add(v.index)
                 live_arc_times.add((arc, t))
 

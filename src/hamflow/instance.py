@@ -240,11 +240,12 @@ class ValidationReport:
 _TOP_KEYS = {"depots", "arcs", "commodities", "horizon", "capacity", "schedule"}
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
-    unknown = set(obj) - allowed
+def _require_keys(obj: dict, keys: set[str], where: str):
+    """Raise unless `obj` has exactly `keys`, reporting unknown keys first."""
+    unknown = set(obj) - keys
     if unknown:
         raise InstanceSchemaError(f"{where}: unknown key(s) {sorted(unknown)}")
-    missing = required - set(obj)
+    missing = keys - set(obj)
     if missing:
         raise InstanceSchemaError(f"{where}: missing key(s) {sorted(missing)}")
 
@@ -307,30 +308,28 @@ def parse_instance(text: str) -> Instance:
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise InstanceSchemaError("instance document must be a JSON object")
-    _require_keys(doc, _TOP_KEYS, _TOP_KEYS, "instance document")
+    _require_keys(doc, _TOP_KEYS, "instance document")
 
     depots = []
     for i, d in enumerate(_objects(doc, "depots")):
-        _require_keys(d, {"id", "label"}, {"id", "label"}, f"depots[{i}]")
+        _require_keys(d, {"id", "label"}, f"depots[{i}]")
         depots.append(Depot(id=str(d["id"]), label=str(d["label"])))
     arcs = []
     for i, a in enumerate(_objects(doc, "arcs")):
-        _require_keys(a, {"from", "to", "cost", "travel_time"},
-                      {"from", "to", "cost", "travel_time"}, f"arcs[{i}]")
+        _require_keys(a, {"from", "to", "cost", "travel_time"}, f"arcs[{i}]")
         arcs.append(Arc(origin=str(a["from"]), dest=str(a["to"]),
                         cost=_as_number(a["cost"], f"arcs[{i}].cost"),
                         travel_time=_as_int(a["travel_time"], f"arcs[{i}].travel_time")))
     commodities = []
     for i, c in enumerate(_objects(doc, "commodities")):
-        _require_keys(c, {"id", "load"}, {"id", "load"}, f"commodities[{i}]")
+        _require_keys(c, {"id", "load"}, f"commodities[{i}]")
         commodities.append(Commodity(id=str(c["id"]),
                                      load=_as_number(c["load"], f"commodities[{i}].load")))
     horizon = _as_int(doc["horizon"], "horizon")
     capacity = _as_number(doc["capacity"], "capacity")
     schedule = []
     for i, e in enumerate(_objects(doc, "schedule")):
-        _require_keys(e, {"depot", "commodity", "time", "amount"},
-                      {"depot", "commodity", "time", "amount"}, f"schedule[{i}]")
+        _require_keys(e, {"depot", "commodity", "time", "amount"}, f"schedule[{i}]")
         schedule.append(ScheduleEntry(depot=str(e["depot"]), commodity=str(e["commodity"]),
                                       time=_as_int(e["time"], f"schedule[{i}].time"),
                                       amount=_as_number(e["amount"],
@@ -405,8 +404,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
     Reports (a) commodities whose scheduled supply and demand masses do not
     cancel, (b) schedule amounts that are not integer multiples of the load
     size, and (c) demands scheduled before any mass of that commodity could
-    first arrive at the depot (earliest-arrival pre-check over supply times
-    and arc travel times).
+    first arrive at the depot (the earliest presence of `presence_windows`).
     """
     findings = mass_balance_findings(inst)
     by_id = {c.id: c for c in inst.commodities}
@@ -417,66 +415,53 @@ def validate_instance(inst: Instance) -> ValidationReport:
                 f"({e.depot}, {e.commodity}, t={e.time}): amount {e.amount} is not a "
                 f"multiple of load {by_id[e.commodity].load}"))
 
-    dist = shortest_travel_times(inst)
+    windows = presence_windows(inst)
     for c in inst.commodities:
-        earliest = earliest_presence(inst, c.id, dist)
+        earliest, _ = windows[c.id]
         for e in inst.schedule:
             if e.commodity != c.id or e.amount >= 0:
                 continue
-            if e.time < earliest.get(e.depot, float("inf")):
+            if e.time < earliest[e.depot]:
                 findings.append(Finding(
                     "unreachable_demand",
                     f"({e.depot}, {e.commodity}, t={e.time}): demand precedes the earliest "
-                    f"possible arrival (t={earliest.get(e.depot, float('inf'))})"))
+                    f"possible arrival (t={earliest[e.depot]})"))
     return ValidationReport(findings=tuple(findings))
 
 
-def shortest_travel_times(inst: Instance) -> dict[tuple[str, str], float]:
-    """All-pairs minimum travel time over the arc graph (Floyd-Warshall)."""
+def presence_windows(inst: Instance) -> dict[str, tuple[dict[str, float], dict[str, float]]]:
+    """Per commodity id, its (earliest, latest) maps over depot ids: the
+    earliest step at which any of its supply can be present at the depot,
+    and the latest step at which mass there can still reach one of its
+    demands; inf and -inf where there is no such step.  Both come from the
+    all-pairs shortest travel times (Floyd-Warshall) and ignore capacities,
+    so no feasible flow has useful mass at a depot outside its window."""
     ids = [d.id for d in inst.depots]
-    dist = {(i, j): (0.0 if i == j else float("inf")) for i in ids for j in ids}
+    dist = {(i, j): (0.0 if i == j else math.inf) for i in ids for j in ids}
     for a in inst.arcs:
         dist[a.pair] = min(dist[a.pair], float(a.travel_time))
     for m in ids:
         for i in ids:
             dim = dist[(i, m)]
-            if dim == float("inf"):
+            if dim == math.inf:
                 continue
             for j in ids:
                 alt = dim + dist[(m, j)]
                 if alt < dist[(i, j)]:
                     dist[(i, j)] = alt
-    return dist
 
-
-def earliest_presence(inst: Instance, commodity: str,
-                      dist: dict[tuple[str, str], float]) -> dict[str, float]:
-    """Earliest time step any mass of a commodity can be present at each depot,
-    given the shortest travel times `dist`."""
-    earliest: dict[str, float] = {}
-    supplies = [(e.depot, e.time) for e in inst.schedule
-                if e.commodity == commodity and e.amount > 0]
-    for d in inst.depots:
-        best = float("inf")
-        for origin, t0 in supplies:
-            best = min(best, t0 + dist[(origin, d.id)])
-        earliest[d.id] = best
-    return earliest
-
-
-def latest_useful_presence(inst: Instance, commodity: str,
-                           dist: dict[tuple[str, str], float]) -> dict[str, float]:
-    """Latest time step at which mass present at a depot can still reach a
-    demand, given the shortest travel times `dist`."""
-    latest: dict[str, float] = {}
-    demands = [(e.depot, e.time) for e in inst.schedule
-               if e.commodity == commodity and e.amount < 0]
-    for d in inst.depots:
-        best = float("-inf")
-        for sink, td in demands:
-            best = max(best, td - dist[(d.id, sink)])
-        latest[d.id] = best
-    return latest
+    windows = {}
+    for c in inst.commodities:
+        supplies = [(e.depot, e.time) for e in inst.schedule
+                    if e.commodity == c.id and e.amount > 0]
+        demands = [(e.depot, e.time) for e in inst.schedule
+                   if e.commodity == c.id and e.amount < 0]
+        earliest = {d: min((t0 + dist[(origin, d)] for origin, t0 in supplies),
+                           default=math.inf) for d in ids}
+        latest = {d: max((td - dist[(d, sink)] for sink, td in demands),
+                         default=-math.inf) for d in ids}
+        windows[c.id] = (earliest, latest)
+    return windows
 
 
 # --- case study --------------------------------------------------------------

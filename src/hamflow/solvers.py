@@ -92,12 +92,16 @@ class Sample:
 @dataclass(frozen=True)
 class ExactResult:
     """Outcome of an exact solve: status is 'optimal', 'time_limit', or
-    'infeasible'.  `certified` is False only when the time limit expired."""
+    'infeasible'."""
     status: str
     sample: Sample | None
-    certified: bool
     nodes: int
     wall_time: float
+
+    @property
+    def certified(self) -> bool:
+        """False only when the time limit expired."""
+        return self.status != "time_limit"
 
     @property
     def objective(self) -> float | None:
@@ -572,8 +576,7 @@ def _exact_result(best: Assignment | None, objective: float, nodes: int, start: 
                                               objective=objective, feasible=True,
                                               restart_index=0, wall_time=wall)
     status = "time_limit" if timed_out else "infeasible" if best is None else "optimal"
-    return ExactResult(status=status, sample=sample, certified=not timed_out, nodes=nodes,
-                       wall_time=wall)
+    return ExactResult(status=status, sample=sample, nodes=nodes, wall_time=wall)
 
 
 def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
@@ -591,7 +594,8 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     solve from scratch.  Returns a provably optimal sample, or the incumbent
     flagged uncertified when the time limit expires, or an explicit
     infeasible result.  Raises ModelError when the objective overflows
-    (`_require_finite_objective`).
+    (`_require_finite_objective`), and SearchSpaceTooLargeError when the
+    search recurses deeper than the interpreter's recursion limit.
     """
     _require_finite_objective(model)
     start = time.perf_counter()
@@ -672,6 +676,10 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
         dfs(0, 0.0, None, None)
     except _Expired:
         timed_out = True
+    except RecursionError:
+        raise SearchSpaceTooLargeError(
+            f"search over {len(branch_vars)} branched vehicle variables is too deep "
+            "for the interpreter's recursion limit") from None
     finally:
         del dfs   # it refers to itself: free the search state on return
     objective = math.inf if best is None else evaluate_objective(model, best)

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -17,6 +18,9 @@ from hamflow import (
 from hamflow import expansion
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+
+# the waves(k) family lives in perfbench/waves.py, shared with the benchmark
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 
 @pytest.fixture(scope="session")
@@ -45,25 +49,10 @@ def published_schedule(case_study_pruned, reference_tables):
     return expansion.reconstruct_solution(case_study_pruned, reference_tables)
 
 
-def waves_instance(k: int) -> Instance:
-    """The case study with its schedule repeated k times, copy j shifted 2j
-    steps later over a horizon of 4 + 2k; the k shifted copies of the
-    case-study optimum are optimal, at k times its cost."""
-    base = build_case_study(default_case_study_costs())
-    merged: dict[tuple[str, str, int], float] = {}
-    for j in range(k):
-        for e in base.schedule:
-            key = (e.depot, e.commodity, e.time + 2 * j)
-            merged[key] = merged.get(key, 0.0) + e.amount
-    return Instance(depots=base.depots, arcs=base.arcs, commodities=base.commodities,
-                    horizon=base.horizon + 2 * (k - 1), capacity=base.capacity,
-                    schedule=tuple(ScheduleEntry(d, c, t, amount)
-                                   for (d, c, t), amount in sorted(merged.items()) if amount))
-
-
 def waves_model(k: int):
-    """The pruned model of `waves_instance(k)`."""
-    return expansion.prune_model(expansion.expand_model(waves_instance(k)))
+    """The pruned model of waves(k), from `perfbench/waves.py`."""
+    from waves import waves   # not at import: scripts import this file without perfbench
+    return expansion.prune_model(expansion.expand_model(waves(k)))
 
 
 def micro_instance(cost: float = 5.0) -> Instance:

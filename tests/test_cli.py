@@ -22,6 +22,7 @@ from hamflow.instance import (
 )
 
 from conftest import GOLDEN_DIR, micro_instance
+from waves import waves
 
 CASE_STUDY_DOC = GOLDEN_DIR / "case_study.json"
 
@@ -198,6 +199,14 @@ class TestInputFaults:
                        "--out", str(tmp_path / "out"))
         assert_one_line_error(proc)
         assert "search space" in proc.stderr
+
+    def test_exact_search_too_deep(self, tmp_path):
+        doc = tmp_path / "waves20.json"
+        doc.write_text(serialize_instance(waves(20)), encoding="utf-8")
+        proc = run_cli("solve", "--instance", str(doc), "--method", "exact",
+                       "--out", str(tmp_path / "out"), timeout=120)
+        assert_one_line_error(proc)
+        assert "too deep" in proc.stderr
 
     @pytest.mark.parametrize("command", ["verify", "report"])
     @pytest.mark.parametrize("text", ['{"objective": 5.0}', '{"values": [0, 1', '"zeros"',

@@ -37,7 +37,8 @@ from hamflow.instance import (
 )
 from hamflow.solvers import solve_exact
 
-from conftest import GOLDEN_DIR, empty_schedule_instance, random_micro_model, waves_instance
+from conftest import GOLDEN_DIR, empty_schedule_instance, random_micro_model
+from waves import waves as waves_instance
 
 
 def slackwise_penalty(model, h, point):

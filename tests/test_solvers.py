@@ -30,6 +30,7 @@ from hamflow.solvers import (
     summarize_samples,
 )
 
+import waves
 from conftest import empty_schedule_instance, random_micro_model, waves_model
 
 
@@ -84,6 +85,13 @@ class TestSolveExact:
         s = solve_exact(micro_model).sample
         assert s.feasible
         assert s.energy == s.objective
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        """waves(20) branches on 319 vehicle variables, more levels than the
+        interpreter's default recursion limit leaves room for: the search
+        ends with the one-line error in well under a second."""
+        with pytest.raises(SearchSpaceTooLargeError, match="319 branched vehicle variables"):
+            solve_exact(waves_model(20), time_limit=60.0)
 
 
 class TestBruteForce:
@@ -152,7 +160,7 @@ class TestExactSearch:
         result = solve_exact(waves_model(3))
         assert result.certified
         assert result.nodes == 61448
-        assert result.objective == pytest.approx(186.36)
+        assert result.objective == pytest.approx(waves.optimum(3))
         values = ",".join(str(v) for v in result.sample.assignment.values)
         assert hashlib.sha256(values.encode()).hexdigest() == \
             "98635df78b1b81f8c2ed6e089c7ba8e38ce5008bd1c68575d5f60d18e2e3601f"
@@ -559,7 +567,7 @@ class TestCycleAnnealer:
         model = waves_model(2)
         sset = anneal_sample(compile_hamiltonian(model), model, AnnealParams(restarts=20), seed=7)
         assert all(s.feasible for s in sset.samples)
-        assert sset.best_feasible().objective == pytest.approx(124.24)
+        assert sset.best_feasible().objective == pytest.approx(waves.optimum(2))
 
     def test_samples_are_derived_vehicles_of_feasible_flows(self):
         model = waves_model(3)
