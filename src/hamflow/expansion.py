@@ -27,7 +27,6 @@ few-per-call `Model`, `Assignment` and `FeasibilityReport` stay frozen.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from .instance import (
@@ -147,10 +146,10 @@ def expand_model(inst: Instance) -> Model:
         demand[(e.depot, e.commodity, e.time)] = _as_exact_int(
             e.amount, f"schedule amount at ({e.depot}, {e.commodity}, t={e.time})")
 
-    supply_mass = {c.id: inst.total_supply_mass(c.id) for c in inst.commodities}
-    supply_units = {cid: _as_exact_int(mass, "supply mass") // loads[cid]
-                    for cid, mass in supply_mass.items()}
-    vehicle_ub = math.ceil(ordered_sum(supply_mass.values()) / capacity)
+    # exact integers: a float total or quotient may round past 2**53
+    supply_mass = {k: sum(a for (_, c, _), a in demand.items() if c == k and a > 0) for k in loads}
+    supply_units = {cid: mass // loads[cid] for cid, mass in supply_mass.items()}
+    vehicle_ub = -(-sum(supply_mass.values()) // capacity)
 
     # (pair, end) per arc: departures run over range(1, end), the steps t
     # with t + travel_time <= T + 1

@@ -209,10 +209,6 @@ class Instance:
                 return e.amount
         return 0.0
 
-    def total_supply_mass(self, commodity: str) -> float:
-        return ordered_sum(e.amount for e in self.schedule
-                           if e.commodity == commodity and e.amount > 0)
-
     def out_arcs(self, depot_id: str) -> list[Arc]:
         return [a for a in self.arcs if a.origin == depot_id]
 

@@ -20,7 +20,7 @@ it: the excess on those edges is cancelled along flow paths and
 augmenting paths restore the rest.  A repair that fails has found a
 minimum cut of capacity below the demand (Ford & Fulkerson, 1956), and
 each network keeps it as a learned nogood, stored under every vehicle
-whose edges it crosses.  Before repairing, a child evaluates the cuts
+whose arc edge it crosses.  Before repairing, a child evaluates the cuts
 stored under the one vehicle it branched on; one below the demand proves
 it infeasible.  Those are the only cuts that can: the parent was
 feasible, so every cut held the demand at the parent's capacities, and a
@@ -271,38 +271,42 @@ class _Network:
     """One flow network over (depot, t) nodes whose adjacency never changes.
 
     Source and sink edges have fixed capacities.  Each arc edge is keyed by
-    the vehicle variable of its (arc, departure t) and has capacity
-    min(ub, cap_mass[key] // load), so only those capacities depend on the
-    search node.  Edges are stored in pairs: edge e ^ 1 is the reverse of
-    edge e, so in a residual list the flow on edge e is the residual capacity
-    of e ^ 1.  Travel times are at least 1, so every arc edge runs forward in
-    time and the network is a DAG.
+    the vehicle variable of its (arc, departure t), one edge per key, and
+    has capacity min(ub, cap_mass[key] // load), so only those capacities
+    depend on the search node.  Edges are stored in pairs: edge e ^ 1 is the
+    reverse of edge e, so in a residual list the flow on edge e is the
+    residual capacity of e ^ 1.  Arc j, `arcs[j]` = (key, ub, load), is
+    edge 2j, and `edge_of[key]` is its edge.  Travel times are at least 1,
+    so every arc edge runs forward in time and the network is a DAG.
 
     `cuts` maps each key to the cuts learned from failed solves that cross
-    one of its edges.  A cut is (fixed, arcs): the capacity of the source
-    and sink edges leaving its source side S, and the (key, ub, load) of
-    each arc edge leaving S.  Its capacity under any `cap_mass`, fixed plus
-    the sum of min(ub, cap_mass[key] // load) over arcs, bounds the maximum
-    flow from above, so a cut below `need` certifies that no flow of `need`
-    units exists.
+    its edge.  A cut is (fixed, arcs): the capacity of the source and sink
+    edges leaving its source side S, and the (key, ub, load) of each arc
+    edge leaving S.  Its capacity under any `cap_mass`, fixed plus the sum
+    of min(ub, cap_mass[key] // load) over arcs, bounds the maximum flow
+    from above, so a cut below `need` certifies that no flow of `need` units
+    exists.
     """
 
     def __init__(self, n_nodes: int, arcs, sources, sinks, need: int):
         """arcs: (u, v, key, ub, load); sources: (v, cap); sinks: (u, cap);
-        need: the flow that must reach the sink."""
+        need: the flow that must reach the sink.  Raises ModelError when two
+        arcs share a key: a model has one flow variable per (arc, commodity,
+        t), and the merged network one arc per vehicle variable."""
         self.source = n_nodes
         self.sink = n_nodes + 1
         self.need = need
         self.adj: list[list[int]] = [[] for _ in range(n_nodes + 2)]
         self.head: list[int] = []
         self.base: list[int] = []        # residual capacities before any flow
-        self.by_key: dict[int, list[tuple[int, int, int]]] = {}   # key: (edge, ub, load)
-        self.arc_of: dict[int, tuple[int, int, int]] = {}         # edge: (key, ub, load)
+        self.arcs: list[tuple[int, int, int]] = []                # edge 2j: (key, ub, load)
+        self.edge_of: dict[int, int] = {}                         # key: its arc edge
         self.cuts: dict[int, list[tuple[int, tuple]]] = {}        # key: learned cuts
         for u, v, key, ub, load in arcs:
-            e = self._add(u, v, 0)
-            self.by_key.setdefault(key, []).append((e, ub, load))
-            self.arc_of[e] = (key, ub, load)
+            if key in self.edge_of:
+                raise ModelError(f"two flow variables of one commodity share vehicle {key}")
+            self.edge_of[key] = self._add(u, v, 0)
+            self.arcs.append((key, ub, load))
         for v, cap in sources:
             self._add(self.source, v, cap)
         for u, cap in sinks:
@@ -323,21 +327,21 @@ class _Network:
 
         With `res` None the search starts from the empty flow.  Otherwise
         `res` holds `need` units within capacities that differ from
-        `cap_mass` only on `key`'s edges.  If no edge of `key` carries more
-        than its new capacity, `res` itself is returned; its residual
-        capacities may still be those of the capacities it was solved under,
-        but its flows fit.  Else a copy is repaired: each excess is cancelled
-        along flow paths, backward to the source and forward to the sink;
-        every arc edge's residual capacity is reset from `cap_mass`; and
-        Edmonds-Karp augments back to `need`.  A flow within the capacities
-        reaches the maximum by augmenting paths alone, so the verdict is the
-        one a solve from the empty flow gives.
+        `cap_mass` only on `key`'s edge, if the network has one.  If that
+        edge carries no more than its new capacity, `res` itself is
+        returned; its residual capacities may still be those of the
+        capacities it was solved under, but its flows fit.  Else a copy is
+        repaired: the excess is cancelled along flow paths, backward to the
+        source and forward to the sink; every arc edge's residual capacity is
+        reset from `cap_mass`; and Edmonds-Karp augments back to `need`.  A
+        flow within the capacities reaches the maximum by augmenting paths
+        alone, so the verdict is the one a solve from the empty flow gives.
 
         Before that copy, the cuts stored under `key` are evaluated at
         `cap_mass`, and one below `need` returns None at once.  No other cut
         can: `res` is a flow of `need` units, so every cut held at least
         `need` under the old capacities, and a cut that now falls short
-        crosses an edge of `key`.  When the breadth-first search finds no
+        crosses `key`'s edge.  When the breadth-first search finds no
         augmenting path, the nodes it reached are the source side of a
         minimum cut whose capacity, the flow so far, is below `need`; that
         cut is learned (`_learn`).  A certificate is a proof, so the verdict
@@ -345,10 +349,12 @@ class _Network:
         if res is None:
             res, flow = self.base.copy(), 0
         else:
-            cap = cap_mass[key]
-            excess = [(e, x) for e, ub, load in self.by_key.get(key, ())
-                      if (x := res[e ^ 1] - min(ub, cap // load)) > 0]
-            if not excess:
+            edge = self.edge_of.get(key)
+            if edge is None:
+                return res
+            _, ub, load = self.arcs[edge >> 1]
+            excess = res[edge ^ 1] - min(ub, cap_mass[key] // load)
+            if excess <= 0:
                 return res
             for fixed, arcs in self.cuts.get(key, ()):
                 for k, ub, load in arcs:
@@ -356,15 +362,11 @@ class _Network:
                     fixed += ub if ub < units else units
                 if fixed < self.need:
                     return None
-            res, flow = res.copy(), self.need
-            for e, x in excess:
-                self._cancel(res, e, x)
-                flow -= x
-        for k, edges in self.by_key.items():
-            cap = cap_mass[k]
-            for e, ub, load in edges:
-                units = cap // load
-                res[e] = (ub if ub < units else units) - res[e ^ 1]
+            res, flow = res.copy(), self.need - excess
+            self._cancel(res, edge, excess)
+        for j, (k, ub, load) in enumerate(self.arcs):
+            units = cap_mass[k] // load
+            res[2 * j] = (ub if ub < units else units) - res[2 * j + 1]
         adj, head = self.adj, self.head
         source, sink, need = self.source, self.sink, self.need
         while flow < need:
@@ -402,18 +404,18 @@ class _Network:
         """Store the minimum cut of a failed solve: S is the set `reached`
         from the source in the residual network, whose `parent` entries are
         set.  The cut is the fixed capacity of the source and sink edges
-        leaving S plus the (key, ub, load) of each arc edge leaving S, and it
-        is stored under every key it crosses."""
+        leaving S plus the (key, ub, load) of each arc edge (e < 2 len(arcs))
+        leaving S, and it is stored under each of its keys, all distinct."""
         fixed, arcs = 0, []
         for u in reached:
             for e in self.adj[u]:
                 if not e & 1 and parent[self.head[e]] == -1:
-                    if e in self.arc_of:
-                        arcs.append(self.arc_of[e])
+                    if e < 2 * len(self.arcs):
+                        arcs.append(self.arcs[e >> 1])
                     else:
                         fixed += self.base[e]
         cut = (fixed, tuple(arcs))
-        for key in dict.fromkeys(k for k, _, _ in arcs):
+        for key, _, _ in arcs:
             self.cuts.setdefault(key, []).append(cut)
 
     def _cancel(self, res: list[int], edge: int, excess: int) -> None:
@@ -586,15 +588,18 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     A node is its depth and `cap_mass`, the mass each vehicle variable can
     carry: capacity times its count, or times its search cap while unbranched.
     Internal nodes are pruned by a demand-cut cost bound and the max-flow
-    relaxations, and leaves are completed by find_feasible_flows.  The
-    clock is read at every node and inside each leaf completion.  Each node
-    hands its relaxation flows to its children, and a child repairs each
-    network's flow where the (arc, t) just branched on carries more than the
-    new vehicle count allows (`_Network.solve`), so every verdict equals a
-    solve from scratch.  Returns a provably optimal sample, or the incumbent
-    flagged uncertified when the time limit expires, or an explicit
-    infeasible result.  Raises ModelError when the objective overflows
-    (`_require_finite_objective`), and SearchSpaceTooLargeError when the
+    relaxations, and leaves are completed by find_feasible_flows.  Branching
+    dearest first leaves a demand depot's open in-arcs a suffix of its list,
+    so the demand cut reads only the branched prefix.  The clock is read at
+    every node and inside each leaf completion.  Each node hands its
+    relaxation flows to its children, and a child repairs each network's
+    flow where the one arc edge of the (arc, t) just branched on carries
+    more than the new vehicle count allows (`_Network.solve`), so every
+    verdict equals a solve from scratch.  Returns a provably optimal sample,
+    or the incumbent flagged uncertified when the time limit expires, or an
+    explicit infeasible result.  Raises ModelError when the objective
+    overflows (`_require_finite_objective`) or two flow variables share an
+    (arc, commodity, t) (`_Network`), and SearchSpaceTooLargeError when the
     search recurses deeper than the interpreter's recursion limit.
     """
     _require_finite_objective(model)
@@ -608,15 +613,19 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
 
     branch_vars = sorted(filter(caps.get, caps), key=lambda z: (-cost_of.get(z, 0.0), z))
 
-    # demand-side cut data: vehicles required into each demand depot
+    # per demand depot: vehicles required, in-arc (branch depth, vehicle
+    # variable) pairs, their summed search caps and cheapest cost; branching
+    # dearest first leaves the open pairs a suffix, which holds the cheapest
     demand_mass = {}
     for c, mass in g.mass.items():
         if mass < 0:
             depot = g.cells[c][0]
             demand_mass[depot] = demand_mass.get(depot, 0) - mass
-    required = {d: -(-m // capacity) for d, m in demand_mass.items()}
-    in_arc_vars = {d: [(n, z) for n, z in enumerate(branch_vars) if g.variables[z].arc[1] == d]
-                   for d in required}   # (branch depth, vehicle variable) pairs
+    demand_cuts = []
+    for d, m in demand_mass.items():
+        in_arcs = [(n, z) for n, z in enumerate(branch_vars) if g.variables[z].arc[1] == d]
+        demand_cuts.append((-(-m // capacity), in_arcs, sum(caps[z] for _, z in in_arcs),
+                            min((cost_of.get(z, 0.0) for _, z in in_arcs), default=math.inf)))
 
     cap_mass = {z: capacity * caps[z] for z in g.vehicles}
     best_cost = math.inf
@@ -625,24 +634,21 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     timed_out = False
 
     def cut_bound(depth: int, cost_so_far: float) -> float:
-        """Lower bound: every demand depot still needs enough vehicle
-        arrivals to carry its total demanded mass."""
+        """Lower bound, never below `cost_so_far`: every demand depot still
+        needs enough vehicle arrivals to carry its total demanded mass."""
         bound = cost_so_far
-        for d, req in required.items():
+        for req, in_arcs, open_caps, cheapest in demand_cuts:
             have = 0
-            open_cost = math.inf
-            open_caps = 0
-            for branched_at, z in in_arc_vars[d]:
-                if branched_at < depth:
-                    have += cap_mass[z] // capacity
-                else:
-                    open_cost = min(open_cost, cost_of.get(z, 0.0))
-                    open_caps += caps[z]
+            for branched_at, z in in_arcs:
+                if branched_at >= depth:
+                    break
+                have += cap_mass[z] // capacity
+                open_caps -= caps[z]
             short = req - have
             if short > 0:
                 if short > open_caps:
                     return math.inf
-                bound += short * open_cost
+                bound += short * cheapest
         return bound
 
     def dfs(depth: int, cost_so_far: float, parent_flows: list | None, changed: int | None):
@@ -650,8 +656,6 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
         nodes += 1
         if time.perf_counter() > deadline:
             raise _Expired
-        if cost_so_far >= best_cost - 1e-9:
-            return
         if cut_bound(depth, cost_so_far) >= best_cost - 1e-9:
             return
         relax_flows = relax.feasible(cap_mass, parent_flows, changed)
@@ -810,8 +814,7 @@ def _start_flows(g: _Graph) -> list[int]:
             continue
         for i, _, head, z in g.edges:   # net holds the edges of k within the horizon
             if head < len(g.cells) and g.variables[i].commodity == k:
-                [(e, _, _)] = net.by_key[z]
-                values[i] = res[e ^ 1]
+                values[i] = res[net.edge_of[z] ^ 1]
     return values
 
 

@@ -89,6 +89,26 @@ def empty_schedule_instance() -> Instance:
     )
 
 
+# a float exactly; in floats, LARGE_SUPPLY / 24 rounds to an integer below the ceiling
+LARGE_SUPPLY = 2446914436934603264
+
+
+def large_supply_instance() -> Instance:
+    """One arc A->B of cost 1 and travel time 1, T=2, one commodity of load
+    1 and capacity 24: LARGE_SUPPLY units move from (A, t=1) to (B, t=2).
+    The only feasible vehicle count is the exact ceiling of LARGE_SUPPLY /
+    24, which a float quotient misses."""
+    return Instance(
+        depots=(Depot("A", "A"), Depot("B", "B")),
+        arcs=(Arc("A", "B", 1.0, 1),),
+        commodities=(Commodity("K", 1.0),),
+        horizon=2,
+        capacity=24.0,
+        schedule=(ScheduleEntry("A", "K", 1, float(LARGE_SUPPLY)),
+                  ScheduleEntry("B", "K", 2, -float(LARGE_SUPPLY))),
+    )
+
+
 def random_micro_instance(rng: random.Random) -> Instance:
     """Small solvable instance built flows-first: sample integral flows on a
     random graph, then derive the schedule from the conservation equations,

@@ -21,7 +21,7 @@ from hamflow.instance import (
     ScheduleEntry,
 )
 
-from conftest import GOLDEN_DIR, micro_instance
+from conftest import GOLDEN_DIR, large_supply_instance, micro_instance
 from waves import waves
 
 CASE_STUDY_DOC = GOLDEN_DIR / "case_study.json"
@@ -167,6 +167,16 @@ class TestMethodsAndFlags:
                            "--out", str(tmp_path / "out"), *extra)
             assert proc.returncode == 1
             assert proc.stderr
+
+    def test_anneal_past_float_precision(self, tmp_path):
+        """The vehicle bound is the exact ceiling of the supply over the
+        capacity, so the only feasible vehicle count is in the box."""
+        path = tmp_path / "large.json"
+        path.write_text(serialize_instance(large_supply_instance()), encoding="utf-8")
+        proc = run_cli("solve", "--instance", str(path), "--method", "anneal",
+                       "--samples", "1", "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        assert "feasible,True" in proc.stdout.splitlines()
 
     @pytest.mark.parametrize("method", ["exact", "anneal", "bruteforce"])
     @pytest.mark.parametrize("extra", [[], ["--no-prune"]], ids=["pruned", "no-prune"])

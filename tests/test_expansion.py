@@ -34,7 +34,13 @@ from hamflow.instance import (
 )
 from hamflow.solvers import solve_exact
 
-from conftest import GOLDEN_DIR, empty_schedule_instance, random_micro_model
+from conftest import (
+    GOLDEN_DIR,
+    LARGE_SUPPLY,
+    empty_schedule_instance,
+    large_supply_instance,
+    random_micro_model,
+)
 
 
 class TestRecords:
@@ -124,6 +130,14 @@ class TestExpand:
         vehicle_ubs = {v.upper_bound for v in micro_model.variables if v.kind == "vehicle"}
         assert flow_ubs == {1}        # 10 mass / load 10
         assert vehicle_ubs == {1}     # ceil(10 / 100)
+
+    def test_vehicle_bound_is_the_exact_ceiling(self):
+        """The supply total is divided by the capacity in integers: the
+        float quotient rounds below the ceiling here, which left the only
+        feasible vehicle count out of the bounds."""
+        model = expand_model(large_supply_instance())
+        vehicle_ubs = {v.upper_bound for v in model.variables if v.kind == "vehicle"}
+        assert vehicle_ubs == {-(-LARGE_SUPPLY // 24)} == {101954768205608470}
 
     def test_case_study_bounds(self, case_study_model):
         for v in case_study_model.variables:

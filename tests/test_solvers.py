@@ -31,7 +31,12 @@ from hamflow.solvers import (
 )
 
 import waves
-from conftest import empty_schedule_instance, random_micro_model, waves_model
+from conftest import (
+    empty_schedule_instance,
+    random_micro_instance,
+    random_micro_model,
+    waves_model,
+)
 
 
 class TestSolveExact:
@@ -190,8 +195,7 @@ def _assert_flow_fits(net, res, cap_mass):
     """The flow in residual list `res` stays within every edge's capacity
     under `cap_mass`, is conserved at every node and brings `need` units to
     the sink."""
-    cap = {e: min(ub, cap_mass[key] // load)
-           for key, edges in net.by_key.items() for e, ub, load in edges}
+    cap = {2 * j: min(ub, cap_mass[key] // load) for j, (key, ub, load) in enumerate(net.arcs)}
     balance = [0] * len(net.adj)
     for e in range(0, len(net.head), 2):
         flow = res[e ^ 1]
@@ -254,6 +258,44 @@ class TestFlowRepair:
 
 def _stored_cuts(relax) -> int:
     return sum(len(cuts) for net in relax.networks for cuts in net.cuts.values())
+
+
+class TestOneArcPerKey:
+    """Every relaxation network holds at most one arc per key, arc j at edge
+    2j: a repair reads the one branched edge, and `_start_flows` one
+    residual per flow variable."""
+
+    @staticmethod
+    def assert_one_arc_per_key(model):
+        for net in solvers._FlowRelaxation(solvers._Graph(model)).networks:
+            keys = [key for key, _, _ in net.arcs]
+            assert len(set(keys)) == len(keys)
+            assert all(net.edge_of[key] == 2 * j for j, key in enumerate(keys))
+
+    def test_case_study(self, case_study_model, case_study_pruned):
+        self.assert_one_arc_per_key(case_study_model)
+        self.assert_one_arc_per_key(case_study_pruned)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_waves(self, k):
+        self.assert_one_arc_per_key(waves_model(k))
+
+    def test_random_micro(self):
+        rng = random.Random(2718)
+        for _ in range(40):
+            model = expand_model(random_micro_instance(rng))
+            self.assert_one_arc_per_key(model)
+            self.assert_one_arc_per_key(expansion.prune_model(model))
+
+    def test_duplicated_flow_variable_is_refused(self, micro_model):
+        """A hand-built model with two flow variables of one (arc,
+        commodity, t) would give a network two arcs of one key."""
+        first = micro_model.variables[0]
+        assert first.kind == expansion.FLOW and first.time == 1
+        twin = replace(first, index=len(micro_model.variables))
+        model = replace(micro_model, variables=micro_model.variables + (twin,))
+        with pytest.raises(expansion.ModelError, match="two flow variables"):
+            solve_exact(model)
 
 
 class TestLearnedCuts:
