@@ -13,8 +13,8 @@ Constraints:
       sum_k x * load_k  -  capacity * z  <=  0
 
 All constraint coefficients and right-hand sides are integers so that
-residual arithmetic is exact; loads, capacity, and schedule amounts must be
-integral (rejected otherwise).
+residual arithmetic is exact: an `Instance` holds only integral loads,
+capacity and schedule amounts, each amount a multiple of its load.
 
 Variables, constraint rows and models are values: once built they are never
 mutated, and `dataclasses.replace` makes a changed copy.  `Variable` and
@@ -120,14 +120,6 @@ class FeasibilityReport:
     bound_findings: tuple[tuple[int, int, int], ...] = ()   # (var index, value, upper bound)
 
 
-def _as_exact_int(value: float, what: str) -> int:
-    if isinstance(value, int):
-        return value
-    if float(value).is_integer():
-        return int(value)
-    raise ModelError(f"{what} must be integral for exact constraint arithmetic, got {value!r}")
-
-
 def expand_model(inst: Instance) -> Model:
     """Expand an instance into variables, constraints, and the cost objective.
 
@@ -139,12 +131,9 @@ def expand_model(inst: Instance) -> Model:
         raise ModelError("instance fails mass balance: " + "; ".join(f.message for f in balance))
 
     T = inst.horizon
-    loads = {c.id: _as_exact_int(c.load, f"load of {c.id}") for c in inst.commodities}
-    capacity = _as_exact_int(inst.capacity, "vehicle capacity")
-    demand = {}
-    for e in inst.schedule:
-        demand[(e.depot, e.commodity, e.time)] = _as_exact_int(
-            e.amount, f"schedule amount at ({e.depot}, {e.commodity}, t={e.time})")
+    loads = {c.id: int(c.load) for c in inst.commodities}
+    capacity = int(inst.capacity)
+    demand = {(e.depot, e.commodity, e.time): int(e.amount) for e in inst.schedule}
 
     # exact integers: a float total or quotient may round past 2**53
     supply_mass = {k: sum(a for (_, c, _), a in demand.items() if c == k and a > 0) for k in loads}

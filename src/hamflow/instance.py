@@ -11,8 +11,10 @@ Instances are read and written as UTF-8 JSON documents with top-level keys
 files surface immediately.
 
 Schedule amounts are in mass units: positive entries are supply appearing at
-a depot at a time step, negative entries are demand consumed there.  Every
-amount must be a nonzero integer multiple of its commodity's load size.
+a depot at a time step, negative entries are demand consumed there.  Loads
+and the capacity are positive integers and every amount is a nonzero integer
+multiple of its load size: a float field, but an Instance checks it exactly
+when built, so every later stage reads it with `int()`.
 Time steps are 1-based, ``t in {1..horizon}``.  The time expansion makes
 at most |arcs| x (|commodities| + 1) x horizon variables; an instance
 whose count exceeds MAX_EXPANDED_VARIABLES is rejected.
@@ -106,8 +108,9 @@ class Commodity:
     load: float           # mass units per unit of flow, > 0
 
     def __post_init__(self):
-        if self.load <= 0:
-            raise InstanceSchemaError(f"commodity {self.id}: non-positive load {self.load}")
+        if (_whole(self.load) or 0) <= 0:
+            raise InstanceSchemaError(
+                f"commodity {self.id}: load must be a positive integer, got {self.load!r}")
 
 
 @dataclass(frozen=True)
@@ -151,8 +154,8 @@ class Instance:
                 f"horizon exceeds {MAX_EXPANDED_VARIABLES // per_step}: {len(self.arcs)} arcs "
                 f"and {len(self.commodities)} commodities would expand to more than "
                 f"{MAX_EXPANDED_VARIABLES} variables")
-        if self.capacity <= 0:
-            raise InstanceSchemaError(f"capacity must be positive, got {self.capacity!r}")
+        if (_whole(self.capacity) or 0) <= 0:
+            raise InstanceSchemaError(f"capacity must be a positive integer, got {self.capacity!r}")
         depot_ids = [d.id for d in self.depots]
         if len(set(depot_ids)) != len(depot_ids):
             dup = _first_duplicate(depot_ids)
@@ -166,7 +169,7 @@ class Instance:
             dup = _first_duplicate(pairs)
             raise DuplicateIdError(f"duplicate arc {dup[0]}->{dup[1]}")
         known_depots = set(depot_ids)
-        known_commodities = set(commodity_ids)
+        loads = {c.id: c.load for c in self.commodities}
         for a in self.arcs:
             for end in a.pair:
                 if end not in known_depots:
@@ -178,11 +181,16 @@ class Instance:
         for e in self.schedule:
             if e.depot not in known_depots:
                 raise UnknownIdError(f"schedule entry references undeclared depot {e.depot!r}")
-            if e.commodity not in known_commodities:
+            if e.commodity not in loads:
                 raise UnknownIdError(f"schedule entry references undeclared commodity {e.commodity!r}")
             if not isinstance(e.time, int) or not 1 <= e.time <= self.horizon:
                 raise InstanceSchemaError(
                     f"schedule entry ({e.depot}, {e.commodity}): time {e.time} outside [1, {self.horizon}]")
+            amount, load = _whole(e.amount), loads[e.commodity]
+            if amount is None or amount % int(load):
+                raise InstanceSchemaError(
+                    f"schedule entry ({e.depot}, {e.commodity}, t={e.time}): amount {e.amount} "
+                    f"is not an integer multiple of the load size {load}")
             k = (e.depot, e.commodity, e.time)
             if k in seen_entries:
                 raise DuplicateIdError(f"duplicate schedule entry for {k}")
@@ -218,7 +226,7 @@ class Instance:
 
 @dataclass(frozen=True)
 class Finding:
-    kind: str             # "mass_balance" | "load_multiple" | "unreachable_demand"
+    kind: str             # "mass_balance" | "unreachable_demand"
     message: str
 
 
@@ -269,8 +277,9 @@ def _as_int(value, where: str) -> int:
 
 
 def _as_number(value, where: str) -> float:
-    """A finite JSON number as a float; bools, strings, null, NaN and
-    infinities are rejected rather than coerced."""
+    """A finite JSON number as a float; bools, strings, null, NaN,
+    infinities and integers a float would round are rejected rather than
+    coerced."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InstanceSchemaError(f"{where}: expected a number, got {value!r}")
     try:
@@ -279,6 +288,8 @@ def _as_number(value, where: str) -> float:
         number = math.inf
     if not math.isfinite(number):
         raise InstanceSchemaError(f"{where}: expected a finite number, got {value!r}")
+    if number != value:
+        raise InstanceSchemaError(f"{where}: integer {value} would round as a float")
     return number
 
 
@@ -331,18 +342,8 @@ def parse_instance(text: str) -> Instance:
                                       amount=_as_number(e["amount"],
                                                         f"schedule[{i}].amount")))
 
-    inst = Instance(depots=tuple(depots), arcs=tuple(arcs), commodities=tuple(commodities),
+    return Instance(depots=tuple(depots), arcs=tuple(arcs), commodities=tuple(commodities),
                     horizon=horizon, capacity=capacity, schedule=tuple(schedule))
-
-    # multiples of the load size are a schema requirement, not merely a finding
-    by_id = {c.id: c for c in inst.commodities}
-    for e in inst.schedule:
-        load = by_id[e.commodity].load
-        if not _is_multiple(e.amount, load):
-            raise InstanceSchemaError(
-                f"schedule entry ({e.depot}, {e.commodity}, t={e.time}): amount {e.amount} "
-                f"is not an integer multiple of the load size {load}")
-    return inst
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -360,14 +361,15 @@ def serialize_instance(inst: Instance) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _is_multiple(amount: float, load: float) -> bool:
-    units = amount / load
-    # a subnormal load can overflow the quotient, which is then no multiple;
-    # a huge one rounds a nonzero amount's quotient to 0, which is none either
-    if not math.isfinite(units):
-        return False
-    whole = round(units)
-    return whole != 0 and abs(units - whole) <= 1e-9 * abs(whole)
+def _whole(value) -> int | None:
+    """`value` as an exact int when it is a whole number that a float holds
+    exactly; None for fractions, NaN, infinities and ints a float rounds or
+    cannot hold."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return int(number) if number.is_integer() and number == value else None
 
 
 def _first_duplicate(items: Iterable):
@@ -385,8 +387,8 @@ def mass_balance_findings(inst: Instance) -> list[Finding]:
     """One finding per commodity whose scheduled masses do not cancel."""
     findings = []
     for c in inst.commodities:
-        balance = ordered_sum(e.amount for e in inst.schedule if e.commodity == c.id)
-        if abs(balance) > 1e-9:
+        balance = sum(int(e.amount) for e in inst.schedule if e.commodity == c.id)
+        if balance:
             findings.append(Finding(
                 "mass_balance",
                 f"commodity {c.id}: scheduled amounts sum to {balance:+g}, not 0; "
@@ -398,19 +400,10 @@ def validate_instance(inst: Instance) -> ValidationReport:
     """Semantic checks beyond structure; findings, never exceptions.
 
     Reports (a) commodities whose scheduled supply and demand masses do not
-    cancel, (b) schedule amounts that are not integer multiples of the load
-    size, and (c) demands scheduled before any mass of that commodity could
+    cancel, and (b) demands scheduled before any mass of that commodity could
     first arrive at the depot (the earliest presence of `presence_windows`).
     """
     findings = mass_balance_findings(inst)
-    by_id = {c.id: c for c in inst.commodities}
-    for e in inst.schedule:
-        if not _is_multiple(e.amount, by_id[e.commodity].load):
-            findings.append(Finding(
-                "load_multiple",
-                f"({e.depot}, {e.commodity}, t={e.time}): amount {e.amount} is not a "
-                f"multiple of load {by_id[e.commodity].load}"))
-
     windows = presence_windows(inst)
     for c in inst.commodities:
         earliest, _ = windows[c.id]

@@ -548,7 +548,7 @@ def find_feasible_flows(g: _Graph, cap_mass: dict[int, int],
         for c in range(first, len(g.cells)):
             load = g.loads[g.cells[c][1]]
             available = incoming[c] + g.mass.get(c, 0)
-            if available < 0 or available % load != 0:
+            if available < 0:
                 return False
             if available:
                 return distribute(c, g.out[c], available // load, load)
@@ -595,12 +595,14 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     relaxation flows to its children, and a child repairs each network's
     flow where the one arc edge of the (arc, t) just branched on carries
     more than the new vehicle count allows (`_Network.solve`), so every
-    verdict equals a solve from scratch.  Returns a provably optimal sample,
-    or the incumbent flagged uncertified when the time limit expires, or an
-    explicit infeasible result.  Raises ModelError when the objective
-    overflows (`_require_finite_objective`) or two flow variables share an
-    (arc, commodity, t) (`_Network`), and SearchSpaceTooLargeError when the
-    search recurses deeper than the interpreter's recursion limit.
+    verdict equals a solve from scratch.  Returns a provably optimal sample
+    or an explicit infeasible result.  When the time limit expires it returns
+    the incumbent flagged uncertified or, with none, the annealer's start
+    point (`_start_point`) if it verifies; that point never prunes, so a
+    search that completes is unchanged by it.  Raises ModelError when the
+    objective overflows (`_require_finite_objective`) or two flow variables
+    share an (arc, commodity, t) (`_Network`), and SearchSpaceTooLargeError
+    when the search recurses deeper than the interpreter's recursion limit.
     """
     _require_finite_objective(model)
     start = time.perf_counter()
@@ -686,6 +688,11 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
             "for the interpreter's recursion limit") from None
     finally:
         del dfs   # it refers to itself: free the search state on return
+    if timed_out and best is None:
+        start_point = Assignment(values=tuple(_start_point(g)[0]))
+        report = verify_assignment(model, start_point)
+        if report.feasible and not report.bound_findings:
+            best = start_point
     objective = math.inf if best is None else evaluate_objective(model, best)
     return _exact_result(best, objective, nodes, start, timed_out)
 
@@ -757,8 +764,8 @@ def anneal_sample(h: Hamiltonian, model: Model, params: AnnealParams | None = No
                   seed: int = 0) -> SampleSet:
     """Restart-based simulated annealing over conservation-feasible flows.
 
-    Each restart runs one Metropolis chain from the max-flow start flow
-    (`_start_flows`); every proposal pushes one unit either way around a
+    Each restart runs one Metropolis chain from the max-flow start point
+    (`_start_point`); every proposal pushes one unit either way around a
     cycle drawn from `_flow_cycles`, and a move that would take a flow or a
     derived vehicle count out of its bounds is rejected.  The temperature
     cools geometrically from the dearest arc cost, where a one-vehicle rise
@@ -818,6 +825,19 @@ def _start_flows(g: _Graph) -> list[int]:
     return values
 
 
+def _start_point(g: _Graph) -> tuple[list[int], list[int]]:
+    """The start flow of `_start_flows` with every vehicle count derived,
+    the fewest vehicles that carry the mass on its (arc, t), and that mass
+    per vehicle variable (0 at every flow variable)."""
+    values = _start_flows(g)
+    mass = [0] * len(g.variables)
+    for i, _, _, z in g.edges:
+        mass[z] += values[i] * g.loads[g.variables[i].commodity]
+    for z in g.vehicles:
+        values[z] = -(-mass[z] // g.capacity)
+    return values, mass
+
+
 _MAX_CYCLE_EDGES = 6
 
 
@@ -875,13 +895,8 @@ class _Chain:
         self.cost = [0.0] * len(g.variables)
         for z, cost in model.objective:
             self.cost[z] = cost
-        self.start = _start_flows(g)
-        self.mass = [0] * len(g.variables)
+        self.start, self.mass = _start_point(g)
         edge = {i: (z, g.loads[g.variables[i].commodity]) for i, _, _, z in g.edges}
-        for i, (z, load) in edge.items():
-            self.mass[z] += self.start[i] * load
-        for z in g.vehicles:
-            self.start[z] = -(-self.mass[z] // g.capacity)
         self.moves = [
             tuple(sorted(((i, d * s, edge[i][0], d * s * edge[i][1]) for i, s in cycle),
                          key=lambda e: e[1]))

@@ -109,6 +109,20 @@ def large_supply_instance() -> Instance:
     )
 
 
+def huge_vehicle_bound_instance() -> Instance:
+    """One arc A->B of cost 1 and travel time 1, T=2, and one unit of a
+    commodity of load 1e300 moving from (A, t=1) to (B, t=2) under capacity
+    100: the optimum is about 1e298 vehicles, and so is the vehicle bound."""
+    return Instance(
+        depots=(Depot("A", "A"), Depot("B", "B")),
+        arcs=(Arc("A", "B", 1.0, 1),),
+        commodities=(Commodity("K", 1e300),),
+        horizon=2,
+        capacity=100.0,
+        schedule=(ScheduleEntry("A", "K", 1, 1e300), ScheduleEntry("B", "K", 2, -1e300)),
+    )
+
+
 def random_micro_instance(rng: random.Random) -> Instance:
     """Small solvable instance built flows-first: sample integral flows on a
     random graph, then derive the schedule from the conservation equations,

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamflow import cli, serialize_instance, validate_instance
+from hamflow import cli, serialize_instance
 from hamflow.instance import (
     MAX_EXPANDED_VARIABLES,
     Arc,
     Commodity,
     Depot,
     Instance,
+    InstanceSchemaError,
     ScheduleEntry,
 )
 
@@ -178,6 +179,22 @@ class TestMethodsAndFlags:
         assert proc.returncode == 0, proc.stderr
         assert "feasible,True" in proc.stdout.splitlines()
 
+    def test_balanced_past_float_precision(self, tmp_path):
+        """2**53 + 3 - 2**53 - 3 sums to +1 in floats: the balance is exact."""
+        path = one_commodity_doc(tmp_path / "big.json", 1, 2**53,
+                                 [("A", 1, 2**53), ("A", 2, 3), ("B", 2, -2**53), ("B", 3, -3)])
+        proc = run_cli("validate", "--instance", str(path))
+        assert proc.returncode == 0
+        assert "0 findings" in proc.stdout
+        proc = run_cli("solve", "--instance", str(path), "--method", "exact",
+                       "--out", str(tmp_path / "exact"))
+        assert proc.returncode == 0, proc.stderr
+        assert {"certified,True", "objective,2.0"} <= set(proc.stdout.splitlines())
+        proc = run_cli("solve", "--instance", str(path), "--method", "anneal",
+                       "--samples", "1", "--out", str(tmp_path / "anneal"))
+        assert proc.returncode == 0, proc.stderr
+        assert "feasible,True" in proc.stdout.splitlines()
+
     @pytest.mark.parametrize("method", ["exact", "anneal", "bruteforce"])
     @pytest.mark.parametrize("extra", [[], ["--no-prune"]], ids=["pruned", "no-prune"])
     def test_no_commodities_solves_to_zero(self, tmp_path, method, extra):
@@ -192,6 +209,18 @@ class TestMethodsAndFlags:
                        "--out", str(tmp_path / "out"), *extra)
         assert proc.returncode == 0, proc.stderr
         assert "objective,0.0" in proc.stdout.splitlines()
+
+
+def one_commodity_doc(path: Path, load, capacity, schedule) -> Path:
+    """Write a document with one arc A->B of cost 1 and travel time 1,
+    horizon 3 and one commodity K; `schedule` holds (depot, time, amount)."""
+    doc = {"depots": [{"id": "A", "label": "A"}, {"id": "B", "label": "B"}],
+           "arcs": [{"from": "A", "to": "B", "cost": 1.0, "travel_time": 1}],
+           "commodities": [{"id": "K", "load": load}], "horizon": 3, "capacity": capacity,
+           "schedule": [{"depot": d, "commodity": "K", "time": t, "amount": m}
+                        for d, t, m in schedule]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
 
 
 def assert_one_line_error(proc):
@@ -280,19 +309,38 @@ class TestInputFaults:
         bad.write_text(json.dumps(doc))
         proc = run_cli(command, "--instance", str(bad), "--out", str(tmp_path / "out"))
         assert_one_line_error(proc)
-        assert "multiple of the load size" in proc.stderr
+        assert "load must be a positive integer" in proc.stderr
 
     def test_huge_load_is_no_multiple(self, tmp_path):
         # amounts of +-10 over a load of 1e300 give a quotient that rounds to 0
         inst = micro_instance()
-        huge = replace(inst, commodities=(replace(inst.commodities[0], load=1e300),))
-        assert [f.kind for f in validate_instance(huge).findings] == ["load_multiple"] * 2
+        with pytest.raises(InstanceSchemaError, match="multiple"):
+            replace(inst, commodities=(replace(inst.commodities[0], load=1e300),))
+        doc = json.loads(serialize_instance(inst))
+        doc["commodities"][0]["load"] = 1e300
         bad = tmp_path / "bad.json"
-        bad.write_text(serialize_instance(huge))
+        bad.write_text(json.dumps(doc))
         for command in ("validate", "solve"):
             proc = run_cli(command, "--instance", str(bad), "--out", str(tmp_path / "out"))
             assert_one_line_error(proc)
             assert "multiple of the load size" in proc.stderr
+
+    def test_non_multiple_past_the_float_tolerance(self, tmp_path):
+        # 10000000001 / 10 is within 1e-9 relative of a whole number
+        bad = one_commodity_doc(tmp_path / "bad.json", 10, 100,
+                                [("A", 1, 10000000001), ("B", 2, -10000000001)])
+        for command in ("validate", "solve"):
+            proc = run_cli(command, "--instance", str(bad), "--out", str(tmp_path / "out"))
+            assert_one_line_error(proc)
+            assert "multiple of the load size" in proc.stderr
+
+    def test_integer_a_float_would_round(self, tmp_path):
+        big = 2**53 + 1
+        bad = one_commodity_doc(tmp_path / "bad.json", 1, big, [("A", 1, big), ("B", 2, -big)])
+        for command in ("validate", "solve"):
+            proc = run_cli(command, "--instance", str(bad), "--out", str(tmp_path / "out"))
+            assert_one_line_error(proc)
+            assert "capacity: integer 9007199254740993" in proc.stderr
 
     @pytest.mark.parametrize("command", ["validate", "compile", "solve"])
     def test_huge_horizon(self, tmp_path, command):

@@ -27,6 +27,7 @@ from hamflow.instance import (
     Commodity,
     Depot,
     Instance,
+    InstanceSchemaError,
     ScheduleEntry,
     build_case_study,
     default_case_study_costs,
@@ -161,15 +162,14 @@ class TestExpand:
             expand_model(inst)
 
     def test_non_integral_load_rejected(self):
-        inst = Instance(
-            depots=(Depot("A", "A"), Depot("B", "B")),
-            arcs=(Arc("A", "B", 1.0, 1),),
-            commodities=(Commodity("K", 2.5),),
-            horizon=2, capacity=100.0,
-            schedule=(ScheduleEntry("A", "K", 1, 2.5),
-                      ScheduleEntry("B", "K", 2, -2.5)))
-        with pytest.raises(ModelError, match="integral"):
-            expand_model(inst)
+        with pytest.raises(InstanceSchemaError, match="integer"):
+            Instance(
+                depots=(Depot("A", "A"), Depot("B", "B")),
+                arcs=(Arc("A", "B", 1.0, 1),),
+                commodities=(Commodity("K", 2.5),),
+                horizon=2, capacity=100.0,
+                schedule=(ScheduleEntry("A", "K", 1, 2.5),
+                          ScheduleEntry("B", "K", 2, -2.5)))
 
     def test_model_dump_golden(self, micro_model):
         expected = json.loads((GOLDEN_DIR / "micro_model_dump.json").read_text())
@@ -415,9 +415,12 @@ class TestReconstruction:
             reconstruct_solution(expand_model(inst), tables)
 
     def test_fractional_units_rejected(self):
-        inst = _instance(("A", "B"), [("A", "B", 1)], horizon=2, load=10.0,
-                         schedule=[("A", 1, 15), ("B", 2, -15)])
-        tables = _tables(inst, {"A": [15, 0], "B": [0, 15]})
+        # 20 mass of load 10 splits 15 / 5 over C and D: 1.5 units on A->C
+        inst = _instance(("A", "B", "C", "D"), [("A", "C", 1), ("A", "D", 1),
+                                                ("C", "B", 1), ("D", "B", 1)],
+                         horizon=3, load=10.0, schedule=[("A", 1, 20), ("B", 3, -20)])
+        tables = _tables(inst, {"A": [20, 0, 0], "B": [0, 0, 20], "C": [0, 15, 0],
+                                "D": [0, 5, 0]})
         with pytest.raises(TableReconstructionError, match="integral"):
             reconstruct_solution(expand_model(inst), tables)
 

@@ -115,6 +115,17 @@ class TestParse:
         with pytest.raises(InstanceSchemaError, match="multiple"):
             parse_instance(json.dumps(doc))
 
+    @pytest.mark.parametrize("load, capacity, amount", [
+        (2.5, 100.0, 5.0), (10.0, 2.5, 10.0), (10.0, 100.0, 15.0),
+        (10.0, 10**400, 10.0), (10.0, 100.0, float("nan")), (10**400, 100.0, 10.0),
+    ], ids=["load_2.5", "capacity_2.5", "amount_15", "capacity_10**400", "amount_nan",
+            "load_10**400"])
+    def test_construction_requires_exact_integers(self, load, capacity, amount):
+        with pytest.raises(InstanceSchemaError):
+            Instance(depots=(Depot("A", "A"),), arcs=(), commodities=(Commodity("K", load),),
+                     horizon=1, capacity=capacity,
+                     schedule=(ScheduleEntry("A", "K", 1, amount),))
+
     def test_self_loop_rejected(self):
         doc = minimal_doc()
         doc["arcs"][0]["to"] = "A"
@@ -191,15 +202,14 @@ class TestValidate:
         assert "unreachable_demand" in [f.kind for f in report.findings]
 
     def test_load_multiple_finding_on_programmatic_instance(self):
-        inst = Instance(
-            depots=(Depot("A", "A"), Depot("B", "B")),
-            arcs=(Arc("A", "B", 1.0, 1),),
-            commodities=(Commodity("K", 10.0),),
-            horizon=2, capacity=100.0,
-            schedule=(ScheduleEntry("A", "K", 1, 15.0),
-                      ScheduleEntry("B", "K", 2, -15.0)))
-        report = validate_instance(inst)
-        assert "load_multiple" in [f.kind for f in report.findings]
+        with pytest.raises(InstanceSchemaError, match="multiple"):
+            Instance(
+                depots=(Depot("A", "A"), Depot("B", "B")),
+                arcs=(Arc("A", "B", 1.0, 1),),
+                commodities=(Commodity("K", 10.0),),
+                horizon=2, capacity=100.0,
+                schedule=(ScheduleEntry("A", "K", 1, 15.0),
+                          ScheduleEntry("B", "K", 2, -15.0)))
 
 
 class TestCaseStudy:

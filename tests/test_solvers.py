@@ -33,6 +33,8 @@ from hamflow.solvers import (
 import waves
 from conftest import (
     empty_schedule_instance,
+    huge_vehicle_bound_instance,
+    large_supply_instance,
     random_micro_instance,
     random_micro_model,
     waves_model,
@@ -394,10 +396,11 @@ class TestLeafCompletion:
 
 class TestTimeLimit:
     def test_zero_limit_stops_uncertified(self):
-        result = solve_exact(waves_model(3), time_limit=0.0)
+        model = waves_model(3)
+        result = solve_exact(model, time_limit=0.0)
         assert result.status == "time_limit"
         assert not result.certified
-        assert result.sample is None
+        _assert_start_point(model, result)
 
     def test_leaf_expiry_ends_the_search(self, monkeypatch):
         """A leaf completion that runs out of time ends the search as
@@ -405,8 +408,29 @@ class TestTimeLimit:
         complete = solvers.find_feasible_flows
         monkeypatch.setattr(solvers, "find_feasible_flows",
                             lambda g, cap_mass, deadline: complete(g, cap_mass, -math.inf))
-        result = solve_exact(waves_model(1))
-        assert (result.status, result.certified, result.sample) == ("time_limit", False, None)
+        model = waves_model(1)
+        result = solve_exact(model)
+        assert (result.status, result.certified) == ("time_limit", False)
+        _assert_start_point(model, result)
+
+    @pytest.mark.parametrize("inst", [huge_vehicle_bound_instance(), large_supply_instance()],
+                             ids=["load_1e300", "large_supply"])
+    def test_expiry_without_incumbent_returns_the_start_point(self, inst):
+        """A search that cannot reach a leaf in time still returns a
+        feasible point: the vehicle counts run to about 1e298 and 1e17."""
+        model = expansion.prune_model(expand_model(inst))
+        result = solve_exact(model, time_limit=1.0)
+        assert (result.status, result.certified) == ("time_limit", False)
+        _assert_start_point(model, result)
+
+
+def _assert_start_point(model, result):
+    """The sample of a search that timed out without an incumbent: the
+    annealer's start point, which verifies."""
+    assert result.sample.assignment.values == tuple(solvers._start_point(solvers._Graph(model))[0])
+    report = verify_assignment(model, result.sample.assignment)
+    assert report.feasible and report.bound_findings == ()
+    assert result.sample.objective == expansion.evaluate_objective(model, result.sample.assignment)
 
 
 class TestAnneal:
