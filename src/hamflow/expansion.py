@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 from .instance import (
     Instance,
+    _collector_paused,
     arc_key,
     mass_balance_findings,
     ordered_sum,
@@ -120,6 +121,7 @@ class FeasibilityReport:
     bound_findings: tuple[tuple[int, int, int], ...] = ()   # (var index, value, upper bound)
 
 
+@_collector_paused
 def expand_model(inst: Instance) -> Model:
     """Expand an instance into variables, constraints, and the cost objective.
 
@@ -186,6 +188,7 @@ def expand_model(inst: Instance) -> Model:
                  constraints=tuple(constraints), objective=objective)
 
 
+@_collector_paused
 def prune_model(model: Model) -> Model:
     """Drop variables that can carry no useful flow and reindex densely.
 

@@ -31,6 +31,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .expansion import Assignment, Model, row_residuals
+from .instance import _collector_paused
 
 DECISION = "decision"
 SLACK = "slack"
@@ -86,6 +87,7 @@ def choose_alpha(model: Model) -> float:
     return 1.0 + worst
 
 
+@_collector_paused
 def compile_hamiltonian(model: Model, alpha: float | None = None) -> Hamiltonian:
     """Expand P1 + alpha * P2 into linear/quadratic coefficients and offset."""
     if alpha is None:
@@ -272,6 +274,7 @@ def _unwritten(tok: str) -> bool:
     return not tok.isascii() or "_" in tok or tok[:1] == "+"
 
 
+@_collector_paused
 def parse_hamiltonian(text: str) -> Hamiltonian:
     """Re-read an exported polynomial file.
 

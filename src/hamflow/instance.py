@@ -18,14 +18,28 @@ when built, so every later stage reads it with `int()`.
 Time steps are 1-based, ``t in {1..horizon}``.  The time expansion makes
 at most |arcs| x (|commodities| + 1) x horizon variables; an instance
 whose count exceeds MAX_EXPANDED_VARIABLES is rejected.
+
+The front end's table builders (`parse_instance` here, `expand_model`,
+`prune_model`, `compile_hamiltonian` and `parse_hamiltonian`) run with
+CPython's cyclic garbage collector paused (`_collector_paused`).  On large
+instances each allocates tens of thousands of records, tuples and dicts,
+enough to start many young collections and now and then a full one, yet
+none of them builds a reference cycle: everything they allocate is freed
+by reference counting, so a collection inside them can only traverse live
+tables and free nothing.  The pause restores the caller's collector state
+on return and on raise.  The state is process-wide, so a thread running
+alongside sees the collector paused for the duration of the call.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import math
 from dataclasses import dataclass
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 # Expansion builds about 8-9 us and 0.7 KB per variable, rows included
@@ -46,6 +60,21 @@ def ordered_sum(values: Iterable, start=0):
     for v in values:
         total += v
     return total
+
+
+def _collector_paused(fn):
+    """`fn` run with the cyclic garbage collector paused, and the caller's
+    collector state (on or off) restored when it returns or raises."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 class InstanceError(Exception):
@@ -89,8 +118,9 @@ class Arc:
     def __post_init__(self):
         if self.origin == self.dest:
             raise InstanceSchemaError(f"arc {self.origin}->{self.dest}: self-loops not allowed")
-        if self.cost < 0:
-            raise InstanceSchemaError(f"arc {self.key()}: negative cost {self.cost}")
+        if not 0 <= self.cost < math.inf:     # NaN fails every comparison
+            raise InstanceSchemaError(
+                f"arc {self.key()}: cost must be a finite number >= 0, got {self.cost!r}")
         if not isinstance(self.travel_time, int) or self.travel_time < 1:
             raise InstanceSchemaError(f"arc {self.key()}: travel_time must be an integer >= 1")
 
@@ -266,11 +296,40 @@ def _objects(doc: dict, section: str) -> list[dict]:
     return entries
 
 
+class _Rounded(float):
+    """A whole-number float read from a JSON literal that writes more digits
+    than the float holds, such as 9007199254740993.0; its repr is the
+    literal."""
+
+    def __new__(cls, literal: str):
+        self = super().__new__(cls, literal)
+        self.literal = literal
+        return self
+
+    def __repr__(self):
+        return self.literal
+
+
+def _json_float(literal: str) -> float:
+    """float(literal), as a _Rounded when the float is a whole number that
+    the literal names neither exactly nor by the float's shortest repr.  A
+    repr names its float (json.dumps writes 1e300 as 1e+300), so a document
+    `serialize_instance` wrote reads back unmarked, and so does every
+    literal of at most 15 significant digits, which a float holds (DBL_DIG)."""
+    number = float(literal)
+    if len(literal) > 15 and number.is_integer():
+        from decimal import Decimal   # rare: a long literal of a whole number
+        value = Decimal(literal)
+        if value != number and value != Decimal(repr(number)):
+            return _Rounded(literal)
+    return number
+
+
 def _as_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InstanceSchemaError(f"{where}: expected a number, got {value!r}")
     if isinstance(value, float):
-        if not value.is_integer():
+        if not value.is_integer() or isinstance(value, _Rounded):
             raise InstanceSchemaError(f"{where}: expected an integer, got {value!r}")
         value = int(value)
     return value
@@ -293,11 +352,21 @@ def _as_number(value, where: str) -> float:
     return number
 
 
+def _as_mass(value, where: str) -> float:
+    """_as_number for a load, the capacity or an amount, which are whole
+    numbers: a float literal the float would round is rejected as an
+    integer literal is."""
+    if isinstance(value, _Rounded):
+        raise InstanceSchemaError(f"{where}: {value!r} would round as a float")
+    return _as_number(value, where)
+
+
 def _load_json(text: str):
     """json.loads, with malformed JSON and an integer literal longer than
-    Python converts (4300 digits) raised as InstanceErrors."""
+    Python converts (4300 digits) raised as InstanceErrors, and float
+    literals read by `_json_float`."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=_json_float)
     except json.JSONDecodeError as exc:
         raise InstanceSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
     except ValueError as exc:
@@ -310,6 +379,7 @@ def json_number_error(exc: ValueError) -> str:
     return f"unreadable number: {str(exc).split(';')[0]}"
 
 
+@_collector_paused
 def parse_instance(text: str) -> Instance:
     """Parse an instance document (JSON text) into a validated Instance."""
     doc = _load_json(text)
@@ -331,34 +401,61 @@ def parse_instance(text: str) -> Instance:
     for i, c in enumerate(_objects(doc, "commodities")):
         _require_keys(c, {"id", "load"}, f"commodities[{i}]")
         commodities.append(Commodity(id=str(c["id"]),
-                                     load=_as_number(c["load"], f"commodities[{i}].load")))
+                                     load=_as_mass(c["load"], f"commodities[{i}].load")))
     horizon = _as_int(doc["horizon"], "horizon")
-    capacity = _as_number(doc["capacity"], "capacity")
+    capacity = _as_mass(doc["capacity"], "capacity")
     schedule = []
     for i, e in enumerate(_objects(doc, "schedule")):
         _require_keys(e, {"depot", "commodity", "time", "amount"}, f"schedule[{i}]")
         schedule.append(ScheduleEntry(depot=str(e["depot"]), commodity=str(e["commodity"]),
                                       time=_as_int(e["time"], f"schedule[{i}].time"),
-                                      amount=_as_number(e["amount"],
-                                                        f"schedule[{i}].amount")))
+                                      amount=_as_mass(e["amount"], f"schedule[{i}].amount")))
 
     return Instance(depots=tuple(depots), arcs=tuple(arcs), commodities=tuple(commodities),
                     horizon=horizon, capacity=capacity, schedule=tuple(schedule))
 
 
+_DEPOT = '    {\n      "id": %s,\n      "label": %s\n    }'
+_ARC = ('    {\n      "from": %s,\n      "to": %s,\n      "cost": %s,\n'
+        '      "travel_time": %s\n    }')
+_COMMODITY = '    {\n      "id": %s,\n      "load": %s\n    }'
+_ENTRY = ('    {\n      "depot": %s,\n      "commodity": %s,\n      "time": %s,\n'
+          '      "amount": %s\n    }')
+_PLAIN = {str: encode_basestring_ascii, int: repr, float: repr}
+
+
+def _scalar(value) -> str:
+    """What json.dumps writes for one field: a str through json's C
+    `encode_basestring_ascii`, an int or a finite float through `repr`, and
+    anything else (a bool, a float subclass) through json.dumps itself."""
+    write = _PLAIN.get(type(value))
+    return write(value) if write else json.dumps(value)
+
+
+def _section(key: str, records: list[str]) -> str:
+    if not records:
+        return f'  "{key}": []'
+    return f'  "{key}": [\n' + ",\n".join(records) + "\n  ]"
+
+
 def serialize_instance(inst: Instance) -> str:
-    """Inverse of parse_instance: parse(serialize(inst)) == inst field-for-field."""
-    doc = {
-        "depots": [{"id": d.id, "label": d.label} for d in inst.depots],
-        "arcs": [{"from": a.origin, "to": a.dest, "cost": a.cost, "travel_time": a.travel_time}
-                 for a in inst.arcs],
-        "commodities": [{"id": c.id, "load": c.load} for c in inst.commodities],
-        "horizon": inst.horizon,
-        "capacity": inst.capacity,
-        "schedule": [{"depot": e.depot, "commodity": e.commodity, "time": e.time, "amount": e.amount}
-                     for e in inst.schedule],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Inverse of parse_instance: parse(serialize(inst)) == inst field-for-field.
+
+    Writes the layout of `json.dumps(doc, indent=2)` plus a newline, byte for
+    byte, from one template per record and `_scalar` per field; an Instance
+    holds no non-finite number, which json.dumps would write as NaN or
+    Infinity."""
+    j = _scalar
+    return "{\n" + ",\n".join((
+        _section("depots", [_DEPOT % (j(d.id), j(d.label)) for d in inst.depots]),
+        _section("arcs", [_ARC % (j(a.origin), j(a.dest), j(a.cost), j(a.travel_time))
+                          for a in inst.arcs]),
+        _section("commodities", [_COMMODITY % (j(c.id), j(c.load)) for c in inst.commodities]),
+        f'  "horizon": {j(inst.horizon)}',
+        f'  "capacity": {j(inst.capacity)}',
+        _section("schedule", [_ENTRY % (j(e.depot), j(e.commodity), j(e.time), j(e.amount))
+                              for e in inst.schedule]),
+    )) + "\n}\n"
 
 
 def _whole(value) -> int | None:

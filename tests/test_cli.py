@@ -342,6 +342,17 @@ class TestInputFaults:
             assert_one_line_error(proc)
             assert "capacity: integer 9007199254740993" in proc.stderr
 
+    def test_float_literal_a_float_would_round(self, tmp_path):
+        # +-(2**53 + 1) written as floats read as +-2**53, which balance
+        path = one_commodity_doc(tmp_path / "bad.json", 1, 2**53,
+                                 [("A", 1, "supply"), ("B", 2, "demand")])
+        path.write_text(path.read_text().replace('"supply"', "9007199254740993.0")
+                        .replace('"demand"', "-9007199254740993.0"))
+        for command in ("validate", "solve"):
+            proc = run_cli(command, "--instance", str(path), "--out", str(tmp_path / "out"))
+            assert_one_line_error(proc)
+            assert "schedule[0].amount: 9007199254740993.0 would round" in proc.stderr
+
     @pytest.mark.parametrize("command", ["validate", "compile", "solve"])
     def test_huge_horizon(self, tmp_path, command):
         doc = json.loads(CASE_STUDY_DOC.read_text())

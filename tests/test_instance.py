@@ -1,4 +1,6 @@
 import json
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from hamflow.instance import (
     load_cost_map,
 )
 
-from conftest import GOLDEN_DIR
+from conftest import GOLDEN_DIR, random_micro_instance
 
 
 def minimal_doc() -> dict:
@@ -132,6 +134,72 @@ class TestParse:
         with pytest.raises(InstanceSchemaError):
             parse_instance(json.dumps(doc))
 
+    @pytest.mark.parametrize("cost", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cost_rejected(self, cost):
+        # json.dumps would write NaN or Infinity, which parse_instance refuses
+        with pytest.raises(InstanceSchemaError, match="finite") as err:
+            Arc("A", "B", cost, 1)
+        assert "\n" not in str(err.value)
+
+
+def whole_doc_text(**literals: str) -> str:
+    """A valid document of load 1, capacity 2**53 and amounts +-2**53,
+    with the JSON literal of `load`, `capacity`, `supply`, `demand` or
+    `cost` replaced by the text given for it."""
+    doc = minimal_doc()
+    big = 2**53
+    doc["commodities"][0]["load"] = "@load"
+    doc["capacity"] = "@capacity"
+    doc["schedule"][0]["amount"] = "@supply"
+    doc["schedule"][1]["amount"] = "@demand"
+    doc["arcs"][0]["cost"] = "@cost"
+    text = json.dumps(doc)
+    defaults = {"load": "1", "capacity": str(big), "supply": str(big), "demand": str(-big),
+                "cost": "1.0"}
+    for key, literal in {**defaults, **literals}.items():
+        text = text.replace(f'"@{key}"', literal)
+    return text
+
+
+class TestWholeNumberLiterals:
+    """Loads, capacity, amounts and steps are whole numbers: a float literal
+    whose float holds fewer digits than it writes is refused, as an integer
+    literal a float would round is."""
+
+    @pytest.mark.parametrize("field, literal, where", [
+        ("supply", "9007199254740993.0", "schedule[0].amount"),
+        ("demand", "-9007199254740993.0", "schedule[1].amount"),
+        ("capacity", "9.007199254740993e15", "capacity"),
+        ("load", "1.0000000000000001", "commodities[0].load"),
+    ])
+    def test_rounding_literal_rejected(self, field, literal, where):
+        with pytest.raises(InstanceSchemaError) as err:
+            parse_instance(whole_doc_text(**{field: literal}))
+        assert str(err.value) == f"{where}: {literal} would round as a float"
+
+    @pytest.mark.parametrize("path", [("horizon",), ("schedule", 0, "time"),
+                                      ("arcs", 0, "travel_time")])
+    def test_rounding_literal_rejected_for_steps(self, path):
+        doc = minimal_doc()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = "@step"
+        text = json.dumps(doc).replace('"@step"', "1.0000000000000001")
+        with pytest.raises(InstanceSchemaError, match="expected an integer, got 1.0000000000000001"):
+            parse_instance(text)
+
+    @pytest.mark.parametrize("field, literal", [
+        ("capacity", "9007199254740992.0"), ("capacity", "1e300"),
+        ("capacity", "4.611686018427388e+18"), ("capacity", "4611686018427387904.0"),
+        ("supply", "9007199254740992.00000"), ("cost", "0.85"), ("cost", "1.7e308"),
+        ("cost", "9007199254740993.0"),
+    ])
+    def test_literal_naming_its_float_accepted(self, field, literal):
+        # exactly the float, or its shortest repr; costs need not be whole
+        inst = parse_instance(whole_doc_text(**{field: literal}))
+        assert parse_instance(serialize_instance(inst)) == inst
+
 
 ids = st.sampled_from(["A", "B", "C", "D"])
 
@@ -170,6 +238,83 @@ def instances(draw) -> Instance:
 @settings(max_examples=150, deadline=None)
 def test_parse_serialize_identity(inst):
     assert parse_instance(serialize_instance(inst)) == inst
+
+
+def dumps_reference(inst: Instance) -> str:
+    """The json.dumps document serialize_instance writes by hand."""
+    doc = {
+        "depots": [{"id": d.id, "label": d.label} for d in inst.depots],
+        "arcs": [{"from": a.origin, "to": a.dest, "cost": a.cost, "travel_time": a.travel_time}
+                 for a in inst.arcs],
+        "commodities": [{"id": c.id, "load": c.load} for c in inst.commodities],
+        "horizon": inst.horizon,
+        "capacity": inst.capacity,
+        "schedule": [{"depot": e.depot, "commodity": e.commodity, "time": e.time,
+                      "amount": e.amount} for e in inst.schedule],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+class TestSerializeLayout:
+    """serialize_instance writes json.dumps(doc, indent=2) byte for byte."""
+
+    def test_case_study(self, case_study):
+        assert serialize_instance(case_study) == dumps_reference(case_study)
+
+    def test_waves(self):
+        from waves import waves
+        for k in range(1, 41):
+            inst = waves(k)
+            assert serialize_instance(inst) == dumps_reference(inst), k
+
+    def test_random_micro_instances(self):
+        rng = random.Random(2020)
+        for _ in range(200):
+            inst = random_micro_instance(rng)
+            assert serialize_instance(inst) == dumps_reference(inst)
+
+    def test_escaped_ids(self):
+        ids = ['say "hi"', "back\\slash", "Erde\u0308", "\u706b\u661f", "tab\tnew\nline",
+               "\U0001f680"]
+        inst = Instance(
+            depots=tuple(Depot(i, f"label of {i}") for i in ids),
+            arcs=(Arc(ids[0], ids[1], 2.5, 1), Arc(ids[2], ids[3], 1.0, 1)),
+            commodities=(Commodity(ids[4], 10.0), Commodity(ids[5], 20.0)),
+            horizon=2, capacity=100.0,
+            schedule=(ScheduleEntry(ids[2], ids[5], 1, 20.0),
+                      ScheduleEntry(ids[3], ids[5], 2, -20.0)))
+        text = serialize_instance(inst)
+        assert text == dumps_reference(inst)
+        assert text.isascii() and parse_instance(text) == inst
+
+    def test_int_and_float_numbers(self):
+        inst = Instance(
+            depots=(Depot("A", "A"), Depot("B", "B"), Depot("C", "C")),
+            arcs=(Arc("A", "B", 3, 1), Arc("B", "C", 0.1, 2), Arc("A", "C", 1.7e308, 1),
+                  Arc("C", "A", 5e-324, 1)),
+            commodities=(Commodity("K", 10), Commodity("L", 2.0**62)),
+            horizon=4, capacity=100,
+            schedule=(ScheduleEntry("A", "K", 1, 10), ScheduleEntry("B", "K", 2, -10.0),
+                      ScheduleEntry("A", "L", 1, 2.0**62), ScheduleEntry("C", "L", 3, -2.0**62)))
+        assert serialize_instance(inst) == dumps_reference(inst)
+
+    def test_other_scalar_types(self):
+        # written as json.dumps writes them, though parse_instance refuses
+        # a bool or a numeric id
+        np = pytest.importorskip("numpy")
+        inst = Instance(
+            depots=(Depot("A", "A"), Depot("B", "B"), Depot(7, "seven")),
+            arcs=(Arc("A", "B", True, 1),), commodities=(Commodity("K", np.float64(10.0)),),
+            horizon=2, capacity=np.float64(100.0),
+            schedule=(ScheduleEntry("A", "K", 1, np.float64(10.0)),
+                      ScheduleEntry("B", "K", 2, -10.0)))
+        assert serialize_instance(inst) == dumps_reference(inst)
+
+    def test_empty_sections(self):
+        inst = Instance(depots=(), arcs=(), commodities=(), horizon=1, capacity=1.0,
+                        schedule=())
+        assert serialize_instance(inst) == dumps_reference(inst)
+        assert parse_instance(serialize_instance(inst)) == inst
 
 
 class TestValidate:

@@ -1,18 +1,26 @@
 import gc
 import hashlib
+import inspect
 import io
 import itertools
 import math
 import random
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hamflow import cli, expansion, serialize_instance, solvers
-from hamflow.expansion import Assignment, expand_model, verify_assignment
-from hamflow.hamiltonian import compile_hamiltonian
+import hamflow
+from hamflow import cli, expansion, parse_instance, serialize_instance, solvers
+from hamflow.expansion import Assignment, expand_model, prune_model, verify_assignment
+from hamflow.hamiltonian import (
+    PolynomialFormatError,
+    compile_hamiltonian,
+    export_hamiltonian,
+    parse_hamiltonian,
+)
 from hamflow.instance import (
     Arc,
     Commodity,
@@ -940,28 +948,44 @@ def test_annealer_feasible_samples_never_beat_the_oracle():
 
 
 class TestNoCyclicGarbage:
-    """A solver call frees its search state on return: with the cyclic
-    collector off, a call leaves nothing for it to find."""
+    """A solver or front-end call frees its state on return: with the cyclic
+    collector off, a call leaves nothing for it to find.  So the front end's
+    builders, which run with the collector paused, delay no collection."""
+
+    BUILDERS = ["parse_instance", "expand_model", "prune_model", "compile_hamiltonian",
+                "parse_hamiltonian"]
 
     @pytest.fixture(scope="class")
-    def waves2(self):
-        model = waves_model(2)
+    def calls(self):
+        inst = waves.waves(2)
+        text = serialize_instance(inst)
+        expanded = expand_model(inst)
+        model = prune_model(expanded)
         best = solve_exact(model).sample.assignment.values
         capacity = int(model.instance.capacity)
         cap_mass = {v.index: capacity * best[v.index] for v in model.variables
                     if v.kind == expansion.VEHICLE}
-        return model, cap_mass, compile_hamiltonian(model)
-
-    @pytest.mark.parametrize("name", ["solve_exact", "find_feasible_flows", "anneal_sample"])
-    def test_call_leaves_no_cycles(self, waves2, name):
-        model, cap_mass, h = waves2
-        call = {
+        h = compile_hamiltonian(model)
+        poly = io.StringIO()
+        export_hamiltonian(h, poly)
+        return {
             "solve_exact": lambda: solve_exact(model),
             "find_feasible_flows": lambda: solvers.find_feasible_flows(solvers._Graph(model),
                                                                        cap_mass),
             "anneal_sample": lambda: anneal_sample(h, model, AnnealParams(restarts=1, sweeps=5),
                                                    seed=3),
-        }[name]
+            "serialize_instance": lambda: serialize_instance(inst),
+            "parse_instance": lambda: parse_instance(text),
+            "expand_model": lambda: expand_model(inst),
+            "prune_model": lambda: prune_model(expanded),
+            "compile_hamiltonian": lambda: compile_hamiltonian(model),
+            "parse_hamiltonian": lambda: parse_hamiltonian(poly.getvalue()),
+        }
+
+    @pytest.mark.parametrize("name", ["solve_exact", "find_feasible_flows", "anneal_sample",
+                                      "serialize_instance", *BUILDERS])
+    def test_call_leaves_no_cycles(self, calls, name):
+        call = calls[name]
         call()   # warm up, so one-time import and cache objects are not counted
         gc.collect()
         gc.disable()
@@ -970,3 +994,44 @@ class TestNoCyclicGarbage:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collector_on", "collector_off"])
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_builder_keeps_collector_state(self, calls, name, enabled):
+        """No collection starts inside the builder, even at a threshold of
+        one allocation, and the caller's collector state is restored."""
+        code = inspect.unwrap(getattr(hamflow, name)).__code__
+        inside = []
+
+        def during(phase, info):
+            if phase != "start":
+                return
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not code:
+                frame = frame.f_back
+            if frame is not None:
+                inside.append(info["generation"])
+
+        was_enabled, threshold = gc.isenabled(), gc.get_threshold()
+        (gc.enable if enabled else gc.disable)()
+        gc.callbacks.append(during)
+        gc.set_threshold(1)
+        try:
+            calls[name]()
+            assert gc.isenabled() is enabled
+        finally:
+            gc.set_threshold(*threshold)
+            gc.callbacks.remove(during)
+            (gc.enable if was_enabled else gc.disable)()
+        assert inside == []
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collector_on", "collector_off"])
+    def test_state_restored_when_builder_raises(self, enabled):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(PolynomialFormatError):
+                parse_hamiltonian("HAMILTONIAN v1 vars=1 alpha=1 offset=0 R=1\nLEVELS 1\n3 0 1\n")
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
