@@ -107,6 +107,11 @@ class Depot:
     id: str
     label: str
 
+    def __post_init__(self):
+        for name, value in (("id", self.id), ("label", self.label)):
+            if not isinstance(value, str):
+                raise InstanceSchemaError(f"depot {name} must be a string, got {value!r}")
+
 
 @dataclass(frozen=True)
 class Arc:
@@ -118,10 +123,11 @@ class Arc:
     def __post_init__(self):
         if self.origin == self.dest:
             raise InstanceSchemaError(f"arc {self.origin}->{self.dest}: self-loops not allowed")
-        if not 0 <= self.cost < math.inf:     # NaN fails every comparison
+        # NaN fails every comparison, and JSON would write a bool as true or false
+        if isinstance(self.cost, bool) or not 0 <= self.cost < math.inf:
             raise InstanceSchemaError(
                 f"arc {self.key()}: cost must be a finite number >= 0, got {self.cost!r}")
-        if not isinstance(self.travel_time, int) or self.travel_time < 1:
+        if not _is_int(self.travel_time) or self.travel_time < 1:
             raise InstanceSchemaError(f"arc {self.key()}: travel_time must be an integer >= 1")
 
     def key(self) -> str:
@@ -138,6 +144,8 @@ class Commodity:
     load: float           # mass units per unit of flow, > 0
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise InstanceSchemaError(f"commodity id must be a string, got {self.id!r}")
         if (_whole(self.load) or 0) <= 0:
             raise InstanceSchemaError(
                 f"commodity {self.id}: load must be a positive integer, got {self.load!r}")
@@ -176,7 +184,7 @@ class Instance:
         self._check()
 
     def _check(self):
-        if not isinstance(self.horizon, int) or self.horizon < 1:
+        if not _is_int(self.horizon) or self.horizon < 1:
             raise InstanceSchemaError(f"horizon must be a positive integer, got {self.horizon!r}")
         per_step = len(self.arcs) * (len(self.commodities) + 1)
         if per_step * self.horizon > MAX_EXPANDED_VARIABLES:
@@ -213,7 +221,7 @@ class Instance:
                 raise UnknownIdError(f"schedule entry references undeclared depot {e.depot!r}")
             if e.commodity not in loads:
                 raise UnknownIdError(f"schedule entry references undeclared commodity {e.commodity!r}")
-            if not isinstance(e.time, int) or not 1 <= e.time <= self.horizon:
+            if not _is_int(e.time) or not 1 <= e.time <= self.horizon:
                 raise InstanceSchemaError(
                     f"schedule entry ({e.depot}, {e.commodity}): time {e.time} outside [1, {self.horizon}]")
             amount, load = _whole(e.amount), loads[e.commodity]
@@ -427,7 +435,8 @@ _PLAIN = {str: encode_basestring_ascii, int: repr, float: repr}
 def _scalar(value) -> str:
     """What json.dumps writes for one field: a str through json's C
     `encode_basestring_ascii`, an int or a finite float through `repr`, and
-    anything else (a bool, a float subclass) through json.dumps itself."""
+    anything else (a float subclass such as numpy's float64) through
+    json.dumps itself."""
     write = _PLAIN.get(type(value))
     return write(value) if write else json.dumps(value)
 
@@ -458,10 +467,17 @@ def serialize_instance(inst: Instance) -> str:
     )) + "\n}\n"
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool, which JSON would write as true or false."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _whole(value) -> int | None:
     """`value` as an exact int when it is a whole number that a float holds
-    exactly; None for fractions, NaN, infinities and ints a float rounds or
-    cannot hold."""
+    exactly; None for bools, fractions, NaN, infinities and ints a float
+    rounds or cannot hold."""
+    if isinstance(value, bool):
+        return None
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):

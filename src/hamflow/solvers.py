@@ -52,15 +52,25 @@ test.  It falls back to the four calls for the rest of a chain when numpy
 would reject a bounded draw, and for one-variable models; TestAnnealStream
 pins the stream byte for byte.
 
+The annealer's restarts share only the tables built before them, so they
+run side by side on the usable CPUs, one forked worker each up to one per
+restart (`anneal_sample`).  Restart r reads the stream of (seed, r) in any
+worker, so the samples are identical for any worker count, and each
+sample's wall time is still its own restart's time.
+
 numpy is imported inside `brute_force_oracle`, `_Chain` and `_sweep_draws`
 only, so commands that never anneal or enumerate do not load it.
 """
 
 from __future__ import annotations
 
+import gc
+import marshal
 import math
+import os
 import time
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .expansion import (
     FLOW,
@@ -782,6 +792,17 @@ def anneal_sample(h: Hamiltonian, model: Model, params: AnnealParams | None = No
     deterministically from (seed, restart index), and identical inputs
     reproduce the SampleSet exactly (timings excluded, see
     SampleSet.canonical_bytes).
+
+    The restarts run side by side: restart r in worker r % workers, with
+    workers = min(restarts, the CPUs that CPU affinity, such as `taskset`,
+    leaves this process).  The caller forks workers 1 and up (`_serve`)
+    and runs worker 0's restarts itself, with those of any worker the
+    system refuses a pipe or a process for.  It raises a worker's failure
+    as the worker's exception and reaps every worker on return and on
+    raise.  The SampleSet is the same for any worker count, and each
+    wall_time is still its own restart's time.  The speed of this policy
+    was measured at 2 usable CPUs only: more workers, and a CPU quota that
+    affinity does not show, are unverified.
     """
     if params is None:
         params = AnnealParams()
@@ -793,19 +814,110 @@ def anneal_sample(h: Hamiltonian, model: Model, params: AnnealParams | None = No
     t_end = min(costs, default=1.0) / 2
     cooling = (t_end / t_start) ** (1.0 / max(params.sweeps - 1, 1))
 
-    samples = []
-    for restart in range(params.restarts):
-        t0 = time.perf_counter()
-        assignment = Assignment(values=tuple(chain.run(params.sweeps, seed, restart,
-                                                       t_start, cooling)))
-        report = verify_assignment(model, assignment)
-        objective = evaluate_objective(model, assignment)
-        energy = objective + alpha * sum(r * r for r in report.residuals)
-        samples.append(Sample(assignment=assignment, energy=energy, objective=objective,
-                              feasible=report.feasible, restart_index=restart,
-                              wall_time=time.perf_counter() - t0))
-    samples.sort(key=lambda s: (s.energy, s.restart_index))
+    def run(restarts: range) -> list[tuple]:
+        """Each restart's (values, energy, objective, feasible, restart, wall time)."""
+        rows = []
+        for restart in restarts:
+            t0 = time.perf_counter()
+            assignment = Assignment(values=tuple(chain.run(params.sweeps, seed, restart,
+                                                           t_start, cooling)))
+            report = verify_assignment(model, assignment)
+            objective = evaluate_objective(model, assignment)
+            energy = objective + alpha * sum(r * r for r in report.residuals)
+            # plain types, which marshal takes: a numpy cost makes these numpy's
+            rows.append((assignment.values, float(energy), float(objective),
+                         bool(report.feasible), restart, time.perf_counter() - t0))
+        return rows
+
+    workers = min(params.restarts, _usable_cpus())
+    shares = [range(w, params.restarts, workers) for w in range(workers)]
+    own, pids, reads = shares[:1], [], []
+    try:
+        for share in shares[1:]:
+            read = write = None
+            try:
+                read, write = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _serve(write, reads + [read], run, share)
+                pids.append(pid)
+                reads.append(read)
+            except OSError:   # no pipe or process to spare: the caller runs this share too
+                if read is not None:
+                    os.close(read)
+                own.append(share)
+            finally:
+                if write is not None:
+                    os.close(write)
+        rows = [row for share in own for row in run(share)]
+        payloads = []
+        for read in reads:
+            with open(read, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+    finally:
+        for read in reads:   # a worker still writing gets EPIPE and exits
+            os.close(read)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    for payload in payloads:
+        rows += _received(payload)
+    samples = sorted((Sample(Assignment(values=values), *rest) for values, *rest in rows),
+                     key=lambda s: (s.energy, s.restart_index))
     return SampleSet(samples=tuple(samples), seed=seed, params=params)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where it can fork workers; else 1."""
+    if hasattr(os, "sched_getaffinity") and hasattr(os, "fork"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _serve(write: int, reads: list[int], run, restarts: range) -> NoReturn:
+    """In a forked worker: marshal `run(restarts)`, or its failure, to the
+    pipe end `write`, and end with `os._exit`, so no inherited stdio buffer,
+    atexit hook or caller frame runs twice.  The inherited read ends `reads`
+    are closed first: a worker holding its own would block on a full pipe
+    once the caller stopped reading.  The collector stays off: the chain
+    makes no cycles, and a collection would write to every page shared
+    with the caller."""
+    try:
+        gc.disable()
+        try:
+            for fd in reads:
+                os.close(fd)
+            payload = marshal.dumps((True, run(restarts)))
+        except Exception as exc:
+            import pickle   # on failure only, so `import hamflow` does not load it
+            try:
+                error = pickle.dumps(exc)
+            except Exception:   # one that will not pickle goes by its message
+                error = b""
+            payload = marshal.dumps((False, (error, f"{type(exc).__name__}: {exc}")))
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
+
+
+def _received(payload: bytes) -> list[tuple]:
+    """The rows a worker wrote with `_serve`.  Its failure is raised here as
+    the exception it raised, so a ModelError stays one for any worker
+    count; one that does not pickle arrives as a RuntimeError with its
+    message."""
+    try:
+        ok, body = marshal.loads(payload)
+    except EOFError:   # empty or cut short
+        raise RuntimeError("an annealer worker ended without writing its samples") from None
+    if ok:
+        return body
+    error, message = body
+    import pickle
+    try:
+        exc = pickle.loads(error)
+    except Exception:
+        exc = RuntimeError(f"annealer worker failed: {message}")
+    raise exc
 
 
 def _start_flows(g: _Graph) -> list[int]:

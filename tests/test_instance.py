@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -299,16 +300,39 @@ class TestSerializeLayout:
         assert serialize_instance(inst) == dumps_reference(inst)
 
     def test_other_scalar_types(self):
-        # written as json.dumps writes them, though parse_instance refuses
-        # a bool or a numeric id
+        # a float subclass is written as json.dumps writes it and reads back
+        # equal; a bool number or a non-str id or label is refused when built,
+        # since parse_instance would refuse the bool and read 7 back as "7"
         np = pytest.importorskip("numpy")
         inst = Instance(
-            depots=(Depot("A", "A"), Depot("B", "B"), Depot(7, "seven")),
-            arcs=(Arc("A", "B", True, 1),), commodities=(Commodity("K", np.float64(10.0)),),
+            depots=(Depot("A", "A"), Depot("B", "B")),
+            arcs=(Arc("A", "B", np.float64(1.5), 1),),
+            commodities=(Commodity("K", np.float64(10.0)),),
             horizon=2, capacity=np.float64(100.0),
             schedule=(ScheduleEntry("A", "K", 1, np.float64(10.0)),
                       ScheduleEntry("B", "K", 2, -10.0)))
-        assert serialize_instance(inst) == dumps_reference(inst)
+        text = serialize_instance(inst)
+        assert text == dumps_reference(inst)
+        assert parse_instance(text) == inst
+        refused = {
+            "depot id": lambda: Depot(7, "seven"),
+            "depot label": lambda: Depot("A", None),
+            "commodity id": lambda: Commodity(("K",), 10),
+            "cost": lambda: Arc("A", "B", True, 1),
+            "travel_time": lambda: Arc("A", "B", 1.0, True),
+            "load": lambda: Commodity("K", True),
+            "capacity": lambda: replace(inst, capacity=True),
+            "amount": lambda: replace(inst, schedule=(ScheduleEntry("A", "K", 1, True),
+                                                      ScheduleEntry("B", "K", 2, -1))),
+            "time": lambda: replace(inst, schedule=(ScheduleEntry("A", "K", True, 10),
+                                                    ScheduleEntry("B", "K", 2, -10))),
+            "horizon": lambda: replace(inst, horizon=True),
+        }
+        for field, build in refused.items():
+            with pytest.raises(InstanceSchemaError) as info:
+                build()
+            message = str(info.value)
+            assert "\n" not in message and field.split()[-1] in message, field
 
     def test_empty_sections(self):
         inst = Instance(depots=(), arcs=(), commodities=(), horizon=1, capacity=1.0,

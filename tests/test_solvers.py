@@ -1,10 +1,13 @@
+import errno
 import gc
 import hashlib
 import inspect
 import io
 import itertools
 import math
+import os
 import random
+import signal
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -947,6 +950,150 @@ def test_annealer_feasible_samples_never_beat_the_oracle():
                 assert s.objective >= optimum.objective - 1e-9
 
 
+def _on_cpus(monkeypatch, n: int) -> None:
+    """Make `anneal_sample` see n usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _assert_no_child() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+class TestAnnealWorkers:
+    """Restart r runs in worker r % workers, workers = min(restarts, usable
+    CPUs): the sample set is the same for any worker count, and every call
+    reaps the workers it forked, on return and on raise."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """A call that hangs on its workers fails the test instead of the suite."""
+        def expire(signum, frame):
+            raise TimeoutError("anneal_sample did not return within 120 s")
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(120)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.fixture(scope="class")
+    def models(self, case_study_pruned):
+        rng = random.Random(31415)
+        inst = waves.waves(3)
+        inst = replace(inst, arcs=tuple(replace(a, cost=np.float64(a.cost)) for a in inst.arcs))
+        numpy_costs = prune_model(expand_model(inst))
+        return ([(case_study_pruned, AnnealParams(restarts=4)),
+                 (case_study_pruned, AnnealParams(restarts=5)),   # an uneven split
+                 (waves_model(3), AnnealParams(restarts=4, sweeps=100)),
+                 # each restart writes about 2 KB: more than a pipe buffer a worker
+                 (waves_model(8), AnnealParams(restarts=80, sweeps=1)),
+                 # numpy costs make numpy energies, which marshal does not take
+                 (numpy_costs, AnnealParams(restarts=4, sweeps=100))]
+                + [(random_micro_model(rng), AnnealParams(restarts=2, sweeps=100))
+                   for _ in range(10)])
+
+    def _canonical(self, models) -> list[bytes]:
+        out = []
+        for model, params in models:
+            out.append(anneal_sample(compile_hamiltonian(model), model, params,
+                                     seed=1).canonical_bytes())
+            _assert_no_child()
+        return out
+
+    def test_samples_do_not_depend_on_the_worker_count(self, models, monkeypatch):
+        real_fork = os.fork
+        forks = []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        results = {}
+        for cpus in (1, 2, 3):
+            _on_cpus(monkeypatch, cpus)
+            forks.clear()
+            results[cpus] = self._canonical(models)
+            assert len(forks) == sum(min(p.restarts, cpus) - 1 for _, p in models)
+        assert results[2] == results[1]
+        assert results[3] == results[1]
+
+    def test_one_restart_never_forks(self, case_study_pruned, monkeypatch):
+        _on_cpus(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for one restart"))
+        h = compile_hamiltonian(case_study_pruned)
+        assert len(anneal_sample(h, case_study_pruned, AnnealParams(restarts=1)).samples) == 1
+
+    @pytest.mark.parametrize("call, code", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)],
+                             ids=["fork", "pipe"])
+    def test_caller_runs_a_share_it_cannot_fork(self, call, code, case_study_pruned,
+                                                monkeypatch):
+        h = compile_hamiltonian(case_study_pruned)
+        params = AnnealParams(restarts=5, sweeps=50)
+        _on_cpus(monkeypatch, 1)
+        expected = anneal_sample(h, case_study_pruned, params, seed=1).canonical_bytes()
+        _on_cpus(monkeypatch, 3)
+        real_call, calls = getattr(os, call), []
+
+        def refuse_second():   # the system refuses the second worker its pipe or process
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError(code, os.strerror(code))
+            return real_call()
+        monkeypatch.setattr(os, call, refuse_second)
+        fds = len(os.listdir("/dev/fd"))
+        assert anneal_sample(h, case_study_pruned, params, seed=1).canonical_bytes() == expected
+        assert len(calls) == 2 and len(os.listdir("/dev/fd")) == fds
+        _assert_no_child()
+
+    def _fail_on(self, monkeypatch, failing_restart: int, fail) -> None:
+        real_run = solvers._Chain.run
+
+        def run(chain, sweeps, seed, restart, t_start, cooling):
+            if restart == failing_restart:
+                fail()
+            return real_run(chain, sweeps, seed, restart, t_start, cooling)
+        monkeypatch.setattr(solvers._Chain, "run", run)   # inherited by the fork
+
+    @pytest.mark.parametrize("restart", [0, 1], ids=["caller", "worker"])
+    def test_failure_reaches_the_caller(self, restart, monkeypatch):
+        _on_cpus(monkeypatch, 2)
+
+        def fail():
+            raise ValueError(f"restart {restart} broke")
+        self._fail_on(monkeypatch, restart, fail)
+        model = waves_model(8)   # the other worker's samples overfill its pipe
+        fds = len(os.listdir("/dev/fd"))
+        with pytest.raises(ValueError, match=f"restart {restart} broke"):   # the same type
+            anneal_sample(compile_hamiltonian(model), model,
+                          AnnealParams(restarts=80, sweeps=1))
+        assert len(os.listdir("/dev/fd")) == fds
+        _assert_no_child()
+
+    def test_unpicklable_failure_keeps_its_message(self, case_study_pruned, monkeypatch):
+        _on_cpus(monkeypatch, 2)
+
+        class Broke(Exception):   # a local class does not pickle
+            pass
+
+        def fail():
+            raise Broke("restart 1 broke")
+        self._fail_on(monkeypatch, 1, fail)
+        h = compile_hamiltonian(case_study_pruned)
+        with pytest.raises(RuntimeError, match="worker failed: Broke: restart 1 broke"):
+            anneal_sample(h, case_study_pruned, AnnealParams(restarts=2, sweeps=5))
+        _assert_no_child()
+
+    def test_worker_ended_without_samples(self, case_study_pruned, monkeypatch):
+        _on_cpus(monkeypatch, 2)
+        caller = os.getpid()
+
+        def die():
+            assert os.getpid() != caller, "restart 1 ran in the caller"
+            os._exit(3)
+        self._fail_on(monkeypatch, 1, die)
+        h = compile_hamiltonian(case_study_pruned)
+        with pytest.raises(RuntimeError, match="without writing its samples"):
+            anneal_sample(h, case_study_pruned, AnnealParams(restarts=2, sweeps=5))
+        _assert_no_child()
+
+
 class TestNoCyclicGarbage:
     """A solver or front-end call frees its state on return: with the cyclic
     collector off, a call leaves nothing for it to find.  So the front end's
@@ -972,7 +1119,7 @@ class TestNoCyclicGarbage:
             "solve_exact": lambda: solve_exact(model),
             "find_feasible_flows": lambda: solvers.find_feasible_flows(solvers._Graph(model),
                                                                        cap_mass),
-            "anneal_sample": lambda: anneal_sample(h, model, AnnealParams(restarts=1, sweeps=5),
+            "anneal_sample": lambda: anneal_sample(h, model, AnnealParams(restarts=3, sweeps=5),
                                                    seed=3),
             "serialize_instance": lambda: serialize_instance(inst),
             "parse_instance": lambda: parse_instance(text),
@@ -984,7 +1131,8 @@ class TestNoCyclicGarbage:
 
     @pytest.mark.parametrize("name", ["solve_exact", "find_feasible_flows", "anneal_sample",
                                       "serialize_instance", *BUILDERS])
-    def test_call_leaves_no_cycles(self, calls, name):
+    def test_call_leaves_no_cycles(self, calls, name, monkeypatch):
+        _on_cpus(monkeypatch, 2)   # the annealer forks a worker for its second restart
         call = calls[name]
         call()   # warm up, so one-time import and cache objects are not counted
         gc.collect()
