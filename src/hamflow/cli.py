@@ -3,7 +3,7 @@
     hamflow validate --instance PATH [--costs PATH] [--out DIR] [--format csv|json]
     hamflow compile  (validate's options) [--no-prune] [--assignment PATH] [--alpha A]
     hamflow solve    (compile's options) [--method exact|anneal|bruteforce]
-                     [--samples N] [--seed S]
+                     [--samples N] [--seed S] [--time-limit SECONDS]
     hamflow verify   (validate's options) [--no-prune] [--assignment PATH]
     hamflow report   (validate's options) [--no-prune] [--assignment PATH]
 
@@ -11,6 +11,9 @@
 `case-study`, which builds the Earth-Moon-Mars benchmark from an arc-cost
 map (`--costs`, defaulting to the committed fixture).  `verify` and `report`
 read the candidate solution from `--assignment` (a file written by `solve`).
+`--time-limit` bounds the exact search (default 300 s); a search that
+reaches it prints `certified,False` with the best verified point it holds.
+`anneal` and `bruteforce` accept it and do not use it.
 
 Exit codes: 0 success, 1 infeasible or invalid input, 2 usage error.
 Diagnostics go to stderr; data goes to files or stdout.  `HAMFLOW_SEED` is
@@ -20,6 +23,7 @@ the fallback for `--seed`; the flag wins.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -73,6 +77,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+@functools.cache   # parse_args never mutates it, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hamflow",
@@ -108,6 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="annealer restart count")
     solve.add_argument("--seed", type=int, default=None,
                        help="annealer seed; falls back to HAMFLOW_SEED, then 0")
+    solve.add_argument("--time-limit", type=float, default=300.0, metavar="SECONDS",
+                       help="exact search time limit; unused by the other methods")
     sub.add_parser("verify", parents=[source, model])
     sub.add_parser("report", parents=[source, model])
     return parser
@@ -228,6 +235,9 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if not (math.isfinite(args.time_limit) and args.time_limit >= 0):
+        raise CliError(f"--time-limit must be a non-negative finite number of seconds, "
+                       f"got {args.time_limit}")
     model = _load_model(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -252,8 +262,10 @@ def _cmd_solve(args) -> int:
                    "objective": best.objective, "best_energy": best.energy,
                    "feasible_samples": sum(1 for s in sset.samples if s.feasible)}
     else:
-        solve = solvers.solve_exact if args.method == "exact" else solvers.brute_force_oracle
-        result = solve(model)
+        if args.method == "exact":
+            result = solvers.solve_exact(model, time_limit=args.time_limit)
+        else:
+            result = solvers.brute_force_oracle(model)
         best = result.sample
         if best is None:
             raise CliError(f"model is {result.status}: no feasible assignment exists"

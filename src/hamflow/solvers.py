@@ -27,6 +27,14 @@ feasible, so every cut held the demand at the parent's capacities, and a
 cut that falls short at the child's must cross an edge whose capacity
 changed.
 
+Both searches run on explicit stacks, not on the interpreter's, so no
+model is too deep for them: a search ends optimal, infeasible or at its
+time limit.  A node's fit test and demand-cut bound are done in place:
+it reads its parent's flow on the one arc edge it changed, and keeps each
+demand depot's shortfall as counts are set and undone (`solve_exact`).
+A search that reaches its time limit returns the cheaper verified point
+of its incumbent and the annealer's start point, uncertified.
+
 The annealer walks conservation-feasible flows only.  Each restart starts
 from a max-flow solution of every commodity's time-expanded graph (the
 relaxation's per-commodity networks with every (arc, t) open to its vehicle
@@ -482,17 +490,14 @@ class _FlowRelaxation:
             [(n, mass) for _, n, mass in dem],
             sum(mass for _, _, mass in sup)))
 
-    def feasible(self, cap_mass: dict[int, int], parent_flows: list | None,
-                 key: int | None) -> list | None:
+    def feasible(self, cap_mass: dict[int, int]) -> list | None:
         """cap_mass: available mass per vehicle variable, that is per (arc,
-        departure t).  Returns one residual list per network when every
-        network meets its demand, else None.  `parent_flows` are the parent
-        node's residual lists and `key` the only vehicle variable whose
-        cap_mass differs from the parent's (both None at the root); each
-        network repairs its parent's flow (`_Network.solve`)."""
+        departure t).  Returns one residual list per network, each solved
+        from the empty flow, when every network meets its demand, else None.
+        `solve_exact` repairs these flows node by node (`_Network.solve`)."""
         flows = []
-        for i, net in enumerate(self.networks):
-            res = net.solve(cap_mass, None if parent_flows is None else parent_flows[i], key)
+        for net in self.networks:
+            res = net.solve(cap_mass)
             if res is None:
                 return None
             flows.append(res)
@@ -517,57 +522,83 @@ def find_feasible_flows(g: _Graph, cap_mass: dict[int, int],
     completion, so the first completion found is the one the bare
     enumeration finds.
 
-    The clock is read on the first `distribute` call and every 256th after
-    it; past `deadline` (a `time.perf_counter` value) the search gives up
-    and raises `_Expired`, so an unfinished completion never reads as None.
+    The search runs on an explicit stack, one frame per flow variable given
+    its units: (cell, option position, units left before it, its take, its
+    largest take).  Takes are tried smallest first, and a failure moves the
+    top frame to its next take, popping the frames that have none left, so
+    no model is too deep for it.  A step is a visit to (cell, option
+    position, units left); the clock is read on the first step and every
+    256th after it, and past `deadline` (a `time.perf_counter` value) the
+    search gives up and raises `_Expired`, so an unfinished completion never
+    reads as None.
     """
+    cells, out, mass, variables = g.cells, g.out, g.mass, g.variables
     cap_left = dict(cap_mass)
     absorb = _absorb_bounds(g, cap_left)
-    incoming = [0] * len(g.cells)
+    incoming = [0] * len(cells)
     chosen: dict[int, int] = {}
-    calls = 0
-
-    def room(i: int, z: int, load: int) -> int:
-        return min(g.variables[i].upper_bound, cap_left[z] // load)
-
-    def distribute(c: int, options: list, units: int, load: int) -> bool:
-        nonlocal calls
-        if not calls & 255 and time.perf_counter() > deadline:
-            raise _Expired
-        calls += 1
-        if not options:
-            return units == 0 and advance(c + 1)
-        (i, _, head, z), rest = options[0], options[1:]
-        cap_units = min(room(i, z, load), absorb[head] - incoming[head] // load)
-        lo = max(0, units - sum(room(j, y, load) for j, _, _, y in rest))
-        for take in range(lo, min(cap_units, units) + 1):
-            if take:
-                chosen[i] = take
-                cap_left[z] -= take * load
-                incoming[head] += take * load
-            if distribute(c, rest, units - take, load):
-                return True
+    stack: list[list[int]] = []   # [cell, option, units left before it, take, largest take]
+    steps = 0
+    first = 0            # the next cell to open, or -1 while cell c is being split
+    failed = False
+    while True:
+        if first >= 0:   # open the first cell from `first` on that holds units
+            for c in range(first, len(cells)):
+                available = incoming[c] + mass.get(c, 0)
+                if available:
+                    break
+            else:
+                return chosen
+            first = -1
+            failed = available < 0
+            if not failed:
+                load = g.loads[cells[c][1]]
+                j, units = 0, available // load
+        if not failed:   # give option j of cell c its units, or close the cell
+            if not steps & 255 and time.perf_counter() > deadline:
+                raise _Expired
+            steps += 1
+            options = out[c]
+            if j == len(options):
+                if not units:
+                    first = c + 1
+                    continue
+            else:
+                i, _, head, z = options[j]
+                room = min(variables[i].upper_bound, cap_left[z] // load)
+                most = min(room, absorb[head] - incoming[head] // load, units)
+                take = max(0, units - sum(min(variables[k].upper_bound, cap_left[y] // load)
+                                          for k, _, _, y in options[j + 1:]))
+                if take <= most:
+                    stack.append([c, j, units, take, most])
+                    if take:
+                        chosen[i] = take
+                        cap_left[z] -= take * load
+                        incoming[head] += take * load
+                    j, units = j + 1, units - take
+                    continue
+        # backtrack: the deepest frame with a larger take left takes it
+        while stack:
+            frame = stack[-1]
+            c, j, units, take, most = frame
+            i, _, head, z = out[c][j]
+            load = g.loads[cells[c][1]]
             if take:
                 chosen.pop(i)
                 cap_left[z] += take * load
                 incoming[head] -= take * load
-        return False
-
-    def advance(first: int) -> bool:
-        """Distribute the units present at cell `first` and every later cell."""
-        for c in range(first, len(g.cells)):
-            load = g.loads[g.cells[c][1]]
-            available = incoming[c] + g.mass.get(c, 0)
-            if available < 0:
-                return False
-            if available:
-                return distribute(c, g.out[c], available // load, load)
-        return True
-
-    try:
-        return chosen if advance(0) else None
-    finally:
-        del distribute, advance   # they refer to each other: free them on return
+            if take < most:
+                take += 1
+                frame[3] = take
+                chosen[i] = take
+                cap_left[z] -= take * load
+                incoming[head] += take * load
+                j, units = j + 1, units - take
+                failed = False
+                break
+            stack.pop()
+        else:
+            return None
 
 
 def _require_finite_objective(model: Model) -> None:
@@ -597,22 +628,32 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     Branches the most expensive arcs first and tries smaller counts first.
     A node is its depth and `cap_mass`, the mass each vehicle variable can
     carry: capacity times its count, or times its search cap while unbranched.
+    The search runs on an explicit stack, one frame per internal node on
+    the current path (depth, cost so far, relaxation flows, next count), so
+    no model is too deep for it.
     Internal nodes are pruned by a demand-cut cost bound and the max-flow
-    relaxations, and leaves are completed by find_feasible_flows.  Branching
-    dearest first leaves a demand depot's open in-arcs a suffix of its list,
-    so the demand cut reads only the branched prefix.  The clock is read at
-    every node and inside each leaf completion.  Each node hands its
-    relaxation flows to its children, and a child repairs each network's
-    flow where the one arc edge of the (arc, t) just branched on carries
-    more than the new vehicle count allows (`_Network.solve`), so every
-    verdict equals a solve from scratch.  Returns a provably optimal sample
-    or an explicit infeasible result.  When the time limit expires it returns
-    the incumbent flagged uncertified or, with none, the annealer's start
-    point (`_start_point`) if it verifies; that point never prunes, so a
-    search that completes is unchanged by it.  Raises ModelError when the
-    objective overflows (`_require_finite_objective`) or two flow variables
-    share an (arc, commodity, t) (`_Network`), and SearchSpaceTooLargeError
-    when the search recurses deeper than the interpreter's recursion limit.
+    relaxations, and leaves are completed by find_feasible_flows.
+
+    The demand cut is kept incrementally: per demand depot, the vehicles
+    still short of its demand and the search caps of its unbranched
+    in-arcs change when a branch variable takes a count and are restored
+    when its frame pops, and the bound sums the depots in a fixed order, so
+    each node's bound is the float a fresh sum gives.  The fit test is
+    inline: each node hands its relaxation flows to its children, and a
+    child compares the parent's flow on the arc edge of the (arc, t) just
+    branched on with its new capacity in each network that holds that
+    edge.  Only a network whose flow does not fit is repaired
+    (`_Network.solve`), and the flow list is copied only then, so every
+    verdict equals a solve from scratch.  The clock is read at every node
+    and inside each leaf completion.
+
+    Returns a provably optimal sample or an explicit infeasible result.
+    When the time limit expires it returns, uncertified, the cheaper of the
+    incumbent and the annealer's start point (`_start_point`), the
+    incumbent on a tie; the start point counts only if it verifies, and it
+    never prunes, so a search that completes is unchanged by it.  Raises
+    ModelError when the objective overflows (`_require_finite_objective`)
+    or two flow variables share an (arc, commodity, t) (`_Network`).
     """
     _require_finite_objective(model)
     start = time.perf_counter()
@@ -625,19 +666,32 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
 
     branch_vars = sorted(filter(caps.get, caps), key=lambda z: (-cost_of.get(z, 0.0), z))
 
-    # per demand depot: vehicles required, in-arc (branch depth, vehicle
-    # variable) pairs, their summed search caps and cheapest cost; branching
-    # dearest first leaves the open pairs a suffix, which holds the cheapest
+    costs = [cost_of.get(z, 0.0) for z in branch_vars]
+    # per branch depth: (network index, network, arc edge, ub, load) of each
+    # network that holds the arc edge of the vehicle variable branched there
+    fits = [[(n, net, net.edge_of[z], *net.arcs[net.edge_of[z] >> 1][1:])
+             for n, net in enumerate(relax.networks) if z in net.edge_of]
+            for z in branch_vars]
+
+    # per demand depot: vehicles still short (the required count less the
+    # counts branched so far on its in-arcs), the search caps of its
+    # unbranched in-arcs and their cheapest cost, which branching dearest
+    # first leaves unbranched longest
     demand_mass = {}
     for c, mass in g.mass.items():
         if mass < 0:
             depot = g.cells[c][0]
             demand_mass[depot] = demand_mass.get(depot, 0) - mass
-    demand_cuts = []
-    for d, m in demand_mass.items():
-        in_arcs = [(n, z) for n, z in enumerate(branch_vars) if g.variables[z].arc[1] == d]
-        demand_cuts.append((-(-m // capacity), in_arcs, sum(caps[z] for _, z in in_arcs),
-                            min((cost_of.get(z, 0.0) for _, z in in_arcs), default=math.inf)))
+    short, open_caps, cheapest = [], [], []
+    depot_at = [-1] * len(branch_vars)    # per branch depth: its demand depot, or -1
+    for p, (d, m) in enumerate(demand_mass.items()):
+        in_arcs = [n for n, z in enumerate(branch_vars) if g.variables[z].arc[1] == d]
+        for n in in_arcs:
+            depot_at[n] = p
+        short.append(-(-m // capacity))
+        open_caps.append(sum(caps[branch_vars[n]] for n in in_arcs))
+        cheapest.append(min((costs[n] for n in in_arcs), default=math.inf))
+    depots = range(len(short))
 
     cap_mass = {z: capacity * caps[z] for z in g.vehicles}
     best_cost = math.inf
@@ -645,63 +699,85 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     nodes = 0
     timed_out = False
 
-    def cut_bound(depth: int, cost_so_far: float) -> float:
-        """Lower bound, never below `cost_so_far`: every demand depot still
-        needs enough vehicle arrivals to carry its total demanded mass."""
-        bound = cost_so_far
-        for req, in_arcs, open_caps, cheapest in demand_cuts:
-            have = 0
-            for branched_at, z in in_arcs:
-                if branched_at >= depth:
-                    break
-                have += cap_mass[z] // capacity
-                open_caps -= caps[z]
-            short = req - have
-            if short > 0:
-                if short > open_caps:
-                    return math.inf
-                bound += short * cheapest
-        return bound
-
-    def dfs(depth: int, cost_so_far: float, parent_flows: list | None, changed: int | None):
-        nonlocal best_cost, best, nodes
-        nodes += 1
-        if time.perf_counter() > deadline:
-            raise _Expired
-        if cut_bound(depth, cost_so_far) >= best_cost - 1e-9:
-            return
-        relax_flows = relax.feasible(cap_mass, parent_flows, changed)
-        if relax_flows is None:
-            return
-        if depth == len(branch_vars):
-            flows = find_feasible_flows(g, cap_mass, deadline)
-            if flows is None:
-                return
-            flows.update((z, cap_mass[z] // capacity) for z in branch_vars)
-            best_cost = cost_so_far
-            best = Assignment(values=tuple(flows.get(i, 0) for i in range(len(model.variables))))
-            return
-        z = branch_vars[depth]
-        cost = cost_of.get(z, 0.0)
-        for value in range(0, caps[z] + 1):
-            cap_mass[z] = capacity * value
-            dfs(depth + 1, cost_so_far + cost * value, relax_flows, z)
-        cap_mass[z] = capacity * caps[z]
-
+    # One frame per internal node on the path: [depth, cost so far, relaxation
+    # flows, next vehicle count].  A node is visited as (depth, cost_so_far,
+    # flows), `flows` being its parent's relaxation flows (None at the root).
+    stack: list[list] = []
+    depth, cost_so_far, flows = 0, 0.0, None
     try:
-        dfs(0, 0.0, None, None)
+        while True:
+            nodes += 1
+            if time.perf_counter() > deadline:
+                raise _Expired
+            # the demand cut: every demand depot still needs enough vehicle
+            # arrivals to carry its total demanded mass
+            bound = cost_so_far
+            for p in depots:
+                if short[p] > 0:
+                    if short[p] > open_caps[p]:
+                        bound = math.inf
+                        break
+                    bound += short[p] * cheapest[p]
+            if bound < best_cost - 1e-9:
+                if flows is None:
+                    flows = relax.feasible(cap_mass)
+                else:
+                    # the max-flow relaxations: each network that holds the
+                    # branched arc edge keeps its parent's flow when that edge's
+                    # flow fits its new capacity, and is repaired otherwise
+                    z = branch_vars[depth - 1]
+                    copied = False
+                    for n, net, edge, ub, load in fits[depth - 1]:
+                        units = cap_mass[z] // load
+                        if flows[n][edge ^ 1] > (ub if ub < units else units):
+                            res = net.solve(cap_mass, flows[n], z)
+                            if res is None:
+                                flows = None
+                                break
+                            if not copied:
+                                flows, copied = flows.copy(), True
+                            flows[n] = res
+                if flows is not None:
+                    if depth < len(branch_vars):
+                        stack.append([depth, cost_so_far, flows, 0])
+                    else:
+                        leaf = find_feasible_flows(g, cap_mass, deadline)
+                        if leaf is not None:
+                            leaf.update((z, cap_mass[z] // capacity) for z in branch_vars)
+                            best_cost = cost_so_far
+                            best = Assignment(values=tuple(leaf.get(i, 0)
+                                                           for i in range(len(model.variables))))
+            # the next node: the next count of the deepest frame with one left
+            while stack:
+                frame = stack[-1]
+                n, cost_so_far, flows, value = frame
+                z = branch_vars[n]
+                p = depot_at[n]
+                if value > caps[z]:   # its last count, caps[z], left cap_mass as it was
+                    stack.pop()
+                    if p >= 0:
+                        short[p] += caps[z]
+                        open_caps[p] += caps[z]
+                    continue
+                frame[3] = value + 1
+                cap_mass[z] = capacity * value
+                if p >= 0:
+                    if value:
+                        short[p] -= 1
+                    else:
+                        open_caps[p] -= caps[z]
+                depth, cost_so_far = n + 1, cost_so_far + costs[n] * value
+                break
+            else:
+                break
     except _Expired:
         timed_out = True
-    except RecursionError:
-        raise SearchSpaceTooLargeError(
-            f"search over {len(branch_vars)} branched vehicle variables is too deep "
-            "for the interpreter's recursion limit") from None
-    finally:
-        del dfs   # it refers to itself: free the search state on return
-    if timed_out and best is None:
+    if timed_out:
         start_point = Assignment(values=tuple(_start_point(g)[0]))
         report = verify_assignment(model, start_point)
-        if report.feasible and not report.bound_findings:
+        if report.feasible and not report.bound_findings and (
+                best is None
+                or evaluate_objective(model, start_point) < evaluate_objective(model, best)):
             best = start_point
     objective = math.inf if best is None else evaluate_objective(model, best)
     return _exact_result(best, objective, nodes, start, timed_out)

@@ -68,7 +68,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("option", [["--method", "anneal"], ["--samples", "4"],
                                         ["--seed", "7"], ["--assignment", "x.json"],
-                                        ["--alpha", "500"], ["--no-prune"]])
+                                        ["--alpha", "500"], ["--no-prune"],
+                                        ["--time-limit", "5"]])
     def test_validate_rejects_other_commands_options(self, option):
         proc = run_cli("validate", "--instance", "case-study", *option)
         assert proc.returncode == 2
@@ -97,6 +98,37 @@ class TestExitCodes:
         proc = run_cli("compile", "--instance", str(tmp_path / "nope.json"))
         assert proc.stdout == ""
         assert proc.stderr != ""
+
+
+class TestSharedParser:
+    """`main` builds its parser once per process; a run after others gives
+    the exit code and output a freshly built parser gives."""
+
+    @staticmethod
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    def test_runs_match_a_fresh_parser(self, micro_doc, tmp_path):
+        runs = [["solve", "--instance", str(micro_doc), "--method", "quantum"],
+                ["solve", "--instance", str(micro_doc), "--out", str(tmp_path / "a")],
+                ["validate", "--instance", str(micro_doc), "--format", "json"],
+                ["solve", "--instance", str(micro_doc), "--method", "bruteforce",
+                 "--no-prune", "--format", "json", "--out", str(tmp_path / "b")],
+                ["solve", "--instance", str(micro_doc), "--time-limit", "0",
+                 "--out", str(tmp_path / "c")]]
+        cli._build_parser.cache_clear()
+        shared = [self.run(argv) for argv in runs]
+        assert cli._build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in runs:
+            cli._build_parser.cache_clear()
+            fresh.append(self.run(argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0]
+        assert "invalid choice: 'quantum'" in shared[0][2]
 
 
 class TestCaseStudyToken:
@@ -196,6 +228,25 @@ class TestMethodsAndFlags:
         assert "feasible,True" in proc.stdout.splitlines()
 
     @pytest.mark.parametrize("method", ["exact", "anneal", "bruteforce"])
+    def test_time_limit(self, micro_doc, tmp_path, method):
+        """The exact search takes the limit: at 0 s it stops at its first
+        node with the start point, uncertified.  The other methods accept
+        it and do not use it."""
+        proc = run_cli("solve", "--instance", str(micro_doc), "--method", method,
+                       "--time-limit", "0", "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert "objective,5.0" in lines
+        if method != "anneal":
+            assert ("certified,False" if method == "exact" else "certified,True") in lines
+
+    def test_time_limit_not_a_number(self, micro_doc, tmp_path):
+        proc = run_cli("solve", "--instance", str(micro_doc), "--time-limit", "soon",
+                       "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert "invalid float value" in proc.stderr
+
+    @pytest.mark.parametrize("method", ["exact", "anneal", "bruteforce"])
     @pytest.mark.parametrize("extra", [[], ["--no-prune"]], ids=["pruned", "no-prune"])
     def test_no_commodities_solves_to_zero(self, tmp_path, method, extra):
         doc = {
@@ -240,12 +291,28 @@ class TestInputFaults:
         assert "search space" in proc.stderr
 
     def test_exact_search_too_deep(self, tmp_path):
+        """waves(20) branches on 319 vehicle variables, deeper than the
+        interpreter's recursion limit: the search ends at its time limit
+        with an uncertified point that `verify` accepts."""
         doc = tmp_path / "waves20.json"
         doc.write_text(serialize_instance(waves(20)), encoding="utf-8")
+        out = tmp_path / "out"
         proc = run_cli("solve", "--instance", str(doc), "--method", "exact",
-                       "--out", str(tmp_path / "out"), timeout=120)
+                       "--time-limit", "5", "--out", str(out), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "certified,False" in proc.stdout.splitlines()
+        proc = run_cli("verify", "--instance", str(doc),
+                       "--assignment", str(out / "solution.json"), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "feasible,True" in proc.stdout.splitlines()
+
+    @pytest.mark.parametrize("limit", ["-1", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("method", ["exact", "anneal", "bruteforce"])
+    def test_bad_time_limit(self, micro_doc, tmp_path, method, limit):
+        proc = run_cli("solve", "--instance", str(micro_doc), "--method", method,
+                       f"--time-limit={limit}", "--out", str(tmp_path / "out"))
         assert_one_line_error(proc)
-        assert "too deep" in proc.stderr
+        assert "--time-limit must be a non-negative finite number" in proc.stderr
 
     @pytest.mark.parametrize("command", ["verify", "report"])
     @pytest.mark.parametrize("text", ['{"objective": 5.0}', '{"values": [0, 1', '"zeros"',

@@ -9,6 +9,7 @@ import os
 import random
 import signal
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
@@ -104,12 +105,22 @@ class TestSolveExact:
         assert s.feasible
         assert s.energy == s.objective
 
-    def test_search_deeper_than_the_recursion_limit(self):
-        """waves(20) branches on 319 vehicle variables, more levels than the
-        interpreter's default recursion limit leaves room for: the search
-        ends with the one-line error in well under a second."""
-        with pytest.raises(SearchSpaceTooLargeError, match="319 branched vehicle variables"):
-            solve_exact(waves_model(20), time_limit=60.0)
+    @pytest.mark.parametrize("k", [12, 20, 40])
+    def test_search_deeper_than_the_recursion_limit(self, k):
+        """waves(12), (20) and (40) branch on 191, 319 and 639 vehicle
+        variables, more levels than the interpreter's default recursion
+        limit: the search runs on explicit stacks, so it ends at its time
+        limit holding a point that verifies, no dearer than the start
+        point."""
+        model = waves_model(k)
+        begin = time.perf_counter()
+        result = solve_exact(model, time_limit=5.0)
+        assert time.perf_counter() - begin < 6.0
+        assert (result.status, result.certified) == ("time_limit", False)
+        report = verify_assignment(model, result.sample.assignment)
+        assert report.feasible and report.bound_findings == ()
+        start = Assignment(values=tuple(solvers._start_point(solvers._Graph(model))[0]))
+        assert result.objective <= expansion.evaluate_objective(model, start)
 
 
 class TestBruteForce:
@@ -238,7 +249,7 @@ class TestFlowRepair:
                  if v.kind == expansion.VEHICLE}
         keys = sorted(bound)
         cap_mass = {key: capacity * ub for key, ub in bound.items()}
-        flows = relax.feasible(cap_mass, None, None)
+        flows = relax.feasible(cap_mass)
         assert flows is not None
         rng = random.Random(7331 + k)
         verdicts, repaired, kept, certified = set(), 0, 0, 0
@@ -249,8 +260,8 @@ class TestFlowRepair:
             raised = capacity * count > cap_mass[key]
             child_caps = {**cap_mass, key: capacity * count}
             learned = _stored_cuts(relax)
-            child = relax.feasible(child_caps, flows, key)
-            fresh = oracle.feasible(child_caps, None, None)
+            child = _repaired(relax, child_caps, flows, key)
+            fresh = oracle.feasible(child_caps)
             assert (child is None) == (fresh is None)
             verdicts.add((raised, fresh is not None))
             if child is None:
@@ -267,6 +278,19 @@ class TestFlowRepair:
         assert verdicts == {(True, True), (False, True), (False, False)}
         assert repaired >= 20 and kept > 100
         assert certified >= 1
+
+
+def _repaired(relax, cap_mass, flows, key):
+    """Each network's flow repaired from the parent's `flows` after `key`'s
+    capacity changed, stopping at the first network that fails, as the
+    search does; None when one fails."""
+    child = []
+    for net, res in zip(relax.networks, flows):
+        res = net.solve(cap_mass, res, key)
+        if res is None:
+            return None
+        child.append(res)
+    return child
 
 
 def _stored_cuts(relax) -> int:
@@ -433,6 +457,63 @@ class TestTimeLimit:
         result = solve_exact(model, time_limit=1.0)
         assert (result.status, result.certified) == ("time_limit", False)
         _assert_start_point(model, result)
+
+
+def _detour_instance(direct_cost: float) -> Instance:
+    """Ten units from S at t = 1 to D at t = 3, either on the direct arc
+    S->D (travel time 2) or over S->M->D (cost 12).  The search branches
+    the dearest arc first and smaller counts first, so its first incumbent
+    flies the detour when the direct arc costs 10 or 12; the start point's
+    max-flow takes the direct arc, the shortest path."""
+    return Instance(
+        depots=tuple(Depot(d, d) for d in "SMD"),
+        arcs=(Arc("S", "D", direct_cost, 2), Arc("S", "M", 6.0, 1), Arc("M", "D", 6.0, 1)),
+        commodities=(Commodity("K", 1.0),), horizon=3, capacity=10.0,
+        schedule=(ScheduleEntry("S", "K", 1, 10.0), ScheduleEntry("D", "K", 3, -10.0)))
+
+
+class TestCheaperPointOnExpiry:
+    """A search that times out holding an incumbent returns the start point
+    instead when the start point costs less; on a tie it keeps the
+    incumbent.  The clock expires right after the first leaf completion."""
+
+    @staticmethod
+    def expire_after_first_leaf(monkeypatch):
+        shift = [0.0]
+        complete = solvers.find_feasible_flows
+
+        def leaf(g, cap_mass, deadline):
+            flows = complete(g, cap_mass, deadline)
+            if flows is not None:
+                shift[0] = 1e6
+            return flows
+
+        monkeypatch.setattr(solvers, "find_feasible_flows", leaf)
+        monkeypatch.setattr(solvers, "time", type("Clock", (), {
+            "perf_counter": staticmethod(lambda: time.perf_counter() + shift[0])}))
+
+    @pytest.mark.parametrize("direct_cost, objective, detour", [(10.0, 10.0, False),
+                                                                (12.0, 12.0, True)],
+                             ids=["start_point_cheaper", "tie_keeps_incumbent"])
+    def test_detour(self, monkeypatch, direct_cost, objective, detour):
+        model = prune_model(expand_model(_detour_instance(direct_cost)))
+        assert solve_exact(model).objective == direct_cost   # certified: the direct arc
+        self.expire_after_first_leaf(monkeypatch)
+        result = solve_exact(model)
+        assert (result.status, result.certified) == ("time_limit", False)
+        assert result.objective == objective
+        names = {v.name(): x for v, x in zip(model.variables, result.sample.assignment.values)}
+        assert (names["z[S->M,t=1]"] == 1) is detour
+        assert (names["z[S->D,t=1]"] == 1) is not detour
+        assert verify_assignment(model, result.sample.assignment).feasible
+
+    def test_cheaper_incumbent_is_kept(self, case_study_pruned, monkeypatch):
+        """The case study's first incumbent is its optimum, 62.12, below the
+        start point's 67.5."""
+        self.expire_after_first_leaf(monkeypatch)
+        result = solve_exact(case_study_pruned)
+        assert (result.status, result.certified) == ("time_limit", False)
+        assert result.objective == pytest.approx(62.12)
 
 
 def _assert_start_point(model, result):
