@@ -17,15 +17,19 @@ capacity).  Their networks are built once per solve; a node changes only
 the capacities of the arc edges of the one vehicle it branched on, so it
 keeps its parent's flow wherever that flow still fits and elsewhere repairs
 it: the excess on those edges is cancelled along flow paths and
-augmenting paths restore the rest.  A repair that fails has found a
-minimum cut of capacity below the demand (Ford & Fulkerson, 1956), and
+augmenting paths restore the rest.  A flow handed down unrepaired keeps
+the residual capacities it was solved under, so each flow carries the
+depth at which it was last solved, and a repair re-derives the residual
+capacities of the arc edges of the vehicles branched since then only;
+every other arc edge's is already exact.  A repair that fails has found
+a minimum cut of capacity below the demand (Ford & Fulkerson, 1956), and
 each network keeps it as a learned nogood, stored under every vehicle
 whose arc edge it crosses.  Before repairing, a child evaluates the cuts
-stored under the one vehicle it branched on; one below the demand proves
-it infeasible.  Those are the only cuts that can: the parent was
-feasible, so every cut held the demand at the parent's capacities, and a
-cut that falls short at the child's must cross an edge whose capacity
-changed.
+stored under the one vehicle it branched on, the one that last proved a
+child infeasible first; one below the demand proves it infeasible.
+Those are the only cuts that can: the parent was feasible, so every cut
+held the demand at the parent's capacities, and a cut that falls short
+at the child's must cross an edge whose capacity changed.
 
 Both searches run on explicit stacks, not on the interpreter's, so no
 model is too deep for them: a search ends optimal, infeasible or at its
@@ -77,6 +81,7 @@ import marshal
 import math
 import os
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -339,52 +344,67 @@ class _Network:
         return e
 
     def solve(self, cap_mass: dict[int, int], res: list[int] | None = None,
-              key: int | None = None) -> list[int] | None:
+              key: int | None = None, changed: Iterable[int] = ()) -> list[int] | None:
         """A flow of `need` units within the capacities of `cap_mass`, as a
         residual list, or None when none exists (the max-flow verdict).
 
-        With `res` None the search starts from the empty flow.  Otherwise
-        `res` holds `need` units within capacities that differ from
-        `cap_mass` only on `key`'s edge, if the network has one.  If that
-        edge carries no more than its new capacity, `res` itself is
-        returned; its residual capacities may still be those of the
-        capacities it was solved under, but its flows fit.  Else a copy is
-        repaired: the excess is cancelled along flow paths, backward to the
-        source and forward to the sink; every arc edge's residual capacity is
-        reset from `cap_mass`; and Edmonds-Karp augments back to `need`.  A
-        flow within the capacities reaches the maximum by augmenting paths
-        alone, so the verdict is the one a solve from the empty flow gives.
+        With `res` None the search starts from the empty flow, and every arc
+        edge's residual capacity is derived from `cap_mass`: every key counts
+        as changed.  Otherwise `res`
+        holds `need` units within capacities that differ from `cap_mass`
+        only on `key`'s edge, if the network has one.  If that edge carries
+        no more than its new capacity, `res` itself is returned; its
+        residual capacities may still be those of the capacities it was
+        solved under, but its flows fit.  Else a copy is repaired: the
+        excess is cancelled along flow paths, backward to the source and
+        forward to the sink; the residual capacity of each arc edge whose
+        key is in `changed` is re-derived from `cap_mass`; and Edmonds-Karp
+        augments back to `need`.  `changed` must hold every key whose
+        capacity differs from the one `res`'s residual capacities were last
+        derived under, `key` among them, so every other arc edge's residual
+        capacity is already exact.  A flow within the capacities reaches the
+        maximum by augmenting paths alone, so the verdict is the one a solve
+        from the empty flow gives.
 
         Before that copy, the cuts stored under `key` are evaluated at
-        `cap_mass`, and one below `need` returns None at once.  No other cut
-        can: `res` is a flow of `need` units, so every cut held at least
-        `need` under the old capacities, and a cut that now falls short
-        crosses `key`'s edge.  When the breadth-first search finds no
-        augmenting path, the nodes it reached are the source side of a
-        minimum cut whose capacity, the flow so far, is below `need`; that
-        cut is learned (`_learn`).  A certificate is a proof, so the verdict
-        is still the max-flow verdict."""
+        `cap_mass`, and one below `need` returns None at once and moves to
+        the front of `key`'s list, since the cut that certified the last
+        child is the likeliest to certify the next.  No other cut can: `res`
+        is a flow of `need` units, so every cut held at least `need` under
+        the old capacities, and a cut that now falls short crosses `key`'s
+        edge.  When the breadth-first search finds no augmenting path, the
+        nodes it reached are the source side of a minimum cut whose
+        capacity, the flow so far, is below `need`; that cut is learned
+        (`_learn`).  A certificate is a proof, so the verdict is still the
+        max-flow verdict."""
+        arcs, edge_of = self.arcs, self.edge_of
         if res is None:
-            res, flow = self.base.copy(), 0
+            res, flow, changed = self.base.copy(), 0, edge_of
         else:
-            edge = self.edge_of.get(key)
+            edge = edge_of.get(key)
             if edge is None:
                 return res
-            _, ub, load = self.arcs[edge >> 1]
+            _, ub, load = arcs[edge >> 1]
             excess = res[edge ^ 1] - min(ub, cap_mass[key] // load)
             if excess <= 0:
                 return res
-            for fixed, arcs in self.cuts.get(key, ()):
-                for k, ub, load in arcs:
+            cuts = self.cuts.get(key, ())
+            for i, (fixed, cut_arcs) in enumerate(cuts):
+                for k, ub, load in cut_arcs:
                     units = cap_mass[k] // load
                     fixed += ub if ub < units else units
                 if fixed < self.need:
+                    if i:
+                        cuts.insert(0, cuts.pop(i))
                     return None
             res, flow = res.copy(), self.need - excess
             self._cancel(res, edge, excess)
-        for j, (k, ub, load) in enumerate(self.arcs):
-            units = cap_mass[k] // load
-            res[2 * j] = (ub if ub < units else units) - res[2 * j + 1]
+        for k in changed:
+            e = edge_of.get(k)
+            if e is not None:
+                _, ub, load = arcs[e >> 1]
+                units = cap_mass[k] // load
+                res[e] = (ub if ub < units else units) - res[e + 1]
         adj, head = self.adj, self.head
         source, sink, need = self.source, self.sink, self.need
         while flow < need:
@@ -444,18 +464,29 @@ class _Network:
         adj, head, source, sink = self.adj, self.head, self.source, self.sink
         while excess:
             path = [edge]
+            push = res[edge ^ 1]
+            if excess < push:
+                push = excess
             u = head[edge ^ 1]
             while u != source:
-                # an odd entry of adj[u] is the reverse of an edge into u
-                e = next(e for e in adj[u] if e & 1 and res[e])
+                # an odd entry of adj[u] is the reverse of an edge into u,
+                # and its residual capacity is that edge's flow
+                for e in adj[u]:
+                    if e & 1 and res[e]:
+                        break
+                if res[e] < push:
+                    push = res[e]
                 path.append(e ^ 1)
                 u = head[e]
             v = head[edge]
             while v != sink:
-                e = next(e for e in adj[v] if not e & 1 and res[e ^ 1])
+                for e in adj[v]:
+                    if not e & 1 and res[e ^ 1]:
+                        break
+                if res[e ^ 1] < push:
+                    push = res[e ^ 1]
                 path.append(e)
                 v = head[e]
-            push = min(excess, *(res[e ^ 1] for e in path))
             for e in path:
                 res[e ^ 1] -= push
                 res[e] += push
@@ -629,8 +660,8 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     A node is its depth and `cap_mass`, the mass each vehicle variable can
     carry: capacity times its count, or times its search cap while unbranched.
     The search runs on an explicit stack, one frame per internal node on
-    the current path (depth, cost so far, relaxation flows, next count), so
-    no model is too deep for it.
+    the current path (depth, cost so far, relaxation flows, their solve
+    depths, next count), so no model is too deep for it.
     Internal nodes are pruned by a demand-cut cost bound and the max-flow
     relaxations, and leaves are completed by find_feasible_flows.
 
@@ -644,8 +675,10 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     branched on with its new capacity in each network that holds that
     edge.  Only a network whose flow does not fit is repaired
     (`_Network.solve`), and the flow list is copied only then, so every
-    verdict equals a solve from scratch.  The clock is read at every node
-    and inside each leaf completion.
+    verdict equals a solve from scratch.  The repair re-derives residual
+    capacities only on the arc edges of the variables branched since that
+    network's flow was last solved.  The clock is read at every node and
+    inside each leaf completion.
 
     Returns a provably optimal sample or an explicit infeasible result.
     When the time limit expires it returns, uncertified, the cheaper of the
@@ -653,8 +686,12 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     incumbent on a tie; the start point counts only if it verifies, and it
     never prunes, so a search that completes is unchanged by it.  Raises
     ModelError when the objective overflows (`_require_finite_objective`)
-    or two flow variables share an (arc, commodity, t) (`_Network`).
+    or two flow variables share an (arc, commodity, t) (`_Network`), and
+    ValueError when `time_limit` is negative or NaN; inf means no limit.
     """
+    if not time_limit >= 0:    # NaN compares false, so it lands here too
+        raise ValueError(f"time_limit must be a non-negative number of seconds, "
+                         f"got {time_limit}")
     _require_finite_objective(model)
     start = time.perf_counter()
     deadline = start + time_limit
@@ -700,10 +737,14 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     timed_out = False
 
     # One frame per internal node on the path: [depth, cost so far, relaxation
-    # flows, next vehicle count].  A node is visited as (depth, cost_so_far,
-    # flows), `flows` being its parent's relaxation flows (None at the root).
+    # flows, their solve depths, next vehicle count].  A node is visited as
+    # (depth, cost_so_far, flows, solved), `flows` being its parent's
+    # relaxation flows (None at the root) and solved[n] the depth at which
+    # flows[n] was last solved or repaired: only the vehicle variables
+    # branched since, branch_vars[solved[n]:depth], can have capacities
+    # that differ from those its residual capacities were derived under.
     stack: list[list] = []
-    depth, cost_so_far, flows = 0, 0.0, None
+    depth, cost_so_far, flows, solved = 0, 0.0, None, [0] * len(relax.networks)
     try:
         while True:
             nodes += 1
@@ -730,16 +771,17 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
                     for n, net, edge, ub, load in fits[depth - 1]:
                         units = cap_mass[z] // load
                         if flows[n][edge ^ 1] > (ub if ub < units else units):
-                            res = net.solve(cap_mass, flows[n], z)
+                            res = net.solve(cap_mass, flows[n], z,
+                                            branch_vars[solved[n]:depth])
                             if res is None:
                                 flows = None
                                 break
                             if not copied:
-                                flows, copied = flows.copy(), True
-                            flows[n] = res
+                                flows, solved, copied = flows.copy(), solved.copy(), True
+                            flows[n], solved[n] = res, depth
                 if flows is not None:
                     if depth < len(branch_vars):
-                        stack.append([depth, cost_so_far, flows, 0])
+                        stack.append([depth, cost_so_far, flows, solved, 0])
                     else:
                         leaf = find_feasible_flows(g, cap_mass, deadline)
                         if leaf is not None:
@@ -750,7 +792,7 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
             # the next node: the next count of the deepest frame with one left
             while stack:
                 frame = stack[-1]
-                n, cost_so_far, flows, value = frame
+                n, cost_so_far, flows, solved, value = frame
                 z = branch_vars[n]
                 p = depot_at[n]
                 if value > caps[z]:   # its last count, caps[z], left cap_mass as it was
@@ -759,7 +801,7 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
                         short[p] += caps[z]
                         open_caps[p] += caps[z]
                     continue
-                frame[3] = value + 1
+                frame[4] = value + 1
                 cap_mass[z] = capacity * value
                 if p >= 0:
                     if value:

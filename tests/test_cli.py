@@ -720,6 +720,7 @@ for command in (["validate"], ["compile", "--out", out + "/compiled"],
 assert main(["solve", "--instance", "case-study", "--method", "anneal", "--samples", "1",
              "--out", out + "/anneal"]) == 0
 assert "numpy" in sys.modules, "anneal ran without numpy"
+assert "scipy" not in sys.modules, "the library imported scipy"
 """
 
 

@@ -240,7 +240,11 @@ class TestFlowRepair:
         count and starting from the flows the step before returned.  A step
         whose verdict is infeasible is undone, as the search backtracks.  The
         fresh solves run on a second relaxation, which shares no learned cut
-        with the walk's."""
+        with the walk's.  Each repair is handed the keys changed since its
+        network's flow was last solved, raises included, as the search hands
+        it the variables branched since; every arc edge of a repaired flow
+        then has the exact residual capacity.  A step certified infeasible by
+        a stored cut leaves that cut first in its key's list."""
         model = waves_model(k)
         relax = solvers._FlowRelaxation(solvers._Graph(model))
         oracle = solvers._FlowRelaxation(solvers._Graph(model))
@@ -253,6 +257,7 @@ class TestFlowRepair:
         assert flows is not None
         rng = random.Random(7331 + k)
         verdicts, repaired, kept, certified = set(), 0, 0, 0
+        changed = [set() for _ in relax.networks]   # per network: keys changed since it was solved
         for _ in range(600):
             key = rng.choice(keys)
             count = rng.choice([c for c in range(bound[key] + 1)
@@ -260,33 +265,41 @@ class TestFlowRepair:
             raised = capacity * count > cap_mass[key]
             child_caps = {**cap_mass, key: capacity * count}
             learned = _stored_cuts(relax)
-            child = _repaired(relax, child_caps, flows, key)
+            child = _repaired(relax, child_caps, flows, key, [keys | {key} for keys in changed])
             fresh = oracle.feasible(child_caps)
             assert (child is None) == (fresh is None)
             verdicts.add((raised, fresh is not None))
             if child is None:
                 # a failure that reaches the augmenting-path search learns a cut
-                certified += _stored_cuts(relax) == learned
+                if _stored_cuts(relax) == learned:
+                    certified += 1
+                    assert any(_cut_capacity(net.cuts[key][0], child_caps) < net.need
+                               for net in relax.networks if net.cuts.get(key))
                 continue
-            for net, res, parent in zip(relax.networks, child, flows):
+            for n, (net, res, parent) in enumerate(zip(relax.networks, child, flows)):
                 _assert_flow_fits(net, res, child_caps)
                 if res is parent:
                     kept += 1
+                    changed[n].add(key)
                 else:
                     repaired += 1
+                    changed[n] = set()
+                    for j, (z, ub, load) in enumerate(net.arcs):
+                        assert res[2 * j] == min(ub, child_caps[z] // load) - res[2 * j + 1]
             cap_mass, flows = child_caps, child
         assert verdicts == {(True, True), (False, True), (False, False)}
         assert repaired >= 20 and kept > 100
         assert certified >= 1
 
 
-def _repaired(relax, cap_mass, flows, key):
+def _repaired(relax, cap_mass, flows, key, changed):
     """Each network's flow repaired from the parent's `flows` after `key`'s
     capacity changed, stopping at the first network that fails, as the
-    search does; None when one fails."""
+    search does; None when one fails.  changed[n]: the keys whose capacity
+    changed since flows[n] was solved, `key` among them."""
     child = []
-    for net, res in zip(relax.networks, flows):
-        res = net.solve(cap_mass, res, key)
+    for net, res, keys in zip(relax.networks, flows, changed):
+        res = net.solve(cap_mass, res, key, keys)
         if res is None:
             return None
         child.append(res)
@@ -295,6 +308,11 @@ def _repaired(relax, cap_mass, flows, key):
 
 def _stored_cuts(relax) -> int:
     return sum(len(cuts) for net in relax.networks for cuts in net.cuts.values())
+
+
+def _cut_capacity(cut, cap_mass) -> int:
+    fixed, arcs = cut
+    return fixed + sum(min(ub, cap_mass[key] // load) for key, ub, load in arcs)
 
 
 class TestOneArcPerKey:
@@ -364,8 +382,7 @@ class TestLearnedCuts:
                         for z, ub in bound.items()}
             for net, fresh_net in zip(relax.networks, fresh.networks):
                 cuts = {id(cut): cut for cuts in net.cuts.values() for cut in cuts}.values()
-                if any(fixed + sum(min(ub, cap_mass[key] // load) for key, ub, load in arcs)
-                       < net.need for fixed, arcs in cuts):
+                if any(_cut_capacity(cut, cap_mass) < net.need for cut in cuts):
                     assert fresh_net.solve(cap_mass) is None
                     outcomes["certified"] += 1
                 elif fresh_net.solve(cap_mass) is not None:
@@ -430,6 +447,17 @@ class TestLeafCompletion:
 
 
 class TestTimeLimit:
+    @pytest.mark.parametrize("limit", [math.nan, -1.0, -math.inf])
+    def test_nan_or_negative_limit_is_refused(self, micro_model, limit):
+        """A NaN limit never compares past the deadline, so the search would
+        never stop; a negative one would return time_limit at once."""
+        with pytest.raises(ValueError, match="time_limit"):
+            solve_exact(micro_model, time_limit=limit)
+
+    def test_infinite_limit_is_no_limit(self, micro_model):
+        result = solve_exact(micro_model, time_limit=math.inf)
+        assert (result.status, result.certified) == ("optimal", True)
+
     def test_zero_limit_stops_uncertified(self):
         model = waves_model(3)
         result = solve_exact(model, time_limit=0.0)
