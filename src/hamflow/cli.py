@@ -38,6 +38,8 @@ from .instance import (
     build_case_study,
     default_case_study_costs,
     json_number_error,
+    json_scalar,
+    json_section,
     load_cost_map,
     parse_instance,
     validate_instance,
@@ -327,13 +329,18 @@ def _cmd_report(args) -> int:
 
 def _write_solution(out: Path, model: Model, a: Assignment, method: str,
                     objective: float) -> None:
-    doc = {
-        "method": method,
-        "objective": objective,
-        "values": list(a.values),
-        "variables": [v.name() for v in model.variables],
-    }
-    (out / "solution.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    """Write solution.json: the bytes of `json.dumps(doc, indent=2)` plus a
+    newline, where doc is {"method", "objective", "values", "variables"},
+    each variable by its name, built per field with `json_scalar` so that
+    no line goes through json's pure-Python encoder."""
+    j = json_scalar
+    text = "{\n" + ",\n".join((
+        f'  "method": {j(method)}',
+        f'  "objective": {j(objective)}',
+        json_section("values", ["    " + j(v) for v in a.values]),
+        json_section("variables", ["    " + j(v.name()) for v in model.variables]),
+    )) + "\n}\n"
+    (out / "solution.json").write_text(text, encoding="utf-8")
 
 
 def _print_summary(summary: dict, fmt: str) -> None:

@@ -432,7 +432,7 @@ _ENTRY = ('    {\n      "depot": %s,\n      "commodity": %s,\n      "time": %s,\
 _PLAIN = {str: encode_basestring_ascii, int: repr, float: repr}
 
 
-def _scalar(value) -> str:
+def json_scalar(value) -> str:
     """What json.dumps writes for one field: a str through json's C
     `encode_basestring_ascii`, an int or a finite float through `repr`, and
     anything else (a float subclass such as numpy's float64) through
@@ -441,7 +441,9 @@ def _scalar(value) -> str:
     return write(value) if write else json.dumps(value)
 
 
-def _section(key: str, records: list[str]) -> str:
+def json_section(key: str, records: list[str]) -> str:
+    """What json.dumps(..., indent=2) writes for the top-level key `key`
+    holding a list, each of whose items `records` holds already indented."""
     if not records:
         return f'  "{key}": []'
     return f'  "{key}": [\n' + ",\n".join(records) + "\n  ]"
@@ -451,19 +453,20 @@ def serialize_instance(inst: Instance) -> str:
     """Inverse of parse_instance: parse(serialize(inst)) == inst field-for-field.
 
     Writes the layout of `json.dumps(doc, indent=2)` plus a newline, byte for
-    byte, from one template per record and `_scalar` per field; an Instance
-    holds no non-finite number, which json.dumps would write as NaN or
-    Infinity."""
-    j = _scalar
+    byte, from one template per record and `json_scalar` per field; an
+    Instance holds no non-finite number, which json.dumps would write as NaN
+    or Infinity."""
+    j = json_scalar
     return "{\n" + ",\n".join((
-        _section("depots", [_DEPOT % (j(d.id), j(d.label)) for d in inst.depots]),
-        _section("arcs", [_ARC % (j(a.origin), j(a.dest), j(a.cost), j(a.travel_time))
-                          for a in inst.arcs]),
-        _section("commodities", [_COMMODITY % (j(c.id), j(c.load)) for c in inst.commodities]),
+        json_section("depots", [_DEPOT % (j(d.id), j(d.label)) for d in inst.depots]),
+        json_section("arcs", [_ARC % (j(a.origin), j(a.dest), j(a.cost), j(a.travel_time))
+                              for a in inst.arcs]),
+        json_section("commodities",
+                     [_COMMODITY % (j(c.id), j(c.load)) for c in inst.commodities]),
         f'  "horizon": {j(inst.horizon)}',
         f'  "capacity": {j(inst.capacity)}',
-        _section("schedule", [_ENTRY % (j(e.depot), j(e.commodity), j(e.time), j(e.amount))
-                              for e in inst.schedule]),
+        json_section("schedule", [_ENTRY % (j(e.depot), j(e.commodity), j(e.time), j(e.amount))
+                                  for e in inst.schedule]),
     )) + "\n}\n"
 
 

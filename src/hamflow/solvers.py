@@ -16,16 +16,23 @@ the time-expanded graph (timing) and a merged-mass max-flow (joint
 capacity).  Their networks are built once per solve; a node changes only
 the capacities of the arc edges of the one vehicle it branched on, so it
 keeps its parent's flow wherever that flow still fits and elsewhere repairs
-it: the excess on those edges is cancelled along flow paths and
-augmenting paths restore the rest.  A flow handed down unrepaired keeps
+it.  A repair reroutes the excess: it pushes it from the edge's tail to
+its head along residual paths, each unit taken off the edge, so the flow
+value never drops.  A feasible child's flow differs from its parent's by a
+circulation that runs against that edge, so the reroute moves the whole
+excess exactly when the child is feasible (Ahuja, Magnanti & Orlin,
+*Network Flows*, 1993, ch. 7).  What it cannot move is cancelled along
+flow paths and augmenting paths from the source restore what they can,
+which ends in a failing search.  A flow handed down unrepaired keeps
 the residual capacities it was solved under, so each flow carries the
 depth at which it was last solved, and a repair re-derives the residual
 capacities of the arc edges of the vehicles branched since then only;
 every other arc edge's is already exact.  A repair that fails has found
-a minimum cut of capacity below the demand (Ford & Fulkerson, 1956), and
-each network keeps it as a learned nogood, stored under every vehicle
-whose arc edge it crosses.  Before repairing, a child evaluates the cuts
-stored under the one vehicle it branched on, the one that last proved a
+a minimum cut of capacity below the demand (Ford & Fulkerson, 1956), the
+one a solve from the empty flow finds, and each network keeps it as a
+learned nogood, stored under every vehicle whose arc edge it crosses.
+Before repairing, the search evaluates the cuts stored under the one
+vehicle the child branched on, in place, the one that last proved a
 child infeasible first; one below the demand proves it infeasible.
 Those are the only cuts that can: the parent was feasible, so every cut
 held the demand at the parent's capacities, and a cut that falls short
@@ -350,36 +357,37 @@ class _Network:
 
         With `res` None the search starts from the empty flow, and every arc
         edge's residual capacity is derived from `cap_mass`: every key counts
-        as changed.  Otherwise `res`
-        holds `need` units within capacities that differ from `cap_mass`
-        only on `key`'s edge, if the network has one.  If that edge carries
-        no more than its new capacity, `res` itself is returned; its
-        residual capacities may still be those of the capacities it was
-        solved under, but its flows fit.  Else a copy is repaired: the
-        excess is cancelled along flow paths, backward to the source and
-        forward to the sink; the residual capacity of each arc edge whose
-        key is in `changed` is re-derived from `cap_mass`; and Edmonds-Karp
-        augments back to `need`.  `changed` must hold every key whose
-        capacity differs from the one `res`'s residual capacities were last
-        derived under, `key` among them, so every other arc edge's residual
-        capacity is already exact.  A flow within the capacities reaches the
-        maximum by augmenting paths alone, so the verdict is the one a solve
-        from the empty flow gives.
+        as changed.  Otherwise `res` holds `need` units within capacities
+        that differ from `cap_mass` only on `key`'s edge, if the network has
+        one.  If that edge carries no more than its new capacity, `res`
+        itself is returned; its residual capacities may still be those of
+        the capacities it was solved under, but its flows fit.  Else a copy
+        is repaired.  First the residual capacity of each arc edge whose key
+        is in `changed` is re-derived from `cap_mass`; `changed` must hold
+        every key whose capacity differs from the one `res`'s residual
+        capacities were last derived under, `key` among them, so every other
+        arc edge's residual capacity is already exact.  Then the excess on
+        `key`'s edge is rerouted (`_reroute`): pushed from its tail to its
+        head along residual paths, each unit taken off the edge, so the
+        flow value stays `need`.  A child with a flow of `need` units
+        differs from `res` by a circulation that runs against `key`'s edge,
+        so the reroute moves the whole excess exactly when the child is
+        feasible.  What it cannot move is cancelled along flow paths,
+        backward to the source and forward to the sink (`_cancel`), and
+        Edmonds-Karp augments from the source; that search ends without
+        reaching `need`.
 
-        Before that copy, the cuts stored under `key` are evaluated at
-        `cap_mass`, and one below `need` returns None at once and moves to
-        the front of `key`'s list, since the cut that certified the last
-        child is the likeliest to certify the next.  No other cut can: `res`
-        is a flow of `need` units, so every cut held at least `need` under
-        the old capacities, and a cut that now falls short crosses `key`'s
-        edge.  When the breadth-first search finds no augmenting path, the
-        nodes it reached are the source side of a minimum cut whose
-        capacity, the flow so far, is below `need`; that cut is learned
-        (`_learn`).  A certificate is a proof, so the verdict is still the
-        max-flow verdict."""
+        When the source search finds no augmenting path, the nodes it
+        reached are the source side of a minimum cut whose capacity, the
+        flow so far, is below `need`; that cut is learned (`_learn`).  The
+        set a maximum flow reaches from the source is the same for every
+        maximum flow, so a repair learns the cut a solve from the empty flow
+        would.  The caller evaluates the learned cuts (`solve_exact`); a
+        certificate is a proof, so the verdict is still the max-flow
+        verdict."""
         arcs, edge_of = self.arcs, self.edge_of
         if res is None:
-            res, flow, changed = self.base.copy(), 0, edge_of
+            res, flow, changed, edge = self.base.copy(), 0, edge_of, None
         else:
             edge = edge_of.get(key)
             if edge is None:
@@ -388,55 +396,83 @@ class _Network:
             excess = res[edge ^ 1] - min(ub, cap_mass[key] // load)
             if excess <= 0:
                 return res
-            cuts = self.cuts.get(key, ())
-            for i, (fixed, cut_arcs) in enumerate(cuts):
-                for k, ub, load in cut_arcs:
-                    units = cap_mass[k] // load
-                    fixed += ub if ub < units else units
-                if fixed < self.need:
-                    if i:
-                        cuts.insert(0, cuts.pop(i))
-                    return None
-            res, flow = res.copy(), self.need - excess
-            self._cancel(res, edge, excess)
+            res, flow = res.copy(), self.need
         for k in changed:
             e = edge_of.get(k)
             if e is not None:
                 _, ub, load = arcs[e >> 1]
                 units = cap_mass[k] // load
                 res[e] = (ub if ub < units else units) - res[e + 1]
-        adj, head = self.adj, self.head
+        if edge is not None:   # the repair: a from-empty solve has no excess to move
+            excess = self._reroute(res, edge, excess)
+            if not excess:
+                return res
+            self._cancel(res, edge, excess)
+            flow -= excess
         source, sink, need = self.source, self.sink, self.need
         while flow < need:
-            parent = [-1] * len(adj)
-            parent[source] = -2
-            queue = [source]
-            for u in queue:          # breadth-first: the list grows while it is read
-                for e in adj[u]:
-                    v = head[e]
-                    if parent[v] == -1 and res[e] > 0:
-                        parent[v] = e
-                        queue.append(v)
-                if parent[sink] != -1:
-                    break
+            parent, reached = self._search(res, source, sink)
             if parent[sink] == -1:
-                self._learn(queue, parent)
+                self._learn(reached, parent)
                 return None
-            push = need - flow
-            v = sink
-            while v != source:
-                e = parent[v]
-                if res[e] < push:
-                    push = res[e]
-                v = head[e ^ 1]
-            v = sink
-            while v != source:
-                e = parent[v]
-                res[e] -= push
-                res[e ^ 1] += push
-                v = head[e ^ 1]
-            flow += push
+            flow += self._push(res, parent, source, sink, need - flow)
         return res
+
+    def _search(self, res: list[int], start: int, end: int) -> tuple[list[int], list[int]]:
+        """Breadth-first search of the residual network from `start`, which
+        stops once `end` is labelled: per node the edge that labelled it (-1
+        unlabelled, -2 at `start`), and the labelled nodes in order."""
+        adj, head = self.adj, self.head
+        parent = [-1] * len(adj)
+        parent[start] = -2
+        queue = [start]
+        for u in queue:          # the list grows while it is read
+            for e in adj[u]:
+                v = head[e]
+                if parent[v] == -1 and res[e] > 0:
+                    parent[v] = e
+                    queue.append(v)
+            if parent[end] != -1:
+                break
+        return parent, queue
+
+    def _push(self, res: list[int], parent: list[int], start: int, end: int,
+              most: int) -> int:
+        """Push up to `most` units along the path `parent` holds from
+        `start` to `end`, as many as its tightest edge passes, and return
+        them."""
+        head = self.head
+        v = end
+        while v != start:
+            e = parent[v]
+            if res[e] < most:
+                most = res[e]
+            v = head[e ^ 1]
+        v = end
+        while v != start:
+            e = parent[v]
+            res[e] -= most
+            res[e ^ 1] += most
+            v = head[e ^ 1]
+        return most
+
+    def _reroute(self, res: list[int], edge: int, excess: int) -> int:
+        """Move up to `excess` units of the flow on `edge` onto shortest
+        residual paths from its tail to its head, one search per path; each
+        unit moved lowers the edge's flow by one.  Returns the excess left.
+        `res[edge]`, the residual capacity left on the edge, is negative
+        while an excess remains, so no path runs along it, and the search
+        stops at the head, so none runs back along its reverse."""
+        tail, head = self.head[edge ^ 1], self.head[edge]
+        while excess:
+            parent, _ = self._search(res, tail, head)
+            if parent[head] == -1:
+                break
+            push = self._push(res, parent, tail, head, excess)
+            res[edge] += push
+            res[edge ^ 1] -= push
+            excess -= push
+        return excess
 
     def _learn(self, reached: list[int], parent: list[int]) -> None:
         """Store the minimum cut of a failed solve: S is the set `reached`
@@ -673,12 +709,15 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     inline: each node hands its relaxation flows to its children, and a
     child compares the parent's flow on the arc edge of the (arc, t) just
     branched on with its new capacity in each network that holds that
-    edge.  Only a network whose flow does not fit is repaired
-    (`_Network.solve`), and the flow list is copied only then, so every
-    verdict equals a solve from scratch.  The repair re-derives residual
-    capacities only on the arc edges of the variables branched since that
-    network's flow was last solved.  The clock is read at every node and
-    inside each leaf completion.
+    edge.  Where the flow does not fit, the child evaluates that network's
+    cuts learned across the edge in place, and one below the network's
+    demand prunes it with no call; only when none does is the flow
+    repaired (`_Network.solve`), and the flow list is copied only then, so
+    every verdict equals a solve from scratch.  The repair re-derives
+    residual capacities only on the arc edges of the variables branched
+    since that network's flow was last solved, and reroutes the excess
+    around the branched edge before it augments from the source.  The
+    clock is read at every node and inside each leaf completion.
 
     Returns a provably optimal sample or an explicit infeasible result.
     When the time limit expires it returns, uncertified, the cheaper of the
@@ -704,9 +743,11 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     branch_vars = sorted(filter(caps.get, caps), key=lambda z: (-cost_of.get(z, 0.0), z))
 
     costs = [cost_of.get(z, 0.0) for z in branch_vars]
-    # per branch depth: (network index, network, arc edge, ub, load) of each
-    # network that holds the arc edge of the vehicle variable branched there
-    fits = [[(n, net, net.edge_of[z], *net.arcs[net.edge_of[z] >> 1][1:])
+    # per branch depth: (network index, network, arc edge, ub, load, need,
+    # learned cuts) of each network that holds the arc edge of the vehicle
+    # variable branched there; the cut list is the one `_learn` extends
+    fits = [[(n, net, net.edge_of[z], *net.arcs[net.edge_of[z] >> 1][1:], net.need,
+              net.cuts.setdefault(z, []))
              for n, net in enumerate(relax.networks) if z in net.edge_of]
             for z in branch_vars]
 
@@ -765,20 +806,34 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
                 else:
                     # the max-flow relaxations: each network that holds the
                     # branched arc edge keeps its parent's flow when that edge's
-                    # flow fits its new capacity, and is repaired otherwise
+                    # flow fits its new capacity; otherwise the cuts it learned
+                    # across that edge are evaluated, and only when none falls
+                    # below the demand is the flow repaired
                     z = branch_vars[depth - 1]
                     copied = False
-                    for n, net, edge, ub, load in fits[depth - 1]:
+                    for n, net, edge, ub, load, need, cuts in fits[depth - 1]:
                         units = cap_mass[z] // load
-                        if flows[n][edge ^ 1] > (ub if ub < units else units):
+                        if flows[n][edge ^ 1] <= (ub if ub < units else units):
+                            continue
+                        for i, (fixed, cut_arcs) in enumerate(cuts):
+                            for k, k_ub, k_load in cut_arcs:
+                                units = cap_mass[k] // k_load
+                                fixed += k_ub if k_ub < units else units
+                            if fixed < need:
+                                if i:
+                                    cuts.insert(0, cuts.pop(i))
+                                flows = None
+                                break
+                        else:
                             res = net.solve(cap_mass, flows[n], z,
                                             branch_vars[solved[n]:depth])
                             if res is None:
                                 flows = None
-                                break
-                            if not copied:
-                                flows, solved, copied = flows.copy(), solved.copy(), True
-                            flows[n], solved[n] = res, depth
+                        if flows is None:
+                            break
+                        if not copied:
+                            flows, solved, copied = flows.copy(), solved.copy(), True
+                        flows[n], solved[n] = res, depth
                 if flows is not None:
                     if depth < len(branch_vars):
                         stack.append([depth, cost_so_far, flows, solved, 0])

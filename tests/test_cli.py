@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamflow import cli, serialize_instance
+from hamflow import cli, expansion, serialize_instance, solvers
+from hamflow.hamiltonian import compile_hamiltonian
 from hamflow.instance import (
     MAX_EXPANDED_VARIABLES,
     Arc,
@@ -703,6 +704,49 @@ class TestReports:
         for name in ("vehicles.csv", "cargo.csv", "inventory.csv"):
             table = _read_table(out / name)
             assert all(v == 0 for row in table.values() for v in row)
+
+
+class TestSolutionLayout:
+    """solution.json is written from templates, not by json.dumps: its bytes
+    must still be those json.dumps(doc, indent=2) writes, plus a newline."""
+
+    @staticmethod
+    def assert_layout(tmp_path, model, sample, method):
+        cli._write_solution(tmp_path, model, sample.assignment, method, sample.objective)
+        doc = {"method": method, "objective": sample.objective,
+               "values": list(sample.assignment.values),
+               "variables": [v.name() for v in model.variables]}
+        assert (tmp_path / "solution.json").read_bytes() == \
+            (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_exact_and_anneal_solves(self, tmp_path, k):
+        """k = 0 is the unpruned case study (`hamflow solve --no-prune`),
+        k >= 1 the pruned waves(k); waves(1) is the pruned case study."""
+        if k:
+            model = expansion.prune_model(expansion.expand_model(waves(k)))
+        else:
+            model = expansion.expand_model(cli.build_case_study(cli.default_case_study_costs()))
+        self.assert_layout(tmp_path, model, solvers.solve_exact(model).sample, "exact")
+        h = compile_hamiltonian(model)
+        samples = solvers.anneal_sample(h, model, solvers.AnnealParams(restarts=2, sweeps=20),
+                                        seed=3)
+        self.assert_layout(tmp_path, model, samples.best(), "anneal")
+
+    def test_names_that_json_escapes(self, tmp_path):
+        """A depot id holding a quote, a backslash and a non-ASCII letter,
+        which json.dumps writes as \\", \\\\ and \\u00e9."""
+        odd = 'Q"\\é'
+        inst = Instance(
+            depots=(Depot("A", "A"), Depot(odd, odd)),
+            arcs=(Arc("A", odd, 5.0, 1),),
+            commodities=(Commodity("K", 10.0),),
+            horizon=2, capacity=100.0,
+            schedule=(ScheduleEntry("A", "K", 1, 10.0), ScheduleEntry(odd, "K", 2, -10.0)))
+        model = expansion.expand_model(inst)
+        self.assert_layout(tmp_path, model, solvers.solve_exact(model).sample, "exact")
+        text = (tmp_path / "solution.json").read_text(encoding="utf-8")
+        assert r'Q\"\\\u00e9' in text and text.isascii()
 
 
 # Runs in a fresh interpreter: the test process has imported numpy already.

@@ -235,7 +235,7 @@ class TestFlowRepair:
     changes; its verdict must be the max-flow verdict from the empty flow."""
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_random_walk_matches_fresh_solves(self, k):
+    def test_random_walk_matches_fresh_solves(self, k, monkeypatch):
         """A walk of one-key changes, each raising or lowering one vehicle
         count and starting from the flows the step before returned.  A step
         whose verdict is infeasible is undone, as the search backtracks.  The
@@ -243,8 +243,11 @@ class TestFlowRepair:
         with the walk's.  Each repair is handed the keys changed since its
         network's flow was last solved, raises included, as the search hands
         it the variables branched since; every arc edge of a repaired flow
-        then has the exact residual capacity.  A step certified infeasible by
-        a stored cut leaves that cut first in its key's list."""
+        then has the exact residual capacity.  Repairs that the reroute
+        finishes alone and repairs that fall back to cancelling and
+        augmenting both occur (waves(1) is the case study); a fallback
+        always ends infeasible, and learns the cut the fresh solve learns."""
+        cancels = _count_cancels(monkeypatch)
         model = waves_model(k)
         relax = solvers._FlowRelaxation(solvers._Graph(model))
         oracle = solvers._FlowRelaxation(solvers._Graph(model))
@@ -256,7 +259,7 @@ class TestFlowRepair:
         flows = relax.feasible(cap_mass)
         assert flows is not None
         rng = random.Random(7331 + k)
-        verdicts, repaired, kept, certified = set(), 0, 0, 0
+        verdicts, kept, rerouted, fell_back = set(), 0, 0, 0
         changed = [set() for _ in relax.networks]   # per network: keys changed since it was solved
         for _ in range(600):
             key = rng.choice(keys)
@@ -264,17 +267,23 @@ class TestFlowRepair:
                                 if capacity * c != cap_mass[key]])
             raised = capacity * count > cap_mass[key]
             child_caps = {**cap_mass, key: capacity * count}
-            learned = _stored_cuts(relax)
-            child = _repaired(relax, child_caps, flows, key, [keys | {key} for keys in changed])
+            child = []
+            for net, res, keys_changed in zip(relax.networks, flows, changed):
+                before = len(cancels)
+                res = net.solve(child_caps, res, key, keys_changed | {key})
+                if len(cancels) > before:
+                    fell_back += 1
+                    assert res is None
+                if res is None:
+                    break
+                child.append(res)
             fresh = oracle.feasible(child_caps)
-            assert (child is None) == (fresh is None)
+            assert (res is None) == (fresh is None)
             verdicts.add((raised, fresh is not None))
-            if child is None:
-                # a failure that reaches the augmenting-path search learns a cut
-                if _stored_cuts(relax) == learned:
-                    certified += 1
-                    assert any(_cut_capacity(net.cuts[key][0], child_caps) < net.need
-                               for net in relax.networks if net.cuts.get(key))
+            if res is None:
+                # the repair and the fresh solve fail in the same network,
+                # and both end in a source search that learns a cut
+                assert _learned(net) == _learned(oracle.networks[len(child)])
                 continue
             for n, (net, res, parent) in enumerate(zip(relax.networks, child, flows)):
                 _assert_flow_fits(net, res, child_caps)
@@ -282,32 +291,121 @@ class TestFlowRepair:
                     kept += 1
                     changed[n].add(key)
                 else:
-                    repaired += 1
+                    rerouted += 1
                     changed[n] = set()
                     for j, (z, ub, load) in enumerate(net.arcs):
                         assert res[2 * j] == min(ub, child_caps[z] // load) - res[2 * j + 1]
             cap_mass, flows = child_caps, child
         assert verdicts == {(True, True), (False, True), (False, False)}
-        assert repaired >= 20 and kept > 100
-        assert certified >= 1
+        assert rerouted >= 20 and kept > 100
+        assert fell_back >= 20
+
+    @staticmethod
+    def three_paths():
+        """Nodes 0, 1, 2: 2 units enter at 0 and leave at 2, over the arc
+        0->2 (key 10) or the path 0->1->2 (keys 11 and 12), every bound 5 and
+        load 1.  From the empty flow all of it takes the shorter arc."""
+        net = solvers._Network(3, [(0, 2, 10, 5, 1), (0, 1, 11, 5, 1), (1, 2, 12, 5, 1)],
+                               [(0, 2)], [(2, 2)], 2)
+        caps = {10: 2, 11: 2, 12: 2}
+        res = net.solve(caps)
+        assert _arc_flows(net, res) == {10: 2, 11: 0, 12: 0}
+        return net, caps, res
+
+    def test_reroute_moves_the_whole_excess(self, monkeypatch):
+        cancels = _count_cancels(monkeypatch)
+        net, caps, parent = self.three_paths()
+        child_caps = {**caps, 10: 0}
+        res = net.solve(child_caps, parent, 10, [10])
+        assert cancels == []
+        assert _arc_flows(net, res) == {10: 0, 11: 2, 12: 2}
+        assert parent[net.edge_of[10] ^ 1] == 2     # the parent's list is left as it was
+        _assert_flow_fits(net, res, child_caps)
+
+    def test_reroute_through_the_source(self, monkeypatch):
+        """2 units may enter at 0 and 1 at 1, over the arcs 0->2 (key 10)
+        and 1->2 (key 13).  The one path from 0 to 2 that avoids the arc runs
+        back along the source edge into 0 and out along the one into 1, so
+        the flow value stays 2."""
+        cancels = _count_cancels(monkeypatch)
+        net = solvers._Network(3, [(0, 2, 10, 5, 1), (1, 2, 13, 5, 1)],
+                               [(0, 2), (1, 1)], [(2, 2)], 2)
+        parent = net.solve({10: 2, 13: 2})
+        assert _arc_flows(net, parent) == {10: 2, 13: 0}
+        res = net.solve({10: 1, 13: 2}, parent, 10, [10])
+        assert cancels == []
+        assert _arc_flows(net, res) == {10: 1, 13: 1}
+        _assert_flow_fits(net, res, {10: 1, 13: 2})
+
+    @pytest.mark.parametrize("child_caps, cancelled", [
+        ({10: 0, 11: 1, 12: 2}, [1]),     # one unit rerouted over 0->1->2, one cancelled
+        ({10: 0, 11: 2, 12: 0}, [2]),     # no path from 0 to 2 is left: all of it cancelled
+    ])
+    def test_failed_reroute_learns_the_fresh_cut(self, monkeypatch, child_caps, cancelled):
+        """What the reroute cannot move is cancelled, and the source search
+        that follows fails and learns the minimum cut that a solve from the
+        empty flow learns."""
+        cancels = _count_cancels(monkeypatch)
+        net, caps, parent = self.three_paths()
+        assert net.solve(child_caps, parent, 10, [10, 11, 12]) is None
+        assert cancels == cancelled
+        fresh = self.three_paths()[0]
+        assert fresh.solve(child_caps) is None
+        assert _learned(net) == _learned(fresh)
+        (cut,) = _learned(net)
+        assert _cut_capacity(cut, child_caps) < net.need
+
+    def test_commodity_without_demand(self, monkeypatch):
+        """K2 is never scheduled, so its network needs 0 units: its solve
+        from the empty flow moves nothing and reroutes nothing, and a child's
+        flow always fits.  The model still solves."""
+        cancels = _count_cancels(monkeypatch)
+        inst = Instance(
+            depots=(Depot("A", "A"), Depot("B", "B")),
+            arcs=(Arc("A", "B", 2.0, 1),),
+            commodities=(Commodity("K1", 10.0), Commodity("K2", 5.0)),
+            horizon=2, capacity=100.0,
+            schedule=(ScheduleEntry("A", "K1", 1, 30.0), ScheduleEntry("B", "K1", 2, -30.0)))
+        model = expand_model(inst)
+        g = solvers._Graph(model)
+        relax = solvers._FlowRelaxation(g)
+        assert [net.need for net in relax.networks] == [3, 0, 30]
+        cap_mass = {z: 100 * model.variables[z].upper_bound for z in g.vehicles}
+        flows = relax.feasible(cap_mass)
+        assert flows is not None
+        for net, res in zip(relax.networks, flows):
+            _assert_flow_fits(net, res, cap_mass)
+        idle = relax.networks[1]
+        assert not any(_arc_flows(idle, flows[1]).values())
+        key = idle.arcs[0][0]
+        assert idle.solve({**cap_mass, key: 0}, flows[1], key, [key]) is flows[1]
+        assert cancels == []
+        assert solve_exact(model).objective == pytest.approx(2.0)
 
 
-def _repaired(relax, cap_mass, flows, key, changed):
-    """Each network's flow repaired from the parent's `flows` after `key`'s
-    capacity changed, stopping at the first network that fails, as the
-    search does; None when one fails.  changed[n]: the keys whose capacity
-    changed since flows[n] was solved, `key` among them."""
-    child = []
-    for net, res, keys in zip(relax.networks, flows, changed):
-        res = net.solve(cap_mass, res, key, keys)
-        if res is None:
-            return None
-        child.append(res)
-    return child
+def _count_cancels(monkeypatch) -> list[int]:
+    """The excess of every `_Network._cancel` call from now on, in order: a
+    repair calls it only for what its reroute could not move."""
+    cancels = []
+    cancel = solvers._Network._cancel
+
+    def counted(net, res, edge, excess):
+        cancels.append(excess)
+        cancel(net, res, edge, excess)
+
+    monkeypatch.setattr(solvers._Network, "_cancel", counted)
+    return cancels
 
 
-def _stored_cuts(relax) -> int:
-    return sum(len(cuts) for net in relax.networks for cuts in net.cuts.values())
+def _arc_flows(net, res) -> dict[int, int]:
+    return {key: res[2 * j + 1] for j, (key, _, _) in enumerate(net.arcs)}
+
+
+def _learned(net) -> list[tuple[int, tuple]]:
+    """Every cut `net` learned, once each, its arcs sorted: a cut's arc
+    order follows the search's labelling order, which the flow decides."""
+    cuts = {id(cut): cut for cuts in net.cuts.values() for cut in cuts}.values()
+    return sorted((fixed, tuple(sorted(arcs))) for fixed, arcs in cuts)
 
 
 def _cut_capacity(cut, cap_mass) -> int:
@@ -388,6 +486,43 @@ class TestLearnedCuts:
                 elif fresh_net.solve(cap_mass) is not None:
                     outcomes["feasible"] += 1
         assert outcomes["certified"] > 50 and outcomes["feasible"] > 50
+
+    def test_search_tries_the_last_certifying_cut_first(self, monkeypatch):
+        """`solve_exact` evaluates the cuts learned across the branched arc
+        edge itself, before any repair: a scan that a cut ends early has
+        certified a child, and that cut is first in its list at the next
+        scan of the list.  Many certificates come from a cut that was not
+        first."""
+        watched = []
+
+        class Watched(list):
+            """A cut list that checks, as each scan starts, that the cut
+            which ended the last scan early is first."""
+            last = None     # the cut the last scan stopped at, if it stopped early
+            at = 0          # its position then
+
+            def __iter__(self):
+                if self.last is not None:
+                    assert self[0] is self.last
+                    watched.append(self.at)
+                for self.at, self.last in enumerate(list.__iter__(self)):
+                    yield self.last
+                self.last = None
+
+        class WatchedCuts(dict):
+            def setdefault(self, key, default=None):
+                return super().setdefault(key, Watched())
+
+        class Recording(solvers._FlowRelaxation):
+            def __init__(self, g):
+                super().__init__(g)
+                for net in self.networks:
+                    net.cuts = WatchedCuts()
+
+        monkeypatch.setattr(solvers, "_FlowRelaxation", Recording)
+        assert solve_exact(waves_model(2)).nodes == 2711
+        assert len(watched) > 500
+        assert sum(1 for at in watched if at) > 50
 
 
 def _feasible_vehicle_vectors(model) -> set[tuple[int, ...]]:
