@@ -197,12 +197,20 @@ def encode_assignment(h: Hamiltonian, model: Model, a: Assignment) -> list[int]:
 
 
 def decode_point(h: Hamiltonian, model: Model, point: Sequence[float]) -> Assignment:
-    """Round decision values half-away-from-zero, clamp to bounds, drop slacks."""
+    """Round decision values half-away-from-zero, clamp to bounds, drop slacks.
+
+    Raises ValueError when `point` does not hold one value per Hamiltonian
+    variable, or when any value, a slack's included, is NaN or infinite; the
+    message names that variable's index."""
     if len(point) != h.num_variables:
         raise ValueError("point length mismatch")
+    point = [float(x) for x in point]
+    for i, x in enumerate(point):
+        if not math.isfinite(x):
+            raise ValueError(f"point value of variable {i} is not finite: {x}")
     values = []
     for v in model.variables:
-        x = float(point[v.index])
+        x = point[v.index]
         r = int(math.copysign(math.floor(abs(x) + 0.5), x))
         values.append(min(max(r, 0), v.upper_bound))
     return Assignment(values=tuple(values))

@@ -21,16 +21,16 @@ its head along residual paths, each unit taken off the edge, so the flow
 value never drops.  A feasible child's flow differs from its parent's by a
 circulation that runs against that edge, so the reroute moves the whole
 excess exactly when the child is feasible (Ahuja, Magnanti & Orlin,
-*Network Flows*, 1993, ch. 7).  What it cannot move is cancelled along
-flow paths and augmenting paths from the source restore what they can,
-which ends in a failing search.  A flow handed down unrepaired keeps
+*Network Flows*, 1993, ch. 7).  A flow handed down unrepaired keeps
 the residual capacities it was solved under, so each flow carries the
 depth at which it was last solved, and a repair re-derives the residual
 capacities of the arc edges of the vehicles branched since then only;
-every other arc edge's is already exact.  A repair that fails has found
-a minimum cut of capacity below the demand (Ford & Fulkerson, 1956), the
-one a solve from the empty flow finds, and each network keeps it as a
-learned nogood, stored under every vehicle whose arc edge it crosses.
+every other arc edge's is already exact.  A reroute that cannot move the
+whole excess proves the child infeasible: the nodes its last search
+reached from the tail are the source side of a minimum cut of capacity
+below the demand (Ford & Fulkerson, 1956), the one a solve from the
+empty flow finds, and each network keeps it as a learned nogood, stored
+under every vehicle whose arc edge it crosses.
 Before repairing, the search evaluates the cuts stored under the one
 vehicle the child branched on, in place, the one that last proved a
 child infeasible first; one below the demand proves it infeasible.
@@ -367,55 +367,59 @@ class _Network:
         every key whose capacity differs from the one `res`'s residual
         capacities were last derived under, `key` among them, so every other
         arc edge's residual capacity is already exact.  Then the excess on
-        `key`'s edge is rerouted (`_reroute`): pushed from its tail to its
-        head along residual paths, each unit taken off the edge, so the
-        flow value stays `need`.  A child with a flow of `need` units
-        differs from `res` by a circulation that runs against `key`'s edge,
-        so the reroute moves the whole excess exactly when the child is
-        feasible.  What it cannot move is cancelled along flow paths,
-        backward to the source and forward to the sink (`_cancel`), and
-        Edmonds-Karp augments from the source; that search ends without
-        reaching `need`.
+        `key`'s edge is rerouted: pushed from its tail to its head along
+        residual paths, each unit taken off the edge, so the flow value
+        stays `need`.  The edge's residual capacity is negative while an
+        excess remains, so no path runs along it, and each search stops at
+        the head, so none runs back along its reverse.  A child with a flow
+        of `need` units differs from `res` by a circulation that runs
+        against `key`'s edge, so the reroute moves the whole excess exactly
+        when the child is feasible.
 
-        When the source search finds no augmenting path, the nodes it
-        reached are the source side of a minimum cut whose capacity, the
-        flow so far, is below `need`; that cut is learned (`_learn`).  The
-        set a maximum flow reaches from the source is the same for every
-        maximum flow, so a repair learns the cut a solve from the empty flow
-        would.  The caller evaluates the learned cuts (`solve_exact`); a
-        certificate is a proof, so the verdict is still the max-flow
-        verdict."""
+        The solve and the repair run one Edmonds-Karp loop: shortest
+        residual paths from the source to the sink for `need` units, or from
+        the tail to the head for the excess.  When a search finds no path,
+        the nodes it reached are the source side S of a minimum cut below
+        `need`, and that cut is learned (`_learn`).  From the source, its
+        capacity is the flow so far.  From the tail, S holds the source,
+        since the reverse residuals of the flow into the tail lead back to
+        it, and not the sink, since every sink edge is saturated; no
+        residual edge leaves S, so at the child its capacity is `need` less
+        the excess left.  Cancelling that excess would change no edge that
+        leaves S, and the set a maximum flow reaches from the source is the
+        same for every maximum flow, so a repair learns the cut a solve from
+        the empty flow would.  The caller evaluates the learned cuts
+        (`solve_exact`); a certificate is a proof, so the verdict is still
+        the max-flow verdict."""
         arcs, edge_of = self.arcs, self.edge_of
         if res is None:
-            res, flow, changed, edge = self.base.copy(), 0, edge_of, None
+            res, changed, edge = self.base.copy(), edge_of, None
+            start, end, left = self.source, self.sink, self.need
         else:
             edge = edge_of.get(key)
             if edge is None:
                 return res
             _, ub, load = arcs[edge >> 1]
-            excess = res[edge ^ 1] - min(ub, cap_mass[key] // load)
-            if excess <= 0:
+            left = res[edge ^ 1] - min(ub, cap_mass[key] // load)
+            if left <= 0:
                 return res
-            res, flow = res.copy(), self.need
+            res, start, end = res.copy(), self.head[edge ^ 1], self.head[edge]
         for k in changed:
             e = edge_of.get(k)
             if e is not None:
                 _, ub, load = arcs[e >> 1]
                 units = cap_mass[k] // load
                 res[e] = (ub if ub < units else units) - res[e + 1]
-        if edge is not None:   # the repair: a from-empty solve has no excess to move
-            excess = self._reroute(res, edge, excess)
-            if not excess:
-                return res
-            self._cancel(res, edge, excess)
-            flow -= excess
-        source, sink, need = self.source, self.sink, self.need
-        while flow < need:
-            parent, reached = self._search(res, source, sink)
-            if parent[sink] == -1:
+        while left:
+            parent, reached = self._search(res, start, end)
+            if parent[end] == -1:
                 self._learn(reached, parent)
                 return None
-            flow += self._push(res, parent, source, sink, need - flow)
+            push = self._push(res, parent, start, end, left)
+            left -= push
+            if edge is not None:    # each unit rerouted is taken off the edge
+                res[edge] += push
+                res[edge ^ 1] -= push
         return res
 
     def _search(self, res: list[int], start: int, end: int) -> tuple[list[int], list[int]]:
@@ -456,28 +460,10 @@ class _Network:
             v = head[e ^ 1]
         return most
 
-    def _reroute(self, res: list[int], edge: int, excess: int) -> int:
-        """Move up to `excess` units of the flow on `edge` onto shortest
-        residual paths from its tail to its head, one search per path; each
-        unit moved lowers the edge's flow by one.  Returns the excess left.
-        `res[edge]`, the residual capacity left on the edge, is negative
-        while an excess remains, so no path runs along it, and the search
-        stops at the head, so none runs back along its reverse."""
-        tail, head = self.head[edge ^ 1], self.head[edge]
-        while excess:
-            parent, _ = self._search(res, tail, head)
-            if parent[head] == -1:
-                break
-            push = self._push(res, parent, tail, head, excess)
-            res[edge] += push
-            res[edge ^ 1] -= push
-            excess -= push
-        return excess
-
     def _learn(self, reached: list[int], parent: list[int]) -> None:
         """Store the minimum cut of a failed solve: S is the set `reached`
-        from the source in the residual network, whose `parent` entries are
-        set.  The cut is the fixed capacity of the source and sink edges
+        by its last search in the residual network, whose `parent` entries
+        are set.  The cut is the fixed capacity of the source and sink edges
         leaving S plus the (key, ub, load) of each arc edge (e < 2 len(arcs))
         leaving S, and it is stored under each of its keys, all distinct."""
         fixed, arcs = 0, []
@@ -491,42 +477,6 @@ class _Network:
         cut = (fixed, tuple(arcs))
         for key, _, _ in arcs:
             self.cuts.setdefault(key, []).append(cut)
-
-    def _cancel(self, res: list[int], edge: int, excess: int) -> None:
-        """Take `excess` units off the flow through `edge`, one source-to-sink
-        flow path at a time.  By conservation a node that passes flow on has
-        an edge carrying flow into it and one carrying flow out, and the
-        network is a DAG, so both walks end at the source and the sink."""
-        adj, head, source, sink = self.adj, self.head, self.source, self.sink
-        while excess:
-            path = [edge]
-            push = res[edge ^ 1]
-            if excess < push:
-                push = excess
-            u = head[edge ^ 1]
-            while u != source:
-                # an odd entry of adj[u] is the reverse of an edge into u,
-                # and its residual capacity is that edge's flow
-                for e in adj[u]:
-                    if e & 1 and res[e]:
-                        break
-                if res[e] < push:
-                    push = res[e]
-                path.append(e ^ 1)
-                u = head[e]
-            v = head[edge]
-            while v != sink:
-                for e in adj[v]:
-                    if not e & 1 and res[e ^ 1]:
-                        break
-                if res[e ^ 1] < push:
-                    push = res[e ^ 1]
-                path.append(e)
-                v = head[e]
-            for e in path:
-                res[e ^ 1] -= push
-                res[e] += push
-            excess -= push
 
 
 class _FlowRelaxation:
@@ -716,7 +666,8 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     every verdict equals a solve from scratch.  The repair re-derives
     residual capacities only on the arc edges of the variables branched
     since that network's flow was last solved, and reroutes the excess
-    around the branched edge before it augments from the source.  The
+    around the branched edge; a reroute that cannot move all of it proves
+    the child infeasible, and its last search gives the learned cut.  The
     clock is read at every node and inside each leaf completion.
 
     Returns a provably optimal sample or an explicit infeasible result.

@@ -348,6 +348,15 @@ class TestDecode:
         point = [-0.9, 0.0, 0.0, 0.0, 0.0, 0.0]
         assert decode_point(h, micro_model, point).values[0] == 0
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", [0, 5])      # a flow variable and a slack
+    def test_non_finite_value_is_refused(self, micro_model, value, index):
+        h = compile_hamiltonian(micro_model)
+        point = [0.0] * h.num_variables
+        point[index] = value
+        with pytest.raises(ValueError, match=f"variable {index} is not finite"):
+            decode_point(h, micro_model, point)
+
 
 class TestExport:
     def test_micro_golden(self, micro_model):

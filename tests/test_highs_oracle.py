@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from hamflow.expansion import Assignment, evaluate_objective, verify_assignment
-from hamflow.solvers import solve_exact
+from hamflow.hamiltonian import compile_hamiltonian
+from hamflow.solvers import AnnealParams, anneal_sample, solve_exact
 
 import waves
 from conftest import waves_model
@@ -70,3 +71,20 @@ def test_waves(k):
     assert objective == pytest.approx(waves.optimum(k), rel=1e-9)
     if k <= 3:
         _assert_exact_agrees(model, objective)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_anneal_never_beats_highs(k):
+    """Every sample the annealer marks feasible on waves(k) verifies and
+    costs at least the optimum HiGHS proves: a cheaper one would be a
+    wrongly feasible sample or a wrong optimum."""
+    model = waves_model(k)
+    optimum = _highs_optimum(model)
+    samples = anneal_sample(compile_hamiltonian(model), model,
+                            AnnealParams(restarts=2, sweeps=100), seed=k).samples
+    feasible = [s for s in samples if s.feasible]
+    assert feasible
+    for sample in feasible:
+        report = verify_assignment(model, sample.assignment)
+        assert report.feasible and report.bound_findings == ()
+        assert evaluate_objective(model, sample.assignment) >= optimum * (1 - 1e-9)

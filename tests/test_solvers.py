@@ -243,11 +243,11 @@ class TestFlowRepair:
         with the walk's.  Each repair is handed the keys changed since its
         network's flow was last solved, raises included, as the search hands
         it the variables branched since; every arc edge of a repaired flow
-        then has the exact residual capacity.  Repairs that the reroute
-        finishes alone and repairs that fall back to cancelling and
-        augmenting both occur (waves(1) is the case study); a fallback
-        always ends infeasible, and learns the cut the fresh solve learns."""
-        cancels = _count_cancels(monkeypatch)
+        then has the exact residual capacity.  Repairs that move the whole
+        excess and repairs that cannot both occur (waves(1) is the case
+        study); no repair searches from the source, and one that fails
+        learns the cut the fresh solve learns."""
+        searches = _record_searches(monkeypatch)
         model = waves_model(k)
         relax = solvers._FlowRelaxation(solvers._Graph(model))
         oracle = solvers._FlowRelaxation(solvers._Graph(model))
@@ -259,7 +259,7 @@ class TestFlowRepair:
         flows = relax.feasible(cap_mass)
         assert flows is not None
         rng = random.Random(7331 + k)
-        verdicts, kept, rerouted, fell_back = set(), 0, 0, 0
+        verdicts, kept, rerouted, failed = set(), 0, 0, 0
         changed = [set() for _ in relax.networks]   # per network: keys changed since it was solved
         for _ in range(600):
             key = rng.choice(keys)
@@ -269,12 +269,12 @@ class TestFlowRepair:
             child_caps = {**cap_mass, key: capacity * count}
             child = []
             for net, res, keys_changed in zip(relax.networks, flows, changed):
-                before = len(cancels)
+                before = len(searches)
                 res = net.solve(child_caps, res, key, keys_changed | {key})
-                if len(cancels) > before:
-                    fell_back += 1
-                    assert res is None
+                assert not any(searches[before:])
                 if res is None:
+                    failed += 1
+                    assert len(searches) > before
                     break
                 child.append(res)
             fresh = oracle.feasible(child_caps)
@@ -282,7 +282,7 @@ class TestFlowRepair:
             verdicts.add((raised, fresh is not None))
             if res is None:
                 # the repair and the fresh solve fail in the same network,
-                # and both end in a source search that learns a cut
+                # and the tail search and the source search learn one cut
                 assert _learned(net) == _learned(oracle.networks[len(child)])
                 continue
             for n, (net, res, parent) in enumerate(zip(relax.networks, child, flows)):
@@ -298,7 +298,7 @@ class TestFlowRepair:
             cap_mass, flows = child_caps, child
         assert verdicts == {(True, True), (False, True), (False, False)}
         assert rerouted >= 20 and kept > 100
-        assert fell_back >= 20
+        assert failed >= 20
 
     @staticmethod
     def three_paths():
@@ -313,11 +313,11 @@ class TestFlowRepair:
         return net, caps, res
 
     def test_reroute_moves_the_whole_excess(self, monkeypatch):
-        cancels = _count_cancels(monkeypatch)
         net, caps, parent = self.three_paths()
+        searches = _record_searches(monkeypatch)
         child_caps = {**caps, 10: 0}
         res = net.solve(child_caps, parent, 10, [10])
-        assert cancels == []
+        assert searches == [False]
         assert _arc_flows(net, res) == {10: 0, 11: 2, 12: 2}
         assert parent[net.edge_of[10] ^ 1] == 2     # the parent's list is left as it was
         _assert_flow_fits(net, res, child_caps)
@@ -327,39 +327,40 @@ class TestFlowRepair:
         and 1->2 (key 13).  The one path from 0 to 2 that avoids the arc runs
         back along the source edge into 0 and out along the one into 1, so
         the flow value stays 2."""
-        cancels = _count_cancels(monkeypatch)
         net = solvers._Network(3, [(0, 2, 10, 5, 1), (1, 2, 13, 5, 1)],
                                [(0, 2), (1, 1)], [(2, 2)], 2)
         parent = net.solve({10: 2, 13: 2})
         assert _arc_flows(net, parent) == {10: 2, 13: 0}
+        searches = _record_searches(monkeypatch)
         res = net.solve({10: 1, 13: 2}, parent, 10, [10])
-        assert cancels == []
+        assert searches == [False]
         assert _arc_flows(net, res) == {10: 1, 13: 1}
         _assert_flow_fits(net, res, {10: 1, 13: 2})
 
-    @pytest.mark.parametrize("child_caps, cancelled", [
-        ({10: 0, 11: 1, 12: 2}, [1]),     # one unit rerouted over 0->1->2, one cancelled
-        ({10: 0, 11: 2, 12: 0}, [2]),     # no path from 0 to 2 is left: all of it cancelled
-    ])
-    def test_failed_reroute_learns_the_fresh_cut(self, monkeypatch, child_caps, cancelled):
-        """What the reroute cannot move is cancelled, and the source search
-        that follows fails and learns the minimum cut that a solve from the
-        empty flow learns."""
-        cancels = _count_cancels(monkeypatch)
+    @pytest.mark.parametrize("child_caps, tail_searches, left", [
+        ({10: 0, 11: 1, 12: 2}, 2, 1),    # one unit rerouted over 0->1->2, one left
+        ({10: 0, 11: 2, 12: 0}, 1, 2),    # no path from 0 to 2 is left: all of it left
+    ], ids=["one_unit_left", "all_left"])
+    def test_failed_reroute_learns_the_fresh_cut(self, monkeypatch, child_caps,
+                                                 tail_searches, left):
+        """A reroute that cannot move the whole excess ends the repair: its
+        last search from the tail fails, no search starts at the source, and
+        it learns the minimum cut that a solve from the empty flow learns,
+        of capacity `need` less the excess left."""
         net, caps, parent = self.three_paths()
+        searches = _record_searches(monkeypatch)
         assert net.solve(child_caps, parent, 10, [10, 11, 12]) is None
-        assert cancels == cancelled
+        assert searches == [False] * tail_searches
         fresh = self.three_paths()[0]
         assert fresh.solve(child_caps) is None
         assert _learned(net) == _learned(fresh)
         (cut,) = _learned(net)
-        assert _cut_capacity(cut, child_caps) < net.need
+        assert _cut_capacity(cut, child_caps) == net.need - left
 
     def test_commodity_without_demand(self, monkeypatch):
         """K2 is never scheduled, so its network needs 0 units: its solve
         from the empty flow moves nothing and reroutes nothing, and a child's
         flow always fits.  The model still solves."""
-        cancels = _count_cancels(monkeypatch)
         inst = Instance(
             depots=(Depot("A", "A"), Depot("B", "B")),
             arcs=(Arc("A", "B", 2.0, 1),),
@@ -378,23 +379,25 @@ class TestFlowRepair:
         idle = relax.networks[1]
         assert not any(_arc_flows(idle, flows[1]).values())
         key = idle.arcs[0][0]
+        searches = _record_searches(monkeypatch)
         assert idle.solve({**cap_mass, key: 0}, flows[1], key, [key]) is flows[1]
-        assert cancels == []
+        assert searches == []
         assert solve_exact(model).objective == pytest.approx(2.0)
 
 
-def _count_cancels(monkeypatch) -> list[int]:
-    """The excess of every `_Network._cancel` call from now on, in order: a
-    repair calls it only for what its reroute could not move."""
-    cancels = []
-    cancel = solvers._Network._cancel
+def _record_searches(monkeypatch) -> list[bool]:
+    """One entry per `_Network._search` from now on, in order: whether it
+    started at its network's source.  A repair searches from the branched
+    edge's tail only."""
+    searches = []
+    search = solvers._Network._search
 
-    def counted(net, res, edge, excess):
-        cancels.append(excess)
-        cancel(net, res, edge, excess)
+    def recorded(net, res, start, end):
+        searches.append(start == net.source)
+        return search(net, res, start, end)
 
-    monkeypatch.setattr(solvers._Network, "_cancel", counted)
-    return cancels
+    monkeypatch.setattr(solvers._Network, "_search", recorded)
+    return searches
 
 
 def _arc_flows(net, res) -> dict[int, int]:
