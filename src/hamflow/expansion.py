@@ -133,9 +133,9 @@ def expand_model(inst: Instance) -> Model:
         raise ModelError("instance fails mass balance: " + "; ".join(f.message for f in balance))
 
     T = inst.horizon
-    loads = {c.id: int(c.load) for c in inst.commodities}
-    capacity = int(inst.capacity)
-    demand = {(e.depot, e.commodity, e.time): int(e.amount) for e in inst.schedule}
+    loads = {c.id: c.load for c in inst.commodities}
+    capacity = inst.capacity
+    demand = {(e.depot, e.commodity, e.time): e.amount for e in inst.schedule}
 
     # exact integers: a float total or quotient may round past 2**53
     supply_mass = {k: sum(a for (_, c, _), a in demand.items() if c == k and a > 0) for k in loads}

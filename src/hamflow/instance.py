@@ -13,8 +13,8 @@ files surface immediately.
 Schedule amounts are in mass units: positive entries are supply appearing at
 a depot at a time step, negative entries are demand consumed there.  Loads
 and the capacity are positive integers and every amount is a nonzero integer
-multiple of its load size: a float field, but an Instance checks it exactly
-when built, so every later stage reads it with `int()`.
+multiple of its load size.  All three are held as exact ints below 2**1024 in
+magnitude; a whole float given for one is stored as the int it holds.
 Time steps are 1-based, ``t in {1..horizon}``.  The time expansion makes
 at most |arcs| x (|commodities| + 1) x horizon variables; an instance
 whose count exceeds MAX_EXPANDED_VARIABLES is rejected.
@@ -38,6 +38,7 @@ import gc
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
@@ -48,6 +49,9 @@ from typing import Iterable
 # sweeps by default: well past this size no back-end finishes, and a horizon
 # like 1e300 would expand without end.
 MAX_EXPANDED_VARIABLES = 100_000
+
+# choose_alpha and compile_hamiltonian work in floats, which end below 2**1024
+_MASS_BOUND = 2**1024
 
 
 def ordered_sum(values: Iterable, start=0):
@@ -141,14 +145,17 @@ class Arc:
 @dataclass(frozen=True)
 class Commodity:
     id: str
-    load: float           # mass units per unit of flow, > 0
+    load: int             # mass units per unit of flow, > 0
 
     def __post_init__(self):
         if not isinstance(self.id, str):
             raise InstanceSchemaError(f"commodity id must be a string, got {self.id!r}")
-        if (_whole(self.load) or 0) <= 0:
+        load = _mass(self.load)
+        if load is None or load <= 0:
             raise InstanceSchemaError(
-                f"commodity {self.id}: load must be a positive integer, got {self.load!r}")
+                f"commodity {self.id}: load must be a positive integer below 2**1024, "
+                f"got {self.load}")
+        object.__setattr__(self, "load", load)
 
 
 @dataclass(frozen=True)
@@ -156,13 +163,17 @@ class ScheduleEntry:
     depot: str
     commodity: str
     time: int             # 1-based step
-    amount: float         # mass units; > 0 supply, < 0 demand
+    amount: int           # mass units; > 0 supply, < 0 demand
 
     def __post_init__(self):
-        if self.amount == 0:
+        where = f"schedule entry ({self.depot}, {self.commodity}, t={self.time})"
+        amount = _mass(self.amount)
+        if amount is None:
             raise InstanceSchemaError(
-                f"schedule entry ({self.depot}, {self.commodity}, t={self.time}): "
-                "zero amounts are rejected, drop the entry instead")
+                f"{where}: amount must be an integer of magnitude below 2**1024, got {self.amount}")
+        if amount == 0:
+            raise InstanceSchemaError(f"{where}: zero amounts are rejected, drop the entry instead")
+        object.__setattr__(self, "amount", amount)
 
 
 @dataclass(frozen=True)
@@ -173,7 +184,7 @@ class Instance:
     arcs: tuple[Arc, ...]
     commodities: tuple[Commodity, ...]
     horizon: int
-    capacity: float
+    capacity: int
     schedule: tuple[ScheduleEntry, ...]
 
     def __post_init__(self):
@@ -192,8 +203,11 @@ class Instance:
                 f"horizon exceeds {MAX_EXPANDED_VARIABLES // per_step}: {len(self.arcs)} arcs "
                 f"and {len(self.commodities)} commodities would expand to more than "
                 f"{MAX_EXPANDED_VARIABLES} variables")
-        if (_whole(self.capacity) or 0) <= 0:
-            raise InstanceSchemaError(f"capacity must be a positive integer, got {self.capacity!r}")
+        capacity = _mass(self.capacity)
+        if capacity is None or capacity <= 0:
+            raise InstanceSchemaError(
+                f"capacity must be a positive integer below 2**1024, got {self.capacity}")
+        object.__setattr__(self, "capacity", capacity)
         depot_ids = [d.id for d in self.depots]
         if len(set(depot_ids)) != len(depot_ids):
             dup = _first_duplicate(depot_ids)
@@ -224,8 +238,8 @@ class Instance:
             if not _is_int(e.time) or not 1 <= e.time <= self.horizon:
                 raise InstanceSchemaError(
                     f"schedule entry ({e.depot}, {e.commodity}): time {e.time} outside [1, {self.horizon}]")
-            amount, load = _whole(e.amount), loads[e.commodity]
-            if amount is None or amount % int(load):
+            load = loads[e.commodity]
+            if e.amount % load:
                 raise InstanceSchemaError(
                     f"schedule entry ({e.depot}, {e.commodity}, t={e.time}): amount {e.amount} "
                     f"is not an integer multiple of the load size {load}")
@@ -248,12 +262,12 @@ class Instance:
                 return a
         raise UnknownIdError(f"no arc {origin}->{dest}")
 
-    def schedule_amount(self, depot: str, commodity: str, time: int) -> float:
+    def schedule_amount(self, depot: str, commodity: str, time: int) -> int:
         """Supply (+) or demand (-) mass at (depot, commodity, time); 0 if unscheduled."""
         for e in self.schedule:
             if (e.depot, e.commodity, e.time) == (depot, commodity, time):
                 return e.amount
-        return 0.0
+        return 0
 
     def out_arcs(self, depot_id: str) -> list[Arc]:
         return [a for a in self.arcs if a.origin == depot_id]
@@ -304,77 +318,50 @@ def _objects(doc: dict, section: str) -> list[dict]:
     return entries
 
 
-class _Rounded(float):
-    """A whole-number float read from a JSON literal that writes more digits
-    than the float holds, such as 9007199254740993.0; its repr is the
-    literal."""
-
-    def __new__(cls, literal: str):
-        self = super().__new__(cls, literal)
-        self.literal = literal
-        return self
-
-    def __repr__(self):
-        return self.literal
-
-
-def _json_float(literal: str) -> float:
-    """float(literal), as a _Rounded when the float is a whole number that
-    the literal names neither exactly nor by the float's shortest repr.  A
-    repr names its float (json.dumps writes 1e300 as 1e+300), so a document
-    `serialize_instance` wrote reads back unmarked, and so does every
-    literal of at most 15 significant digits, which a float holds (DBL_DIG)."""
-    number = float(literal)
-    if len(literal) > 15 and number.is_integer():
-        from decimal import Decimal   # rare: a long literal of a whole number
-        value = Decimal(literal)
-        if value != number and value != Decimal(repr(number)):
-            return _Rounded(literal)
-    return number
+def _exact(value, where: str):
+    """A JSON number, with a float literal's Decimal turned into the exact
+    int it names when it names a whole number.  An int or Decimal of
+    magnitude 2**1024 or more is refused first, by comparison alone: int()
+    of 1e999999999 would not end, and Decimal arithmetic on it overflows."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, Decimal)):
+        raise InstanceSchemaError(f"{where}: expected a number, got {value!r}")
+    if isinstance(value, (int, Decimal)) and not -_MASS_BOUND < value < _MASS_BOUND:
+        raise InstanceSchemaError(f"{where}: {value} is out of range")
+    if isinstance(value, Decimal) and value == int(value):
+        return int(value)
+    return value
 
 
 def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InstanceSchemaError(f"{where}: expected a number, got {value!r}")
-    if isinstance(value, float):
-        if not value.is_integer() or isinstance(value, _Rounded):
-            raise InstanceSchemaError(f"{where}: expected an integer, got {value!r}")
-        value = int(value)
+    value = _exact(value, where)
+    if not isinstance(value, int):
+        raise InstanceSchemaError(f"{where}: expected an integer, got {value}")
     return value
 
 
 def _as_number(value, where: str) -> float:
-    """A finite JSON number as a float; bools, strings, null, NaN,
-    infinities and integers a float would round are rejected rather than
-    coerced."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A finite JSON number as a float, a float literal as the float
+    float(literal) gives; bools, strings, null, NaN, infinities and integer
+    literals a float would round are rejected rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, Decimal)):
         raise InstanceSchemaError(f"{where}: expected a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise InstanceSchemaError(f"{where}: expected a finite number, got {value!r}")
-    if number != value:
+        raise InstanceSchemaError(f"{where}: expected a finite number, got {value}")
+    if isinstance(value, int) and number != value:
         raise InstanceSchemaError(f"{where}: integer {value} would round as a float")
     return number
-
-
-def _as_mass(value, where: str) -> float:
-    """_as_number for a load, the capacity or an amount, which are whole
-    numbers: a float literal the float would round is rejected as an
-    integer literal is."""
-    if isinstance(value, _Rounded):
-        raise InstanceSchemaError(f"{where}: {value!r} would round as a float")
-    return _as_number(value, where)
 
 
 def _load_json(text: str):
     """json.loads, with malformed JSON and an integer literal longer than
     Python converts (4300 digits) raised as InstanceErrors, and float
-    literals read by `_json_float`."""
+    literals read as exact Decimals."""
     try:
-        return json.loads(text, parse_float=_json_float)
+        return json.loads(text, parse_float=Decimal)
     except json.JSONDecodeError as exc:
         raise InstanceSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
     except ValueError as exc:
@@ -409,15 +396,15 @@ def parse_instance(text: str) -> Instance:
     for i, c in enumerate(_objects(doc, "commodities")):
         _require_keys(c, {"id", "load"}, f"commodities[{i}]")
         commodities.append(Commodity(id=str(c["id"]),
-                                     load=_as_mass(c["load"], f"commodities[{i}].load")))
+                                     load=_exact(c["load"], f"commodities[{i}].load")))
     horizon = _as_int(doc["horizon"], "horizon")
-    capacity = _as_mass(doc["capacity"], "capacity")
+    capacity = _exact(doc["capacity"], "capacity")
     schedule = []
     for i, e in enumerate(_objects(doc, "schedule")):
         _require_keys(e, {"depot", "commodity", "time", "amount"}, f"schedule[{i}]")
         schedule.append(ScheduleEntry(depot=str(e["depot"]), commodity=str(e["commodity"]),
                                       time=_as_int(e["time"], f"schedule[{i}].time"),
-                                      amount=_as_mass(e["amount"], f"schedule[{i}].amount")))
+                                      amount=_exact(e["amount"], f"schedule[{i}].amount")))
 
     return Instance(depots=tuple(depots), arcs=tuple(arcs), commodities=tuple(commodities),
                     horizon=horizon, capacity=capacity, schedule=tuple(schedule))
@@ -475,17 +462,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _whole(value) -> int | None:
-    """`value` as an exact int when it is a whole number that a float holds
-    exactly; None for bools, fractions, NaN, infinities and ints a float
-    rounds or cannot hold."""
-    if isinstance(value, bool):
-        return None
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return int(number) if number.is_integer() and number == value else None
+def _mass(value) -> int | None:
+    """`value` as an exact int of magnitude below 2**1024: an int as it is
+    and a whole float as the int it holds; None for anything else."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return value if _is_int(value) and abs(value) < _MASS_BOUND else None
 
 
 def _first_duplicate(items: Iterable):
@@ -503,11 +485,11 @@ def mass_balance_findings(inst: Instance) -> list[Finding]:
     """One finding per commodity whose scheduled masses do not cancel."""
     findings = []
     for c in inst.commodities:
-        balance = sum(int(e.amount) for e in inst.schedule if e.commodity == c.id)
+        balance = sum(e.amount for e in inst.schedule if e.commodity == c.id)
         if balance:
             findings.append(Finding(
                 "mass_balance",
-                f"commodity {c.id}: scheduled amounts sum to {balance:+g}, not 0; "
+                f"commodity {c.id}: scheduled amounts sum to {balance:+d}, not 0; "
                 "instance is infeasible by mass balance"))
     return findings
 
@@ -620,11 +602,10 @@ def build_case_study(costs: dict[str, float]) -> Instance:
     return Instance(
         depots=tuple(Depot(i, label) for i, label in CASE_STUDY_DEPOTS),
         arcs=tuple(Arc(o, d, float(costs[arc_key(o, d)]), 1) for (o, d) in CASE_STUDY_ARCS),
-        commodities=(Commodity("L1", 10.0), Commodity("L2", 20.0)),
+        commodities=(Commodity("L1", 10), Commodity("L2", 20)),
         horizon=6,
-        capacity=100.0,
-        schedule=tuple(ScheduleEntry(dep, com, t, float(m))
-                       for (dep, com, t, m) in CASE_STUDY_SCHEDULE),
+        capacity=100,
+        schedule=tuple(ScheduleEntry(*entry) for entry in CASE_STUDY_SCHEDULE),
     )
 
 

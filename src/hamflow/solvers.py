@@ -232,8 +232,8 @@ class _Graph:
     def __init__(self, model: Model):
         inst = model.instance
         self.variables = model.variables
-        self.loads = {c.id: int(c.load) for c in inst.commodities}
-        self.capacity = int(inst.capacity)
+        self.loads = {c.id: c.load for c in inst.commodities}
+        self.capacity = inst.capacity
         vehicle = model.vehicle_index()
         self.vehicles = list(vehicle.values())
         self.nodes = inst.horizon * len(inst.depots)
@@ -241,7 +241,7 @@ class _Graph:
                 for d in inst.depots for k in self.loads]
         cell = {key: c for c, key in enumerate(keys)}      # heads at T + 1 included
         self.cells = keys[:self.nodes * len(self.loads)]
-        self.mass = {cell[(e.depot, e.commodity, e.time)]: int(e.amount) for e in inst.schedule}
+        self.mass = {cell[(e.depot, e.commodity, e.time)]: e.amount for e in inst.schedule}
         travel = {a.pair: a.travel_time for a in inst.arcs}
         self.edges = [(v.index, cell[(v.arc[0], v.commodity, v.time)],
                        cell[(v.arc[1], v.commodity, v.time + travel[v.arc])],
@@ -1289,14 +1289,17 @@ _HISTOGRAM_BINS = 20
 
 
 def energy_histogram(energies: list[float]) -> list[tuple[float, float, int]]:
-    """`_HISTOGRAM_BINS` fixed-width bins spanning the observed range; a zero
-    range degenerates to a unit span centered on the value (wider where the
-    value's float spacing needs it) so exactly one bin is occupied."""
+    """`_HISTOGRAM_BINS` fixed-width bins spanning the observed range; a
+    range whose bin width is zero (one value, or fewer than
+    `_HISTOGRAM_BINS` subnormal steps) degenerates to a unit span around it
+    (wider where the value's float spacing needs it) so exactly one bin is
+    occupied."""
     lo, hi = min(energies), max(energies)
-    if hi == lo:
+    width = (hi - lo) / _HISTOGRAM_BINS
+    if width == 0:
         pad = max(0.5, _HISTOGRAM_BINS * math.ulp(lo))
         lo, hi = lo - pad, hi + pad
-    width = (hi - lo) / _HISTOGRAM_BINS
+        width = (hi - lo) / _HISTOGRAM_BINS
     counts = [0] * _HISTOGRAM_BINS
     for e in energies:
         counts[min(int((e - lo) / width), _HISTOGRAM_BINS - 1)] += 1

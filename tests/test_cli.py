@@ -403,23 +403,27 @@ class TestInputFaults:
             assert "multiple of the load size" in proc.stderr
 
     def test_integer_a_float_would_round(self, tmp_path):
+        # masses are exact ints: one vehicle of capacity 2**53 + 1 carries it all
         big = 2**53 + 1
-        bad = one_commodity_doc(tmp_path / "bad.json", 1, big, [("A", 1, big), ("B", 2, -big)])
-        for command in ("validate", "solve"):
-            proc = run_cli(command, "--instance", str(bad), "--out", str(tmp_path / "out"))
-            assert_one_line_error(proc)
-            assert "capacity: integer 9007199254740993" in proc.stderr
+        path = one_commodity_doc(tmp_path / "big.json", 1, big, [("A", 1, big), ("B", 2, -big)])
+        proc = run_cli("validate", "--instance", str(path))
+        assert proc.returncode == 0 and "0 findings" in proc.stdout
+        proc = run_cli("solve", "--instance", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        assert {"certified,True", "objective,1.0"} <= set(proc.stdout.splitlines())
 
     def test_float_literal_a_float_would_round(self, tmp_path):
-        # +-(2**53 + 1) written as floats read as +-2**53, which balance
-        path = one_commodity_doc(tmp_path / "bad.json", 1, 2**53,
+        # +-(2**53 + 1) written as floats read as those exact ints, not as
+        # +-2**53: two vehicles of capacity 2**53
+        path = one_commodity_doc(tmp_path / "big.json", 1, 2**53,
                                  [("A", 1, "supply"), ("B", 2, "demand")])
         path.write_text(path.read_text().replace('"supply"', "9007199254740993.0")
                         .replace('"demand"', "-9007199254740993.0"))
-        for command in ("validate", "solve"):
-            proc = run_cli(command, "--instance", str(path), "--out", str(tmp_path / "out"))
-            assert_one_line_error(proc)
-            assert "schedule[0].amount: 9007199254740993.0 would round" in proc.stderr
+        proc = run_cli("validate", "--instance", str(path))
+        assert proc.returncode == 0 and "0 findings" in proc.stdout
+        proc = run_cli("solve", "--instance", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        assert {"certified,True", "objective,2.0"} <= set(proc.stdout.splitlines())
 
     @pytest.mark.parametrize("command", ["validate", "compile", "solve"])
     def test_huge_horizon(self, tmp_path, command):
@@ -575,12 +579,13 @@ _CASE_STUDY = json.loads(CASE_STUDY_DOC.read_text())
 @given(path=st.sampled_from(_leaf_paths(_CASE_STUDY)),
        value=st.one_of(st.none(), st.booleans(), st.text(max_size=4),
                        st.lists(st.integers(-2, 2), max_size=2), st.integers(-3, 3),
-                       st.sampled_from([5e-324, 1e-320, 1e300, -1e300, 1.7e308])))
+                       st.sampled_from([5e-324, 1e-320, 1e300, -1e300, 1.7e308, 2**53 + 1,
+                                        2**63, 10**30, 10**400, -10**400])))
 @settings(max_examples=200, deadline=None)
 def test_mutated_case_study_never_raises(tmp_path_factory, path, value):
     """One leaf of the case-study document replaced by a value of another
-    type or scale: validate, compile and an annealing solve exit 0, 1 or 2
-    and never raise."""
+    type or scale: validate, compile, an annealing and an exact solve exit
+    0, 1 or 2 and never raise."""
     doc = json.loads(json.dumps(_CASE_STUDY))
     target = doc
     for key in path[:-1]:
@@ -591,7 +596,9 @@ def test_mutated_case_study_never_raises(tmp_path_factory, path, value):
     bad.write_text(json.dumps(doc))
     for argv in (["validate"],
                  ["compile", "--out", str(base / "compiled")],
-                 ["solve", "--method", "anneal", "--samples", "2", "--out", str(base / "solved")]):
+                 ["solve", "--method", "anneal", "--samples", "2", "--out", str(base / "solved")],
+                 ["solve", "--method", "exact", "--time-limit", "1",
+                  "--out", str(base / "exact")]):
         stderr = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
             code = cli.main([*argv, "--instance", str(bad)])

@@ -1,7 +1,9 @@
 import json
 import math
 import random
+import time
 from dataclasses import replace
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -145,27 +147,28 @@ class TestParse:
 
 def whole_doc_text(**literals: str) -> str:
     """A valid document of load 1, capacity 2**53 and amounts +-2**53,
-    with the JSON literal of `load`, `capacity`, `supply`, `demand` or
-    `cost` replaced by the text given for it."""
+    with the JSON literal of `load`, `capacity`, `supply`, `demand`, `cost`
+    or `step` (the supply's time) replaced by the text given for it."""
     doc = minimal_doc()
     big = 2**53
     doc["commodities"][0]["load"] = "@load"
     doc["capacity"] = "@capacity"
     doc["schedule"][0]["amount"] = "@supply"
     doc["schedule"][1]["amount"] = "@demand"
+    doc["schedule"][0]["time"] = "@step"
     doc["arcs"][0]["cost"] = "@cost"
     text = json.dumps(doc)
     defaults = {"load": "1", "capacity": str(big), "supply": str(big), "demand": str(-big),
-                "cost": "1.0"}
+                "cost": "1.0", "step": "1"}
     for key, literal in {**defaults, **literals}.items():
         text = text.replace(f'"@{key}"', literal)
     return text
 
 
 class TestWholeNumberLiterals:
-    """Loads, capacity, amounts and steps are whole numbers: a float literal
-    whose float holds fewer digits than it writes is refused, as an integer
-    literal a float would round is."""
+    """Loads, capacity, amounts and steps are whole numbers, read exactly:
+    a float literal that names a whole number is that int, even where its
+    float would round, and any other is refused."""
 
     @pytest.mark.parametrize("field, literal, where", [
         ("supply", "9007199254740993.0", "schedule[0].amount"),
@@ -174,9 +177,20 @@ class TestWholeNumberLiterals:
         ("load", "1.0000000000000001", "commodities[0].load"),
     ])
     def test_rounding_literal_rejected(self, field, literal, where):
-        with pytest.raises(InstanceSchemaError) as err:
-            parse_instance(whole_doc_text(**{field: literal}))
-        assert str(err.value) == f"{where}: {literal} would round as a float"
+        """Only the literal that names no whole number is refused; the
+        others read as the ints they name, not as the floats they round to."""
+        text = whole_doc_text(**{field: literal})
+        if field == "load":
+            with pytest.raises(InstanceSchemaError,
+                               match=f"load must be a positive integer below 2[*][*]1024, got {literal}$"):
+                parse_instance(text)
+            return
+        inst = parse_instance(text)
+        read = {"schedule[0].amount": inst.schedule[0].amount,
+                "schedule[1].amount": inst.schedule[1].amount, "capacity": inst.capacity}
+        assert read[where] == int(Decimal(literal)) != float(literal)
+        assert type(read[where]) is int
+        assert parse_instance(serialize_instance(inst)) == inst
 
     @pytest.mark.parametrize("path", [("horizon",), ("schedule", 0, "time"),
                                       ("arcs", 0, "travel_time")])
@@ -190,6 +204,20 @@ class TestWholeNumberLiterals:
         with pytest.raises(InstanceSchemaError, match="expected an integer, got 1.0000000000000001"):
             parse_instance(text)
 
+    @pytest.mark.parametrize("literal", ["1e400", "1e999999999", "-1e999999999"])
+    @pytest.mark.parametrize("field, where", [("supply", "schedule[0].amount"),
+                                              ("step", "schedule[0].time"),
+                                              ("cost", "arcs[0].cost")])
+    def test_literal_out_of_range(self, field, where, literal):
+        # int() of Decimal("1e999999999") would not end: refused unconverted
+        start = time.perf_counter()
+        with pytest.raises(InstanceSchemaError) as err:
+            parse_instance(whole_doc_text(**{field: literal}))
+        assert time.perf_counter() - start < 1
+        message = str(err.value)
+        assert message.startswith(f"{where}: ") and "\n" not in message
+        assert str(Decimal(literal)) in message
+
     @pytest.mark.parametrize("field, literal", [
         ("capacity", "9007199254740992.0"), ("capacity", "1e300"),
         ("capacity", "4.611686018427388e+18"), ("capacity", "4611686018427387904.0"),
@@ -197,7 +225,7 @@ class TestWholeNumberLiterals:
         ("cost", "9007199254740993.0"),
     ])
     def test_literal_naming_its_float_accepted(self, field, literal):
-        # exactly the float, or its shortest repr; costs need not be whole
+        # a whole mass literal reads as its int; costs need not be whole
         inst = parse_instance(whole_doc_text(**{field: literal}))
         assert parse_instance(serialize_instance(inst)) == inst
 
@@ -357,6 +385,17 @@ class TestValidate:
             schedule=(ScheduleEntry("A", "K", 1, 10.0),))
         report = validate_instance(inst)
         assert [f.kind for f in report.findings] == ["mass_balance"]
+
+    def test_unbalanced_sum_printed_exactly(self):
+        inst = Instance(
+            depots=(Depot("A", "A"), Depot("B", "B")),
+            arcs=(Arc("A", "B", 1.0, 1),),
+            commodities=(Commodity("K", 1),),
+            horizon=2, capacity=100,
+            schedule=(ScheduleEntry("A", "K", 1, 123456789), ScheduleEntry("B", "K", 2, -1)))
+        [finding] = validate_instance(inst).findings
+        assert finding.message == ("commodity K: scheduled amounts sum to +123456788, not 0; "
+                                   "instance is infeasible by mass balance")
 
     def test_demand_before_earliest_arrival_flagged(self):
         # two hops at travel time 1 each: earliest arrival at C is t=3

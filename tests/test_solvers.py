@@ -1182,6 +1182,13 @@ class TestSummarize:
             assert hi1 == pytest.approx(lo2)
         assert sum(c for _, _, c in stats.bins) == 15
 
+    @pytest.mark.parametrize("energies", [[0.0, 5e-324], [-5e-324, 1e-323], [3.0, 3.0]])
+    def test_range_narrower_than_a_bin_width(self, energies):
+        # (hi - lo) / 20 underflows to 0 below 20 subnormal steps
+        bins = solvers.energy_histogram(energies)
+        assert len(bins) == 20 and bins[0][0] < min(energies) and bins[-1][1] > max(energies)
+        assert [count for _, _, count in bins if count] == [len(energies)]
+
 
 def test_annealer_feasible_samples_never_beat_the_oracle():
     rng = random.Random(31415)
