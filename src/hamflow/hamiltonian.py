@@ -80,10 +80,14 @@ class Hamiltonian:
 
 def choose_alpha(model: Model) -> float:
     """One more than the largest objective value the bound box admits,
-    so any unit constraint violation outweighs every feasible objective."""
+    so any unit constraint violation outweighs every feasible objective;
+    inf when that overflows a float."""
     worst = 0.0
-    for i, cost in model.objective:
-        worst += cost * model.variables[i].upper_bound
+    try:
+        for i, cost in model.objective:
+            worst += cost * model.variables[i].upper_bound
+    except OverflowError:   # a bound past the largest float: supplies sum past it
+        return math.inf
     return 1.0 + worst
 
 

@@ -13,8 +13,9 @@ files surface immediately.
 Schedule amounts are in mass units: positive entries are supply appearing at
 a depot at a time step, negative entries are demand consumed there.  Loads
 and the capacity are positive integers and every amount is a nonzero integer
-multiple of its load size.  All three are held as exact ints below 2**1024 in
-magnitude; a whole float given for one is stored as the int it holds.
+multiple of its load size.  All three are held as exact ints no larger in
+magnitude than the largest float, so that float() converts each; a whole
+float given for one is stored as the int it holds.
 Time steps are 1-based, ``t in {1..horizon}``.  The time expansion makes
 at most |arcs| x (|commodities| + 1) x horizon variables; an instance
 whose count exceeds MAX_EXPANDED_VARIABLES is rejected.
@@ -37,6 +38,7 @@ import functools
 import gc
 import json
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from importlib import resources
@@ -50,8 +52,10 @@ from typing import Iterable
 # like 1e300 would expand without end.
 MAX_EXPANDED_VARIABLES = 100_000
 
-# choose_alpha and compile_hamiltonian work in floats, which end below 2**1024
-_MASS_BOUND = 2**1024
+# choose_alpha and compile_hamiltonian multiply masses into floats, and float()
+# of an int above the largest float raises OverflowError; an int compares with
+# it exactly
+_MASS_BOUND = sys.float_info.max
 
 
 def ordered_sum(values: Iterable, start=0):
@@ -153,7 +157,7 @@ class Commodity:
         load = _mass(self.load)
         if load is None or load <= 0:
             raise InstanceSchemaError(
-                f"commodity {self.id}: load must be a positive integer below 2**1024, "
+                f"commodity {self.id}: load must be a positive integer within float range, "
                 f"got {self.load}")
         object.__setattr__(self, "load", load)
 
@@ -170,7 +174,7 @@ class ScheduleEntry:
         amount = _mass(self.amount)
         if amount is None:
             raise InstanceSchemaError(
-                f"{where}: amount must be an integer of magnitude below 2**1024, got {self.amount}")
+                f"{where}: amount must be an integer within float range, got {self.amount}")
         if amount == 0:
             raise InstanceSchemaError(f"{where}: zero amounts are rejected, drop the entry instead")
         object.__setattr__(self, "amount", amount)
@@ -206,7 +210,7 @@ class Instance:
         capacity = _mass(self.capacity)
         if capacity is None or capacity <= 0:
             raise InstanceSchemaError(
-                f"capacity must be a positive integer below 2**1024, got {self.capacity}")
+                f"capacity must be a positive integer within float range, got {self.capacity}")
         object.__setattr__(self, "capacity", capacity)
         depot_ids = [d.id for d in self.depots]
         if len(set(depot_ids)) != len(depot_ids):
@@ -320,12 +324,13 @@ def _objects(doc: dict, section: str) -> list[dict]:
 
 def _exact(value, where: str):
     """A JSON number, with a float literal's Decimal turned into the exact
-    int it names when it names a whole number.  An int or Decimal of
-    magnitude 2**1024 or more is refused first, by comparison alone: int()
-    of 1e999999999 would not end, and Decimal arithmetic on it overflows."""
+    int it names when it names a whole number.  An int or Decimal larger in
+    magnitude than the largest float is refused first, by comparison alone:
+    int() of 1e999999999 would not end, and Decimal arithmetic on it
+    overflows."""
     if isinstance(value, bool) or not isinstance(value, (int, float, Decimal)):
         raise InstanceSchemaError(f"{where}: expected a number, got {value!r}")
-    if isinstance(value, (int, Decimal)) and not -_MASS_BOUND < value < _MASS_BOUND:
+    if isinstance(value, (int, Decimal)) and not -_MASS_BOUND <= value <= _MASS_BOUND:
         raise InstanceSchemaError(f"{where}: {value} is out of range")
     if isinstance(value, Decimal) and value == int(value):
         return int(value)
@@ -463,11 +468,12 @@ def _is_int(value) -> bool:
 
 
 def _mass(value) -> int | None:
-    """`value` as an exact int of magnitude below 2**1024: an int as it is
-    and a whole float as the int it holds; None for anything else."""
+    """`value` as an exact int no larger in magnitude than the largest
+    float: an int as it is and a whole float as the int it holds; None for
+    anything else."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    return value if _is_int(value) and abs(value) < _MASS_BOUND else None
+    return value if _is_int(value) and abs(value) <= _MASS_BOUND else None
 
 
 def _first_duplicate(items: Iterable):

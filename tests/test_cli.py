@@ -495,6 +495,23 @@ class TestInputFaults:
         assert "too large" in proc.stderr
         assert "certified" not in proc.stdout
 
+    @pytest.mark.parametrize("argv", [("compile",), ("solve", "--method", "anneal"),
+                                      ("solve", "--method", "exact")])
+    def test_supplies_summing_past_float_range(self, tmp_path, argv):
+        # each amount is a float's int, but the two supplies' sum bounds a
+        # flow variable past the largest float, which choose_alpha multiplies
+        top = int(sys.float_info.max)
+        inst = Instance(
+            depots=(Depot("A", "A"), Depot("B", "B")), arcs=(Arc("A", "B", 1.0, 1),),
+            commodities=(Commodity("K", 1),), horizon=3, capacity=1,
+            schedule=(ScheduleEntry("A", "K", 1, top), ScheduleEntry("A", "K", 2, top),
+                      ScheduleEntry("B", "K", 3, -top), ScheduleEntry("B", "K", 2, -top)))
+        doc = tmp_path / "big.json"
+        doc.write_text(serialize_instance(inst))
+        proc = run_cli(*argv, "--instance", str(doc), "--out", str(tmp_path / "out"))
+        assert_one_line_error(proc)
+        assert "too large" in proc.stderr
+
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     @pytest.mark.parametrize("command", [("compile",), ("solve", "--method", "anneal")],
                              ids=["compile", "solve-anneal"])
@@ -580,7 +597,9 @@ _CASE_STUDY = json.loads(CASE_STUDY_DOC.read_text())
        value=st.one_of(st.none(), st.booleans(), st.text(max_size=4),
                        st.lists(st.integers(-2, 2), max_size=2), st.integers(-3, 3),
                        st.sampled_from([5e-324, 1e-320, 1e300, -1e300, 1.7e308, 2**53 + 1,
-                                        2**63, 10**30, 10**400, -10**400])))
+                                        2**63, 10**30, 10**400, -10**400,
+                                        int(sys.float_info.max), 17976931348623159 * 10**292,
+                                        2**1024 - 1])))
 @settings(max_examples=200, deadline=None)
 def test_mutated_case_study_never_raises(tmp_path_factory, path, value):
     """One leaf of the case-study document replaced by a value of another

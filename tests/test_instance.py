@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 import time
 from dataclasses import replace
 from decimal import Decimal
@@ -181,8 +182,8 @@ class TestWholeNumberLiterals:
         others read as the ints they name, not as the floats they round to."""
         text = whole_doc_text(**{field: literal})
         if field == "load":
-            with pytest.raises(InstanceSchemaError,
-                               match=f"load must be a positive integer below 2[*][*]1024, got {literal}$"):
+            with pytest.raises(InstanceSchemaError, match=f"load must be a positive "
+                               f"integer within float range, got {literal}$"):
                 parse_instance(text)
             return
         inst = parse_instance(text)
@@ -204,7 +205,11 @@ class TestWholeNumberLiterals:
         with pytest.raises(InstanceSchemaError, match="expected an integer, got 1.0000000000000001"):
             parse_instance(text)
 
-    @pytest.mark.parametrize("literal", ["1e400", "1e999999999", "-1e999999999"])
+    # 1.7976931348623159e308 and 2**1024 - 1 lie between the largest float
+    # and 2**1024, where float() of an int raises OverflowError
+    @pytest.mark.parametrize("literal", ["1e400", "1e999999999", "-1e999999999",
+                                         "1.7976931348623159e308",
+                                         pytest.param(str(2**1024 - 1), id="2**1024-1")])
     @pytest.mark.parametrize("field, where", [("supply", "schedule[0].amount"),
                                               ("step", "schedule[0].time"),
                                               ("cost", "arcs[0].cost")])
@@ -221,6 +226,7 @@ class TestWholeNumberLiterals:
     @pytest.mark.parametrize("field, literal", [
         ("capacity", "9007199254740992.0"), ("capacity", "1e300"),
         ("capacity", "4.611686018427388e+18"), ("capacity", "4611686018427387904.0"),
+        ("capacity", "1.7976931348623157e308"),
         ("supply", "9007199254740992.00000"), ("cost", "0.85"), ("cost", "1.7e308"),
         ("cost", "9007199254740993.0"),
     ])
@@ -229,8 +235,22 @@ class TestWholeNumberLiterals:
         inst = parse_instance(whole_doc_text(**{field: literal}))
         assert parse_instance(serialize_instance(inst)) == inst
 
+    @pytest.mark.parametrize("mass", [int(sys.float_info.max) + 1, 2**1024 - 1],
+                             ids=["float_max+1", "2**1024-1"])
+    def test_int_past_float_range_refused(self, mass):
+        # float() of these raises OverflowError; the largest float's int is kept
+        top = int(sys.float_info.max)
+        assert Commodity("K", top).load == Instance(
+            depots=(), arcs=(), commodities=(), horizon=1, capacity=top, schedule=()).capacity
+        with pytest.raises(InstanceSchemaError, match="load must be a positive integer within"):
+            Commodity("K", mass)
+        with pytest.raises(InstanceSchemaError, match="amount must be an integer within"):
+            ScheduleEntry("A", "K", 1, -mass)
+        with pytest.raises(InstanceSchemaError, match="capacity must be a positive integer within"):
+            Instance(depots=(), arcs=(), commodities=(), horizon=1, capacity=mass, schedule=())
 
-ids = st.sampled_from(["A", "B", "C", "D"])
+
+ids =st.sampled_from(["A", "B", "C", "D"])
 
 
 @st.composite
