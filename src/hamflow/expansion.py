@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from .instance import (
     Instance,
     _collector_paused,
+    _is_int,
+    _mass,
     arc_key,
     mass_balance_findings,
     ordered_sum,
@@ -106,11 +108,16 @@ class Model:
 
 @dataclass(frozen=True)
 class Assignment:
-    """Integer value per model variable; a candidate solution."""
+    """Integer value per model variable; a candidate solution.  A value that
+    is not an int, or is a bool, raises TypeError: none is truncated."""
     values: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        values = tuple(self.values)
+        for v in values:
+            if not _is_int(v):
+                raise TypeError(f"assignment value {v!r} is not an integer")
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -328,17 +335,18 @@ def reconstruct_solution(model: Model, tables: dict) -> Assignment:
       inventory       {node: {commodity: [on-hand mass per t=1..T]}} with
                       delivered demand retained
 
-    The unknowns are the model's flow variables.  The inventory recurrence
-    gives the mass arriving at and the mass departing each (depot,
-    commodity, t) cell; everything present departs the same step, since the
-    conservation rows have no holdover.  Each cell's conservation row splits
-    into two equations: its positive terms sum to the departing mass and its
-    negative terms to the arriving mass (a cell without a row has no
-    variables, so both masses must be zero).  Repeated single-open-variable
-    elimination solves them; the solution must be unique, nonnegative and
-    integral in flow units.  The capacity rows then check the vehicle cover,
-    and their positive terms give the per-arc cargo totals, which must match
-    the cargo table.
+    Every entry must be a whole number, and all arithmetic is on exact ints,
+    so the point rebuilt is exact at any size.  The unknowns are the model's
+    flow variables.  The inventory recurrence gives the mass arriving at and
+    the mass departing each (depot, commodity, t) cell; everything present
+    departs the same step, since the conservation rows have no holdover.
+    Each cell's conservation row splits into two equations: its positive
+    terms sum to the departing mass and its negative terms to the arriving
+    mass (a cell without a row has no variables, so both masses must be
+    zero).  Repeated single-open-variable elimination solves them; the
+    solution must be unique, nonnegative and integral in flow units.  The
+    capacity rows then check the vehicle cover, and their positive terms
+    give the per-arc cargo totals, which must match the cargo table.
     """
     inst = model.instance
     T = inst.horizon
@@ -348,11 +356,17 @@ def reconstruct_solution(model: Model, tables: dict) -> Assignment:
     if tables.get("time_labeling") != "arrival":
         raise TableReconstructionError("only 'arrival' time labeling is supported")
 
-    def row(table: dict, key: str) -> list[float]:
+    def row(table: dict, key: str, what: str) -> list[int]:
+        """The T entries of row `key` (the `what` of a refusal), zeros where
+        the table has none, each read as `Instance` reads a mass."""
         values = table.get(key, [0] * T)
         if len(values) != T:
             raise TableReconstructionError(f"row {key!r} must have {T} columns")
-        return [float(v) for v in values]
+        exact = [_mass(v) for v in values]
+        if None in exact:
+            raise TableReconstructionError(
+                f"bad {what}: {values[exact.index(None)]!r} is not a whole number")
+        return exact
 
     vehicles_doc, cargo_doc, inventory_doc = (tables[k] for k in
                                               ("vehicles", "cargo", "inventory"))
@@ -368,40 +382,44 @@ def reconstruct_solution(model: Model, tables: dict) -> Assignment:
     equations = []
     for d in inst.depots:
         for c in inst.commodities:
-            inv_row = row(inventory_doc.get(d.id, {}), c.id)
-            prev_inv = prev_dep = 0.0
+            inv_row = row(inventory_doc.get(d.id, {}), c.id, f"inventory of {c.id} at {d.id}")
+            prev_inv = prev_dep = 0
             for t in range(1, T + 1):
                 cell = (d.id, c.id, t)
                 rhs, terms = rows.get(cell, (0, ()))
                 a_t = inv_row[t - 1] - prev_inv - max(rhs, 0) + prev_dep
-                if a_t < -1e-9:
+                if a_t < 0:
                     raise TableReconstructionError(
                         f"inventory at ({d.id}, {c.id}, t={t}) implies negative arrivals")
                 d_t = a_t + rhs
-                if d_t < -1e-9:
+                if d_t < 0:
                     raise TableReconstructionError(
                         f"inventory at ({d.id}, {c.id}, t={t}) cannot cover the demand")
-                equations.append((cell, max(d_t, 0.0), [(i, k) for i, k in terms if k > 0]))
-                equations.append((cell, max(a_t, 0.0), [(i, -k) for i, k in terms if k < 0]))
+                equations.append((cell, d_t, [(i, k) for i, k in terms if k > 0]))
+                equations.append((cell, a_t, [(i, -k) for i, k in terms if k < 0]))
                 prev_inv, prev_dep = inv_row[t - 1], d_t
 
-    units: dict[int, float] = {}
+    units: dict[int, int] = {}
 
     def eliminate() -> bool:
         changed = False
         for cell, need, members in equations:
             open_members = [(i, k) for i, k in members if i not in units]
-            fixed = ordered_sum(k * units[i] for i, k in members if i in units)
+            fixed = sum(k * units[i] for i, k in members if i in units)
             if len(open_members) == 1:
                 i, k = open_members[0]
-                units[i] = (need - fixed) / k
+                units[i], left = divmod(need - fixed, k)
+                if left:
+                    raise TableReconstructionError(
+                        f"{need - fixed} mass on {model.variables[i].name()} is not an "
+                        f"integral number of units of {k}")
                 changed = True
-            elif not open_members and abs(fixed - need) > 1e-9:
+            elif not open_members and fixed != need:
                 raise TableReconstructionError(
                     f"flow balance at {cell} moves {fixed}, needs {need}")
-            elif open_members and abs(fixed - need) < 1e-9:
+            elif open_members and fixed == need:
                 # the equation is already satisfied; its open members carry nothing
-                units.update((i, 0.0) for i, _ in open_members)
+                units.update((i, 0) for i, _ in open_members)
                 changed = True
         return changed
 
@@ -412,18 +430,15 @@ def reconstruct_solution(model: Model, tables: dict) -> Assignment:
         raise TableReconstructionError(f"ambiguous flow split; undetermined on {stuck}")
     values = [0] * len(model.variables)
     for i, u in units.items():
-        if u < -1e-9:
+        if u < 0:
             raise TableReconstructionError(f"negative flow {u} on {model.variables[i].name()}")
-        if abs(u - round(u)) > 1e-9:
-            raise TableReconstructionError(
-                f"{u} units on {model.variables[i].name()} is not an integral number")
-        values[i] = int(round(u))
+        values[i] = u
 
     vehicle_idx = model.vehicle_index()
     for key in vehicles_doc:
         pair = parse_arc_key(key)
         dt = inst.arc(*pair).travel_time
-        for col, count in enumerate(row(vehicles_doc, key), start=1):
+        for col, count in enumerate(row(vehicles_doc, key, f"vehicle count on {key}"), start=1):
             if count == 0:
                 continue
             t = col - dt   # arrival-labeled column
@@ -431,9 +446,9 @@ def reconstruct_solution(model: Model, tables: dict) -> Assignment:
             if idx is None:
                 raise TableReconstructionError(
                     f"vehicle count on {key} arriving t={col} maps to no model variable")
-            if count != int(count) or count < 0:
+            if count < 0:
                 raise TableReconstructionError(f"bad vehicle count {count} on {key}")
-            values[idx] = int(count)
+            values[idx] = count
 
     # cross-checks on the capacity rows: vehicle cover and per-arc cargo totals
     cargo: dict[tuple[str, str], int] = {}
@@ -446,8 +461,9 @@ def reconstruct_solution(model: Model, tables: dict) -> Assignment:
                 f"cargo on {arc_key(*pair)} departing t={t} exceeds the vehicle cover by {r}")
         cargo[pair] = cargo.get(pair, 0) + sum(k * values[i] for i, k in c.terms if k > 0)
     for a in inst.arcs:
-        total_doc, total_flow = ordered_sum(row(cargo_doc, a.key())), cargo.get(a.pair, 0)
-        if abs(total_doc - total_flow) > 1e-9:
+        total_doc = sum(row(cargo_doc, a.key(), f"cargo on {a.key()}"))
+        total_flow = cargo.get(a.pair, 0)
+        if total_doc != total_flow:
             raise TableReconstructionError(
                 f"cargo total on {a.key()}: tables say {total_doc}, flows say {total_flow}")
 

@@ -526,13 +526,14 @@ def presence_windows(inst: Instance) -> dict[str, tuple[dict[str, float], dict[s
     """Per commodity id, its (earliest, latest) maps over depot ids: the
     earliest step at which any of its supply can be present at the depot,
     and the latest step at which mass there can still reach one of its
-    demands; inf and -inf where there is no such step.  Both come from the
-    all-pairs shortest travel times (Floyd-Warshall) and ignore capacities,
-    so no feasible flow has useful mass at a depot outside its window."""
+    demands, each an int step; inf and -inf where there is no such step.
+    Both come from the all-pairs shortest travel times (Floyd-Warshall) and
+    ignore capacities, so no feasible flow has useful mass at a depot
+    outside its window."""
     ids = [d.id for d in inst.depots]
-    dist = {(i, j): (0.0 if i == j else math.inf) for i in ids for j in ids}
+    dist = {(i, j): (0 if i == j else math.inf) for i in ids for j in ids}
     for a in inst.arcs:
-        dist[a.pair] = min(dist[a.pair], float(a.travel_time))
+        dist[a.pair] = min(dist[a.pair], a.travel_time)
     for m in ids:
         for i in ids:
             dim = dist[(i, m)]

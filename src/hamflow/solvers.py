@@ -16,7 +16,8 @@ the time-expanded graph (timing) and a merged-mass max-flow (joint
 capacity).  Their networks are built once per solve; a node changes only
 the capacities of the arc edges of the one vehicle it branched on, so it
 keeps its parent's flow wherever that flow still fits and elsewhere repairs
-it.  A repair reroutes the excess: it pushes it from the edge's tail to
+it.  The search tests the fit itself and hands a repair the edge and its
+excess, which the repair reroutes: it pushes it from the edge's tail to
 its head along residual paths, each unit taken off the edge, so the flow
 value never drops.  A feasible child's flow differs from its parent's by a
 circulation that runs against that edge, so the reroute moves the whole
@@ -48,8 +49,8 @@ of its incumbent and the annealer's start point, uncertified.
 
 The annealer walks conservation-feasible flows only.  Each restart starts
 from a max-flow solution of every commodity's time-expanded graph (the
-relaxation's per-commodity networks with every (arc, t) open to its vehicle
-bound), and its one move pushes a unit around a cycle of at most six edges
+per-commodity networks of `_relaxation` with every (arc, t) open to its
+vehicle bound, `_start_point`), and its one move pushes a unit around a cycle of at most six edges
 of one commodity's graph, the cycle neighbourhood of min-cost flow (Klein,
 Management Science 14, 1967), which leaves every conservation row as it
 was.  Vehicle counts are not searched: each is the fewest vehicles that
@@ -255,18 +256,6 @@ class _Graph:
 
 # --- exact search -------------------------------------------------------------
 
-def _presence_bounds(g: _Graph) -> list[int]:
-    """Per-cell upper bound on the units present (forward DP): its own supply
-    plus, per edge into it, the lesser of the variable's bound and what its
-    tail can hold.  Every edge runs to a later cell, so a cell's bound is
-    final before its own edges are pushed."""
-    present = [max(g.mass.get(c, 0), 0) // g.loads[k] for c, (_, k, _) in enumerate(g.cells)]
-    for c, edges in enumerate(g.out):
-        for i, _, head, _ in edges:
-            present[head] += min(present[c], g.variables[i].upper_bound)
-    return present
-
-
 def _absorb_bounds(g: _Graph, cap_mass: dict[int, int]) -> list[int]:
     """Per-cell upper bound on the units that demands at or after that cell
     can take (backward DP): its own demand plus, per edge leaving it, the
@@ -284,9 +273,17 @@ def _absorb_bounds(g: _Graph, cap_mass: dict[int, int]) -> list[int]:
 
 def _vehicle_search_caps(g: _Graph) -> dict[int, int]:
     """Largest useful vehicle count per vehicle variable: enough to cover the
-    most mass that could ever traverse its (arc, t).  Some optimum always
-    fits under these caps, so the search never looks above them."""
-    present = _presence_bounds(g)
+    most mass that could ever traverse its (arc, t), an edge carrying no
+    more than its bound, what its tail can hold and what its head can
+    absorb.  Some optimum always fits under these caps, so the search never
+    looks above them.  A cell can hold its own supply plus, per edge into
+    it, the lesser of the variable's bound and what its tail can hold
+    (forward DP); every edge runs to a later cell, so a cell's bound is
+    final before its own edges are pushed."""
+    present = [max(g.mass.get(c, 0), 0) // g.loads[k] for c, (_, k, _) in enumerate(g.cells)]
+    for c, edges in enumerate(g.out):
+        for i, _, head, _ in edges:
+            present[head] += min(present[c], g.variables[i].upper_bound)
     absorb = _absorb_bounds(g, {z: g.capacity * g.variables[z].upper_bound for z in g.vehicles})
     max_mass = dict.fromkeys(g.vehicles, 0)
     for c, edges in enumerate(g.out):
@@ -351,29 +348,28 @@ class _Network:
         return e
 
     def solve(self, cap_mass: dict[int, int], res: list[int] | None = None,
-              key: int | None = None, changed: Iterable[int] = ()) -> list[int] | None:
+              edge: int | None = None, excess: int = 0,
+              changed: Iterable[int] = ()) -> list[int] | None:
         """A flow of `need` units within the capacities of `cap_mass`, as a
         residual list, or None when none exists (the max-flow verdict).
 
         With `res` None the search starts from the empty flow, and every arc
         edge's residual capacity is derived from `cap_mass`: every key counts
         as changed.  Otherwise `res` holds `need` units within capacities
-        that differ from `cap_mass` only on `key`'s edge, if the network has
-        one.  If that edge carries no more than its new capacity, `res`
-        itself is returned; its residual capacities may still be those of
-        the capacities it was solved under, but its flows fit.  Else a copy
-        is repaired.  First the residual capacity of each arc edge whose key
+        that differ from `cap_mass` only on the arc edge `edge`, which
+        carries `excess` > 0 units more than its new capacity, and a copy is
+        repaired.  First the residual capacity of each arc edge whose key
         is in `changed` is re-derived from `cap_mass`; `changed` must hold
         every key whose capacity differs from the one `res`'s residual
-        capacities were last derived under, `key` among them, so every other
-        arc edge's residual capacity is already exact.  Then the excess on
-        `key`'s edge is rerouted: pushed from its tail to its head along
+        capacities were last derived under, `edge`'s among them, so every
+        other arc edge's residual capacity is already exact.  Then the
+        excess is rerouted: pushed from the edge's tail to its head along
         residual paths, each unit taken off the edge, so the flow value
         stays `need`.  The edge's residual capacity is negative while an
         excess remains, so no path runs along it, and each search stops at
         the head, so none runs back along its reverse.  A child with a flow
         of `need` units differs from `res` by a circulation that runs
-        against `key`'s edge, so the reroute moves the whole excess exactly
+        against the edge, so the reroute moves the whole excess exactly
         when the child is feasible.
 
         The solve and the repair run one Edmonds-Karp loop: shortest
@@ -393,17 +389,10 @@ class _Network:
         the max-flow verdict."""
         arcs, edge_of = self.arcs, self.edge_of
         if res is None:
-            res, changed, edge = self.base.copy(), edge_of, None
+            res, changed = self.base.copy(), edge_of
             start, end, left = self.source, self.sink, self.need
         else:
-            edge = edge_of.get(key)
-            if edge is None:
-                return res
-            _, ub, load = arcs[edge >> 1]
-            left = res[edge ^ 1] - min(ub, cap_mass[key] // load)
-            if left <= 0:
-                return res
-            res, start, end = res.copy(), self.head[edge ^ 1], self.head[edge]
+            res, start, end, left = res.copy(), self.head[edge ^ 1], self.head[edge], excess
         for k in changed:
             e = edge_of.get(k)
             if e is not None:
@@ -479,46 +468,33 @@ class _Network:
             self.cuts.setdefault(key, []).append(cut)
 
 
-class _FlowRelaxation:
-    """Necessary feasibility checks for a partial vehicle assignment: one
-    max-flow network per commodity (timing) and one merged-mass network with
-    all commodities pooled (joint capacity), each built once."""
-
-    def __init__(self, g: _Graph):
-        per_node = len(g.loads)       # cells per (depot, t) node
-        inner = [(g.variables[i], tail // per_node, head // per_node, z)
-                 for i, tail, head, z in g.edges if head < len(g.cells)]
-        sup = [(g.cells[c][1], c // per_node, mass) for c, mass in g.mass.items() if mass > 0]
-        dem = [(g.cells[c][1], c // per_node, -mass) for c, mass in g.mass.items() if mass < 0]
-        self.networks = []
-        for k, load in g.loads.items():
-            arcs = [(u, w, z, v.upper_bound, load) for v, u, w, z in inner if v.commodity == k]
-            self.networks.append(_Network(
-                g.nodes, arcs,
-                [(n, mass // load) for c, n, mass in sup if c == k],
-                [(n, mass // load) for c, n, mass in dem if c == k],
-                sum(mass for c, _, mass in sup if c == k) // load))
-        merged: dict[int, list] = {}       # z: [u, w, z, ub mass, 1]
-        for v, u, w, z in inner:
-            merged.setdefault(z, [u, w, z, 0, 1])[3] += v.upper_bound * g.loads[v.commodity]
-        self.networks.append(_Network(
-            g.nodes, merged.values(),
-            [(n, mass) for _, n, mass in sup],
-            [(n, mass) for _, n, mass in dem],
-            sum(mass for _, _, mass in sup)))
-
-    def feasible(self, cap_mass: dict[int, int]) -> list | None:
-        """cap_mass: available mass per vehicle variable, that is per (arc,
-        departure t).  Returns one residual list per network, each solved
-        from the empty flow, when every network meets its demand, else None.
-        `solve_exact` repairs these flows node by node (`_Network.solve`)."""
-        flows = []
-        for net in self.networks:
-            res = net.solve(cap_mass)
-            if res is None:
-                return None
-            flows.append(res)
-        return flows
+def _relaxation(g: _Graph) -> list[_Network]:
+    """The max-flow relaxation of a vehicle assignment, as networks keyed by
+    vehicle variable: one per commodity in `g.loads` order (timing), then
+    one merged-mass network with all commodities pooled (joint capacity).
+    Each is a necessary condition for flows within the vehicle capacities."""
+    per_node = len(g.loads)       # cells per (depot, t) node
+    inner = [(g.variables[i], tail // per_node, head // per_node, z)
+             for i, tail, head, z in g.edges if head < len(g.cells)]
+    sup = [(g.cells[c][1], c // per_node, mass) for c, mass in g.mass.items() if mass > 0]
+    dem = [(g.cells[c][1], c // per_node, -mass) for c, mass in g.mass.items() if mass < 0]
+    networks = []
+    for k, load in g.loads.items():
+        arcs = [(u, w, z, v.upper_bound, load) for v, u, w, z in inner if v.commodity == k]
+        networks.append(_Network(
+            g.nodes, arcs,
+            [(n, mass // load) for c, n, mass in sup if c == k],
+            [(n, mass // load) for c, n, mass in dem if c == k],
+            sum(mass for c, _, mass in sup if c == k) // load))
+    merged: dict[int, list] = {}       # z: [u, w, z, ub mass, 1]
+    for v, u, w, z in inner:
+        merged.setdefault(z, [u, w, z, 0, 1])[3] += v.upper_bound * g.loads[v.commodity]
+    networks.append(_Network(
+        g.nodes, merged.values(),
+        [(n, mass) for _, n, mass in sup],
+        [(n, mass) for _, n, mass in dem],
+        sum(mass for _, _, mass in sup)))
+    return networks
 
 
 class _Expired(Exception):
@@ -649,7 +625,9 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     the current path (depth, cost so far, relaxation flows, their solve
     depths, next count), so no model is too deep for it.
     Internal nodes are pruned by a demand-cut cost bound and the max-flow
-    relaxations, and leaves are completed by find_feasible_flows.
+    relaxation's networks (`_relaxation`), which the root solves from the
+    empty flow up to the first that fails, and leaves are completed by
+    find_feasible_flows.
 
     The demand cut is kept incrementally: per demand depot, the vehicles
     still short of its demand and the search caps of its unbranched
@@ -662,13 +640,14 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     edge.  Where the flow does not fit, the child evaluates that network's
     cuts learned across the edge in place, and one below the network's
     demand prunes it with no call; only when none does is the flow
-    repaired (`_Network.solve`), and the flow list is copied only then, so
-    every verdict equals a solve from scratch.  The repair re-derives
-    residual capacities only on the arc edges of the variables branched
-    since that network's flow was last solved, and reroutes the excess
-    around the branched edge; a reroute that cannot move all of it proves
-    the child infeasible, and its last search gives the learned cut.  The
-    clock is read at every node and inside each leaf completion.
+    repaired (`_Network.solve`, handed the edge and its excess), and the
+    flow list is copied only then, so every verdict equals a solve from
+    scratch.  The repair re-derives residual capacities only on the arc
+    edges of the variables branched since that network's flow was last
+    solved, and reroutes the excess around the branched edge; a reroute
+    that cannot move all of it proves the child infeasible, and its last
+    search gives the learned cut.  The clock is read at every node and
+    inside each leaf completion.
 
     Returns a provably optimal sample or an explicit infeasible result.
     When the time limit expires it returns, uncertified, the cheaper of the
@@ -687,7 +666,7 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     deadline = start + time_limit
     g = _Graph(model)
     capacity = g.capacity
-    relax = _FlowRelaxation(g)
+    networks = _relaxation(g)
     caps = _vehicle_search_caps(g)
     cost_of = dict(model.objective)
 
@@ -699,7 +678,7 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     # variable branched there; the cut list is the one `_learn` extends
     fits = [[(n, net, net.edge_of[z], *net.arcs[net.edge_of[z] >> 1][1:], net.need,
               net.cuts.setdefault(z, []))
-             for n, net in enumerate(relax.networks) if z in net.edge_of]
+             for n, net in enumerate(networks) if z in net.edge_of]
             for z in branch_vars]
 
     # per demand depot: vehicles still short (the required count less the
@@ -736,7 +715,7 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     # branched since, branch_vars[solved[n]:depth], can have capacities
     # that differ from those its residual capacities were derived under.
     stack: list[list] = []
-    depth, cost_so_far, flows, solved = 0, 0.0, None, [0] * len(relax.networks)
+    depth, cost_so_far, flows, solved = 0, 0.0, None, [0] * len(networks)
     try:
         while True:
             nodes += 1
@@ -753,18 +732,26 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
                     bound += short[p] * cheapest[p]
             if bound < best_cost - 1e-9:
                 if flows is None:
-                    flows = relax.feasible(cap_mass)
+                    # the root: each network solved from the empty flow, up to
+                    # the first that fails
+                    flows = []
+                    for net in networks:
+                        flows.append(net.solve(cap_mass))
+                        if flows[-1] is None:
+                            flows = None
+                            break
                 else:
                     # the max-flow relaxations: each network that holds the
                     # branched arc edge keeps its parent's flow when that edge's
                     # flow fits its new capacity; otherwise the cuts it learned
                     # across that edge are evaluated, and only when none falls
-                    # below the demand is the flow repaired
+                    # below the demand is the excess rerouted
                     z = branch_vars[depth - 1]
                     copied = False
                     for n, net, edge, ub, load, need, cuts in fits[depth - 1]:
                         units = cap_mass[z] // load
-                        if flows[n][edge ^ 1] <= (ub if ub < units else units):
+                        excess = flows[n][edge ^ 1] - (ub if ub < units else units)
+                        if excess <= 0:
                             continue
                         for i, (fixed, cut_arcs) in enumerate(cuts):
                             for k, k_ub, k_load in cut_arcs:
@@ -776,7 +763,7 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
                                 flows = None
                                 break
                         else:
-                            res = net.solve(cap_mass, flows[n], z,
+                            res = net.solve(cap_mass, flows[n], edge, excess,
                                             branch_vars[solved[n]:depth])
                             if res is None:
                                 flows = None
@@ -1044,31 +1031,24 @@ def _received(payload: bytes) -> list[tuple]:
     raise exc
 
 
-def _start_flows(g: _Graph) -> list[int]:
-    """A conservation-feasible integral flow, as a full value list with every
-    vehicle count at zero: each commodity's max-flow network of
-    `_FlowRelaxation`, solved with every vehicle variable at its bound.  A
-    commodity that cannot be routed keeps zero flows."""
+def _start_point(g: _Graph) -> tuple[list[int], list[int]]:
+    """The annealer's start point, as a full value list, and the mass it
+    puts on each vehicle variable's (arc, t) (0 at every flow variable).
+    Its flows solve each commodity's network of `_relaxation` with every
+    vehicle variable at its bound; a commodity that cannot be routed keeps
+    zero flows.  Each vehicle count is the fewest vehicles that carry the
+    mass on its (arc, t), so every capacity row holds."""
     cap_mass = {z: g.capacity * g.variables[z].upper_bound for z in g.vehicles}
     values = [0] * len(g.variables)
-    for k, net in zip(g.loads, _FlowRelaxation(g).networks):
+    mass = [0] * len(g.variables)
+    for (k, load), net in zip(g.loads.items(), _relaxation(g)):
         res = net.solve(cap_mass)
         if res is None:
             continue
         for i, _, head, z in g.edges:   # net holds the edges of k within the horizon
             if head < len(g.cells) and g.variables[i].commodity == k:
                 values[i] = res[net.edge_of[z] ^ 1]
-    return values
-
-
-def _start_point(g: _Graph) -> tuple[list[int], list[int]]:
-    """The start flow of `_start_flows` with every vehicle count derived,
-    the fewest vehicles that carry the mass on its (arc, t), and that mass
-    per vehicle variable (0 at every flow variable)."""
-    values = _start_flows(g)
-    mass = [0] * len(g.variables)
-    for i, _, _, z in g.edges:
-        mass[z] += values[i] * g.loads[g.variables[i].commodity]
+                mass[z] += values[i] * load
     for z in g.vehicles:
         values[z] = -(-mass[z] // g.capacity)
     return values, mass

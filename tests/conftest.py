@@ -18,6 +18,9 @@ from hamflow import (
 from hamflow import expansion
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+# HiGHS's optimum of each `family_models()` member, written by
+# scripts/regen_family_optima.py
+FAMILY_OPTIMA = GOLDEN_DIR / "family_optima.json"
 
 # the waves(k) family lives in perfbench/waves.py, shared with the benchmark
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -124,38 +127,104 @@ def huge_vehicle_bound_instance() -> Instance:
 
 
 def random_micro_instance(rng: random.Random) -> Instance:
-    """Small solvable instance built flows-first: sample integral flows on a
+    """Small solvable instance built flows-first (`_flows_first_instance`):
+    2-4 depots, 1 to 4 arcs, horizon 2-3 and 1-2 commodities."""
+    return _flows_first_instance(rng, depots=(2, 4), horizon=(2, 3),
+                                 arcs=lambda n_depots, n_pairs: (1, min(4, n_pairs)),
+                                 commodities=(1, 2), loads=(1, 2, 5), capacities=(4, 10, 25),
+                                 units=(0, 0, 0, 1, 1, 2))
+
+
+def random_family_instance(rng: random.Random) -> Instance:
+    """A mid-size instance, built flows-first in `random_micro_instance`'s
+    draw order: 4-6 depots, n to 2n arcs for n depots, horizon 4-7, 1-3
+    commodities and more units per (arc, commodity, t)."""
+    return _flows_first_instance(rng, depots=(4, 6), horizon=(4, 7),
+                                 arcs=lambda n_depots, n_pairs: (n_depots, 2 * n_depots),
+                                 commodities=(1, 3), loads=(1, 2, 5, 10),
+                                 capacities=(10, 25, 50), units=(0, 0, 0, 1, 1, 2, 3))
+
+
+def _flows_first_instance(rng: random.Random, depots, horizon, arcs, commodities, loads,
+                          capacities, units) -> Instance:
+    """Solvable instance built flows-first: sample integral flows on a
     random graph, then derive the schedule from the conservation equations,
     so mass balance and reachability hold by construction and the sampled
-    flows are a feasibility witness."""
-    n_depots = rng.randint(2, 4)
-    depots = tuple(Depot(f"D{i}", f"D{i}") for i in range(1, n_depots + 1))
-    horizon = rng.randint(2, 3)
-    pairs = [(a.id, b.id) for a in depots for b in depots if a.id != b.id]
+    flows are a feasibility witness.  `depots`, `horizon` and `commodities`
+    are (low, high) counts, `arcs(n_depots, n_pairs)` gives the arc count's,
+    and `loads`, `capacities` and `units` (per arc, commodity and t) are
+    drawn from."""
+    n_depots = rng.randint(*depots)
+    nodes = tuple(Depot(f"D{i}", f"D{i}") for i in range(1, n_depots + 1))
+    T = rng.randint(*horizon)
+    pairs = [(a.id, b.id) for a in nodes for b in nodes if a.id != b.id]
     rng.shuffle(pairs)
-    arcs = tuple(Arc(o, d, round(rng.uniform(0.5, 9.5), 2), rng.choice((1, 1, 2)))
-                 for o, d in pairs[: rng.randint(1, min(4, len(pairs)))])
-    commodities = tuple(Commodity(f"K{i}", float(rng.choice((1, 2, 5))))
-                        for i in range(1, rng.randint(1, 2) + 1))
-    capacity = float(rng.choice((4, 10, 25)))
+    arc_list = tuple(Arc(o, d, round(rng.uniform(0.5, 9.5), 2), rng.choice((1, 1, 2)))
+                     for o, d in pairs[: rng.randint(*arcs(n_depots, len(pairs)))])
+    goods = tuple(Commodity(f"K{i}", rng.choice(loads))
+                  for i in range(1, rng.randint(*commodities) + 1))
+    capacity = rng.choice(capacities)
 
     net = {}
-    for a in arcs:
-        for c in commodities:
-            for t in range(1, horizon + 1):
-                if t + a.travel_time > horizon:
+    for a in arc_list:
+        for c in goods:
+            for t in range(1, T + 1):
+                if t + a.travel_time > T:
                     continue   # keep every sampled unit inside the horizon
-                units = rng.choice((0, 0, 0, 1, 1, 2))
-                if units == 0:
+                count = rng.choice(units)
+                if count == 0:
                     continue
-                mass = units * c.load
-                net[(a.origin, c.id, t)] = net.get((a.origin, c.id, t), 0.0) + mass
+                mass = count * c.load
+                net[(a.origin, c.id, t)] = net.get((a.origin, c.id, t), 0) + mass
                 net[(a.dest, c.id, t + a.travel_time)] = \
-                    net.get((a.dest, c.id, t + a.travel_time), 0.0) - mass
+                    net.get((a.dest, c.id, t + a.travel_time), 0) - mass
     schedule = tuple(ScheduleEntry(dep, com, t, amount)
                      for (dep, com, t), amount in sorted(net.items()) if amount != 0)
-    return Instance(depots=depots, arcs=arcs, commodities=commodities,
-                    horizon=horizon, capacity=capacity, schedule=schedule)
+    return Instance(depots=nodes, arcs=arc_list, commodities=goods,
+                    horizon=T, capacity=capacity, schedule=schedule)
+
+
+def family_models():
+    """The pruned models of the mid-size family: the first 30 draws of
+    `random_family_instance` from `random.Random(5)`, numbered from 0."""
+    rng = random.Random(5)
+    return [expansion.prune_model(expansion.expand_model(random_family_instance(rng)))
+            for _ in range(30)]
+
+
+def highs_optimum(model) -> float:
+    """HiGHS's optimal objective of `model` (`scipy.optimize.milp` on its
+    rows, bounds and objective), proved with a zero relative gap, after
+    checking that its solution, rounded to integers, verifies and costs that
+    objective.  Needs scipy, which the library never imports."""
+    import numpy as np
+    from scipy import optimize, sparse
+
+    n = len(model.variables)
+    rows, cols, coefs = [], [], []
+    lower, upper = [], []
+    for r, c in enumerate(model.constraints):
+        for i, coef in c.terms:
+            rows.append(r)
+            cols.append(i)
+            coefs.append(coef)
+        lower.append(c.rhs if c.relation == "eq" else -np.inf)
+        upper.append(c.rhs)
+    cost = np.zeros(n)
+    for i, c in model.objective:
+        cost[i] += c
+    rows_matrix = sparse.csr_array((coefs, (rows, cols)), shape=(len(model.constraints), n))
+    result = optimize.milp(
+        cost, integrality=np.ones(n),
+        bounds=optimize.Bounds(0, [v.upper_bound for v in model.variables]),
+        constraints=optimize.LinearConstraint(rows_matrix, lower, upper),
+        options={"mip_rel_gap": 0})
+    assert result.status == 0, result.message
+    point = expansion.Assignment(values=tuple(int(v) for v in np.rint(result.x)))
+    report = expansion.verify_assignment(model, point)
+    assert report.feasible and report.bound_findings == ()
+    assert expansion.evaluate_objective(model, point) == pytest.approx(result.fun, rel=1e-9)
+    return result.fun
 
 
 def random_micro_model(rng: random.Random, max_space: int = 200_000):

@@ -290,6 +290,14 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify_assignment(micro_model, Assignment(values=(0,)))
 
+    @pytest.mark.parametrize("values", [(0.9, 2, 1), (0, 2.0, 1), (0, 2, True), (0, "2", 1)])
+    def test_assignment_refuses_non_integers(self, values):
+        """A value is never truncated: (0.9, 2.7, True) would be judged as
+        the different point (0, 2, 1)."""
+        with pytest.raises(TypeError, match="not an integer"):
+            Assignment(values=values)
+        assert Assignment(values=[0, 2, 1]).values == (0, 2, 1)
+
 
 class TestObjective:
     def test_zero_assignment(self, case_study_pruned):
@@ -423,6 +431,38 @@ class TestReconstruction:
                                 "D": [0, 5, 0]})
         with pytest.raises(TableReconstructionError, match="integral"):
             reconstruct_solution(expand_model(inst), tables)
+
+    def test_exact_past_2_53(self):
+        """2**53 + 1 units of load 1 fill one vehicle of capacity 2**53 + 1.
+        Read as floats, the flow rounds to 2**53 units and leaves one behind."""
+        big = 2**53 + 1
+        inst = Instance(depots=(Depot("A", "A"), Depot("B", "B")),
+                        arcs=(Arc("A", "B", 1.0, 1),), commodities=(Commodity("K", 1),),
+                        horizon=2, capacity=big,
+                        schedule=(ScheduleEntry("A", "K", 1, big),
+                                  ScheduleEntry("B", "K", 2, -big)))
+        model = prune_model(expand_model(inst))
+        tables = {**_tables(inst, {"A": [big, 0], "B": [0, big]}),
+                  "vehicles": {"A->B": [0, 1]}, "cargo": {"A->B": [0, big]}}
+        a = reconstruct_solution(model, tables)
+        assert a.values == (big, 1)
+        report = verify_assignment(model, a)
+        assert report.feasible and report.bound_findings == ()
+
+    @pytest.mark.parametrize("path, value", [
+        (("inventory", "A", "K", 0), 1.5),
+        (("cargo", "A->B", 1), "10"),
+    ], ids=["fractional-inventory", "string-cargo"])
+    def test_entry_that_is_not_a_whole_number_rejected(self, micro, micro_model, path, value):
+        tables = {**_tables(micro, {"A": [10, 0], "B": [0, 10]}),
+                  "vehicles": {"A->B": [0, 1]}, "cargo": {"A->B": [0, 10]}}
+        assert reconstruct_solution(micro_model, tables).values == (1, 0, 1, 0)
+        target = tables
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(TableReconstructionError, match="not a whole number"):
+            reconstruct_solution(micro_model, tables)
 
     def test_flow_without_a_model_variable_rejected(self, micro, micro_model):
         tables = _tables(micro, {"A": [10, 0], "B": [0, 10]})

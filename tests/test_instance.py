@@ -429,6 +429,19 @@ class TestValidate:
         report = validate_instance(inst)
         assert "unreachable_demand" in [f.kind for f in report.findings]
 
+    def test_unreachable_demand_prints_a_whole_step(self):
+        # one hop of travel time 2 from a supply at t=1: the earliest
+        # arrival at B is step 3, not 3.0
+        inst = Instance(
+            depots=(Depot("A", "A"), Depot("B", "B")),
+            arcs=(Arc("A", "B", 1.0, 2),),
+            commodities=(Commodity("K", 10),),
+            horizon=3, capacity=100,
+            schedule=(ScheduleEntry("A", "K", 1, 10), ScheduleEntry("B", "K", 2, -10)))
+        [finding] = validate_instance(inst).findings
+        assert finding.message == ("(B, K, t=2): demand precedes the earliest possible "
+                                   "arrival (t=3)")
+
     def test_load_multiple_finding_on_programmatic_instance(self):
         with pytest.raises(InstanceSchemaError, match="multiple"):
             Instance(

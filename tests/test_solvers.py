@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import io
 import itertools
+import json
 import math
 import os
 import random
@@ -44,7 +45,9 @@ from hamflow.solvers import (
 
 import waves
 from conftest import (
+    FAMILY_OPTIMA,
     empty_schedule_instance,
+    family_models,
     huge_vehicle_bound_instance,
     large_supply_instance,
     random_micro_instance,
@@ -249,18 +252,18 @@ class TestFlowRepair:
         learns the cut the fresh solve learns."""
         searches = _record_searches(monkeypatch)
         model = waves_model(k)
-        relax = solvers._FlowRelaxation(solvers._Graph(model))
-        oracle = solvers._FlowRelaxation(solvers._Graph(model))
+        networks = solvers._relaxation(solvers._Graph(model))
+        oracle = solvers._relaxation(solvers._Graph(model))
         capacity = int(model.instance.capacity)
         bound = {v.index: v.upper_bound for v in model.variables
                  if v.kind == expansion.VEHICLE}
         keys = sorted(bound)
         cap_mass = {key: capacity * ub for key, ub in bound.items()}
-        flows = relax.feasible(cap_mass)
+        flows = _solve_all(networks, cap_mass)
         assert flows is not None
         rng = random.Random(7331 + k)
         verdicts, kept, rerouted, failed = set(), 0, 0, 0
-        changed = [set() for _ in relax.networks]   # per network: keys changed since it was solved
+        changed = [set() for _ in networks]   # per network: keys changed since it was solved
         for _ in range(600):
             key = rng.choice(keys)
             count = rng.choice([c for c in range(bound[key] + 1)
@@ -268,24 +271,24 @@ class TestFlowRepair:
             raised = capacity * count > cap_mass[key]
             child_caps = {**cap_mass, key: capacity * count}
             child = []
-            for net, res, keys_changed in zip(relax.networks, flows, changed):
+            for net, res, keys_changed in zip(networks, flows, changed):
                 before = len(searches)
-                res = net.solve(child_caps, res, key, keys_changed | {key})
+                res = _repair(net, child_caps, res, key, keys_changed | {key})
                 assert not any(searches[before:])
                 if res is None:
                     failed += 1
                     assert len(searches) > before
                     break
                 child.append(res)
-            fresh = oracle.feasible(child_caps)
+            fresh = _solve_all(oracle, child_caps)
             assert (res is None) == (fresh is None)
             verdicts.add((raised, fresh is not None))
             if res is None:
                 # the repair and the fresh solve fail in the same network,
                 # and the tail search and the source search learn one cut
-                assert _learned(net) == _learned(oracle.networks[len(child)])
+                assert _learned(net) == _learned(oracle[len(child)])
                 continue
-            for n, (net, res, parent) in enumerate(zip(relax.networks, child, flows)):
+            for n, (net, res, parent) in enumerate(zip(networks, child, flows)):
                 _assert_flow_fits(net, res, child_caps)
                 if res is parent:
                     kept += 1
@@ -316,7 +319,7 @@ class TestFlowRepair:
         net, caps, parent = self.three_paths()
         searches = _record_searches(monkeypatch)
         child_caps = {**caps, 10: 0}
-        res = net.solve(child_caps, parent, 10, [10])
+        res = _repair(net, child_caps, parent, 10, [10])
         assert searches == [False]
         assert _arc_flows(net, res) == {10: 0, 11: 2, 12: 2}
         assert parent[net.edge_of[10] ^ 1] == 2     # the parent's list is left as it was
@@ -332,7 +335,7 @@ class TestFlowRepair:
         parent = net.solve({10: 2, 13: 2})
         assert _arc_flows(net, parent) == {10: 2, 13: 0}
         searches = _record_searches(monkeypatch)
-        res = net.solve({10: 1, 13: 2}, parent, 10, [10])
+        res = _repair(net, {10: 1, 13: 2}, parent, 10, [10])
         assert searches == [False]
         assert _arc_flows(net, res) == {10: 1, 13: 1}
         _assert_flow_fits(net, res, {10: 1, 13: 2})
@@ -349,7 +352,7 @@ class TestFlowRepair:
         of capacity `need` less the excess left."""
         net, caps, parent = self.three_paths()
         searches = _record_searches(monkeypatch)
-        assert net.solve(child_caps, parent, 10, [10, 11, 12]) is None
+        assert _repair(net, child_caps, parent, 10, [10, 11, 12]) is None
         assert searches == [False] * tail_searches
         fresh = self.three_paths()[0]
         assert fresh.solve(child_caps) is None
@@ -369,18 +372,18 @@ class TestFlowRepair:
             schedule=(ScheduleEntry("A", "K1", 1, 30.0), ScheduleEntry("B", "K1", 2, -30.0)))
         model = expand_model(inst)
         g = solvers._Graph(model)
-        relax = solvers._FlowRelaxation(g)
-        assert [net.need for net in relax.networks] == [3, 0, 30]
+        networks = solvers._relaxation(g)
+        assert [net.need for net in networks] == [3, 0, 30]
         cap_mass = {z: 100 * model.variables[z].upper_bound for z in g.vehicles}
-        flows = relax.feasible(cap_mass)
+        flows = _solve_all(networks, cap_mass)
         assert flows is not None
-        for net, res in zip(relax.networks, flows):
+        for net, res in zip(networks, flows):
             _assert_flow_fits(net, res, cap_mass)
-        idle = relax.networks[1]
+        idle = networks[1]
         assert not any(_arc_flows(idle, flows[1]).values())
         key = idle.arcs[0][0]
         searches = _record_searches(monkeypatch)
-        assert idle.solve({**cap_mass, key: 0}, flows[1], key, [key]) is flows[1]
+        assert _repair(idle, {**cap_mass, key: 0}, flows[1], key, [key]) is flows[1]
         assert searches == []
         assert solve_exact(model).objective == pytest.approx(2.0)
 
@@ -398,6 +401,32 @@ def _record_searches(monkeypatch) -> list[bool]:
 
     monkeypatch.setattr(solvers._Network, "_search", recorded)
     return searches
+
+
+def _solve_all(networks, cap_mass):
+    """Each network's flow solved from the empty flow, as the search solves
+    its root, or None once one fails."""
+    flows = []
+    for net in networks:
+        res = net.solve(cap_mass)
+        if res is None:
+            return None
+        flows.append(res)
+    return flows
+
+
+def _repair(net, cap_mass, res, key, changed):
+    """The search's fit test on `key`'s arc edge, then, only where its flow
+    exceeds the new capacity, `_Network.solve`'s repair: `res` itself when
+    the network has no such edge or its flow fits."""
+    edge = net.edge_of.get(key)
+    if edge is None:
+        return res
+    _, ub, load = net.arcs[edge >> 1]
+    excess = res[edge ^ 1] - min(ub, cap_mass[key] // load)
+    if excess <= 0:
+        return res
+    return net.solve(cap_mass, res, edge, excess, changed)
 
 
 def _arc_flows(net, res) -> dict[int, int]:
@@ -418,12 +447,12 @@ def _cut_capacity(cut, cap_mass) -> int:
 
 class TestOneArcPerKey:
     """Every relaxation network holds at most one arc per key, arc j at edge
-    2j: a repair reads the one branched edge, and `_start_flows` one
+    2j: a repair reads the one branched edge, and `_start_point` one
     residual per flow variable."""
 
     @staticmethod
     def assert_one_arc_per_key(model):
-        for net in solvers._FlowRelaxation(solvers._Graph(model)).networks:
+        for net in solvers._relaxation(solvers._Graph(model)):
             keys = [key for key, _, _ in net.arcs]
             assert len(set(keys)) == len(keys)
             assert all(net.edge_of[key] == 2 * j for j, key in enumerate(keys))
@@ -462,17 +491,17 @@ class TestLearnedCuts:
         probability 0.7 and uniform below it otherwise, so both verdicts
         occur often."""
         model = waves_model(2)
-        fresh = solvers._FlowRelaxation(solvers._Graph(model))
+        fresh = solvers._relaxation(solvers._Graph(model))
         searched = []
+        relaxation = solvers._relaxation
 
-        class Recording(solvers._FlowRelaxation):
-            def __init__(self, g):
-                super().__init__(g)
-                searched.append(self)
+        def recording(g):
+            searched.append(relaxation(g))
+            return searched[-1]
 
-        monkeypatch.setattr(solvers, "_FlowRelaxation", Recording)
+        monkeypatch.setattr(solvers, "_relaxation", recording)
         assert solve_exact(model).nodes == 2711
-        (relax,) = searched
+        (networks,) = searched
         capacity = int(model.instance.capacity)
         bound = {v.index: v.upper_bound for v in model.variables
                  if v.kind == expansion.VEHICLE}
@@ -481,7 +510,7 @@ class TestLearnedCuts:
         for _ in range(200):
             cap_mass = {z: capacity * (ub if rng.random() < 0.7 else rng.randint(0, ub))
                         for z, ub in bound.items()}
-            for net, fresh_net in zip(relax.networks, fresh.networks):
+            for net, fresh_net in zip(networks, fresh):
                 cuts = {id(cut): cut for cuts in net.cuts.values() for cut in cuts}.values()
                 if any(_cut_capacity(cut, cap_mass) < net.need for cut in cuts):
                     assert fresh_net.solve(cap_mass) is None
@@ -516,16 +545,40 @@ class TestLearnedCuts:
             def setdefault(self, key, default=None):
                 return super().setdefault(key, Watched())
 
-        class Recording(solvers._FlowRelaxation):
-            def __init__(self, g):
-                super().__init__(g)
-                for net in self.networks:
-                    net.cuts = WatchedCuts()
+        relaxation = solvers._relaxation
 
-        monkeypatch.setattr(solvers, "_FlowRelaxation", Recording)
+        def recording(g):
+            networks = relaxation(g)
+            for net in networks:
+                net.cuts = WatchedCuts()
+            return networks
+
+        monkeypatch.setattr(solvers, "_relaxation", recording)
         assert solve_exact(waves_model(2)).nodes == 2711
         assert len(watched) > 500
         assert sum(1 for at in watched if at) > 50
+
+
+def test_family_against_pinned_optima():
+    """The mid-size family (`conftest.family_models`) at a 1 s limit: each
+    answer verifies and either certifies the pinned HiGHS optimum or costs
+    at least it, and at least 20 of the 30 certify.  Which ones do depends
+    on the host's speed, so none is pinned; the two leaf-bound members of
+    the pin file spend far longer than that completing leaves."""
+    pins = json.loads(FAMILY_OPTIMA.read_text())["optima"]
+    models = family_models()
+    assert len(models) == len(pins) == 30
+    certified = 0
+    for model, optimum in zip(models, pins):
+        result = solve_exact(model, time_limit=1)
+        report = verify_assignment(model, result.sample.assignment)
+        assert report.feasible and report.bound_findings == ()
+        if result.certified:
+            certified += 1
+            assert result.objective == pytest.approx(optimum, rel=1e-9)
+        else:
+            assert result.objective >= optimum * (1 - 1e-9)
+    assert certified >= 20
 
 
 def _feasible_vehicle_vectors(model) -> set[tuple[int, ...]]:
@@ -866,17 +919,15 @@ class TestCycleAnnealer:
     @pytest.mark.parametrize("k", [1, 3])
     def test_start_flow_is_feasible(self, k):
         model = waves_model(k)
-        values = solvers._start_flows(solvers._Graph(model))
+        values, _ = solvers._start_point(solvers._Graph(model))
         assert any(values)
         for v in model.variables:
             assert 0 <= values[v.index] <= v.upper_bound
-            if v.kind == expansion.VEHICLE:
-                assert values[v.index] == 0
         for c, r in zip(model.constraints, expansion.row_residuals(model, values)):
             if c.relation == "eq":
                 assert r == 0, c.tag
-        derived = self._derive_vehicles(model, values)
-        report = verify_assignment(model, Assignment(values=tuple(derived)))
+        assert values == self._derive_vehicles(model, values)
+        report = verify_assignment(model, Assignment(values=tuple(values)))
         assert report.feasible
         assert report.bound_findings == ()
 
