@@ -335,6 +335,9 @@ def reconstruct_solution(model: Model, tables: dict) -> Assignment:
       inventory       {node: {commodity: [on-hand mass per t=1..T]}} with
                       delivered demand retained
 
+    A document of any other shape, or one missing a table, is refused with
+    a TableReconstructionError that names the key.
+
     Every entry must be a whole number, and all arithmetic is on exact ints,
     so the point rebuilt is exact at any size.  The unknowns are the model's
     flow variables.  The inventory recurrence gives the mass arriving at and
@@ -350,6 +353,13 @@ def reconstruct_solution(model: Model, tables: dict) -> Assignment:
     """
     inst = model.instance
     T = inst.horizon
+    if not isinstance(tables, dict):
+        raise TableReconstructionError("the table document must be a JSON object")
+    for key in ("vehicles", "cargo", "inventory"):
+        if key not in tables:
+            raise TableReconstructionError(f"the table document has no {key!r}")
+        if not isinstance(tables[key], dict):
+            raise TableReconstructionError(f"{key!r} must be a JSON object")
     if tables.get("horizon") != T:
         raise TableReconstructionError(
             f"table horizon {tables.get('horizon')} != instance horizon {T}")
@@ -360,8 +370,8 @@ def reconstruct_solution(model: Model, tables: dict) -> Assignment:
         """The T entries of row `key` (the `what` of a refusal), zeros where
         the table has none, each read as `Instance` reads a mass."""
         values = table.get(key, [0] * T)
-        if len(values) != T:
-            raise TableReconstructionError(f"row {key!r} must have {T} columns")
+        if not isinstance(values, list) or len(values) != T:
+            raise TableReconstructionError(f"row {key!r} must be a list of {T} columns")
         exact = [_mass(v) for v in values]
         if None in exact:
             raise TableReconstructionError(
@@ -381,8 +391,11 @@ def reconstruct_solution(model: Model, tables: dict) -> Assignment:
     # and per cell the two equations (cell, mass, [(flow variable, mass per unit)])
     equations = []
     for d in inst.depots:
+        depot_rows = inventory_doc.get(d.id, {})
+        if not isinstance(depot_rows, dict):
+            raise TableReconstructionError(f"inventory of {d.id} must be a JSON object of rows")
         for c in inst.commodities:
-            inv_row = row(inventory_doc.get(d.id, {}), c.id, f"inventory of {c.id} at {d.id}")
+            inv_row = row(depot_rows, c.id, f"inventory of {c.id} at {d.id}")
             prev_inv = prev_dep = 0
             for t in range(1, T + 1):
                 cell = (d.id, c.id, t)

@@ -13,8 +13,11 @@ term of any other degree.
 Variable order: all model decision variables first (model order), then one
 slack per capacity constraint in constraint order.  Each variable carries a
 `levels` count equal to its upper bound; the sum of all levels is exported
-as the target-device sum constraint R (metadata only -- classical solvers
-ignore it).
+as R, the target device's level budget (metadata only -- classical solvers
+ignore it).  R bounds the sum of a point's values; it is not an equality
+that a feasible point meets.  The only point that sums to R sets every
+variable to its top level: on the case study the optimum's lifted point
+sums to 496 against R = 5,814.
 
 Hamiltonian variables are values that are never mutated once built; like
 the model's `Variable`, `HamiltonianVariable` is a slotted rather than a

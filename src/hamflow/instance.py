@@ -7,8 +7,8 @@ size, a discrete horizon, a vehicle capacity, and a supply/demand schedule.
 
 Instances are read and written as UTF-8 JSON documents with top-level keys
 ``depots``, ``arcs``, ``commodities``, ``horizon``, ``capacity``, and
-``schedule``.  Unknown keys are rejected so that typos in hand-authored
-files surface immediately.
+``schedule``.  Unknown and repeated keys are rejected so that typos in
+hand-authored files surface immediately.
 
 Schedule amounts are in mass units: positive entries are supply appearing at
 a depot at a time step, negative entries are demand consumed there.  Loads
@@ -249,7 +249,8 @@ class Instance:
                     f"is not an integer multiple of the load size {load}")
             k = (e.depot, e.commodity, e.time)
             if k in seen_entries:
-                raise DuplicateIdError(f"duplicate schedule entry for {k}")
+                raise DuplicateIdError(
+                    f"duplicate schedule entry ({e.depot}, {e.commodity}, t={e.time})")
             seen_entries.add(k)
 
     # --- lookups -----------------------------------------------------------
@@ -362,15 +363,27 @@ def _as_number(value, where: str) -> float:
 
 
 def _load_json(text: str):
-    """json.loads, with malformed JSON and an integer literal longer than
-    Python converts (4300 digits) raised as InstanceErrors, and float
-    literals read as exact Decimals."""
+    """json.loads, with malformed JSON, an integer literal longer than
+    Python converts (4300 digits) and an object that repeats a key raised
+    as InstanceErrors, and float literals read as exact Decimals."""
     try:
-        return json.loads(text, parse_float=Decimal)
+        return json.loads(text, parse_float=Decimal, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InstanceSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
     except ValueError as exc:
         raise InstanceSchemaError(json_number_error(exc)) from exc
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; a repeated key is refused, not overwritten."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise InstanceSchemaError(f"key {key!r} is repeated in a JSON object")
+            seen.add(key)
+    return doc
 
 
 def json_number_error(exc: ValueError) -> str:

@@ -76,7 +76,10 @@ The annealer's restarts share only the tables built before them, so they
 run side by side on the usable CPUs, one forked worker each up to one per
 restart (`anneal_sample`).  Restart r reads the stream of (seed, r) in any
 worker, so the samples are identical for any worker count, and each
-sample's wall time is still its own restart's time.
+sample's wall time is still its own restart's time.  A share of restarts
+whose worker raised, died or could not be started runs in the caller, so a
+failure is raised there as its own exception and a lost worker costs time,
+not samples.
 
 numpy is imported inside `brute_force_oracle`, `_Chain` and `_sweep_draws`
 only, so commands that never anneal or enumerate do not load it.
@@ -907,9 +910,11 @@ def anneal_sample(h: Hamiltonian, model: Model, params: AnnealParams | None = No
     The restarts run side by side: restart r in worker r % workers, with
     workers = min(restarts, the CPUs that CPU affinity, such as `taskset`,
     leaves this process).  The caller forks workers 1 and up (`_serve`)
-    and runs worker 0's restarts itself, with those of any worker the
-    system refuses a pipe or a process for.  It raises a worker's failure
-    as the worker's exception and reaps every worker on return and on
+    and runs worker 0's restarts itself.  Each other share comes back as
+    its worker's rows, or the caller runs it after its own: a worker that
+    raises or dies writes nothing, and a share the system refuses a pipe
+    or a process for has no worker.  So a failure recurs in the caller as
+    its own exception, and every worker is reaped on return and on
     raise.  The SampleSet is the same for any worker count, and each
     wall_time is still its own restart's time.  The speed of this policy
     was measured at 2 usable CPUs only: more workers, and a CPU quota that
@@ -942,7 +947,7 @@ def anneal_sample(h: Hamiltonian, model: Model, params: AnnealParams | None = No
 
     workers = min(params.restarts, _usable_cpus())
     shares = [range(w, params.restarts, workers) for w in range(workers)]
-    own, pids, reads = shares[:1], [], []
+    reads, pids = {}, []   # the read end of each share that has a worker, and the workers
     try:
         for share in shares[1:]:
             read = write = None
@@ -950,28 +955,31 @@ def anneal_sample(h: Hamiltonian, model: Model, params: AnnealParams | None = No
                 read, write = os.pipe()
                 pid = os.fork()
                 if pid == 0:
-                    _serve(write, reads + [read], run, share)
+                    _serve(write, [*reads.values(), read], run, share)
                 pids.append(pid)
-                reads.append(read)
-            except OSError:   # no pipe or process to spare: the caller runs this share too
+                reads[share] = read
+            except OSError:   # no pipe or process to spare: this share has no worker
                 if read is not None:
                     os.close(read)
-                own.append(share)
             finally:
                 if write is not None:
                     os.close(write)
-        rows = [row for share in own for row in run(share)]
-        payloads = []
-        for read in reads:
-            with open(read, "rb", closefd=False) as pipe:
-                payloads.append(pipe.read())
+        rows = run(shares[0])
+        for share in shares[1:]:
+            payload = b""
+            if share in reads:
+                with open(reads[share], "rb", closefd=False) as pipe:
+                    payload = pipe.read()
+            try:
+                back = marshal.loads(payload)
+            except EOFError:   # no worker, or one that raised or died: nothing whole came back
+                back = None
+            rows += run(share) if back is None else back
     finally:
-        for read in reads:   # a worker still writing gets EPIPE and exits
+        for read in reads.values():   # a worker still writing gets EPIPE and exits
             os.close(read)
         for pid in pids:
             os.waitpid(pid, 0)
-    for payload in payloads:
-        rows += _received(payload)
     samples = sorted((Sample(Assignment(values=values), *rest) for values, *rest in rows),
                      key=lambda s: (s.energy, s.restart_index))
     return SampleSet(samples=tuple(samples), seed=seed, params=params)
@@ -985,50 +993,22 @@ def _usable_cpus() -> int:
 
 
 def _serve(write: int, reads: list[int], run, restarts: range) -> NoReturn:
-    """In a forked worker: marshal `run(restarts)`, or its failure, to the
-    pipe end `write`, and end with `os._exit`, so no inherited stdio buffer,
-    atexit hook or caller frame runs twice.  The inherited read ends `reads`
-    are closed first: a worker holding its own would block on a full pipe
-    once the caller stopped reading.  The collector stays off: the chain
-    makes no cycles, and a collection would write to every page shared
-    with the caller."""
+    """In a forked worker: marshal `run(restarts)` to the pipe end `write`,
+    and end with `os._exit`, so no inherited stdio buffer, atexit hook or
+    caller frame runs twice.  A failure writes nothing, and the caller runs
+    the share itself.  The inherited read ends `reads` are closed first: a
+    worker holding its own would block on a full pipe once the caller
+    stopped reading.  The collector stays off: the chain makes no cycles,
+    and a collection would write to every page shared with the caller."""
     try:
         gc.disable()
-        try:
-            for fd in reads:
-                os.close(fd)
-            payload = marshal.dumps((True, run(restarts)))
-        except Exception as exc:
-            import pickle   # on failure only, so `import hamflow` does not load it
-            try:
-                error = pickle.dumps(exc)
-            except Exception:   # one that will not pickle goes by its message
-                error = b""
-            payload = marshal.dumps((False, (error, f"{type(exc).__name__}: {exc}")))
+        for fd in reads:
+            os.close(fd)
+        payload = marshal.dumps(run(restarts))
         with open(write, "wb") as pipe:
             pipe.write(payload)
     finally:
         os._exit(0)
-
-
-def _received(payload: bytes) -> list[tuple]:
-    """The rows a worker wrote with `_serve`.  Its failure is raised here as
-    the exception it raised, so a ModelError stays one for any worker
-    count; one that does not pickle arrives as a RuntimeError with its
-    message."""
-    try:
-        ok, body = marshal.loads(payload)
-    except EOFError:   # empty or cut short
-        raise RuntimeError("an annealer worker ended without writing its samples") from None
-    if ok:
-        return body
-    error, message = body
-    import pickle
-    try:
-        exc = pickle.loads(error)
-    except Exception:
-        exc = RuntimeError(f"annealer worker failed: {message}")
-    raise exc
 
 
 def _start_point(g: _Graph) -> tuple[list[int], list[int]]:

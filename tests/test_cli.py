@@ -522,6 +522,19 @@ class TestInputFaults:
         assert "alpha must be a positive finite number" in proc.stderr
         assert "too large" not in proc.stderr
 
+    @pytest.mark.parametrize("option, text", [
+        ("--instance", CASE_STUDY_DOC.read_text().replace('"capacity": 100',
+                                                          '"capacity": 100, "capacity": 200')),
+        ("--costs", '{"N1->N2": 1.0, "N1->N2": 2.0}'),
+    ], ids=["instance", "costs"])
+    def test_repeated_key(self, tmp_path, option, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        args = ["--instance", "case-study"] if option == "--costs" else []
+        proc = run_cli("validate", *args, option, str(path))
+        assert_one_line_error(proc)
+        assert "is repeated" in proc.stderr
+
     def test_huge_integer_in_cost_map(self, tmp_path):
         costs = dict.fromkeys(("N1->N2", "N2->N3", "N2->N4", "N3->N6",
                                "N3->N4", "N4->N5", "N6->N7", "N4->N3"), 1)

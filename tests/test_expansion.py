@@ -404,6 +404,22 @@ class TestReconstruction:
         with pytest.raises(TableReconstructionError, match=match):
             reconstruct_solution(case_study_pruned, tables)
 
+    @pytest.mark.parametrize("change, match", [
+        (lambda tables: list(tables), "document must be a JSON object"),
+        (lambda tables: {k: v for k, v in tables.items() if k != "vehicles"},
+         "has no 'vehicles'"),
+        (lambda tables: {**tables, "cargo": [1, 2]}, "'cargo' must be a JSON object"),
+        (lambda tables: {**tables, "vehicles": {"N1->N2": 5}}, "row 'N1->N2' must be a list"),
+        (lambda tables: {**tables, "inventory": {"N1": [1, 2]}},
+         "inventory of N1 must be a JSON object"),
+    ], ids=["list-document", "missing-vehicles", "cargo-list", "row-not-a-list",
+            "inventory-depot-list"])
+    def test_misshapen_document_rejected(self, case_study_pruned, reference_tables,
+                                         change, match):
+        with pytest.raises(TableReconstructionError, match=match) as info:
+            reconstruct_solution(case_study_pruned, change(copy.deepcopy(reference_tables)))
+        assert "\n" not in str(info.value)
+
     def test_ambiguous_split_rejected(self):
         # A and B each send 10 to C and D: any split a + b = 10 fits the tables
         inst = _instance(("A", "B", "C", "D"), [("A", "C", 1), ("A", "D", 1),

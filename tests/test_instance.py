@@ -83,6 +83,28 @@ class TestParse:
         with pytest.raises(DuplicateIdError):
             parse_instance(json.dumps(doc))
 
+    def test_duplicate_commodity_id(self):
+        doc = minimal_doc()
+        doc["commodities"].append({"id": "K", "load": 20})
+        with pytest.raises(DuplicateIdError, match="duplicate commodity id 'K'"):
+            parse_instance(json.dumps(doc))
+
+    def test_duplicate_schedule_entry(self):
+        doc = minimal_doc()
+        doc["schedule"].append({"depot": "A", "commodity": "K", "time": 1, "amount": 20})
+        with pytest.raises(DuplicateIdError, match=r"duplicate schedule entry \(A, K, t=1\)$"):
+            parse_instance(json.dumps(doc))
+
+    @pytest.mark.parametrize("old, new, key", [
+        ('"capacity": 100', '"capacity": 100, "capacity": 200', "capacity"),
+        ('"travel_time": 1', '"travel_time": 1, "travel_time": 2', "travel_time"),
+    ], ids=["top-level", "nested"])
+    def test_repeated_key_rejected(self, old, new, key):
+        text = json.dumps(minimal_doc())
+        assert old in text
+        with pytest.raises(InstanceSchemaError, match=f"key '{key}' is repeated"):
+            parse_instance(text.replace(old, new))
+
     @pytest.mark.parametrize("key,value", [
         ("horizon", 0), ("horizon", -3), ("capacity", 0), ("capacity", -1.0)])
     def test_non_positive_scalars(self, key, value):
@@ -486,6 +508,8 @@ class TestCaseStudy:
             load_cost_map('{"N1-N2": 1.0}')
         with pytest.raises(InstanceSchemaError):
             load_cost_map('{"N1->N2": -1.0}')
+        with pytest.raises(InstanceSchemaError, match="key 'N1->N2' is repeated"):
+            load_cost_map('{"N1->N2": 1.0, "N1->N2": 2.0}')
 
     @pytest.mark.parametrize("text", ['{"N1->N2": NaN}', '{"N1->N2": Infinity}',
                                       '{"N1->N2": "1.0"}', '{"N1->N2": null}'])

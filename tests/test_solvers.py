@@ -1268,8 +1268,9 @@ def _assert_no_child() -> None:
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
 class TestAnnealWorkers:
     """Restart r runs in worker r % workers, workers = min(restarts, usable
-    CPUs): the sample set is the same for any worker count, and every call
-    reaps the workers it forked, on return and on raise."""
+    CPUs): the sample set is the same for any worker count, a share whose
+    worker fails runs in the caller, and every call reaps the workers it
+    forked, on return and on raise."""
 
     @pytest.fixture(autouse=True)
     def deadline(self):
@@ -1372,6 +1373,8 @@ class TestAnnealWorkers:
         _assert_no_child()
 
     def test_unpicklable_failure_keeps_its_message(self, case_study_pruned, monkeypatch):
+        """A worker's failure recurs in the caller, which runs the share
+        itself, so the exception is raised as its own class."""
         _on_cpus(monkeypatch, 2)
 
         class Broke(Exception):   # a local class does not pickle
@@ -1381,21 +1384,72 @@ class TestAnnealWorkers:
             raise Broke("restart 1 broke")
         self._fail_on(monkeypatch, 1, fail)
         h = compile_hamiltonian(case_study_pruned)
-        with pytest.raises(RuntimeError, match="worker failed: Broke: restart 1 broke"):
+        fds = len(os.listdir("/dev/fd"))
+        with pytest.raises(Broke, match="restart 1 broke"):
             anneal_sample(h, case_study_pruned, AnnealParams(restarts=2, sweeps=5))
+        assert len(os.listdir("/dev/fd")) == fds
         _assert_no_child()
 
     def test_worker_ended_without_samples(self, case_study_pruned, monkeypatch):
-        _on_cpus(monkeypatch, 2)
+        """A worker that dies costs time, not samples: the caller runs its share."""
+        h = compile_hamiltonian(case_study_pruned)
+        params = AnnealParams(restarts=5, sweeps=20)
+        _on_cpus(monkeypatch, 1)
+        expected = anneal_sample(h, case_study_pruned, params, seed=1).canonical_bytes()
+        caller, ran = os.getpid(), []
+
+        def die():
+            if os.getpid() != caller:
+                os._exit(3)
+            ran.append(1)
+        self._fail_on(monkeypatch, 1, die)
+        for cpus in (2, 3):
+            _on_cpus(monkeypatch, cpus)
+            ran.clear()
+            fds = len(os.listdir("/dev/fd"))
+            assert anneal_sample(h, case_study_pruned, params,
+                                 seed=1).canonical_bytes() == expected
+            assert ran == [1]   # restart 1 ran again in the caller
+            assert len(os.listdir("/dev/fd")) == fds
+            _assert_no_child()
+
+    def test_solve_survives_a_killed_worker(self, tmp_path, monkeypatch):
+        """The worker of restarts 1 and 3 dies after restart 1: the run
+        exits 0 and prints and writes what a 1-CPU run does."""
+        def solve(cpus: int, out) -> tuple[int, str]:
+            _on_cpus(monkeypatch, cpus)
+            stdout = io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+                code = cli.main(["solve", "--instance", "case-study", "--method", "anneal",
+                                 "--samples", "4", "--seed", "7", "--out", str(out)])
+            return code, stdout.getvalue()
+        expected = solve(1, tmp_path / "one")
         caller = os.getpid()
 
         def die():
-            assert os.getpid() != caller, "restart 1 ran in the caller"
-            os._exit(3)
-        self._fail_on(monkeypatch, 1, die)
+            if os.getpid() != caller:
+                os._exit(3)
+        self._fail_on(monkeypatch, 3, die)
+        assert solve(2, tmp_path / "two") == expected and expected[0] == 0
+        for name in ("histogram.csv", "solution.json", "vehicles.csv", "cargo.csv",
+                     "inventory.csv"):
+            assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+        _assert_no_child()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_each_share_runs_once_in_its_worker(self, cpus, case_study_pruned, monkeypatch):
+        _on_cpus(monkeypatch, cpus)
+        real_run, caller, ran = solvers._Chain.run, os.getpid(), []
+
+        def run(chain, sweeps, seed, restart, t_start, cooling):
+            if os.getpid() == caller:   # a worker's list is its own copy
+                ran.append(restart)
+            return real_run(chain, sweeps, seed, restart, t_start, cooling)
+        monkeypatch.setattr(solvers._Chain, "run", run)
         h = compile_hamiltonian(case_study_pruned)
-        with pytest.raises(RuntimeError, match="without writing its samples"):
-            anneal_sample(h, case_study_pruned, AnnealParams(restarts=2, sweeps=5))
+        sset = anneal_sample(h, case_study_pruned, AnnealParams(restarts=7, sweeps=5))
+        assert sorted(s.restart_index for s in sset.samples) == list(range(7))
+        assert ran == list(range(0, 7, cpus))
         _assert_no_child()
 
 
