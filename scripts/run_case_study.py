@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from hamflow import expansion, hamiltonian, solvers
-from hamflow.cli import DEVICE_METADATA, emit_histogram, render_reports
+from hamflow.cli import DEVICE_METADATA, _write_solution, emit_histogram, render_reports
 from hamflow.instance import build_case_study, default_case_study_costs, validate_instance
 
 
@@ -89,13 +89,9 @@ def main() -> int:
     (out / "samples.csv").write_text(sset.dump_csv(), encoding="utf-8")
     with (out / "histogram.csv").open("w", encoding="utf-8", newline="\n") as fh:
         emit_histogram(sset, fh)
-    chosen = best.assignment if best is not None else exact.sample.assignment
-    render_reports(pruned, chosen, out)
-    (out / "solution.json").write_text(json.dumps({
-        "method": "anneal" if best is not None else "exact",
-        "objective": best.objective if best is not None else exact.objective,
-        "values": list(chosen.values),
-    }, indent=2) + "\n", encoding="utf-8")
+    chosen, method = (best, "anneal") if best is not None else (exact.sample, "exact")
+    render_reports(pruned, chosen.assignment, out)
+    _write_solution(out, pruned, chosen.assignment, method, chosen.objective)
 
     anneal = ("no feasible anneal sample" if best is None else
               f"best anneal is {best.objective - exact.objective:+.4g} above the exact optimum")

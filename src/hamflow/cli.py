@@ -10,7 +10,10 @@
 `--instance` accepts either a JSON instance document or the literal token
 `case-study`, which builds the Earth-Moon-Mars benchmark from an arc-cost
 map (`--costs`, defaulting to the committed fixture).  `verify` and `report`
-read the candidate solution from `--assignment` (a file written by `solve`).
+read the candidate solution from `--assignment`: a file written by `solve`,
+or any JSON list of integers, bare or under "values", read as every JSON
+input is (a repeated key is refused).  In the report CSVs, an id or arc key
+holding a comma, a quote, CR or LF is quoted as the csv module quotes it.
 `--time-limit` bounds the exact search (default 300 s); a search that
 reaches it prints `certified,False` with the best verified point it holds.
 `anneal` and `bruteforce` accept it and do not use it.
@@ -35,9 +38,9 @@ from .expansion import Assignment, Model
 from .instance import (
     Instance,
     InstanceError,
+    _load_json,
     build_case_study,
     default_case_study_costs,
-    json_number_error,
     json_scalar,
     json_section,
     load_cost_map,
@@ -63,7 +66,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _dispatch(args)
-    except CliError as exc:
+    except (CliError, InstanceError, expansion.ModelError, expansion.TableReconstructionError,
+            hamiltonian.CompileError, hamiltonian.PolynomialFormatError,
+            solvers.SearchSpaceTooLargeError) as exc:
         print(f"hamflow: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
@@ -71,11 +76,6 @@ def main(argv: list[str] | None = None) -> int:
         # from creating or writing the output directory
         print(f"hamflow: cannot write {exc.filename or args.out}: {exc.strerror or exc}",
               file=sys.stderr)
-        return 1
-    except (InstanceError, expansion.ModelError, expansion.TableReconstructionError,
-            hamiltonian.CompileError, hamiltonian.PolynomialFormatError,
-            solvers.SearchSpaceTooLargeError) as exc:
-        print(f"hamflow: {exc}", file=sys.stderr)
         return 1
 
 
@@ -163,11 +163,8 @@ def _read_text(path: str) -> str:
 
 def _load_instance(args) -> Instance:
     if args.instance == "case-study":
-        if args.costs is None:
-            costs = default_case_study_costs()
-        else:
-            costs = load_cost_map(_read_text(args.costs))
-        return build_case_study(costs)
+        return build_case_study(default_case_study_costs() if args.costs is None
+                                else load_cost_map(_read_text(args.costs)))
     if args.costs is not None:
         raise CliError("--costs applies only to --instance case-study")
     return parse_instance(_read_text(args.instance))
@@ -181,24 +178,21 @@ def _load_model(args) -> Model:
 
 
 def _load_assignment(args, model: Model) -> Assignment:
-    if args.assignment is None:
+    path = args.assignment
+    if path is None:
         raise CliError(f"{args.command} requires --assignment")
     try:
-        doc = json.loads(_read_text(args.assignment))
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{args.assignment}: malformed JSON: {exc.msg} "
-                       f"(line {exc.lineno}, column {exc.colno})") from exc
-    except ValueError as exc:
-        raise CliError(f"{args.assignment}: {json_number_error(exc)}") from exc
-    values = doc.get("values") if isinstance(doc, dict) else doc
-    if not isinstance(values, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in values):
-        raise CliError(f"{args.assignment}: expected a list of integers, "
-                       "or an object with one under 'values'")
-    if len(values) != len(model.variables):
-        raise CliError(f"assignment has {len(values)} values, the model has "
+        doc = _load_json(_read_text(path))
+        a = Assignment(values=doc.get("values") if isinstance(doc, dict) else doc)
+    except InstanceError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+    except TypeError as exc:
+        raise CliError(f"{path}: expected a list of integers, or an object with one "
+                       f"under 'values': {exc}") from exc
+    if len(a.values) != len(model.variables):
+        raise CliError(f"assignment has {len(a.values)} values, the model has "
                        f"{len(model.variables)} variables (check --no-prune)")
-    return Assignment(values=tuple(values))
+    return a
 
 
 def _cmd_validate(args) -> int:
@@ -379,16 +373,16 @@ def render_reports(model: Model, a: Assignment, out: Path) -> list[Path]:
         halves[c.tag] = (positive, positive - sum(k * a.values[i] for i, k in c.terms), c.rhs)
     nothing = (0, 0, 0)
 
-    header = "arc," + ",".join(str(t) for t in steps)
+    header = _csv_row(["arc"], steps)
     vehicle_lines = [REPORT_NOTE, header]
     cargo_lines = [REPORT_NOTE, header]
     for arc in inst.arcs:
         counts = [vehicles.get((arc.pair, t), 0) for t in steps]
         masses = [halves.get(("capacity", arc.pair, t), nothing)[0] for t in steps]
-        vehicle_lines.append(arc.key() + "," + ",".join(str(v) for v in counts))
-        cargo_lines.append(arc.key() + "," + ",".join(str(m) for m in masses))
+        vehicle_lines.append(_csv_row([arc.key()], counts))
+        cargo_lines.append(_csv_row([arc.key()], masses))
 
-    inventory_lines = [REPORT_NOTE, "depot,commodity," + ",".join(str(t) for t in steps)]
+    inventory_lines = [REPORT_NOTE, _csv_row(["depot", "commodity"], steps)]
     for d in inst.depots:
         for c in inst.commodities:
             on_hand, held = [], 0
@@ -397,7 +391,7 @@ def render_reports(model: Model, a: Assignment, out: Path) -> list[Path]:
                 held += arrived + max(rhs, 0)
                 on_hand.append(held)
                 held -= departed
-            inventory_lines.append(f"{d.id},{c.id}," + ",".join(str(v) for v in on_hand))
+            inventory_lines.append(_csv_row([d.id, c.id], on_hand))
 
     paths = []
     for name, lines in (("vehicles.csv", vehicle_lines), ("cargo.csv", cargo_lines),
@@ -406,6 +400,15 @@ def render_reports(model: Model, a: Assignment, out: Path) -> list[Path]:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         paths.append(path)
     return paths
+
+
+def _csv_row(names: list[str], numbers) -> str:
+    """One CSV line: `names` quoted as the csv module's minimal quoting does
+    (a name holding a comma, a quote, CR or LF is wrapped in quotes, each
+    inner quote doubled), then `numbers`."""
+    fields = ['"' + n.replace('"', '""') + '"' if any(ch in n for ch in ',"\r\n') else n
+              for n in names]
+    return ",".join(fields + [str(v) for v in numbers])
 
 
 def emit_histogram(sset: solvers.SampleSet, dest) -> None:

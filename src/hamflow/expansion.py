@@ -108,11 +108,14 @@ class Model:
 
 @dataclass(frozen=True)
 class Assignment:
-    """Integer value per model variable; a candidate solution.  A value that
-    is not an int, or is a bool, raises TypeError: none is truncated."""
+    """Integer value per model variable; a candidate solution.  Values that
+    are not a list or tuple, and a value that is not an int or is a bool,
+    raise TypeError: none is truncated."""
     values: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.values, (list, tuple)):
+            raise TypeError(f"assignment values must be a list, got {type(self.values).__name__}")
         values = tuple(self.values)
         for v in values:
             if not _is_int(v):

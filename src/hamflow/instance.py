@@ -8,7 +8,9 @@ size, a discrete horizon, a vehicle capacity, and a supply/demand schedule.
 Instances are read and written as UTF-8 JSON documents with top-level keys
 ``depots``, ``arcs``, ``commodities``, ``horizon``, ``capacity``, and
 ``schedule``.  Unknown and repeated keys are rejected so that typos in
-hand-authored files surface immediately.
+hand-authored files surface immediately.  Depot, commodity and arc-end ids
+and depot labels are JSON strings: any other value is refused, not
+converted, so serializing a parsed instance gives back the document read.
 
 Schedule amounts are in mass units: positive entries are supply appearing at
 a depot at a time step, negative entries are demand consumed there.  Loads
@@ -116,9 +118,7 @@ class Depot:
     label: str
 
     def __post_init__(self):
-        for name, value in (("id", self.id), ("label", self.label)):
-            if not isinstance(value, str):
-                raise InstanceSchemaError(f"depot {name} must be a string, got {value!r}")
+        _require_str(("id", self.id), ("label", self.label), where="depot")
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,7 @@ class Arc:
     travel_time: int      # time steps, >= 1
 
     def __post_init__(self):
+        _require_str(("origin", self.origin), ("dest", self.dest), where="arc")
         if self.origin == self.dest:
             raise InstanceSchemaError(f"arc {self.origin}->{self.dest}: self-loops not allowed")
         # NaN fails every comparison, and JSON would write a bool as true or false
@@ -152,8 +153,7 @@ class Commodity:
     load: int             # mass units per unit of flow, > 0
 
     def __post_init__(self):
-        if not isinstance(self.id, str):
-            raise InstanceSchemaError(f"commodity id must be a string, got {self.id!r}")
+        _require_str(("id", self.id), where="commodity")
         load = _mass(self.load)
         if load is None or load <= 0:
             raise InstanceSchemaError(
@@ -170,6 +170,8 @@ class ScheduleEntry:
     amount: int           # mass units; > 0 supply, < 0 demand
 
     def __post_init__(self):
+        _require_str(("depot", self.depot), ("commodity", self.commodity),
+                     where="schedule entry")
         where = f"schedule entry ({self.depot}, {self.commodity}, t={self.time})"
         amount = _mass(self.amount)
         if amount is None:
@@ -370,8 +372,8 @@ def _load_json(text: str):
         return json.loads(text, parse_float=Decimal, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InstanceSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
-    except ValueError as exc:
-        raise InstanceSchemaError(json_number_error(exc)) from exc
+    except ValueError as exc:   # its advice on interpreter settings is dropped
+        raise InstanceSchemaError(f"unreadable number: {str(exc).split(';')[0]}") from exc
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -386,12 +388,6 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
-def json_number_error(exc: ValueError) -> str:
-    """The diagnostic for a JSON number Python refuses to convert, without
-    the interpreter-setting advice the ValueError ends with."""
-    return f"unreadable number: {str(exc).split(';')[0]}"
-
-
 @_collector_paused
 def parse_instance(text: str) -> Instance:
     """Parse an instance document (JSON text) into a validated Instance."""
@@ -403,24 +399,24 @@ def parse_instance(text: str) -> Instance:
     depots = []
     for i, d in enumerate(_objects(doc, "depots")):
         _require_keys(d, {"id", "label"}, f"depots[{i}]")
-        depots.append(Depot(id=str(d["id"]), label=str(d["label"])))
+        depots.append(Depot(id=d["id"], label=d["label"]))
     arcs = []
     for i, a in enumerate(_objects(doc, "arcs")):
         _require_keys(a, {"from", "to", "cost", "travel_time"}, f"arcs[{i}]")
-        arcs.append(Arc(origin=str(a["from"]), dest=str(a["to"]),
+        arcs.append(Arc(origin=a["from"], dest=a["to"],
                         cost=_as_number(a["cost"], f"arcs[{i}].cost"),
                         travel_time=_as_int(a["travel_time"], f"arcs[{i}].travel_time")))
     commodities = []
     for i, c in enumerate(_objects(doc, "commodities")):
         _require_keys(c, {"id", "load"}, f"commodities[{i}]")
-        commodities.append(Commodity(id=str(c["id"]),
+        commodities.append(Commodity(id=c["id"],
                                      load=_exact(c["load"], f"commodities[{i}].load")))
     horizon = _as_int(doc["horizon"], "horizon")
     capacity = _exact(doc["capacity"], "capacity")
     schedule = []
     for i, e in enumerate(_objects(doc, "schedule")):
         _require_keys(e, {"depot", "commodity", "time", "amount"}, f"schedule[{i}]")
-        schedule.append(ScheduleEntry(depot=str(e["depot"]), commodity=str(e["commodity"]),
+        schedule.append(ScheduleEntry(depot=e["depot"], commodity=e["commodity"],
                                       time=_as_int(e["time"], f"schedule[{i}].time"),
                                       amount=_exact(e["amount"], f"schedule[{i}].amount")))
 
@@ -473,6 +469,14 @@ def serialize_instance(inst: Instance) -> str:
         json_section("schedule", [_ENTRY % (j(e.depot), j(e.commodity), j(e.time), j(e.amount))
                                   for e in inst.schedule]),
     )) + "\n}\n"
+
+
+def _require_str(*fields: tuple[str, object], where: str) -> None:
+    """Refuse a field that is not a string: ids are compared, hashed and
+    written back as JSON strings, and nothing is coerced into one."""
+    for name, value in fields:
+        if not isinstance(value, str):
+            raise InstanceSchemaError(f"{where} {name} must be a string, got {value!r}")
 
 
 def _is_int(value) -> bool:

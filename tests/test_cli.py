@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -299,7 +300,7 @@ class TestInputFaults:
         doc.write_text(serialize_instance(waves(20)), encoding="utf-8")
         out = tmp_path / "out"
         proc = run_cli("solve", "--instance", str(doc), "--method", "exact",
-                       "--time-limit", "5", "--out", str(out), timeout=120)
+                       "--time-limit", "1", "--out", str(out), timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "certified,False" in proc.stdout.splitlines()
         proc = run_cli("verify", "--instance", str(doc),
@@ -324,6 +325,34 @@ class TestInputFaults:
         proc = run_cli(command, "--instance", str(micro_doc), "--assignment", str(path),
                        "--out", str(tmp_path / "out"))
         assert_one_line_error(proc)
+
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    def test_repeated_values_key_in_assignment(self, tmp_path, case_study_pruned, command):
+        """Zeros, then the exact optimum: the repeated key is refused, not
+        read as its last value."""
+        optimum = list(solvers.solve_exact(case_study_pruned).sample.assignment.values)
+        path = tmp_path / "solution.json"
+        path.write_text(f'{{"values": {[0] * len(optimum)}, "values": {optimum}}}')
+        proc = run_cli(command, "--instance", "case-study", "--assignment", str(path),
+                       "--out", str(tmp_path / "out"))
+        assert_one_line_error(proc)
+        assert proc.stderr.startswith(f"hamflow: {path}: key 'values' is repeated")
+
+    @pytest.mark.parametrize("path, value", [
+        (("depots", 0, "label"), None), (("depots", 0, "id"), 1),
+        (("commodities", 0, "id"), ["L", 1]), (("arcs", 0, "from"), 1),
+        (("arcs", 0, "to"), ["B"]), (("schedule", 0, "depot"), {"id": "A"}),
+        (("schedule", 0, "commodity"), None)],
+        ids=["label_null", "depot_id_number", "commodity_id_list", "arc_from_number",
+             "arc_to_list", "entry_depot_object", "entry_commodity_null"])
+    def test_non_string_id_or_label(self, tmp_path, path, value):
+        doc = json.loads(serialize_instance(micro_instance()))
+        doc[path[0]][path[1]][path[2]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        proc = run_cli("validate", "--instance", str(bad))
+        assert_one_line_error(proc)
+        assert "must be a string" in proc.stderr
 
     @pytest.mark.parametrize("value", [float("nan"), "100"])
     @pytest.mark.parametrize("path", [("arcs", 0, "cost"), ("commodities", 0, "load"),
@@ -603,6 +632,23 @@ def _leaf_paths(node, path=()):
     return [path]
 
 
+def _leaf(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def assert_report_rows(out: Path, horizon: int) -> None:
+    """Each row of the three report CSVs, read back with csv.reader, has a
+    name and one field per step (inventory.csv: two names)."""
+    for name, width in (("vehicles.csv", horizon + 1), ("cargo.csv", horizon + 1),
+                        ("inventory.csv", horizon + 2)):
+        with (out / name).open(encoding="utf-8", newline="") as fh:
+            note, *rows = csv.reader(fh)
+        assert note == [cli.REPORT_NOTE]
+        assert rows and all(len(row) == width for row in rows), (name, rows)
+
+
 _CASE_STUDY = json.loads(CASE_STUDY_DOC.read_text())
 
 
@@ -612,17 +658,24 @@ _CASE_STUDY = json.loads(CASE_STUDY_DOC.read_text())
                        st.sampled_from([5e-324, 1e-320, 1e300, -1e300, 1.7e308, 2**53 + 1,
                                         2**63, 10**30, 10**400, -10**400,
                                         int(sys.float_info.max), 17976931348623159 * 10**292,
-                                        2**1024 - 1])))
+                                        2**1024 - 1]),
+                       st.sampled_from(['N5,"x"\nLS', "a,b", 'q"q', "x\ny", "x\rz", "N4->N5",
+                                        "", ["L", 1]])),
+       everywhere=st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_mutated_case_study_never_raises(tmp_path_factory, path, value):
+def test_mutated_case_study_never_raises(tmp_path_factory, path, value, everywhere):
     """One leaf of the case-study document replaced by a value of another
-    type or scale: validate, compile, an annealing and an exact solve exit
-    0, 1 or 2 and never raise."""
+    type or scale; when the leaf is a string (an id or a label) and
+    `everywhere` is drawn, every leaf holding that string is, so that an id
+    is renamed throughout.  Validate, compile, an annealing and an exact
+    solve exit 0, 1 or 2 and never raise, and each solve that exits 0
+    writes reports whose rows read back whole (`assert_report_rows`)."""
     doc = json.loads(json.dumps(_CASE_STUDY))
-    target = doc
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
+    old = _leaf(doc, path)
+    paths = ([p for p in _leaf_paths(doc) if _leaf(doc, p) == old]
+             if everywhere and isinstance(old, str) else [path])
+    for leaf in paths:
+        _leaf(doc, leaf[:-1])[leaf[-1]] = value
     base = tmp_path_factory.getbasetemp()
     bad = base / "mutated.json"
     bad.write_text(json.dumps(doc))
@@ -636,6 +689,8 @@ def test_mutated_case_study_never_raises(tmp_path_factory, path, value):
             code = cli.main([*argv, "--instance", str(bad)])
         assert code in (0, 1, 2)
         assert "Traceback" not in stderr.getvalue()
+        if argv[0] == "solve" and code == 0:
+            assert_report_rows(Path(argv[-1]), doc["horizon"])
 
 
 class TestSeedHandling:

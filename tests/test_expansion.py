@@ -298,6 +298,13 @@ class TestVerify:
             Assignment(values=values)
         assert Assignment(values=[0, 2, 1]).values == (0, 2, 1)
 
+    @pytest.mark.parametrize("values", ["", "021", None, 7, {"0": 1}])
+    def test_assignment_refuses_values_that_are_not_a_list(self, values):
+        """A string or a mapping would otherwise be read item by item, and
+        the empty string as the empty assignment."""
+        with pytest.raises(TypeError, match="must be a list"):
+            Assignment(values=values)
+
 
 class TestObjective:
     def test_zero_assignment(self, case_study_pruned):

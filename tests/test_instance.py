@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import sys
 import time
 from dataclasses import replace
@@ -93,6 +94,25 @@ class TestParse:
         doc = minimal_doc()
         doc["schedule"].append({"depot": "A", "commodity": "K", "time": 1, "amount": 20})
         with pytest.raises(DuplicateIdError, match=r"duplicate schedule entry \(A, K, t=1\)$"):
+            parse_instance(json.dumps(doc))
+
+    @pytest.mark.parametrize("path, value", [
+        (("depots", 0, "label"), None),
+        (("depots", 0, "id"), 1),
+        (("commodities", 0, "id"), ["L", 1]),
+        (("arcs", 0, "from"), 1),
+        (("arcs", 0, "to"), ["B"]),
+        (("schedule", 0, "depot"), {"id": "A"}),
+        (("schedule", 0, "commodity"), None),
+    ], ids=["label_null", "depot_id_number", "commodity_id_list", "arc_from_number",
+            "arc_to_list", "entry_depot_object", "entry_commodity_null"])
+    def test_ids_and_labels_must_be_strings(self, path, value):
+        """An id or label is never passed through str(), which would read
+        null as 'None', ["L", 1] as "['L', 1]" and 1 as '1'."""
+        doc = minimal_doc()
+        doc[path[0]][path[1]][path[2]] = value
+        with pytest.raises(InstanceSchemaError,
+                           match=re.escape(f"must be a string, got {value!r}")):
             parse_instance(json.dumps(doc))
 
     @pytest.mark.parametrize("old, new, key", [
@@ -372,7 +392,8 @@ class TestSerializeLayout:
     def test_other_scalar_types(self):
         # a float subclass is written as json.dumps writes it and reads back
         # equal; a bool number or a non-str id or label is refused when built,
-        # since parse_instance would refuse the bool and read 7 back as "7"
+        # as parse_instance refuses each; an unhashable id never reaches
+        # Instance's set lookups
         np = pytest.importorskip("numpy")
         inst = Instance(
             depots=(Depot("A", "A"), Depot("B", "B")),
@@ -388,6 +409,10 @@ class TestSerializeLayout:
             "depot id": lambda: Depot(7, "seven"),
             "depot label": lambda: Depot("A", None),
             "commodity id": lambda: Commodity(("K",), 10),
+            "arc origin": lambda: Arc(["A"], "B", 1.0, 1),
+            "arc dest": lambda: Arc("A", 2, 1.0, 1),
+            "entry depot": lambda: ScheduleEntry(["A"], "K", 1, 10),
+            "entry commodity": lambda: ScheduleEntry("A", {"K": 1}, 1, 10),
             "cost": lambda: Arc("A", "B", True, 1),
             "travel_time": lambda: Arc("A", "B", 1.0, True),
             "load": lambda: Commodity("K", True),

@@ -4,12 +4,18 @@ full inventory story (the inventory convention is arrival-through-departure
 occupancy with delivered demand retained, which is exactly what the
 reference table records)."""
 
+import csv
 import hashlib
+import io
+import json
 import random
 from pathlib import Path
 
+import pytest
+
+from hamflow import parse_instance, serialize_instance
 from hamflow.cli import render_reports
-from hamflow.expansion import Assignment, prune_model
+from hamflow.expansion import Assignment, expand_model, prune_model
 from hamflow.hamiltonian import compile_hamiltonian
 from hamflow.solvers import AnnealParams, anneal_sample, solve_exact
 
@@ -90,3 +96,28 @@ def test_report_bytes_pinned(tmp_path, case_study_model, case_study_pruned):
             digest.update(path.read_bytes())
     assert digest.hexdigest() == \
         "966fdd436cb0060bbfad1e5d9959b821490ac4fb8df182f1bd0f6b18d3c6e6e9"
+
+
+@pytest.mark.parametrize("name", ["N5,x", 'N5"x', "N5\rx", "N5\nx", 'N5,"x"\nLS'],
+                         ids=["comma", "quote", "cr", "lf", "all"])
+def test_names_are_csv_quoted(tmp_path, case_study, name):
+    """Depot N5 renamed to hold a character that means something in CSV:
+    each report line is what csv.writer's minimal quoting writes (its
+    default dialect, which quotes a CR or LF, with the line ended by LF),
+    and the name reads back with csv.reader as one field."""
+    text = serialize_instance(case_study).replace('"N5"', json.dumps(name))
+    model = prune_model(expand_model(parse_instance(text)))
+    paths = render_reports(model, solve_exact(model).sample.assignment, tmp_path)
+    names = {}
+    for path in paths:
+        with path.open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        expected = ""
+        for row in rows:
+            line = io.StringIO()
+            csv.writer(line).writerow(row)
+            expected += line.getvalue().removesuffix("\r\n") + "\n"
+        assert path.read_bytes().decode("utf-8") == expected
+        names[path.name] = {tuple(row[:-case_study.horizon]) for row in rows[2:]}
+    assert ("N4->" + name,) in names["vehicles.csv"] and ("N4->" + name,) in names["cargo.csv"]
+    assert {(name, "L1"), (name, "L2")} <= names["inventory.csv"]

@@ -25,6 +25,11 @@ def test_run_case_study(tmp_path):
         "cargo.csv", "hamiltonian.txt", "histogram.csv", "inventory.csv",
         "samples.csv", "solution.json", "vehicles.csv"]
     assert "exact: optimal, cost 62.12 " in proc.stdout
+    proc = subprocess.run([sys.executable, "-m", "hamflow.cli", "verify", "--instance",
+                           "case-study", "--assignment", str(out / "solution.json")],
+                          capture_output=True, text=True, env=_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "feasible,True" in proc.stdout.splitlines()
 
 
 def test_regen_goldens_reproduces_committed_goldens(tmp_path):

@@ -117,8 +117,8 @@ class TestSolveExact:
         point."""
         model = waves_model(k)
         begin = time.perf_counter()
-        result = solve_exact(model, time_limit=5.0)
-        assert time.perf_counter() - begin < 6.0
+        result = solve_exact(model, time_limit=1.0)
+        assert time.perf_counter() - begin < 2.0
         assert (result.status, result.certified) == ("time_limit", False)
         report = verify_assignment(model, result.sample.assignment)
         assert report.feasible and report.bound_findings == ()
