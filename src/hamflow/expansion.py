@@ -16,6 +16,10 @@ All constraint coefficients and right-hand sides are integers so that
 residual arithmetic is exact: an `Instance` holds only integral loads,
 capacity and schedule amounts, each amount a multiple of its load.
 
+`Graph` is the network these rows describe, one edge per flow variable from
+its (depot, commodity, t) cell to the one at t + travel_time; `absorb_bounds`
+and `vehicle_caps` bound what an optimum can use on it.
+
 Variables, constraint rows and models are values: once built they are never
 mutated, and `dataclasses.replace` makes a changed copy.  `Variable` and
 `LinearConstraint` are slotted rather than frozen dataclasses, because an
@@ -254,16 +258,101 @@ def prune_model(model: Model) -> Model:
                  constraints=tuple(constraints), objective=objective)
 
 
+class Graph:
+    """A model's time-expanded network, built once per back-end call and
+    passed to every helper that walks it.
+
+    `nodes` counts the (depot, t) for t in 1..T.  `cells` are the (depot,
+    commodity, t) for t in 1..T in (t, depot, commodity) order, so cell
+    c // len(loads) is its (depot, t) node and every edge runs to a later
+    cell.  `mass` maps each scheduled cell to its signed integer mass, in
+    schedule order.  `edges` holds one (flow variable, tail cell, head cell,
+    vehicle variable) per flow variable, in index order, the vehicle
+    variable being the one of the flow's (arc, t): every model that
+    `expand_model` or `prune_model` builds has one.  In an unpruned model a
+    head may be at T + 1, past the last cell.  `out[c]` holds the edges
+    leaving cell c whose head is within the horizon: arrivals beyond it can
+    never serve a demand.  `vehicles` lists the vehicle variables in index
+    order; every per-(arc, t) capacity is keyed by one of them.
+    """
+
+    def __init__(self, model: Model):
+        inst = model.instance
+        self.variables = model.variables
+        self.loads = {c.id: c.load for c in inst.commodities}
+        self.capacity = inst.capacity
+        vehicle = model.vehicle_index()
+        self.vehicles = list(vehicle.values())
+        self.nodes = inst.horizon * len(inst.depots)
+        keys = [(d.id, k, t) for t in range(1, inst.horizon + 2)
+                for d in inst.depots for k in self.loads]
+        cell = {key: c for c, key in enumerate(keys)}      # heads at T + 1 included
+        self.cells = keys[:self.nodes * len(self.loads)]
+        self.mass = {cell[(e.depot, e.commodity, e.time)]: e.amount for e in inst.schedule}
+        travel = {a.pair: a.travel_time for a in inst.arcs}
+        self.edges = [(v.index, cell[(v.arc[0], v.commodity, v.time)],
+                       cell[(v.arc[1], v.commodity, v.time + travel[v.arc])],
+                       vehicle[(v.arc, v.time)])
+                      for v in model.variables if v.kind == FLOW]
+        self.out: list[list[tuple[int, int, int, int]]] = [[] for _ in self.cells]
+        for edge in self.edges:
+            if edge[2] < len(self.cells):
+                self.out[edge[1]].append(edge)
+
+
+def absorb_bounds(g: Graph, cap_mass: dict[int, int]) -> list[int]:
+    """Per-cell upper bound on the units that demands at or after that cell
+    can take (backward DP): its own demand plus, per edge leaving it, the
+    least of the variable's bound, cap_mass[z] // load (z its vehicle
+    variable) and what its head can take."""
+    absorb = [0] * len(g.cells)
+    for c in range(len(g.cells) - 1, -1, -1):
+        load = g.loads[g.cells[c][1]]
+        units = max(-g.mass.get(c, 0), 0) // load
+        for i, _, head, z in g.out[c]:
+            units += min(absorb[head], g.variables[i].upper_bound, cap_mass[z] // load)
+        absorb[c] = units
+    return absorb
+
+
+def vehicle_caps(g: Graph) -> dict[int, int]:
+    """Largest useful vehicle count per vehicle variable: enough to cover the
+    most mass that could ever traverse its (arc, t), an edge carrying no
+    more than its bound, what its tail can hold and what its head can
+    absorb.  Some optimum always fits under these caps, so the exact search
+    never looks above them.  A cell can hold its own supply plus, per edge into
+    it, the lesser of the variable's bound and what its tail can hold
+    (forward DP); every edge runs to a later cell, so a cell's bound is
+    final before its own edges are pushed."""
+    present = [max(g.mass.get(c, 0), 0) // g.loads[k] for c, (_, k, _) in enumerate(g.cells)]
+    for c, edges in enumerate(g.out):
+        for i, _, head, _ in edges:
+            present[head] += min(present[c], g.variables[i].upper_bound)
+    absorb = absorb_bounds(g, {z: g.capacity * g.variables[z].upper_bound for z in g.vehicles})
+    max_mass = dict.fromkeys(g.vehicles, 0)
+    for c, edges in enumerate(g.out):
+        load = g.loads[g.cells[c][1]]
+        for i, _, head, z in edges:
+            max_mass[z] += min(g.variables[i].upper_bound, present[c], absorb[head]) * load
+    return {z: min(g.variables[z].upper_bound, -(-mass // g.capacity))
+            for z, mass in max_mass.items()}
+
+
 def row_residuals(model: Model, values) -> list[int]:
     """Signed lhs - rhs of every constraint row at integer values, in row order."""
     return [sum(coef * values[i] for i, coef in c.terms) - c.rhs for c in model.constraints]
 
 
-def verify_assignment(model: Model, a: Assignment) -> FeasibilityReport:
-    """Exact integer residuals of every constraint at an assignment."""
+def _require_length(model: Model, a: Assignment) -> None:
+    """Refuse an assignment that does not hold one value per model variable."""
     if len(a.values) != len(model.variables):
         raise ValueError(f"assignment has {len(a.values)} values, model has "
                          f"{len(model.variables)} variables")
+
+
+def verify_assignment(model: Model, a: Assignment) -> FeasibilityReport:
+    """Exact integer residuals of every constraint at an assignment."""
+    _require_length(model, a)
     residuals = []
     worst: tuple[Tag, int] | None = None
     for c, r in zip(model.constraints, row_residuals(model, a.values)):

@@ -119,6 +119,8 @@ class Depot:
 
     def __post_init__(self):
         _require_str(("id", self.id), ("label", self.label), where="depot")
+        if "->" in self.id:   # arc_key joins ids with it: each key must name one arc
+            raise InstanceSchemaError(f"depot id {self.id!r} must not contain '->'")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,7 @@
 """Classical back-ends: exact branch-and-bound, exhaustive enumeration for
 tiny models, and a restart-based simulated annealer mirroring the sampling
-workflow of the target annealing hardware.
-
-Every back-end that walks the time-expanded network builds one `_Graph`
-per call and hands it to its helpers: the (depot, commodity, t) cells, their
-scheduled masses and one edge per flow variable, tagged with the vehicle
-variable of its (arc, t).  That vehicle variable's index is the one key of
-every per-(arc, t) capacity.
+workflow of the target annealing hardware.  Each builds one
+`expansion.Graph` per call and hands it to its helpers.
 
 The branch-and-bound searches vehicle counts only; commodity flows are
 completed at the leaves by an exact integral-flow search, which gives no
@@ -97,12 +92,15 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 from .expansion import (
-    FLOW,
     Assignment,
     FeasibilityReport,
+    Graph,
     Model,
     ModelError,
+    _require_length,
+    absorb_bounds,
     evaluate_objective,
+    vehicle_caps,
     verify_assignment,
 )
 from .hamiltonian import Hamiltonian, choose_alpha
@@ -204,98 +202,19 @@ def postprocess_flows(model: Model, a: Assignment) -> tuple[Assignment, Feasibil
 
     Vehicle variables are untouched, so the objective never changes; the
     returned report re-verifies the adjusted assignment.  Idempotent.
+    Raises verify_assignment's ValueError when `a` does not hold one value
+    per model variable.
     """
+    _require_length(model, a)
     values = list(a.values)
-    for i, _, _, z in _Graph(model).edges:
+    for i, _, _, z in Graph(model).edges:
         if a.values[z] == 0:
             values[i] = 0
     adjusted = Assignment(values=tuple(values))
     return adjusted, verify_assignment(model, adjusted)
 
 
-# --- the time-expanded graph ---------------------------------------------------
-
-class _Graph:
-    """A model's time-expanded network, built once per back-end call and
-    passed to every helper that walks it.
-
-    `nodes` counts the (depot, t) for t in 1..T.  `cells` are the (depot,
-    commodity, t) for t in 1..T in (t, depot, commodity) order, so cell
-    c // len(loads) is its (depot, t) node and every edge runs to a later
-    cell.  `mass` maps each scheduled cell to its signed integer mass, in
-    schedule order.  `edges` holds one (flow variable, tail cell, head cell,
-    vehicle variable) per flow variable, in index order, the vehicle
-    variable being the one of the flow's (arc, t): every model that
-    `expand_model` or `prune_model` builds has one.  In an unpruned model a
-    head may be at T + 1, past the last cell.  `out[c]` holds the edges
-    leaving cell c whose head is within the horizon: arrivals beyond it can
-    never serve a demand.  `vehicles` lists the vehicle variables in index
-    order; every per-(arc, t) capacity is keyed by one of them.
-    """
-
-    def __init__(self, model: Model):
-        inst = model.instance
-        self.variables = model.variables
-        self.loads = {c.id: c.load for c in inst.commodities}
-        self.capacity = inst.capacity
-        vehicle = model.vehicle_index()
-        self.vehicles = list(vehicle.values())
-        self.nodes = inst.horizon * len(inst.depots)
-        keys = [(d.id, k, t) for t in range(1, inst.horizon + 2)
-                for d in inst.depots for k in self.loads]
-        cell = {key: c for c, key in enumerate(keys)}      # heads at T + 1 included
-        self.cells = keys[:self.nodes * len(self.loads)]
-        self.mass = {cell[(e.depot, e.commodity, e.time)]: e.amount for e in inst.schedule}
-        travel = {a.pair: a.travel_time for a in inst.arcs}
-        self.edges = [(v.index, cell[(v.arc[0], v.commodity, v.time)],
-                       cell[(v.arc[1], v.commodity, v.time + travel[v.arc])],
-                       vehicle[(v.arc, v.time)])
-                      for v in model.variables if v.kind == FLOW]
-        self.out: list[list[tuple[int, int, int, int]]] = [[] for _ in self.cells]
-        for edge in self.edges:
-            if edge[2] < len(self.cells):
-                self.out[edge[1]].append(edge)
-
-
 # --- exact search -------------------------------------------------------------
-
-def _absorb_bounds(g: _Graph, cap_mass: dict[int, int]) -> list[int]:
-    """Per-cell upper bound on the units that demands at or after that cell
-    can take (backward DP): its own demand plus, per edge leaving it, the
-    least of the variable's bound, cap_mass[z] // load (z its vehicle
-    variable) and what its head can take."""
-    absorb = [0] * len(g.cells)
-    for c in range(len(g.cells) - 1, -1, -1):
-        load = g.loads[g.cells[c][1]]
-        units = max(-g.mass.get(c, 0), 0) // load
-        for i, _, head, z in g.out[c]:
-            units += min(absorb[head], g.variables[i].upper_bound, cap_mass[z] // load)
-        absorb[c] = units
-    return absorb
-
-
-def _vehicle_search_caps(g: _Graph) -> dict[int, int]:
-    """Largest useful vehicle count per vehicle variable: enough to cover the
-    most mass that could ever traverse its (arc, t), an edge carrying no
-    more than its bound, what its tail can hold and what its head can
-    absorb.  Some optimum always fits under these caps, so the search never
-    looks above them.  A cell can hold its own supply plus, per edge into
-    it, the lesser of the variable's bound and what its tail can hold
-    (forward DP); every edge runs to a later cell, so a cell's bound is
-    final before its own edges are pushed."""
-    present = [max(g.mass.get(c, 0), 0) // g.loads[k] for c, (_, k, _) in enumerate(g.cells)]
-    for c, edges in enumerate(g.out):
-        for i, _, head, _ in edges:
-            present[head] += min(present[c], g.variables[i].upper_bound)
-    absorb = _absorb_bounds(g, {z: g.capacity * g.variables[z].upper_bound for z in g.vehicles})
-    max_mass = dict.fromkeys(g.vehicles, 0)
-    for c, edges in enumerate(g.out):
-        load = g.loads[g.cells[c][1]]
-        for i, _, head, z in edges:
-            max_mass[z] += min(g.variables[i].upper_bound, present[c], absorb[head]) * load
-    return {z: min(g.variables[z].upper_bound, -(-mass // g.capacity))
-            for z, mass in max_mass.items()}
-
 
 class _Network:
     """One flow network over (depot, t) nodes whose adjacency never changes.
@@ -471,7 +390,7 @@ class _Network:
             self.cuts.setdefault(key, []).append(cut)
 
 
-def _relaxation(g: _Graph) -> list[_Network]:
+def _relaxation(g: Graph) -> list[_Network]:
     """The max-flow relaxation of a vehicle assignment, as networks keyed by
     vehicle variable: one per commodity in `g.loads` order (timing), then
     one merged-mass network with all commodities pooled (joint capacity).
@@ -504,7 +423,7 @@ class _Expired(Exception):
     """The exact search's time limit passed before it finished."""
 
 
-def find_feasible_flows(g: _Graph, cap_mass: dict[int, int],
+def find_feasible_flows(g: Graph, cap_mass: dict[int, int],
                         deadline: float = math.inf) -> dict[int, int] | None:
     """Exact integral commodity flows within the vehicle capacities `cap_mass`, or None.
 
@@ -513,7 +432,7 @@ def find_feasible_flows(g: _Graph, cap_mass: dict[int, int],
     flow variables without exceeding per-variable bounds or the remaining
     shared vehicle capacity on each (arc, t).  Every unit must end at a
     demand, so no variable takes more units than its destination cell can
-    still absorb: `_absorb_bounds` under the fixed capacities, less the
+    still absorb: `absorb_bounds` under the fixed capacities, less the
     units already arriving there.  That cuts only subtrees without a
     completion, so the first completion found is the one the bare
     enumeration finds.
@@ -530,7 +449,7 @@ def find_feasible_flows(g: _Graph, cap_mass: dict[int, int],
     """
     cells, out, mass, variables = g.cells, g.out, g.mass, g.variables
     cap_left = dict(cap_mass)
-    absorb = _absorb_bounds(g, cap_left)
+    absorb = absorb_bounds(g, cap_left)
     incoming = [0] * len(cells)
     chosen: dict[int, int] = {}
     stack: list[list[int]] = []   # [cell, option, units left before it, take, largest take]
@@ -667,10 +586,10 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     _require_finite_objective(model)
     start = time.perf_counter()
     deadline = start + time_limit
-    g = _Graph(model)
+    g = Graph(model)
     capacity = g.capacity
     networks = _relaxation(g)
-    caps = _vehicle_search_caps(g)
+    caps = vehicle_caps(g)
     cost_of = dict(model.objective)
 
     branch_vars = sorted(filter(caps.get, caps), key=lambda z: (-cost_of.get(z, 0.0), z))
@@ -1011,7 +930,7 @@ def _serve(write: int, reads: list[int], run, restarts: range) -> NoReturn:
         os._exit(0)
 
 
-def _start_point(g: _Graph) -> tuple[list[int], list[int]]:
+def _start_point(g: Graph) -> tuple[list[int], list[int]]:
     """The annealer's start point, as a full value list, and the mass it
     puts on each vehicle variable's (arc, t) (0 at every flow variable).
     Its flows solve each commodity's network of `_relaxation` with every
@@ -1037,9 +956,9 @@ def _start_point(g: _Graph) -> tuple[list[int], list[int]]:
 _MAX_CYCLE_EDGES = 6
 
 
-def _flow_cycles(g: _Graph) -> list[tuple[tuple[int, int], ...]]:
+def _flow_cycles(g: Graph) -> list[tuple[tuple[int, int], ...]]:
     """Every simple undirected cycle of at most `_MAX_CYCLE_EDGES` edges of
-    `_Graph`, heads at T + 1 included, whose nodes are cells and whose edges
+    `Graph`, heads at T + 1 included, whose nodes are cells and whose edges
     are flow variables, so each cycle stays within one commodity.  A cycle is
     a tuple of (flow variable, +1 or -1): pushing one unit around it adds the
     sign to each variable, which leaves every cell's balance, and so every
@@ -1085,7 +1004,7 @@ class _Chain:
     included: the moves whose objective change an accepted m can alter."""
 
     def __init__(self, model: Model):
-        g = _Graph(model)
+        g = Graph(model)
         self.capacity = g.capacity
         self.ub = [v.upper_bound for v in g.variables]
         self.cost = [0.0] * len(g.variables)

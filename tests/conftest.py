@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import sys
@@ -126,6 +127,20 @@ def huge_vehicle_bound_instance() -> Instance:
     )
 
 
+def arc_separator_doc() -> dict:
+    """Depots A->B, C, A and B->C: the keys of arcs A->B to C and A to B->C
+    would both read A->B->C."""
+    return {
+        "depots": [{"id": i, "label": i} for i in ("A->B", "C", "A", "B->C")],
+        "arcs": [{"from": "A->B", "to": "C", "cost": 1.0, "travel_time": 1},
+                 {"from": "A", "to": "B->C", "cost": 1.0, "travel_time": 1}],
+        "commodities": [{"id": "K", "load": 1}],
+        "horizon": 2,
+        "capacity": 1,
+        "schedule": [],
+    }
+
+
 def random_micro_instance(rng: random.Random) -> Instance:
     """Small solvable instance built flows-first (`_flows_first_instance`):
     2-4 depots, 1 to 4 arcs, horizon 2-3 and 1-2 commodities."""
@@ -239,3 +254,22 @@ def random_micro_model(rng: random.Random, max_space: int = 200_000):
                 break
         if space <= max_space:
             return model
+
+
+def feasible_points(model) -> list[list[int]]:
+    """Every point of the model's bound box that satisfies every row, in
+    variable order: the whole box, enumerated."""
+    import numpy as np
+
+    n = len(model.variables)
+    A = np.zeros((len(model.constraints), n), dtype=np.int64)
+    rhs = np.array([c.rhs for c in model.constraints], dtype=np.int64)
+    eq = np.array([c.relation == "eq" for c in model.constraints], dtype=bool)
+    for r, c in enumerate(model.constraints):
+        for i, coef in c.terms:
+            A[r, i] = coef
+    box = np.array(list(itertools.product(*(range(v.upper_bound + 1) for v in model.variables))),
+                   dtype=np.int64).reshape(-1, n)
+    residual = box @ A.T - rhs
+    ok = (residual[:, eq] == 0).all(axis=1) & (residual[:, ~eq] <= 0).all(axis=1)
+    return box[ok].tolist()

@@ -24,7 +24,7 @@ from hamflow.instance import (
     ScheduleEntry,
 )
 
-from conftest import GOLDEN_DIR, large_supply_instance, micro_instance
+from conftest import GOLDEN_DIR, arc_separator_doc, large_supply_instance, micro_instance
 from waves import waves
 
 CASE_STUDY_DOC = GOLDEN_DIR / "case_study.json"
@@ -353,6 +353,13 @@ class TestInputFaults:
         proc = run_cli("validate", "--instance", str(bad))
         assert_one_line_error(proc)
         assert "must be a string" in proc.stderr
+
+    def test_depot_id_with_arc_separator(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(arc_separator_doc()))
+        proc = run_cli("validate", "--instance", str(bad))
+        assert_one_line_error(proc)
+        assert "depot id 'A->B' must not contain '->'" in proc.stderr
 
     @pytest.mark.parametrize("value", [float("nan"), "100"])
     @pytest.mark.parametrize("path", [("arcs", 0, "cost"), ("commodities", 0, "load"),
@@ -847,6 +854,9 @@ class TestSolutionLayout:
 _NUMPY_PROBE = """
 import sys
 from hamflow.cli import main
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "hamflow")
+assert loaded == ["hamflow", "hamflow.cli", "hamflow.expansion", "hamflow.hamiltonian",
+                  "hamflow.instance", "hamflow.solvers"], loaded
 out = sys.argv[1]
 solution = out + "/exact/solution.json"
 for command in (["validate"], ["compile", "--out", out + "/compiled"],
@@ -863,6 +873,8 @@ assert "scipy" not in sys.modules, "the library imported scipy"
 
 
 def test_only_anneal_imports_numpy(tmp_path):
+    """Also pins the hamflow modules the command line loads: each one more
+    is source compiled on every cold start."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=120)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import random
 from dataclasses import FrozenInstanceError, replace
@@ -9,15 +10,18 @@ from hamflow import expansion
 from hamflow.expansion import (
     FLOW,
     Assignment,
+    Graph,
     InfeasibleModelError,
     LinearConstraint,
     ModelError,
     TableReconstructionError,
     Variable,
+    absorb_bounds,
     evaluate_objective,
     expand_model,
     prune_model,
     reconstruct_solution,
+    vehicle_caps,
     verify_assignment,
     zero_assignment,
 )
@@ -33,14 +37,17 @@ from hamflow.instance import (
     default_case_study_costs,
     ordered_sum,
 )
-from hamflow.solvers import solve_exact
+from hamflow.solvers import brute_force_oracle, solve_exact
 
 from conftest import (
     GOLDEN_DIR,
     LARGE_SUPPLY,
     empty_schedule_instance,
+    family_models,
+    feasible_points,
     large_supply_instance,
     random_micro_model,
+    waves_model,
 )
 
 
@@ -333,6 +340,52 @@ class TestObjective:
         values[i] = values[j] = values[k] = 1
         assert evaluate_objective(model, Assignment(values=tuple(values))) == 1e16
         assert ordered_sum([1e16, 1.0, 1.0]) == 1e16 != 1e16 + 2
+
+
+class TestNetworkBounds:
+    """`vehicle_caps` and `absorb_bounds` hold on small models, where every
+    feasible point can be enumerated, and are pinned where none can."""
+
+    def test_some_optimum_fits_under_vehicle_caps(self):
+        rng = random.Random(1414)
+        lowered = 0
+        for _ in range(60):
+            model = random_micro_model(rng)
+            caps = vehicle_caps(Graph(model))
+            capped = replace(model, variables=tuple(
+                replace(v, upper_bound=caps.get(v.index, v.upper_bound))
+                for v in model.variables))
+            lowered += capped != model
+            full, tight = brute_force_oracle(model), brute_force_oracle(capped)
+            assert (tight.status, tight.objective) == (full.status, full.objective)
+        assert lowered > 40
+
+    def test_every_feasible_flow_fits_under_absorb_bounds(self):
+        """Each flow carries no more units than its head can absorb with
+        every vehicle at its bound, and none whose head is past the horizon."""
+        rng = random.Random(2718)
+        points = 0
+        for _ in range(200):
+            model = random_micro_model(rng, max_space=5_000)
+            g = Graph(model)
+            absorb = absorb_bounds(
+                g, {z: g.capacity * g.variables[z].upper_bound for z in g.vehicles})
+            for values in feasible_points(model):
+                points += 1
+                for i, _, head, _ in g.edges:
+                    assert values[i] <= (absorb[head] if head < len(g.cells) else 0)
+        assert points > 800
+
+    def test_vehicle_caps_pin(self, case_study_model, case_study_pruned):
+        """The caps on the case study (expanded and pruned), waves(1)-(4) and
+        the 30 family members: the exact search branches under them, so a
+        change to them moves its node counts."""
+        digest = hashlib.sha256()
+        for model in (case_study_model, case_study_pruned,
+                      *(waves_model(k) for k in (1, 2, 3, 4)), *family_models()):
+            digest.update(json.dumps(list(vehicle_caps(Graph(model)).items())).encode())
+        assert digest.hexdigest() == \
+            "9714f48bffc8be2b9b1c29535a457a2d910e32855da4955c26ca0dd70d0576ff"
 
 
 class TestReconstruction:

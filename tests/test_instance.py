@@ -26,7 +26,7 @@ from hamflow.instance import (
     load_cost_map,
 )
 
-from conftest import GOLDEN_DIR, random_micro_instance
+from conftest import GOLDEN_DIR, arc_separator_doc, random_micro_instance
 
 
 def minimal_doc() -> dict:
@@ -206,6 +206,16 @@ def whole_doc_text(**literals: str) -> str:
     for key, literal in {**defaults, **literals}.items():
         text = text.replace(f'"@{key}"', literal)
     return text
+
+
+def test_depot_id_with_arc_separator_is_refused():
+    doc = arc_separator_doc()
+    refusal = "depot id 'A->B' must not contain '->'"
+    with pytest.raises(InstanceSchemaError, match=re.escape(refusal)):
+        parse_instance(json.dumps(doc))
+    with pytest.raises(InstanceSchemaError, match=re.escape(refusal)):
+        Instance(depots=tuple(Depot(d["id"], d["label"]) for d in doc["depots"]),
+                 arcs=(), commodities=(), horizon=2, capacity=1, schedule=())
 
 
 class TestWholeNumberLiterals:

@@ -48,6 +48,7 @@ from conftest import (
     FAMILY_OPTIMA,
     empty_schedule_instance,
     family_models,
+    feasible_points,
     huge_vehicle_bound_instance,
     large_supply_instance,
     random_micro_instance,
@@ -122,7 +123,7 @@ class TestSolveExact:
         assert (result.status, result.certified) == ("time_limit", False)
         report = verify_assignment(model, result.sample.assignment)
         assert report.feasible and report.bound_findings == ()
-        start = Assignment(values=tuple(solvers._start_point(solvers._Graph(model))[0]))
+        start = Assignment(values=tuple(solvers._start_point(expansion.Graph(model))[0]))
         assert result.objective <= expansion.evaluate_objective(model, start)
 
 
@@ -252,8 +253,8 @@ class TestFlowRepair:
         learns the cut the fresh solve learns."""
         searches = _record_searches(monkeypatch)
         model = waves_model(k)
-        networks = solvers._relaxation(solvers._Graph(model))
-        oracle = solvers._relaxation(solvers._Graph(model))
+        networks = solvers._relaxation(expansion.Graph(model))
+        oracle = solvers._relaxation(expansion.Graph(model))
         capacity = int(model.instance.capacity)
         bound = {v.index: v.upper_bound for v in model.variables
                  if v.kind == expansion.VEHICLE}
@@ -371,7 +372,7 @@ class TestFlowRepair:
             horizon=2, capacity=100.0,
             schedule=(ScheduleEntry("A", "K1", 1, 30.0), ScheduleEntry("B", "K1", 2, -30.0)))
         model = expand_model(inst)
-        g = solvers._Graph(model)
+        g = expansion.Graph(model)
         networks = solvers._relaxation(g)
         assert [net.need for net in networks] == [3, 0, 30]
         cap_mass = {z: 100 * model.variables[z].upper_bound for z in g.vehicles}
@@ -452,7 +453,7 @@ class TestOneArcPerKey:
 
     @staticmethod
     def assert_one_arc_per_key(model):
-        for net in solvers._relaxation(solvers._Graph(model)):
+        for net in solvers._relaxation(expansion.Graph(model)):
             keys = [key for key, _, _ in net.arcs]
             assert len(set(keys)) == len(keys)
             assert all(net.edge_of[key] == 2 * j for j, key in enumerate(keys))
@@ -491,7 +492,7 @@ class TestLearnedCuts:
         probability 0.7 and uniform below it otherwise, so both verdicts
         occur often."""
         model = waves_model(2)
-        fresh = solvers._relaxation(solvers._Graph(model))
+        fresh = solvers._relaxation(expansion.Graph(model))
         searched = []
         relaxation = solvers._relaxation
 
@@ -583,20 +584,9 @@ def test_family_against_pinned_optima():
 
 def _feasible_vehicle_vectors(model) -> set[tuple[int, ...]]:
     """The vehicle vectors, in variable order, under which some point of the
-    flow box satisfies every row: the whole bound box, enumerated."""
-    n = len(model.variables)
-    A = np.zeros((len(model.constraints), n), dtype=np.int64)
-    rhs = np.array([c.rhs for c in model.constraints], dtype=np.int64)
-    eq = np.array([c.relation == "eq" for c in model.constraints], dtype=bool)
-    for r, c in enumerate(model.constraints):
-        for i, coef in c.terms:
-            A[r, i] = coef
-    box = np.array(list(itertools.product(*(range(v.upper_bound + 1) for v in model.variables))),
-                   dtype=np.int64).reshape(-1, n)
-    residual = box @ A.T - rhs
-    ok = (residual[:, eq] == 0).all(axis=1) & (residual[:, ~eq] <= 0).all(axis=1)
+    flow box satisfies every row."""
     vehicles = [v.index for v in model.variables if v.kind == expansion.VEHICLE]
-    return {tuple(row) for row in box[ok][:, vehicles].tolist()}
+    return {tuple(point[i] for i in vehicles) for point in feasible_points(model)}
 
 
 class TestLeafCompletion:
@@ -614,7 +604,7 @@ class TestLeafCompletion:
             for counts in itertools.product(*(range(v.upper_bound + 1) for v in vehicles)):
                 fixed = {v.index: c for v, c in zip(vehicles, counts)}
                 flows = solvers.find_feasible_flows(
-                    solvers._Graph(model), {z: capacity * c for z, c in fixed.items()})
+                    expansion.Graph(model), {z: capacity * c for z, c in fixed.items()})
                 assert (flows is not None) == (counts in feasible)
                 outcomes[flows is not None] += 1
                 if flows is not None:
@@ -628,7 +618,7 @@ class TestLeafCompletion:
         """A completion handed a deadline already past gives up and raises,
         where a finished one returns flows."""
         model = waves_model(2)
-        g = solvers._Graph(model)
+        g = expansion.Graph(model)
         capacity = int(model.instance.capacity)
         best = solve_exact(model).sample.assignment.values
         cap_mass = {z: capacity * best[z] for z in g.vehicles}
@@ -738,7 +728,7 @@ class TestCheaperPointOnExpiry:
 def _assert_start_point(model, result):
     """The sample of a search that timed out without an incumbent: the
     annealer's start point, which verifies."""
-    assert result.sample.assignment.values == tuple(solvers._start_point(solvers._Graph(model))[0])
+    assert result.sample.assignment.values == tuple(solvers._start_point(expansion.Graph(model))[0])
     report = verify_assignment(model, result.sample.assignment)
     assert report.feasible and report.bound_findings == ()
     assert result.sample.objective == expansion.evaluate_objective(model, result.sample.assignment)
@@ -872,12 +862,12 @@ class TestOneGraph:
         }[name]
         built = []
 
-        class Counting(solvers._Graph):
+        class Counting(expansion.Graph):
             def __init__(self, model):
                 built.append(1)
                 super().__init__(model)
 
-        monkeypatch.setattr(solvers, "_Graph", Counting)
+        monkeypatch.setattr(solvers, "Graph", Counting)
         call()
         assert len(built) == 1
 
@@ -904,7 +894,7 @@ class TestCycleAnnealer:
     @pytest.mark.parametrize("k, count", [(1, 2), (3, 10)])
     def test_cycles_keep_every_conservation_row(self, k, count):
         model = waves_model(k)
-        cycles = solvers._flow_cycles(solvers._Graph(model))
+        cycles = solvers._flow_cycles(expansion.Graph(model))
         assert len(cycles) == count
         for cycle in cycles:
             assert 2 <= len(cycle) <= 6
@@ -919,7 +909,7 @@ class TestCycleAnnealer:
     @pytest.mark.parametrize("k", [1, 3])
     def test_start_flow_is_feasible(self, k):
         model = waves_model(k)
-        values, _ = solvers._start_point(solvers._Graph(model))
+        values, _ = solvers._start_point(expansion.Graph(model))
         assert any(values)
         for v in model.variables:
             assert 0 <= values[v.index] <= v.upper_bound
@@ -1190,6 +1180,15 @@ class TestPostprocess:
         adjusted, _ = postprocess_flows(case_study_model, a)
         assert expansion.evaluate_objective(case_study_model, adjusted) == \
             expansion.evaluate_objective(case_study_model, a)
+
+    @pytest.mark.parametrize("length", [lambda n: 3, lambda n: n + 2], ids=["short", "long"])
+    def test_wrong_length_is_refused(self, case_study_pruned, length):
+        """Too few values and too many get verify_assignment's refusal."""
+        n = len(case_study_pruned.variables)
+        a = Assignment(values=(0,) * length(n))
+        message = f"assignment has {len(a.values)} values, model has {n} variables"
+        with pytest.raises(ValueError, match=message):
+            postprocess_flows(case_study_pruned, a)
 
 
 class TestSummarize:
@@ -1476,7 +1475,7 @@ class TestNoCyclicGarbage:
         export_hamiltonian(h, poly)
         return {
             "solve_exact": lambda: solve_exact(model),
-            "find_feasible_flows": lambda: solvers.find_feasible_flows(solvers._Graph(model),
+            "find_feasible_flows": lambda: solvers.find_feasible_flows(expansion.Graph(model),
                                                                        cap_mass),
             "anneal_sample": lambda: anneal_sample(h, model, AnnealParams(restarts=3, sweeps=5),
                                                    seed=3),
