@@ -12,11 +12,10 @@
 map (`--costs`, defaulting to the committed fixture).  `verify` and `report`
 read the candidate solution from `--assignment`: a file written by `solve`,
 or any JSON list of integers, bare or under "values", read as every JSON
-input is (a repeated key is refused).  In the report CSVs, an id or arc key
-holding a comma, a quote, CR or LF is quoted as the csv module quotes it.
-`--time-limit` bounds the exact search (default 300 s); a search that
-reaches it prints `certified,False` with the best verified point it holds.
-`anneal` and `bruteforce` accept it and do not use it.
+input is (a repeated key is refused).  `--time-limit` bounds the exact
+search (default 300 s); a search that reaches it prints `certified,False`
+with the best verified point it holds.  `anneal` and `bruteforce` accept it
+and do not use it.
 
 Exit codes: 0 success, 1 infeasible or invalid input, 2 usage error.
 Diagnostics go to stderr; data goes to files or stdout.  `HAMFLOW_SEED` is
@@ -287,9 +286,8 @@ def _cmd_verify(args) -> int:
     if not math.isfinite(objective):
         raise CliError("arc costs too large: the objective at this assignment "
                        "overflows a float")
-    feasible = report.feasible and not report.bound_findings
     summary = {
-        "feasible": feasible,
+        "feasible": report.feasible,
         "objective": objective,
         "nonzero_residuals": sum(1 for r in report.residuals if r != 0),
         "bound_violations": len(report.bound_findings),
@@ -298,18 +296,17 @@ def _cmd_verify(args) -> int:
         summary["worst_constraint"] = expansion.tag_str(report.worst[0])
         summary["worst_residual"] = report.worst[1]
     _print_summary(summary, args.format)
-    return 0 if feasible else 1
+    return 0 if report.feasible else 1
 
 
 def _cmd_report(args) -> int:
     model = _load_model(args)
     a = _load_assignment(args, model)
     report = expansion.verify_assignment(model, a)
+    if report.worst is not None:
+        raise CliError(f"assignment is infeasible (worst residual at "
+                       f"{expansion.tag_str(report.worst[0])}); refusing to render reports")
     if not report.feasible:
-        worst = expansion.tag_str(report.worst[0]) if report.worst else "?"
-        raise CliError(f"assignment is infeasible (worst residual at {worst}); "
-                       "refusing to render reports")
-    if report.bound_findings:
         first = model.variables[report.bound_findings[0][0]].name()
         raise CliError(f"assignment violates {len(report.bound_findings)} variable bound(s), "
                        f"first at {first}; refusing to render reports")
@@ -403,12 +400,7 @@ def render_reports(model: Model, a: Assignment, out: Path) -> list[Path]:
 
 
 def _csv_row(names: list[str], numbers) -> str:
-    """One CSV line: `names` quoted as the csv module's minimal quoting does
-    (a name holding a comma, a quote, CR or LF is wrapped in quotes, each
-    inner quote doubled), then `numbers`."""
-    fields = ['"' + n.replace('"', '""') + '"' if any(ch in n for ch in ',"\r\n') else n
-              for n in names]
-    return ",".join(fields + [str(v) for v in numbers])
+    return ",".join(names + [str(v) for v in numbers])
 
 
 def emit_histogram(sset: solvers.SampleSet, dest) -> None:

@@ -68,8 +68,8 @@ class Variable:
 
     def name(self) -> str:
         if self.kind == FLOW:
-            return f"x[{self.arc[0]}->{self.arc[1]},{self.commodity},t={self.time}]"
-        return f"z[{self.arc[0]}->{self.arc[1]},t={self.time}]"
+            return f"x[{arc_key(*self.arc)},{self.commodity},t={self.time}]"
+        return f"z[{arc_key(*self.arc)},t={self.time}]"
 
 
 # Constraint tags are plain tuples so they stay hashable and printable:
@@ -130,7 +130,7 @@ class Assignment:
 @dataclass(frozen=True)
 class FeasibilityReport:
     residuals: tuple[int, ...]       # signed for equalities, max(0, lhs-rhs) for inequalities
-    feasible: bool
+    feasible: bool                   # every row holds and every value is within its bounds
     worst: tuple[Tag, int] | None    # constraint tag with the largest |residual|
     bound_findings: tuple[tuple[int, int, int], ...] = ()   # (var index, value, upper bound)
 
@@ -351,7 +351,7 @@ def _require_length(model: Model, a: Assignment) -> None:
 
 
 def verify_assignment(model: Model, a: Assignment) -> FeasibilityReport:
-    """Exact integer residuals of every constraint at an assignment."""
+    """Exact row residuals and out-of-bounds values; `feasible` when there are none."""
     _require_length(model, a)
     residuals = []
     worst: tuple[Tag, int] | None = None
@@ -365,14 +365,13 @@ def verify_assignment(model: Model, a: Assignment) -> FeasibilityReport:
                            for v in model.variables
                            if not 0 <= a.values[v.index] <= v.upper_bound)
     return FeasibilityReport(residuals=tuple(residuals),
-                             feasible=all(r == 0 for r in residuals),
+                             feasible=not bound_findings and all(r == 0 for r in residuals),
                              worst=worst, bound_findings=bound_findings)
 
 
 def evaluate_objective(model: Model, a: Assignment) -> float:
     """Total vehicle cost sum(c * z); flow variables do not contribute."""
-    if len(a.values) != len(model.variables):
-        raise ValueError("assignment length mismatch")
+    _require_length(model, a)
     return ordered_sum((cost * a.values[i] for i, cost in model.objective), 0.0)
 
 

@@ -33,7 +33,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Sequence
 
-from .expansion import Assignment, Model, row_residuals
+from .expansion import Assignment, Model, _require_length, row_residuals
 from .instance import _collector_paused
 
 DECISION = "decision"
@@ -192,8 +192,7 @@ def encode_assignment(h: Hamiltonian, model: Model, a: Assignment) -> list[int]:
     Slacks pair with the model's `le` rows by position, following the
     variable order above, so a Hamiltonian re-read from a polynomial file
     lifts the same way as the compiled one."""
-    if len(a.values) != len(model.variables):
-        raise ValueError("assignment length mismatch")
+    _require_length(model, a)
     le_residuals = [r for c, r in zip(model.constraints, row_residuals(model, a.values))
                     if c.relation == "le"]
     slacks = h.variables[len(a.values):]

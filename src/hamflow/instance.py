@@ -11,6 +11,9 @@ Instances are read and written as UTF-8 JSON documents with top-level keys
 hand-authored files surface immediately.  Depot, commodity and arc-end ids
 and depot labels are JSON strings: any other value is refused, not
 converted, so serializing a parsed instance gives back the document read.
+An id is one nonempty line free of ``,``, ``"`` and ``->`` (`_require_ids`),
+the separators that variable names, row tags, report lines and diagnostics
+join ids with, so each names one thing on one line.  Labels are free text.
 
 Schedule amounts are in mass units: positive entries are supply appearing at
 a depot at a time step, negative entries are demand consumed there.  Loads
@@ -118,9 +121,9 @@ class Depot:
     label: str
 
     def __post_init__(self):
-        _require_str(("id", self.id), ("label", self.label), where="depot")
-        if "->" in self.id:   # arc_key joins ids with it: each key must name one arc
-            raise InstanceSchemaError(f"depot id {self.id!r} must not contain '->'")
+        _require_ids(("id", self.id), where="depot")
+        if not isinstance(self.label, str):
+            raise InstanceSchemaError(f"depot label must be a string, got {self.label!r}")
 
 
 @dataclass(frozen=True)
@@ -131,9 +134,9 @@ class Arc:
     travel_time: int      # time steps, >= 1
 
     def __post_init__(self):
-        _require_str(("origin", self.origin), ("dest", self.dest), where="arc")
+        _require_ids(("origin", self.origin), ("dest", self.dest), where="arc")
         if self.origin == self.dest:
-            raise InstanceSchemaError(f"arc {self.origin}->{self.dest}: self-loops not allowed")
+            raise InstanceSchemaError(f"arc {self.key()}: self-loops not allowed")
         # NaN fails every comparison, and JSON would write a bool as true or false
         if isinstance(self.cost, bool) or not 0 <= self.cost < math.inf:
             raise InstanceSchemaError(
@@ -142,7 +145,7 @@ class Arc:
             raise InstanceSchemaError(f"arc {self.key()}: travel_time must be an integer >= 1")
 
     def key(self) -> str:
-        return f"{self.origin}->{self.dest}"
+        return arc_key(self.origin, self.dest)
 
     @property
     def pair(self) -> tuple[str, str]:
@@ -155,7 +158,7 @@ class Commodity:
     load: int             # mass units per unit of flow, > 0
 
     def __post_init__(self):
-        _require_str(("id", self.id), where="commodity")
+        _require_ids(("id", self.id), where="commodity")
         load = _mass(self.load)
         if load is None or load <= 0:
             raise InstanceSchemaError(
@@ -172,7 +175,7 @@ class ScheduleEntry:
     amount: int           # mass units; > 0 supply, < 0 demand
 
     def __post_init__(self):
-        _require_str(("depot", self.depot), ("commodity", self.commodity),
+        _require_ids(("depot", self.depot), ("commodity", self.commodity),
                      where="schedule entry")
         where = f"schedule entry ({self.depot}, {self.commodity}, t={self.time})"
         amount = _mass(self.amount)
@@ -227,7 +230,7 @@ class Instance:
         pairs = [a.pair for a in self.arcs]
         if len(set(pairs)) != len(pairs):
             dup = _first_duplicate(pairs)
-            raise DuplicateIdError(f"duplicate arc {dup[0]}->{dup[1]}")
+            raise DuplicateIdError(f"duplicate arc {arc_key(*dup)}")
         known_depots = set(depot_ids)
         loads = {c.id: c.load for c in self.commodities}
         for a in self.arcs:
@@ -269,7 +272,7 @@ class Instance:
         for a in self.arcs:
             if a.pair == (origin, dest):
                 return a
-        raise UnknownIdError(f"no arc {origin}->{dest}")
+        raise UnknownIdError(f"no arc {arc_key(origin, dest)}")
 
     def schedule_amount(self, depot: str, commodity: str, time: int) -> int:
         """Supply (+) or demand (-) mass at (depot, commodity, time); 0 if unscheduled."""
@@ -473,12 +476,16 @@ def serialize_instance(inst: Instance) -> str:
     )) + "\n}\n"
 
 
-def _require_str(*fields: tuple[str, object], where: str) -> None:
-    """Refuse a field that is not a string: ids are compared, hashed and
-    written back as JSON strings, and nothing is coerced into one."""
+def _require_ids(*fields: tuple[str, object], where: str) -> None:
+    """Refuse an id that is not a string (none is coerced into one) or not
+    one nonempty line free of ',', '"' and '->', showing it with repr."""
     for name, value in fields:
         if not isinstance(value, str):
             raise InstanceSchemaError(f"{where} {name} must be a string, got {value!r}")
+        if "," in value or '"' in value or "->" in value or value.splitlines() != [value]:
+            bad = next((s for s in (",", '"', "->") if s in value), None)
+            rule = "must be one nonempty line" if bad is None else f"must not contain {bad!r}"
+            raise InstanceSchemaError(f"{where} {name} {value!r} {rule}")
 
 
 def _is_int(value) -> bool:

@@ -107,8 +107,11 @@ from .hamiltonian import Hamiltonian, choose_alpha
 from .instance import ordered_sum
 
 
+_BRUTE_FORCE_LIMIT = 10**7   # points in the largest bound box brute_force_oracle enumerates
+
+
 class SearchSpaceTooLargeError(Exception):
-    pass
+    """brute_force_oracle's bound box holds more than _BRUTE_FORCE_LIMIT points."""
 
 
 @dataclass(frozen=True)
@@ -731,8 +734,7 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
         timed_out = True
     if timed_out:
         start_point = Assignment(values=tuple(_start_point(g)[0]))
-        report = verify_assignment(model, start_point)
-        if report.feasible and not report.bound_findings and (
+        if verify_assignment(model, start_point).feasible and (
                 best is None
                 or evaluate_objective(model, start_point) < evaluate_objective(model, best)):
             best = start_point
@@ -740,7 +742,7 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     return _exact_result(best, objective, nodes, start, timed_out)
 
 
-def brute_force_oracle(model: Model, limit: int = 10**7) -> ExactResult:
+def brute_force_oracle(model: Model) -> ExactResult:
     """Exhaustive enumeration over the full bound box; exists to certify
     solve_exact on tiny models and shares no search logic with it.  Raises
     ModelError when the objective overflows (`_require_finite_objective`) or
@@ -753,8 +755,8 @@ def brute_force_oracle(model: Model, limit: int = 10**7) -> ExactResult:
     start = time.perf_counter()
     dims = [v.upper_bound + 1 for v in model.variables]
     space = math.prod(dims)
-    if space > limit:
-        raise SearchSpaceTooLargeError(f"search space {space} exceeds limit {limit}")
+    if space > _BRUTE_FORCE_LIMIT:
+        raise SearchSpaceTooLargeError(f"search space {space} exceeds limit {_BRUTE_FORCE_LIMIT}")
     for c in model.constraints:
         if abs(c.rhs) + sum(abs(a) * max(model.variables[i].upper_bound, 1)
                                  for i, a in c.terms) >= 2**63:

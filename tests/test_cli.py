@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamflow import cli, expansion, serialize_instance, solvers
+from hamflow import cli, expansion, parse_instance, serialize_instance, solvers
 from hamflow.hamiltonian import compile_hamiltonian
 from hamflow.instance import (
     MAX_EXPANDED_VARIABLES,
@@ -276,11 +277,36 @@ def one_commodity_doc(path: Path, load, capacity, schedule) -> Path:
     return path
 
 
+def run_main(*args) -> subprocess.CompletedProcess:
+    """`hamflow` run in this process: its exit code and output as run_cli
+    returns them, without starting an interpreter."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = cli.main(list(args))
+    return subprocess.CompletedProcess(args, code, stdout.getvalue(), stderr.getvalue())
+
+
 def assert_one_line_error(proc):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("hamflow: ")
+
+
+# Each id of the micro instance (depots A and B, commodity K, arc A->B): the
+# record holding it rebuilt with another id, and the document leaves holding it
+_ID_SITES = {
+    "depot": (lambda inst, v: replace(inst.depots[1], id=v),
+              [("depots", 1, "id"), ("arcs", 0, "to"), ("schedule", 1, "depot")]),
+    "commodity": (lambda inst, v: replace(inst.commodities[0], id=v),
+                  [("commodities", 0, "id"), ("schedule", 0, "commodity"),
+                   ("schedule", 1, "commodity")]),
+    "arc_end": (lambda inst, v: replace(inst.arcs[0], dest=v), [("arcs", 0, "to")]),
+    "entry_depot": (lambda inst, v: replace(inst.schedule[1], depot=v),
+                    [("schedule", 1, "depot")]),
+    "entry_commodity": (lambda inst, v: replace(inst.schedule[1], commodity=v),
+                        [("schedule", 1, "commodity")]),
+}
 
 
 class TestInputFaults:
@@ -353,6 +379,61 @@ class TestInputFaults:
         proc = run_cli("validate", "--instance", str(bad))
         assert_one_line_error(proc)
         assert "must be a string" in proc.stderr
+
+    @pytest.mark.parametrize("bad", ["B\nx", "B\rx", "B\u2028x", "B,x", 'B"x', "B->x", ""],
+                             ids=["lf", "cr", "u2028", "comma", "quote", "arrow", "empty"])
+    @pytest.mark.parametrize("site", list(_ID_SITES))
+    def test_bad_id_is_refused(self, tmp_path, site, bad):
+        """An id that is empty, spans lines or holds ',', '"' or '->' is
+        refused by the record that holds it, by parse_instance and by
+        `hamflow validate`, each with the same line showing it by repr."""
+        record, leaves = _ID_SITES[site]
+        with pytest.raises(InstanceSchemaError) as built:
+            record(micro_instance(), bad)
+        refusal = str(built.value)
+        assert repr(bad) in refusal and refusal.splitlines() == [refusal]
+        doc = json.loads(serialize_instance(micro_instance()))
+        for leaf in leaves:
+            _leaf(doc, leaf[:-1])[leaf[-1]] = bad
+        with pytest.raises(InstanceSchemaError, match=f"^{re.escape(refusal)}$"):
+            parse_instance(json.dumps(doc))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        proc = run_main("validate", "--instance", str(path))
+        assert_one_line_error(proc)
+        assert proc.stderr == f"hamflow: {refusal}\n" and proc.stdout == ""
+
+    @pytest.mark.parametrize("case", ["comma_ids", "lf_zero_amount", "lf_self_loop",
+                                      "lf_early_demand"])
+    def test_ids_that_named_two_things_or_lines(self, tmp_path, case):
+        """Ids that once passed validation: depots B and B,K with
+        commodities L and K,L, which gave x[A->B,K,L,t=1] to two variables,
+        and the case study's N5 renamed N5<LF>x with a zero amount, a
+        self-loop or an early demand there, each of which printed a message
+        or finding split over two lines."""
+        if case == "comma_ids":
+            doc = {"depots": [{"id": i, "label": i} for i in ("A", "B", "B,K")],
+                   "arcs": [{"from": "A", "to": to, "cost": 1.0, "travel_time": 1}
+                            for to in ("B", "B,K")],
+                   "commodities": [{"id": "L", "load": 1}, {"id": "K,L", "load": 1}],
+                   "horizon": 2, "capacity": 1, "schedule": []}
+            refusal = "depot id 'B,K' must not contain ','"
+        else:
+            doc = json.loads(CASE_STUDY_DOC.read_text().replace('"N5"', '"N5\\nx"'))
+            entry = next(e for e in doc["schedule"] if e["depot"] == "N5\nx")
+            if case == "lf_zero_amount":
+                entry["amount"] = 0
+            elif case == "lf_self_loop":
+                doc["arcs"].append({"from": "N5\nx", "to": "N5\nx", "cost": 1.0,
+                                    "travel_time": 1})
+            else:
+                entry["time"] = 1
+            refusal = "depot id 'N5\\nx' must be one nonempty line"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        proc = run_main("validate", "--instance", str(path))
+        assert_one_line_error(proc)
+        assert proc.stderr == f"hamflow: {refusal}\n" and proc.stdout == ""
 
     def test_depot_id_with_arc_separator(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -610,6 +691,21 @@ class TestInputFaults:
         assert "z[N1->N2,t=1]" in proc.stderr
         assert not (tmp_path / "r" / "vehicles.csv").exists()
 
+    def test_one_past_the_bound(self, tmp_path, out_of_bounds):
+        """Every row holds but z[N1->N2,t=1] is 4 against its bound 3:
+        verify prints feasible,False and report refuses, as when a row fails."""
+        path = out_of_bounds(4)
+        proc = run_main("verify", "--instance", "case-study", "--assignment", str(path))
+        assert proc.returncode == 1
+        assert proc.stdout.splitlines()[0] == "feasible,False"
+        assert "nonzero_residuals,0" in proc.stdout and "bound_violations,1" in proc.stdout
+        proc = run_main("report", "--instance", "case-study", "--assignment", str(path),
+                        "--out", str(tmp_path / "r"))
+        assert_one_line_error(proc)
+        assert proc.stderr == ("hamflow: assignment violates 1 variable bound(s), first at "
+                               "z[N1->N2,t=1]; refusing to render reports\n")
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("command", ["verify", "report"])
     def test_400_digit_assignment_value(self, tmp_path, out_of_bounds, command):
         path = out_of_bounds(10 ** 399)
@@ -676,7 +772,9 @@ def test_mutated_case_study_never_raises(tmp_path_factory, path, value, everywhe
     `everywhere` is drawn, every leaf holding that string is, so that an id
     is renamed throughout.  Validate, compile, an annealing and an exact
     solve exit 0, 1 or 2 and never raise, and each solve that exits 0
-    writes reports whose rows read back whole (`assert_report_rows`)."""
+    writes reports whose rows read back whole (`assert_report_rows`).  Each
+    prints at most one line to stderr, and validate's stdout is its count
+    line and one line per finding."""
     doc = json.loads(json.dumps(_CASE_STUDY))
     old = _leaf(doc, path)
     paths = ([p for p in _leaf_paths(doc) if _leaf(doc, p) == old]
@@ -691,12 +789,14 @@ def test_mutated_case_study_never_raises(tmp_path_factory, path, value, everywhe
                  ["solve", "--method", "anneal", "--samples", "2", "--out", str(base / "solved")],
                  ["solve", "--method", "exact", "--time-limit", "1",
                   "--out", str(base / "exact")]):
-        stderr = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
-            code = cli.main([*argv, "--instance", str(bad)])
-        assert code in (0, 1, 2)
-        assert "Traceback" not in stderr.getvalue()
-        if argv[0] == "solve" and code == 0:
+        proc = run_main(*argv, "--instance", str(bad))
+        assert proc.returncode in (0, 1, 2)
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) <= 1, (argv, proc.stderr)
+        if argv == ["validate"] and not proc.stderr:
+            count, *findings = proc.stdout.splitlines()
+            assert count == f"{len(findings)} findings", proc.stdout
+        if argv[0] == "solve" and proc.returncode == 0:
             assert_report_rows(Path(argv[-1]), doc["horizon"])
 
 
@@ -835,9 +935,9 @@ class TestSolutionLayout:
         self.assert_layout(tmp_path, model, samples.best(), "anneal")
 
     def test_names_that_json_escapes(self, tmp_path):
-        """A depot id holding a quote, a backslash and a non-ASCII letter,
-        which json.dumps writes as \\", \\\\ and \\u00e9."""
-        odd = 'Q"\\é'
+        """A depot id holding a backslash and a non-ASCII letter, which
+        json.dumps writes as \\\\ and \\u00e9."""
+        odd = 'Q\\é'
         inst = Instance(
             depots=(Depot("A", "A"), Depot(odd, odd)),
             arcs=(Arc("A", odd, 5.0, 1),),
@@ -847,7 +947,7 @@ class TestSolutionLayout:
         model = expansion.expand_model(inst)
         self.assert_layout(tmp_path, model, solvers.solve_exact(model).sample, "exact")
         text = (tmp_path / "solution.json").read_text(encoding="utf-8")
-        assert r'Q\"\\\u00e9' in text and text.isascii()
+        assert r'Q\\\u00e9' in text and text.isascii()
 
 
 # Runs in a fresh interpreter: the test process has imported numpy already.

@@ -283,6 +283,16 @@ class TestVerify:
                 for i, r in enumerate(report.residuals) if r != 0}
         assert tags == {("capacity", ("N4", "N5"), 4): 60}
 
+    def test_value_past_its_bound_is_infeasible(self, case_study_pruned, published_schedule):
+        """z[N1->N2,t=1] set to 4, past its bound 3, satisfies every row and
+        is still infeasible."""
+        i = case_study_pruned.vehicle_index()[(("N1", "N2"), 1)]
+        values = list(published_schedule.values)
+        values[i] = 4
+        report = verify_assignment(case_study_pruned, Assignment(values=tuple(values)))
+        assert report.bound_findings == ((i, 4, 3),)
+        assert report.worst is None and not report.feasible
+
     def test_residuals_are_exact_ints(self, case_study_pruned, published_schedule):
         report = verify_assignment(case_study_pruned, published_schedule)
         assert all(isinstance(r, int) for r in report.residuals)

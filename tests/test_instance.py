@@ -375,15 +375,16 @@ class TestSerializeLayout:
             assert serialize_instance(inst) == dumps_reference(inst)
 
     def test_escaped_ids(self):
-        ids = ['say "hi"', "back\\slash", "Erde\u0308", "\u706b\u661f", "tab\tnew\nline",
-               "\U0001f680"]
+        """Ids and labels json.dumps escapes; a quote and a line feed, which
+        no id may hold, are in the labels."""
+        ids = ["back\\slash", "Erde\u0308", "\u706b\u661f", "tab\there", "\U0001f680"]
         inst = Instance(
-            depots=tuple(Depot(i, f"label of {i}") for i in ids),
+            depots=tuple(Depot(i, f'label of {i}: say "hi"\nnew line') for i in ids),
             arcs=(Arc(ids[0], ids[1], 2.5, 1), Arc(ids[2], ids[3], 1.0, 1)),
-            commodities=(Commodity(ids[4], 10.0), Commodity(ids[5], 20.0)),
+            commodities=(Commodity(ids[3], 10.0), Commodity(ids[4], 20.0)),
             horizon=2, capacity=100.0,
-            schedule=(ScheduleEntry(ids[2], ids[5], 1, 20.0),
-                      ScheduleEntry(ids[3], ids[5], 2, -20.0)))
+            schedule=(ScheduleEntry(ids[2], ids[4], 1, 20.0),
+                      ScheduleEntry(ids[3], ids[4], 2, -20.0)))
         text = serialize_instance(inst)
         assert text == dumps_reference(inst)
         assert text.isascii() and parse_instance(text) == inst

@@ -4,11 +4,10 @@ full inventory story (the inventory convention is arrival-through-departure
 occupancy with delivered demand retained, which is exactly what the
 reference table records)."""
 
-import csv
 import hashlib
-import io
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -17,6 +16,7 @@ from hamflow import parse_instance, serialize_instance
 from hamflow.cli import render_reports
 from hamflow.expansion import Assignment, expand_model, prune_model
 from hamflow.hamiltonian import compile_hamiltonian
+from hamflow.instance import InstanceSchemaError
 from hamflow.solvers import AnnealParams, anneal_sample, solve_exact
 
 from conftest import random_micro_model, waves_model
@@ -100,24 +100,11 @@ def test_report_bytes_pinned(tmp_path, case_study_model, case_study_pruned):
 
 @pytest.mark.parametrize("name", ["N5,x", 'N5"x', "N5\rx", "N5\nx", 'N5,"x"\nLS'],
                          ids=["comma", "quote", "cr", "lf", "all"])
-def test_names_are_csv_quoted(tmp_path, case_study, name):
-    """Depot N5 renamed to hold a character that means something in CSV:
-    each report line is what csv.writer's minimal quoting writes (its
-    default dialect, which quotes a CR or LF, with the line ended by LF),
-    and the name reads back with csv.reader as one field."""
+def test_names_are_csv_quoted(case_study, name):
+    """No report name ever needs CSV quoting: depot N5 renamed to hold a
+    comma, a quote, CR or LF is refused when the instance is read, with
+    one line that shows the id by repr, so a report line is a plain join."""
     text = serialize_instance(case_study).replace('"N5"', json.dumps(name))
-    model = prune_model(expand_model(parse_instance(text)))
-    paths = render_reports(model, solve_exact(model).sample.assignment, tmp_path)
-    names = {}
-    for path in paths:
-        with path.open(encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-        expected = ""
-        for row in rows:
-            line = io.StringIO()
-            csv.writer(line).writerow(row)
-            expected += line.getvalue().removesuffix("\r\n") + "\n"
-        assert path.read_bytes().decode("utf-8") == expected
-        names[path.name] = {tuple(row[:-case_study.horizon]) for row in rows[2:]}
-    assert ("N4->" + name,) in names["vehicles.csv"] and ("N4->" + name,) in names["cargo.csv"]
-    assert {(name, "L1"), (name, "L2")} <= names["inventory.csv"]
+    with pytest.raises(InstanceSchemaError, match=re.escape(repr(name))) as refused:
+        parse_instance(text)
+    assert len(str(refused.value).splitlines()) == 1
