@@ -5,6 +5,7 @@ from .instance import (
     Arc,
     Commodity,
     Depot,
+    HamflowError,
     Instance,
     ScheduleEntry,
     ValidationReport,

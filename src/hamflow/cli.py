@@ -14,10 +14,12 @@ read the candidate solution from `--assignment`: a file written by `solve`,
 or any JSON list of integers, bare or under "values", read as every JSON
 input is (a repeated key is refused).  `--time-limit` bounds the exact
 search (default 300 s); a search that reaches it prints `certified,False`
-with the best verified point it holds.  `anneal` and `bruteforce` accept it
-and do not use it.
+with the best verified point it holds.  `solve` checks `--time-limit`,
+`--samples` and `--alpha` whatever the method, though each method uses
+only some of them.
 
 Exit codes: 0 success, 1 infeasible or invalid input, 2 usage error.
+Every refusal is a `HamflowError`, printed as one `hamflow:` line.
 Diagnostics go to stderr; data goes to files or stdout.  `HAMFLOW_SEED` is
 the fallback for `--seed`; the flag wins.
 """
@@ -35,6 +37,7 @@ from pathlib import Path
 from . import expansion, hamiltonian, solvers
 from .expansion import Assignment, Model
 from .instance import (
+    HamflowError,
     Instance,
     InstanceError,
     _load_json,
@@ -53,10 +56,6 @@ DEVICE_METADATA = {
 }
 
 
-class CliError(Exception):
-    """Invalid or infeasible input; maps to exit code 1."""
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -65,13 +64,11 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _dispatch(args)
-    except (CliError, InstanceError, expansion.ModelError, expansion.TableReconstructionError,
-            hamiltonian.CompileError, hamiltonian.PolynomialFormatError,
-            solvers.SearchSpaceTooLargeError) as exc:
+    except HamflowError as exc:
         print(f"hamflow: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        # reads map their OSError to CliError in _read_text, so this one came
+        # reads map their OSError to HamflowError in _read, so this one came
         # from creating or writing the output directory
         print(f"hamflow: cannot write {exc.filename or args.out}: {exc.strerror or exc}",
               file=sys.stderr)
@@ -137,7 +134,7 @@ def _seed_of(args) -> int:
     only with non-negative integers."""
     if args.seed is not None:
         if args.seed < 0:
-            raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
+            raise HamflowError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.seed
     env = os.environ.get("HAMFLOW_SEED")
     if env is None:
@@ -145,28 +142,35 @@ def _seed_of(args) -> int:
     try:
         seed = int(env)
     except ValueError as exc:
-        raise CliError(f"HAMFLOW_SEED={env!r} is not an integer") from exc
+        raise HamflowError(f"HAMFLOW_SEED={env!r} is not an integer") from exc
     if seed < 0:
-        raise CliError(f"HAMFLOW_SEED={env!r} must be a non-negative integer")
+        raise HamflowError(f"HAMFLOW_SEED={env!r} must be a non-negative integer")
     return seed
 
 
-def _read_text(path: str) -> str:
+def _read(path: str, parse):
+    """`parse` applied to the text of the file at `path`.  A file that cannot
+    be read, is not UTF-8, or holds JSON nested deeper than the decoder
+    allows is refused in one line that names it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError as exc:
-        raise CliError(f"file not found: {path}") from exc
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        raise HamflowError(f"file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise HamflowError(f"cannot read {path}: {exc}") from exc
+    try:
+        return parse(text)
+    except RecursionError as exc:
+        raise HamflowError(f"{path}: JSON nested deeper than the decoder allows") from exc
 
 
 def _load_instance(args) -> Instance:
     if args.instance == "case-study":
         return build_case_study(default_case_study_costs() if args.costs is None
-                                else load_cost_map(_read_text(args.costs)))
+                                else _read(args.costs, load_cost_map))
     if args.costs is not None:
-        raise CliError("--costs applies only to --instance case-study")
-    return parse_instance(_read_text(args.instance))
+        raise HamflowError("--costs applies only to --instance case-study")
+    return _read(args.instance, parse_instance)
 
 
 def _load_model(args) -> Model:
@@ -179,18 +183,18 @@ def _load_model(args) -> Model:
 def _load_assignment(args, model: Model) -> Assignment:
     path = args.assignment
     if path is None:
-        raise CliError(f"{args.command} requires --assignment")
+        raise HamflowError(f"{args.command} requires --assignment")
     try:
-        doc = _load_json(_read_text(path))
+        doc = _read(path, _load_json)
         a = Assignment(values=doc.get("values") if isinstance(doc, dict) else doc)
     except InstanceError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+        raise HamflowError(f"{path}: {exc}") from exc
     except TypeError as exc:
-        raise CliError(f"{path}: expected a list of integers, or an object with one "
-                       f"under 'values': {exc}") from exc
+        raise HamflowError(f"{path}: expected a list of integers, or an object with one "
+                           f"under 'values': {exc}") from exc
     if len(a.values) != len(model.variables):
-        raise CliError(f"assignment has {len(a.values)} values, the model has "
-                       f"{len(model.variables)} variables (check --no-prune)")
+        raise HamflowError(f"assignment has {len(a.values)} values, the model has "
+                           f"{len(model.variables)} variables (check --no-prune)")
     return a
 
 
@@ -231,16 +235,18 @@ def _cmd_compile(args) -> int:
 
 def _cmd_solve(args) -> int:
     if not (math.isfinite(args.time_limit) and args.time_limit >= 0):
-        raise CliError(f"--time-limit must be a non-negative finite number of seconds, "
-                       f"got {args.time_limit}")
+        raise HamflowError(f"--time-limit must be a non-negative finite number of seconds, "
+                           f"got {args.time_limit}")
+    if args.samples < 1:
+        raise HamflowError("--samples must be >= 1")
+    if args.alpha is not None:
+        hamiltonian._require_alpha(args.alpha)
     model = _load_model(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seed = _seed_of(args)
 
     if args.method == "anneal":
-        if args.samples < 1:
-            raise CliError("--samples must be >= 1")
         h = hamiltonian.compile_hamiltonian(model, alpha=args.alpha)
         params = solvers.AnnealParams(restarts=args.samples)
         sset = solvers.anneal_sample(h, model, params, seed=seed)
@@ -263,9 +269,9 @@ def _cmd_solve(args) -> int:
             result = solvers.brute_force_oracle(model)
         best = result.sample
         if best is None:
-            raise CliError(f"model is {result.status}: no feasible assignment exists"
-                           if result.status == "infeasible"
-                           else "time limit expired without an incumbent")
+            raise HamflowError(f"model is {result.status}: no feasible assignment exists"
+                               if result.status == "infeasible"
+                               else "time limit expired without an incumbent")
         summary = {"method": args.method, "objective": best.objective,
                    "certified": result.certified, "nodes": result.nodes}
     _write_solution(out, model, best.assignment, args.method, best.objective)
@@ -281,11 +287,11 @@ def _cmd_verify(args) -> int:
     try:
         objective = expansion.evaluate_objective(model, a)
     except OverflowError as exc:
-        raise CliError(f"the objective overflows a float; the assignment violates "
-                       f"{len(report.bound_findings)} variable bound(s)") from exc
+        raise HamflowError(f"the objective overflows a float; the assignment violates "
+                           f"{len(report.bound_findings)} variable bound(s)") from exc
     if not math.isfinite(objective):
-        raise CliError("arc costs too large: the objective at this assignment "
-                       "overflows a float")
+        raise HamflowError("arc costs too large: the objective at this assignment "
+                           "overflows a float")
     summary = {
         "feasible": report.feasible,
         "objective": objective,
@@ -304,12 +310,12 @@ def _cmd_report(args) -> int:
     a = _load_assignment(args, model)
     report = expansion.verify_assignment(model, a)
     if report.worst is not None:
-        raise CliError(f"assignment is infeasible (worst residual at "
-                       f"{expansion.tag_str(report.worst[0])}); refusing to render reports")
+        raise HamflowError(f"assignment is infeasible (worst residual at "
+                           f"{expansion.tag_str(report.worst[0])}); refusing to render reports")
     if not report.feasible:
         first = model.variables[report.bound_findings[0][0]].name()
-        raise CliError(f"assignment violates {len(report.bound_findings)} variable bound(s), "
-                       f"first at {first}; refusing to render reports")
+        raise HamflowError(f"assignment violates {len(report.bound_findings)} variable bound(s), "
+                           f"first at {first}; refusing to render reports")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     render_reports(model, a, out)

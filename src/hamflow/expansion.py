@@ -34,6 +34,7 @@ import json
 from dataclasses import dataclass
 
 from .instance import (
+    HamflowError,
     Instance,
     _collector_paused,
     _is_int,
@@ -49,7 +50,7 @@ FLOW = "flow"
 VEHICLE = "vehicle"
 
 
-class ModelError(Exception):
+class ModelError(HamflowError):
     pass
 
 
@@ -406,7 +407,7 @@ def tag_str(tag: Tag) -> str:
 
 # --- reconstruction from published schedule tables ---------------------------
 
-class TableReconstructionError(Exception):
+class TableReconstructionError(HamflowError):
     """The schedule tables are inconsistent with any integral flow split."""
 
 

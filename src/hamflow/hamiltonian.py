@@ -34,13 +34,13 @@ from operator import itemgetter
 from typing import Sequence
 
 from .expansion import Assignment, Model, _require_length, row_residuals
-from .instance import _collector_paused
+from .instance import HamflowError, _collector_paused
 
 DECISION = "decision"
 SLACK = "slack"
 
 
-class CompileError(Exception):
+class CompileError(HamflowError):
     pass
 
 
@@ -94,13 +94,19 @@ def choose_alpha(model: Model) -> float:
     return 1.0 + worst
 
 
+def _require_alpha(alpha: float) -> None:
+    """Refuse a penalty multiplier that is not a positive finite number."""
+    if not 0 < alpha < math.inf:     # NaN fails every comparison
+        raise CompileError(f"alpha must be a positive finite number, got {alpha}")
+
+
 @_collector_paused
 def compile_hamiltonian(model: Model, alpha: float | None = None) -> Hamiltonian:
     """Expand P1 + alpha * P2 into linear/quadratic coefficients and offset."""
     if alpha is None:
         alpha = choose_alpha(model)   # inf when the costs overflow: reported below
-    elif not 0 < alpha < math.inf:     # NaN fails every comparison
-        raise CompileError(f"alpha must be a positive finite number, got {alpha}")
+    else:
+        _require_alpha(alpha)
 
     for c in model.constraints:
         for i, coef in c.terms:
@@ -274,7 +280,7 @@ def export_hamiltonian(h: Hamiltonian, dest, metadata: dict[str, str] | None = N
     dest.write("".join(lines))
 
 
-class PolynomialFormatError(Exception):
+class PolynomialFormatError(HamflowError):
     pass
 
 

@@ -13,7 +13,8 @@ and depot labels are JSON strings: any other value is refused, not
 converted, so serializing a parsed instance gives back the document read.
 An id is one nonempty line free of ``,``, ``"`` and ``->`` (`_require_ids`),
 the separators that variable names, row tags, report lines and diagnostics
-join ids with, so each names one thing on one line.  Labels are free text.
+join ids with, so each names one thing on one line, and is valid Unicode
+text, which every writer can encode as UTF-8.  Labels are free text.
 
 Schedule amounts are in mass units: positive entries are supply appearing at
 a depot at a time step, negative entries are demand consumed there.  Loads
@@ -90,7 +91,12 @@ def _collector_paused(fn):
     return paused
 
 
-class InstanceError(Exception):
+class HamflowError(Exception):
+    """Base of every error hamflow raises for an input it refuses: the CLI
+    prints one as a single `hamflow:` line and exits 1."""
+
+
+class InstanceError(HamflowError):
     """Base class for instance construction and parsing failures."""
 
 
@@ -477,8 +483,9 @@ def serialize_instance(inst: Instance) -> str:
 
 
 def _require_ids(*fields: tuple[str, object], where: str) -> None:
-    """Refuse an id that is not a string (none is coerced into one) or not
-    one nonempty line free of ',', '"' and '->', showing it with repr."""
+    """Refuse an id that is not a string (none is coerced into one), not
+    one nonempty line free of ',', '"' and '->', or not UTF-8 encodable (a
+    lone surrogate, which every writer would fail on), showing it with repr."""
     for name, value in fields:
         if not isinstance(value, str):
             raise InstanceSchemaError(f"{where} {name} must be a string, got {value!r}")
@@ -486,6 +493,11 @@ def _require_ids(*fields: tuple[str, object], where: str) -> None:
             bad = next((s for s in (",", '"', "->") if s in value), None)
             rule = "must be one nonempty line" if bad is None else f"must not contain {bad!r}"
             raise InstanceSchemaError(f"{where} {name} {value!r} {rule}")
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise InstanceSchemaError(
+                f"{where} {name} {value!r} must be valid Unicode text") from exc
 
 
 def _is_int(value) -> bool:

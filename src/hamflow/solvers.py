@@ -36,7 +36,10 @@ at the child's must cross an edge whose capacity changed.
 
 Both searches run on explicit stacks, not on the interpreter's, so no
 model is too deep for them: a search ends optimal, infeasible or at its
-time limit.  A node's fit test and demand-cut bound are done in place:
+time limit.  Besides its stack, the leaf completion keeps one cursor (the
+cell being split, its options, the next option and the units left), and
+the branch-and-bound solves the root's relaxation networks before its
+node loop.  A node's fit test and demand-cut bound are done in place:
 it reads its parent's flow on the one arc edge it changed, and keeps each
 demand depot's shortfall as counts are set and undone (`solve_exact`).
 A search that reaches its time limit returns the cheaper verified point
@@ -104,13 +107,13 @@ from .expansion import (
     verify_assignment,
 )
 from .hamiltonian import Hamiltonian, choose_alpha
-from .instance import ordered_sum
+from .instance import HamflowError, ordered_sum
 
 
 _BRUTE_FORCE_LIMIT = 10**7   # points in the largest bound box brute_force_oracle enumerates
 
 
-class SearchSpaceTooLargeError(Exception):
+class SearchSpaceTooLargeError(HamflowError):
     """brute_force_oracle's bound box holds more than _BRUTE_FORCE_LIMIT points."""
 
 
@@ -441,66 +444,63 @@ def find_feasible_flows(g: Graph, cap_mass: dict[int, int],
     enumeration finds.
 
     The search runs on an explicit stack, one frame per flow variable given
-    its units: (cell, option position, units left before it, its take, its
-    largest take).  Takes are tried smallest first, and a failure moves the
-    top frame to its next take, popping the frames that have none left, so
-    no model is too deep for it.  A step is a visit to (cell, option
-    position, units left); the clock is read on the first step and every
-    256th after it, and past `deadline` (a `time.perf_counter` value) the
-    search gives up and raises `_Expired`, so an unfinished completion never
-    reads as None.
+    its units (cell, option position, units left before it, its take, its
+    largest take), and one cursor: the cell being split, its options, the
+    next option and the units left.  Each step gives that option its
+    smallest take; or, past the last option with no units left, opens the
+    next cell holding mass, returning the completion when none does; or
+    backtracks, when the take would pass its largest, units are left over
+    or the opened cell demands more than arrives.  A backtrack moves the top
+    frame to its next take, popping the frames that have none left, so no
+    model is too deep for it.  The clock is read on the first step and
+    every 256th after it, and past `deadline` (a `time.perf_counter` value)
+    the search gives up and raises `_Expired`, so an unfinished completion
+    never reads as None.
     """
-    cells, out, mass, variables = g.cells, g.out, g.mass, g.variables
+    cells, out, mass, loads, variables = g.cells, g.out, g.mass, g.loads, g.variables
     cap_left = dict(cap_mass)
     absorb = absorb_bounds(g, cap_left)
     incoming = [0] * len(cells)
     chosen: dict[int, int] = {}
     stack: list[list[int]] = []   # [cell, option, units left before it, take, largest take]
     steps = 0
-    first = 0            # the next cell to open, or -1 while cell c is being split
-    failed = False
+    c, options, j, units = -1, (), 0, 0   # the cursor: before the first cell
     while True:
-        if first >= 0:   # open the first cell from `first` on that holds units
-            for c in range(first, len(cells)):
+        if not steps & 255 and time.perf_counter() > deadline:
+            raise _Expired
+        steps += 1
+        if j < len(options):   # give option j its smallest take
+            i, _, head, z = options[j]
+            room = min(variables[i].upper_bound, cap_left[z] // load)
+            most = min(room, absorb[head] - incoming[head] // load, units)
+            take = max(0, units - sum(min(variables[k].upper_bound, cap_left[y] // load)
+                                      for k, _, _, y in options[j + 1:]))
+            if take <= most:
+                stack.append([c, j, units, take, most])
+                if take:
+                    chosen[i] = take
+                    cap_left[z] -= take * load
+                    incoming[head] += take * load
+                j, units = j + 1, units - take
+                continue
+        elif not units:        # cell c is split: open the next cell holding mass
+            for c in range(c + 1, len(cells)):
                 available = incoming[c] + mass.get(c, 0)
                 if available:
                     break
             else:
                 return chosen
-            first = -1
-            failed = available < 0
-            if not failed:
-                load = g.loads[cells[c][1]]
-                j, units = 0, available // load
-        if not failed:   # give option j of cell c its units, or close the cell
-            if not steps & 255 and time.perf_counter() > deadline:
-                raise _Expired
-            steps += 1
-            options = out[c]
-            if j == len(options):
-                if not units:
-                    first = c + 1
-                    continue
-            else:
-                i, _, head, z = options[j]
-                room = min(variables[i].upper_bound, cap_left[z] // load)
-                most = min(room, absorb[head] - incoming[head] // load, units)
-                take = max(0, units - sum(min(variables[k].upper_bound, cap_left[y] // load)
-                                          for k, _, _, y in options[j + 1:]))
-                if take <= most:
-                    stack.append([c, j, units, take, most])
-                    if take:
-                        chosen[i] = take
-                        cap_left[z] -= take * load
-                        incoming[head] += take * load
-                    j, units = j + 1, units - take
-                    continue
+            load = loads[cells[c][1]]
+            options, j, units = out[c], 0, available // load
+            if units > 0:
+                continue
         # backtrack: the deepest frame with a larger take left takes it
         while stack:
             frame = stack[-1]
             c, j, units, take, most = frame
-            i, _, head, z = out[c][j]
-            load = g.loads[cells[c][1]]
+            options = out[c]
+            i, _, head, z = options[j]
+            load = loads[cells[c][1]]
             if take:
                 chosen.pop(i)
                 cap_left[z] += take * load
@@ -512,7 +512,6 @@ def find_feasible_flows(g: Graph, cap_mass: dict[int, int],
                 cap_left[z] -= take * load
                 incoming[head] += take * load
                 j, units = j + 1, units - take
-                failed = False
                 break
             stack.pop()
         else:
@@ -550,9 +549,10 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     the current path (depth, cost so far, relaxation flows, their solve
     depths, next count), so no model is too deep for it.
     Internal nodes are pruned by a demand-cut cost bound and the max-flow
-    relaxation's networks (`_relaxation`), which the root solves from the
-    empty flow up to the first that fails, and leaves are completed by
-    find_feasible_flows.
+    relaxation's networks (`_relaxation`), and leaves are completed by
+    find_feasible_flows.  The networks are solved from the empty flow
+    before the node loop, up to the first that fails, so a node's
+    relaxation step is only a child's fit test.
 
     The demand cut is kept incrementally: per demand depot, the vehicles
     still short of its demand and the search caps of its unbranched
@@ -632,15 +632,22 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     nodes = 0
     timed_out = False
 
+    flows = []   # the root's relaxation flows, or None when one network fails
+    for net in networks:
+        flows.append(net.solve(cap_mass))
+        if flows[-1] is None:
+            flows = None
+            break
+
     # One frame per internal node on the path: [depth, cost so far, relaxation
     # flows, their solve depths, next vehicle count].  A node is visited as
     # (depth, cost_so_far, flows, solved), `flows` being its parent's
-    # relaxation flows (None at the root) and solved[n] the depth at which
-    # flows[n] was last solved or repaired: only the vehicle variables
+    # relaxation flows (the root's own at the root) and solved[n] the depth at
+    # which flows[n] was last solved or repaired: only the vehicle variables
     # branched since, branch_vars[solved[n]:depth], can have capacities
     # that differ from those its residual capacities were derived under.
     stack: list[list] = []
-    depth, cost_so_far, flows, solved = 0, 0.0, None, [0] * len(networks)
+    depth, cost_so_far, solved = 0, 0.0, [0] * len(networks)
     try:
         while True:
             nodes += 1
@@ -656,16 +663,7 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
                         break
                     bound += short[p] * cheapest[p]
             if bound < best_cost - 1e-9:
-                if flows is None:
-                    # the root: each network solved from the empty flow, up to
-                    # the first that fails
-                    flows = []
-                    for net in networks:
-                        flows.append(net.solve(cap_mass))
-                        if flows[-1] is None:
-                            flows = None
-                            break
-                else:
+                if depth:
                     # the max-flow relaxations: each network that holds the
                     # branched arc edge keeps its parent's flow when that edge's
                     # flow fits its new capacity; otherwise the cuts it learned
@@ -732,7 +730,6 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
                 break
     except _Expired:
         timed_out = True
-    if timed_out:
         start_point = Assignment(values=tuple(_start_point(g)[0]))
         if verify_assignment(model, start_point).feasible and (
                 best is None

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hamflow
 from hamflow import cli, expansion, parse_instance, serialize_instance, solvers
 from hamflow.hamiltonian import compile_hamiltonian
 from hamflow.instance import (
@@ -101,6 +102,19 @@ class TestExitCodes:
         proc = run_cli("compile", "--instance", str(tmp_path / "nope.json"))
         assert proc.stdout == ""
         assert proc.stderr != ""
+
+    def test_every_public_error_is_a_hamflow_error(self):
+        """`main` catches HamflowError alone, so every public error class of
+        every module must derive from it."""
+        errors = {name: obj for module in (hamflow.instance, expansion, hamflow.hamiltonian,
+                                           solvers, cli)
+                  for name, obj in vars(module).items()
+                  if isinstance(obj, type) and issubclass(obj, Exception)
+                  and obj.__module__ == module.__name__ and not name.startswith("_")}
+        assert {"InstanceError", "ModelError", "TableReconstructionError", "CompileError",
+                "PolynomialFormatError", "SearchSpaceTooLargeError"} <= errors.keys()
+        assert [name for name, obj in errors.items()
+                if not issubclass(obj, hamflow.HamflowError)] == []
 
 
 class TestSharedParser:
@@ -342,6 +356,14 @@ class TestInputFaults:
         assert_one_line_error(proc)
         assert "--time-limit must be a non-negative finite number" in proc.stderr
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    @pytest.mark.parametrize("method", ["exact", "anneal", "bruteforce"])
+    def test_bad_samples(self, micro_doc, tmp_path, method, samples):
+        proc = run_cli("solve", "--instance", str(micro_doc), "--method", method,
+                       f"--samples={samples}", "--out", str(tmp_path / "out"))
+        assert_one_line_error(proc)
+        assert "--samples must be >= 1" in proc.stderr
+
     @pytest.mark.parametrize("command", ["verify", "report"])
     @pytest.mark.parametrize("text", ['{"objective": 5.0}', '{"values": [0, 1', '"zeros"',
                                       '{"values": [0, "1", 0]}'])
@@ -380,13 +402,16 @@ class TestInputFaults:
         assert_one_line_error(proc)
         assert "must be a string" in proc.stderr
 
-    @pytest.mark.parametrize("bad", ["B\nx", "B\rx", "B\u2028x", "B,x", 'B"x', "B->x", ""],
-                             ids=["lf", "cr", "u2028", "comma", "quote", "arrow", "empty"])
+    @pytest.mark.parametrize("bad", ["B\nx", "B\rx", "B\u2028x", "B,x", 'B"x', "B->x", "",
+                                     "B\ud800x"],
+                             ids=["lf", "cr", "u2028", "comma", "quote", "arrow", "empty",
+                                  "surrogate"])
     @pytest.mark.parametrize("site", list(_ID_SITES))
     def test_bad_id_is_refused(self, tmp_path, site, bad):
-        """An id that is empty, spans lines or holds ',', '"' or '->' is
-        refused by the record that holds it, by parse_instance and by
-        `hamflow validate`, each with the same line showing it by repr."""
+        """An id that is empty, spans lines, holds ',', '"' or '->', or
+        holds a lone surrogate, which UTF-8 cannot encode, is refused by the
+        record that holds it, by parse_instance and by `hamflow validate`,
+        each with the same line showing it by repr."""
         record, leaves = _ID_SITES[site]
         with pytest.raises(InstanceSchemaError) as built:
             record(micro_instance(), bad)
@@ -630,8 +655,10 @@ class TestInputFaults:
         assert "too large" in proc.stderr
 
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
-    @pytest.mark.parametrize("command", [("compile",), ("solve", "--method", "anneal")],
-                             ids=["compile", "solve-anneal"])
+    @pytest.mark.parametrize("command", [("compile",), ("solve", "--method", "anneal"),
+                                         ("solve", "--method", "exact"),
+                                         ("solve", "--method", "bruteforce")],
+                             ids=["compile", "solve-anneal", "solve-exact", "solve-bruteforce"])
     def test_non_finite_alpha(self, micro_doc, tmp_path, command, alpha):
         proc = run_cli(*command, "--instance", str(micro_doc), "--alpha", alpha,
                        "--out", str(tmp_path / "out"))
@@ -639,18 +666,29 @@ class TestInputFaults:
         assert "alpha must be a positive finite number" in proc.stderr
         assert "too large" not in proc.stderr
 
-    @pytest.mark.parametrize("option, text", [
-        ("--instance", CASE_STUDY_DOC.read_text().replace('"capacity": 100',
-                                                          '"capacity": 100, "capacity": 200')),
-        ("--costs", '{"N1->N2": 1.0, "N1->N2": 2.0}'),
-    ], ids=["instance", "costs"])
-    def test_repeated_key(self, tmp_path, option, text):
+    @pytest.mark.parametrize("option, content, expected", [
+        ("--instance", CASE_STUDY_DOC.read_bytes().replace(b'"capacity": 100',
+                                                           b'"capacity": 100, "capacity": 200'),
+         "is repeated"),
+        ("--costs", b'{"N1->N2": 1.0, "N1->N2": 2.0}', "is repeated"),
+        *[(option, content, expected) for option in ("--instance", "--costs", "--assignment")
+          for content, expected in ((b"\xff\xfe{}", "cannot read"),
+                                    (b"[" * 100_000, "nested deeper than the decoder allows"))],
+    ], ids=["instance", "costs", "instance-not-utf8", "instance-nested", "costs-not-utf8",
+            "costs-nested", "assignment-not-utf8", "assignment-nested"])
+    def test_repeated_key(self, tmp_path, option, content, expected):
+        """A document that repeats a key is refused in one line, and so is
+        one that is not UTF-8 or nests deeper than the JSON decoder allows,
+        in a line that names the file."""
         path = tmp_path / "doc.json"
-        path.write_text(text)
-        args = ["--instance", "case-study"] if option == "--costs" else []
-        proc = run_cli("validate", *args, option, str(path))
+        path.write_bytes(content)
+        command = "verify" if option == "--assignment" else "validate"
+        args = [] if option == "--instance" else ["--instance", "case-study"]
+        proc = run_cli(command, *args, option, str(path))
         assert_one_line_error(proc)
-        assert "is repeated" in proc.stderr
+        assert expected in proc.stderr
+        if expected != "is repeated":
+            assert str(path) in proc.stderr
 
     def test_huge_integer_in_cost_map(self, tmp_path):
         costs = dict.fromkeys(("N1->N2", "N2->N3", "N2->N4", "N3->N6",
