@@ -40,6 +40,7 @@ from .instance import (
     HamflowError,
     Instance,
     InstanceError,
+    InstanceSyntaxError,
     _load_json,
     build_case_study,
     default_case_study_costs,
@@ -150,8 +151,8 @@ def _seed_of(args) -> int:
 
 def _read(path: str, parse):
     """`parse` applied to the text of the file at `path`.  A file that cannot
-    be read, is not UTF-8, or holds JSON nested deeper than the decoder
-    allows is refused in one line that names it."""
+    be read, is not UTF-8, or is not JSON the decoder reads (malformed or
+    nested deeper than it allows) is refused in one line that names it."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError as exc:
@@ -160,8 +161,8 @@ def _read(path: str, parse):
         raise HamflowError(f"cannot read {path}: {exc}") from exc
     try:
         return parse(text)
-    except RecursionError as exc:
-        raise HamflowError(f"{path}: JSON nested deeper than the decoder allows") from exc
+    except InstanceSyntaxError as exc:
+        raise HamflowError(f"{path}: {exc}") from exc
 
 
 def _load_instance(args) -> Instance:

@@ -7,10 +7,14 @@ size, a discrete horizon, a vehicle capacity, and a supply/demand schedule.
 
 Instances are read and written as UTF-8 JSON documents with top-level keys
 ``depots``, ``arcs``, ``commodities``, ``horizon``, ``capacity``, and
-``schedule``.  Unknown and repeated keys are rejected so that typos in
-hand-authored files surface immediately.  Depot, commodity and arc-end ids
-and depot labels are JSON strings: any other value is refused, not
-converted, so serializing a parsed instance gives back the document read.
+``schedule``.  The reader checks the document's structure only: unknown
+and repeated keys are rejected so that typos in hand-authored files surface
+immediately, and each value is handed as read (an int, or a float literal
+as the exact Decimal it writes) to the record that holds it.  The records
+own every value rule, so a document and a constructor accept and refuse
+the same values.  Depot, commodity and arc-end ids and depot labels are
+strings: any other value is refused, not converted, so serializing a
+parsed instance gives back the document read.
 An id is one nonempty line free of ``,``, ``"`` and ``->`` (`_require_ids`),
 the separators that variable names, row tags, report lines and diagnostics
 join ids with, so each names one thing on one line, and is valid Unicode
@@ -19,9 +23,12 @@ text, which every writer can encode as UTF-8.  Labels are free text.
 Schedule amounts are in mass units: positive entries are supply appearing at
 a depot at a time step, negative entries are demand consumed there.  Loads
 and the capacity are positive integers and every amount is a nonzero integer
-multiple of its load size.  All three are held as exact ints no larger in
-magnitude than the largest float, so that float() converts each; a whole
-float given for one is stored as the int it holds.
+multiple of its load size.  These, the horizon, times and travel times are
+whole numbers under one rule (`_mass`): an int, or a float or Decimal that
+names a whole number, held as that exact int no larger in magnitude than
+the largest float, so that float() converts each.  Costs are under one rule
+(`_cost`): a finite float >= 0, given as a float, a Decimal or an int a
+float holds exactly.
 Time steps are 1-based, ``t in {1..horizon}``.  The time expansion makes
 at most |arcs| x (|commodities| + 1) x horizon variables; an instance
 whose count exceeds MAX_EXPANDED_VARIABLES is rejected.
@@ -143,12 +150,8 @@ class Arc:
         _require_ids(("origin", self.origin), ("dest", self.dest), where="arc")
         if self.origin == self.dest:
             raise InstanceSchemaError(f"arc {self.key()}: self-loops not allowed")
-        # NaN fails every comparison, and JSON would write a bool as true or false
-        if isinstance(self.cost, bool) or not 0 <= self.cost < math.inf:
-            raise InstanceSchemaError(
-                f"arc {self.key()}: cost must be a finite number >= 0, got {self.cost!r}")
-        if not _is_int(self.travel_time) or self.travel_time < 1:
-            raise InstanceSchemaError(f"arc {self.key()}: travel_time must be an integer >= 1")
+        object.__setattr__(self, "cost", _cost(self.cost, f"arc {self.key()}: cost"))
+        _require_whole(self, "travel_time", f"arc {self.key()}: ", positive=True)
 
     def key(self) -> str:
         return arc_key(self.origin, self.dest)
@@ -165,12 +168,7 @@ class Commodity:
 
     def __post_init__(self):
         _require_ids(("id", self.id), where="commodity")
-        load = _mass(self.load)
-        if load is None or load <= 0:
-            raise InstanceSchemaError(
-                f"commodity {self.id}: load must be a positive integer within float range, "
-                f"got {self.load}")
-        object.__setattr__(self, "load", load)
+        _require_whole(self, "load", f"commodity {self.id}: ", positive=True)
 
 
 @dataclass(frozen=True)
@@ -183,14 +181,11 @@ class ScheduleEntry:
     def __post_init__(self):
         _require_ids(("depot", self.depot), ("commodity", self.commodity),
                      where="schedule entry")
+        _require_whole(self, "time", f"schedule entry ({self.depot}, {self.commodity}): ")
         where = f"schedule entry ({self.depot}, {self.commodity}, t={self.time})"
-        amount = _mass(self.amount)
-        if amount is None:
-            raise InstanceSchemaError(
-                f"{where}: amount must be an integer within float range, got {self.amount}")
-        if amount == 0:
+        _require_whole(self, "amount", f"{where}: ")
+        if self.amount == 0:
             raise InstanceSchemaError(f"{where}: zero amounts are rejected, drop the entry instead")
-        object.__setattr__(self, "amount", amount)
 
 
 @dataclass(frozen=True)
@@ -212,19 +207,14 @@ class Instance:
         self._check()
 
     def _check(self):
-        if not _is_int(self.horizon) or self.horizon < 1:
-            raise InstanceSchemaError(f"horizon must be a positive integer, got {self.horizon!r}")
+        _require_whole(self, "horizon", positive=True)
         per_step = len(self.arcs) * (len(self.commodities) + 1)
         if per_step * self.horizon > MAX_EXPANDED_VARIABLES:
             raise InstanceSchemaError(
                 f"horizon exceeds {MAX_EXPANDED_VARIABLES // per_step}: {len(self.arcs)} arcs "
                 f"and {len(self.commodities)} commodities would expand to more than "
                 f"{MAX_EXPANDED_VARIABLES} variables")
-        capacity = _mass(self.capacity)
-        if capacity is None or capacity <= 0:
-            raise InstanceSchemaError(
-                f"capacity must be a positive integer within float range, got {self.capacity}")
-        object.__setattr__(self, "capacity", capacity)
+        _require_whole(self, "capacity", positive=True)
         depot_ids = [d.id for d in self.depots]
         if len(set(depot_ids)) != len(depot_ids):
             dup = _first_duplicate(depot_ids)
@@ -252,7 +242,7 @@ class Instance:
                 raise UnknownIdError(f"schedule entry references undeclared depot {e.depot!r}")
             if e.commodity not in loads:
                 raise UnknownIdError(f"schedule entry references undeclared commodity {e.commodity!r}")
-            if not _is_int(e.time) or not 1 <= e.time <= self.horizon:
+            if not 1 <= e.time <= self.horizon:
                 raise InstanceSchemaError(
                     f"schedule entry ({e.depot}, {e.commodity}): time {e.time} outside [1, {self.horizon}]")
             load = loads[e.commodity]
@@ -336,53 +326,23 @@ def _objects(doc: dict, section: str) -> list[dict]:
     return entries
 
 
-def _exact(value, where: str):
-    """A JSON number, with a float literal's Decimal turned into the exact
-    int it names when it names a whole number.  An int or Decimal larger in
-    magnitude than the largest float is refused first, by comparison alone:
-    int() of 1e999999999 would not end, and Decimal arithmetic on it
-    overflows."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, Decimal)):
-        raise InstanceSchemaError(f"{where}: expected a number, got {value!r}")
-    if isinstance(value, (int, Decimal)) and not -_MASS_BOUND <= value <= _MASS_BOUND:
-        raise InstanceSchemaError(f"{where}: {value} is out of range")
-    if isinstance(value, Decimal) and value == int(value):
-        return int(value)
-    return value
-
-
-def _as_int(value, where: str) -> int:
-    value = _exact(value, where)
-    if not isinstance(value, int):
-        raise InstanceSchemaError(f"{where}: expected an integer, got {value}")
-    return value
-
-
-def _as_number(value, where: str) -> float:
-    """A finite JSON number as a float, a float literal as the float
-    float(literal) gives; bools, strings, null, NaN, infinities and integer
-    literals a float would round are rejected rather than coerced."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, Decimal)):
-        raise InstanceSchemaError(f"{where}: expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise InstanceSchemaError(f"{where}: expected a finite number, got {value}")
-    if isinstance(value, int) and number != value:
-        raise InstanceSchemaError(f"{where}: integer {value} would round as a float")
-    return number
+class _Literal(Decimal):
+    """A JSON float literal, read exactly; its repr is its str, so that a
+    refusal shows 1E+400 and not Decimal('1E+400')."""
+    __repr__ = Decimal.__str__
 
 
 def _load_json(text: str):
-    """json.loads, with malformed JSON, an integer literal longer than
-    Python converts (4300 digits) and an object that repeats a key raised
-    as InstanceErrors, and float literals read as exact Decimals."""
+    """json.loads, with malformed JSON, JSON nested deeper than the decoder
+    allows (reported at the document's start), an integer literal longer
+    than Python converts (4300 digits) and an object that repeats a key
+    raised as InstanceErrors, and float literals read as exact `_Literal`s."""
     try:
-        return json.loads(text, parse_float=Decimal, object_pairs_hook=_unique_keys)
+        return json.loads(text, parse_float=_Literal, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InstanceSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
+    except RecursionError as exc:
+        raise InstanceSyntaxError("JSON nested deeper than the decoder allows", 1, 1) from exc
     except ValueError as exc:   # its advice on interpreter settings is dropped
         raise InstanceSchemaError(f"unreadable number: {str(exc).split(';')[0]}") from exc
 
@@ -414,25 +374,20 @@ def parse_instance(text: str) -> Instance:
     arcs = []
     for i, a in enumerate(_objects(doc, "arcs")):
         _require_keys(a, {"from", "to", "cost", "travel_time"}, f"arcs[{i}]")
-        arcs.append(Arc(origin=a["from"], dest=a["to"],
-                        cost=_as_number(a["cost"], f"arcs[{i}].cost"),
-                        travel_time=_as_int(a["travel_time"], f"arcs[{i}].travel_time")))
+        arcs.append(Arc(origin=a["from"], dest=a["to"], cost=a["cost"],
+                        travel_time=a["travel_time"]))
     commodities = []
     for i, c in enumerate(_objects(doc, "commodities")):
         _require_keys(c, {"id", "load"}, f"commodities[{i}]")
-        commodities.append(Commodity(id=c["id"],
-                                     load=_exact(c["load"], f"commodities[{i}].load")))
-    horizon = _as_int(doc["horizon"], "horizon")
-    capacity = _exact(doc["capacity"], "capacity")
+        commodities.append(Commodity(id=c["id"], load=c["load"]))
     schedule = []
     for i, e in enumerate(_objects(doc, "schedule")):
         _require_keys(e, {"depot", "commodity", "time", "amount"}, f"schedule[{i}]")
         schedule.append(ScheduleEntry(depot=e["depot"], commodity=e["commodity"],
-                                      time=_as_int(e["time"], f"schedule[{i}].time"),
-                                      amount=_exact(e["amount"], f"schedule[{i}].amount")))
+                                      time=e["time"], amount=e["amount"]))
 
     return Instance(depots=tuple(depots), arcs=tuple(arcs), commodities=tuple(commodities),
-                    horizon=horizon, capacity=capacity, schedule=tuple(schedule))
+                    horizon=doc["horizon"], capacity=doc["capacity"], schedule=tuple(schedule))
 
 
 _DEPOT = '    {\n      "id": %s,\n      "label": %s\n    }'
@@ -506,12 +461,47 @@ def _is_int(value) -> bool:
 
 
 def _mass(value) -> int | None:
-    """`value` as an exact int no larger in magnitude than the largest
-    float: an int as it is and a whole float as the int it holds; None for
-    anything else."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    return value if _is_int(value) and abs(value) <= _MASS_BOUND else None
+    """The one whole-number rule: `value` as an exact int no larger in
+    magnitude than the largest float, an int as it is and a float or
+    Decimal that names a whole number as that int; None for anything else.
+    The magnitude is compared before any conversion: int() of
+    Decimal('1e999999999') would not end."""
+    if not (_is_int(value) or isinstance(value, (float, Decimal))):
+        return None
+    if isinstance(value, Decimal) and value.is_nan() or not -_MASS_BOUND <= value <= _MASS_BOUND:
+        return None   # a float NaN fails the comparison
+    whole = int(value)
+    return whole if whole == value else None
+
+
+def _require_whole(record, field: str, where: str = "", positive: bool = False) -> None:
+    """Store `record`'s `field` as the int `_mass` gives for it, or refuse
+    the value, or a value below 1 when `positive` is set, in one line that
+    `where` begins."""
+    value = getattr(record, field)
+    whole = _mass(value)
+    if whole is None or positive and whole < 1:
+        kind = "a positive integer" if positive else "an integer"
+        raise InstanceSchemaError(
+            f"{where}{field} must be {kind} within float range, got {value!r}")
+    object.__setattr__(record, field, whole)
+
+
+def _cost(value, what: str) -> float:
+    """The one cost rule, for `Arc` and `load_cost_map`: `value` as the
+    finite float >= 0 that a float, a Decimal or an int a float holds
+    exactly names; anything else, a bool or an int a float would round
+    included, is refused in one line that `what` begins."""
+    cost = math.nan
+    if _is_int(value) or isinstance(value, (float, Decimal)):
+        try:
+            cost = float(value)
+        except (OverflowError, ValueError):   # an int past the largest float, a signaling NaN
+            pass
+    if not 0 <= cost < math.inf or _is_int(value) and cost != value:
+        raise InstanceSchemaError(
+            f"{what} must be a finite number >= 0 that a float holds, got {value!r}")
+    return cost
 
 
 def _first_duplicate(items: Iterable):
@@ -635,7 +625,8 @@ def build_case_study(costs: dict[str, float]) -> Instance:
     commodities L1 (load 10) and L2 (load 20), vehicle capacity 100,
     horizon 6, and the fixed supply/demand schedule.
 
-    `costs` maps every arc key 'Ni->Nj' to its per-vehicle cost.
+    `costs` maps every arc key 'Ni->Nj' to its per-vehicle cost, which
+    `Arc` checks.
     """
     known = {arc_key(o, d) for (o, d) in CASE_STUDY_ARCS}
     extra = set(costs) - known
@@ -646,7 +637,7 @@ def build_case_study(costs: dict[str, float]) -> Instance:
         raise InstanceSchemaError(f"missing cost for case-study arc(s): {sorted(missing)}")
     return Instance(
         depots=tuple(Depot(i, label) for i, label in CASE_STUDY_DEPOTS),
-        arcs=tuple(Arc(o, d, float(costs[arc_key(o, d)]), 1) for (o, d) in CASE_STUDY_ARCS),
+        arcs=tuple(Arc(o, d, costs[arc_key(o, d)], 1) for (o, d) in CASE_STUDY_ARCS),
         commodities=(Commodity("L1", 10), Commodity("L2", 20)),
         horizon=6,
         capacity=100,
@@ -655,17 +646,15 @@ def build_case_study(costs: dict[str, float]) -> Instance:
 
 
 def load_cost_map(text: str) -> dict[str, float]:
-    """Parse an arc-cost map: a JSON object of 'Ni->Nj' keys to numbers."""
+    """Parse an arc-cost map: a JSON object of 'Ni->Nj' keys to costs,
+    each under `Arc`'s cost rule."""
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise InstanceSchemaError("cost map must be a JSON object")
     out = {}
     for k, v in doc.items():
         parse_arc_key(k)
-        cost = _as_number(v, f"cost for {k}")
-        if cost < 0:
-            raise InstanceSchemaError(f"cost for {k}: expected a nonnegative number, got {v!r}")
-        out[k] = cost
+        out[k] = _cost(v, f"cost for {k}")
     return out
 
 

@@ -107,7 +107,7 @@ from .expansion import (
     verify_assignment,
 )
 from .hamiltonian import Hamiltonian, choose_alpha
-from .instance import HamflowError, ordered_sum
+from .instance import HamflowError, _is_int, ordered_sum
 
 
 _BRUTE_FORCE_LIMIT = 10**7   # points in the largest bound box brute_force_oracle enumerates
@@ -148,14 +148,16 @@ class ExactResult:
 
 @dataclass(frozen=True)
 class AnnealParams:
+    """`anneal_sample`'s counts, each an int >= 1; a float or a bool is
+    refused here, not in the middle of a run."""
     restarts: int = 40
     sweeps: int = 300
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.sweeps < 1:
-            raise ValueError("sweeps must be >= 1")
+        for name in ("restarts", "sweeps"):
+            count = getattr(self, name)
+            if not _is_int(count) or count < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import sys
 import time
 from dataclasses import replace
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from hamflow.instance import (
     Depot,
     DuplicateIdError,
     Instance,
+    InstanceError,
     InstanceSchemaError,
     InstanceSyntaxError,
     ScheduleEntry,
@@ -65,6 +67,13 @@ class TestParse:
         doc["arcs"][0]["to"] = "N9"
         with pytest.raises(UnknownIdError, match="N9"):
             parse_instance(json.dumps(doc))
+
+    @pytest.mark.parametrize("read", [parse_instance, load_cost_map])
+    def test_json_nested_too_deep_is_an_instance_error(self, read):
+        # the decoder raises RecursionError, which a caller catching
+        # HamflowError would not catch
+        with pytest.raises(InstanceSyntaxError, match="^JSON nested deeper than the decoder"):
+            read("[" * 100_000)
 
     def test_syntax_error_reports_position(self):
         with pytest.raises(InstanceSyntaxError) as err:
@@ -254,7 +263,8 @@ class TestWholeNumberLiterals:
             target = target[key]
         target[path[-1]] = "@step"
         text = json.dumps(doc).replace('"@step"', "1.0000000000000001")
-        with pytest.raises(InstanceSchemaError, match="expected an integer, got 1.0000000000000001"):
+        with pytest.raises(InstanceSchemaError,
+                           match="integer within float range, got 1.0000000000000001$"):
             parse_instance(text)
 
     # 1.7976931348623159e308 and 2**1024 - 1 lie between the largest float
@@ -262,9 +272,10 @@ class TestWholeNumberLiterals:
     @pytest.mark.parametrize("literal", ["1e400", "1e999999999", "-1e999999999",
                                          "1.7976931348623159e308",
                                          pytest.param(str(2**1024 - 1), id="2**1024-1")])
-    @pytest.mark.parametrize("field, where", [("supply", "schedule[0].amount"),
-                                              ("step", "schedule[0].time"),
-                                              ("cost", "arcs[0].cost")])
+    @pytest.mark.parametrize("field, where", [
+        ("supply", "schedule entry (A, K, t=1): amount"),
+        ("step", "schedule entry (A, K): time"), ("cost", "arc A->B: cost"),
+    ], ids=["supply-schedule[0].amount", "step-schedule[0].time", "cost-arcs[0].cost"])
     def test_literal_out_of_range(self, field, where, literal):
         # int() of Decimal("1e999999999") would not end: refused unconverted
         start = time.perf_counter()
@@ -272,7 +283,7 @@ class TestWholeNumberLiterals:
             parse_instance(whole_doc_text(**{field: literal}))
         assert time.perf_counter() - start < 1
         message = str(err.value)
-        assert message.startswith(f"{where}: ") and "\n" not in message
+        assert message.startswith(f"{where} must be ") and "\n" not in message
         assert str(Decimal(literal)) in message
 
     @pytest.mark.parametrize("field, literal", [
@@ -300,6 +311,94 @@ class TestWholeNumberLiterals:
             ScheduleEntry("A", "K", 1, -mass)
         with pytest.raises(InstanceSchemaError, match="capacity must be a positive integer within"):
             Instance(depots=(), arcs=(), commodities=(), horizon=1, capacity=mass, schedule=())
+
+
+# every numeric field of an instance, its value in a valid base, and the
+# fields that take the value under test; a load is given to the amount too,
+# so that the amount stays a multiple of it
+_NUMBERS = {"cost": 1.0, "travel_time": 1, "load": 1, "horizon": 4, "capacity": 1,
+            "time": 1, "amount": 1}
+_TAKES = {field: ("load", "amount") if field == "load" else (field,) for field in _NUMBERS}
+
+
+def _number_instance(n: dict) -> Instance:
+    return Instance(depots=(Depot("A", "A"), Depot("B", "B")),
+                    arcs=(Arc("A", "B", n["cost"], n["travel_time"]),),
+                    commodities=(Commodity("K", n["load"]),), horizon=n["horizon"],
+                    capacity=n["capacity"],
+                    schedule=(ScheduleEntry("A", "K", n["time"], n["amount"]),))
+
+
+def _number_doc(n: dict) -> dict:
+    return {"depots": [{"id": "A", "label": "A"}, {"id": "B", "label": "B"}],
+            "arcs": [{"from": "A", "to": "B", "cost": n["cost"], "travel_time": n["travel_time"]}],
+            "commodities": [{"id": "K", "load": n["load"]}], "horizon": n["horizon"],
+            "capacity": n["capacity"],
+            "schedule": [{"depot": "A", "commodity": "K", "time": n["time"],
+                          "amount": n["amount"]}]}
+
+
+def _json_literal(value) -> str | None:
+    """The JSON text for `value`: a Decimal as its str, anything json.dumps
+    writes as it writes it, and None for the rest (numpy ints, Fractions)."""
+    if isinstance(value, Decimal):
+        return str(value)
+    try:
+        return json.dumps(value)
+    except TypeError:
+        return None
+
+
+def assert_refused_or_round_trips(field: str, value):
+    """`value` given for `field` is refused when its record is built, in
+    one line, or the instance built round-trips through its document; and
+    a document holding the value's literal there is refused exactly when
+    the record refuses it."""
+    numbers = {**_NUMBERS, **dict.fromkeys(_TAKES[field], value)}
+    try:
+        inst = _number_instance(numbers)
+    except InstanceSchemaError as exc:
+        inst = None
+        assert "\n" not in str(exc), (field, value)
+    else:
+        assert parse_instance(serialize_instance(inst)) == inst, (field, value)
+    literal = _json_literal(value)
+    if literal is None:
+        return
+    text = json.dumps(_number_doc({**numbers, **dict.fromkeys(_TAKES[field], "@value")}))
+    try:
+        parse_instance(text.replace('"@value"', literal))
+    except InstanceError as exc:
+        assert inst is None, (field, value, str(exc))
+        assert "\n" not in str(exc) and "Decimal(" not in str(exc), (field, value)
+    else:
+        assert inst is not None, (field, value)
+
+
+class TestEveryNumberOneRule:
+    """Each numeric field under each kind of number: ints (past 2**53 and
+    past the largest float too), whole and fractional floats, Decimals,
+    bools, numpy scalars, Fractions and values of other types."""
+
+    VALUES = [0, 1, 3, -2, 2**53 + 1, -(2**53 + 1), 2**60, 10**400, 1.0, 3.0, 2.5, -0.0,
+              2.0**70, 1e300, math.nan, math.inf, -math.inf, Decimal("3"), Decimal("3.0"),
+              Decimal("2.5"), Decimal("-0.0"), Decimal("9007199254740993.0"),
+              Decimal("1E+400"), Decimal("1E-400"), Decimal("NaN"), Decimal("sNaN"),
+              Decimal("Infinity"), True, False, Fraction(3), Fraction(5, 2), "3", None, [3]]
+
+    @pytest.mark.parametrize("field", list(_NUMBERS))
+    def test_listed_values(self, field):
+        np = pytest.importorskip("numpy")
+        for value in [*self.VALUES, np.int64(3), np.float64(3.0), np.float64(2.5),
+                      np.float64(math.nan)]:
+            assert_refused_or_round_trips(field, value)
+
+    @given(field=st.sampled_from(list(_NUMBERS)),
+           value=st.one_of(st.integers(), st.floats(), st.decimals(), st.fractions(),
+                           st.booleans()))
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_values(self, field, value):
+        assert_refused_or_round_trips(field, value)
 
 
 ids =st.sampled_from(["A", "B", "C", "D"])

@@ -792,6 +792,15 @@ class TestAnneal:
         assert lines[0] == "restart_index,energy,objective,feasible,wall_time_s"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, True, np.int64(3), "3", None, 0, -1])
+    @pytest.mark.parametrize("field", ["restarts", "sweeps"])
+    def test_count_that_is_not_an_int_of_at_least_one_is_refused(self, field, count):
+        """A count is refused when the parameters are built, not deep in
+        anneal_sample: a float once failed there with a TypeError, and True
+        ran one restart."""
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got "):
+            AnnealParams(**{field: count})
+
 
 class TestAnnealStream:
     """sha256 digests of SampleSet.canonical_bytes() recorded with numpy
