@@ -250,7 +250,7 @@ def prune_model(model: Model) -> Model:
         if not terms:
             if c.rhs != 0:
                 raise InfeasibleModelError(
-                    f"constraint {c.tag} requires {c.rhs} but every variable was pruned")
+                    f"constraint {tag_str(c.tag)} requires {c.rhs} but every variable was pruned")
             continue
         constraints.append(LinearConstraint(terms, c.relation, c.rhs, tag))
 

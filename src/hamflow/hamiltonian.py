@@ -33,7 +33,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Sequence
 
-from .expansion import Assignment, Model, _require_length, row_residuals
+from .expansion import Assignment, Model, _require_length, row_residuals, tag_str
 from .instance import HamflowError, _collector_paused
 
 DECISION = "decision"
@@ -112,9 +112,11 @@ def compile_hamiltonian(model: Model, alpha: float | None = None) -> Hamiltonian
         for i, coef in c.terms:
             if not isinstance(coef, int):
                 raise NonIntegerCoefficientError(
-                    f"constraint {c.tag}: coefficient {coef!r} on variable {i} is not an integer")
+                    f"constraint {tag_str(c.tag)}: coefficient {coef!r} on variable {i} "
+                    "is not an integer")
         if not isinstance(c.rhs, int):
-            raise NonIntegerCoefficientError(f"constraint {c.tag}: rhs {c.rhs!r} is not an integer")
+            raise NonIntegerCoefficientError(
+                f"constraint {tag_str(c.tag)}: rhs {c.rhs!r} is not an integer")
 
     variables = [HamiltonianVariable(v.index, (DECISION, v.index), v.upper_bound)
                  for v in model.variables]

@@ -29,9 +29,11 @@ names a whole number, held as that exact int no larger in magnitude than
 the largest float, so that float() converts each.  Costs are under one rule
 (`_cost`): a finite float >= 0, given as a float, a Decimal or an int a
 float holds exactly.
-Time steps are 1-based, ``t in {1..horizon}``.  The time expansion makes
-at most |arcs| x (|commodities| + 1) x horizon variables; an instance
-whose count exceeds MAX_EXPANDED_VARIABLES is rejected.
+Time steps are 1-based, ``t in {1..horizon}``.  Each step of the time
+expansion makes at most |arcs| x (|commodities| + 1) variables and walks
+|depots| network nodes, and the reports write a column for it, so an
+instance is rejected when (|arcs| + |depots| + 1) x (|commodities| + 1) x
+horizon, which no instance makes zero, exceeds MAX_EXPANDED_VARIABLES.
 
 The front end's table builders (`parse_instance` here, `expand_model`,
 `prune_model`, `compile_hamiltonian` and `parse_hamiltonian`) run with
@@ -62,7 +64,10 @@ from typing import Iterable
 # (waves instances of 2k-19k variables, 2-core Xeon host, Python 3.11), and
 # an annealer restart makes one cycle move per flow variable a sweep over 300
 # sweeps by default: well past this size no back-end finishes, and a horizon
-# like 1e300 would expand without end.
+# like 1e300 would expand without end.  The bound is on
+# (|arcs| + |depots| + 1) x (|commodities| + 1) x horizon (`Instance._check`):
+# the network's (depot, t) nodes and the reports' columns grow with the
+# horizon too, even with no arc or commodity.
 MAX_EXPANDED_VARIABLES = 100_000
 
 # choose_alpha and compile_hamiltonian multiply masses into floats, and float()
@@ -208,12 +213,13 @@ class Instance:
 
     def _check(self):
         _require_whole(self, "horizon", positive=True)
-        per_step = len(self.arcs) * (len(self.commodities) + 1)
+        arcs, depots, commodities = len(self.arcs), len(self.depots), len(self.commodities)
+        per_step = (arcs + depots + 1) * (commodities + 1)
         if per_step * self.horizon > MAX_EXPANDED_VARIABLES:
             raise InstanceSchemaError(
-                f"horizon exceeds {MAX_EXPANDED_VARIABLES // per_step}: {len(self.arcs)} arcs "
-                f"and {len(self.commodities)} commodities would expand to more than "
-                f"{MAX_EXPANDED_VARIABLES} variables")
+                f"horizon exceeds {MAX_EXPANDED_VARIABLES // per_step}: ({arcs} arcs + "
+                f"{depots} depots + 1) x ({commodities} commodities + 1) = {per_step} a step "
+                f"would expand to more than {MAX_EXPANDED_VARIABLES} variables")
         _require_whole(self, "capacity", positive=True)
         depot_ids = [d.id for d in self.depots]
         if len(set(depot_ids)) != len(depot_ids):

@@ -3,58 +3,24 @@ tiny models, and a restart-based simulated annealer mirroring the sampling
 workflow of the target annealing hardware.  Each builds one
 `expansion.Graph` per call and hands it to its helpers.
 
-The branch-and-bound searches vehicle counts only; commodity flows are
-completed at the leaves by an exact integral-flow search, which gives no
-flow variable more units than its destination can pass on to demands.  Two
-necessary relaxations prune internal nodes: a per-commodity max-flow over
-the time-expanded graph (timing) and a merged-mass max-flow (joint
-capacity).  Their networks are built once per solve; a node changes only
-the capacities of the arc edges of the one vehicle it branched on, so it
-keeps its parent's flow wherever that flow still fits and elsewhere repairs
-it.  The search tests the fit itself and hands a repair the edge and its
-excess, which the repair reroutes: it pushes it from the edge's tail to
-its head along residual paths, each unit taken off the edge, so the flow
-value never drops.  A feasible child's flow differs from its parent's by a
-circulation that runs against that edge, so the reroute moves the whole
-excess exactly when the child is feasible (Ahuja, Magnanti & Orlin,
-*Network Flows*, 1993, ch. 7).  A flow handed down unrepaired keeps
-the residual capacities it was solved under, so each flow carries the
-depth at which it was last solved, and a repair re-derives the residual
-capacities of the arc edges of the vehicles branched since then only;
-every other arc edge's is already exact.  A reroute that cannot move the
-whole excess proves the child infeasible: the nodes its last search
-reached from the tail are the source side of a minimum cut of capacity
-below the demand (Ford & Fulkerson, 1956), the one a solve from the
-empty flow finds, and each network keeps it as a learned nogood, stored
-under every vehicle whose arc edge it crosses.
-Before repairing, the search evaluates the cuts stored under the one
-vehicle the child branched on, in place, the one that last proved a
-child infeasible first; one below the demand proves it infeasible.
-Those are the only cuts that can: the parent was feasible, so every cut
-held the demand at the parent's capacities, and a cut that falls short
-at the child's must cross an edge whose capacity changed.
-
-Both searches run on explicit stacks, not on the interpreter's, so no
-model is too deep for them: a search ends optimal, infeasible or at its
-time limit.  Besides its stack, the leaf completion keeps one cursor (the
-cell being split, its options, the next option and the units left), and
-the branch-and-bound solves the root's relaxation networks before its
-node loop.  A node's fit test and demand-cut bound are done in place:
-it reads its parent's flow on the one arc edge it changed, and keeps each
-demand depot's shortfall as counts are set and undone (`solve_exact`).
-A search that reaches its time limit returns the cheaper verified point
-of its incumbent and the annealer's start point, uncertified.
+The branch-and-bound searches vehicle counts only: the max-flow
+relaxation's networks (`flows.relaxation`) prune internal nodes, and
+commodity flows are completed at the leaves (`flows.find_feasible_flows`).
+The search and its leaf completions run on explicit stacks, not on the
+interpreter's, so no model is too deep for them: a search ends optimal,
+infeasible or at its time limit, where it returns, uncertified, the cheaper
+verified point of its incumbent and the annealer's start point.  A node's
+fit test and demand-cut bound are done in place (`solve_exact`).
 
 The annealer walks conservation-feasible flows only.  Each restart starts
-from a max-flow solution of every commodity's time-expanded graph (the
-per-commodity networks of `_relaxation` with every (arc, t) open to its
-vehicle bound, `_start_point`), and its one move pushes a unit around a cycle of at most six edges
-of one commodity's graph, the cycle neighbourhood of min-cost flow (Klein,
-Management Science 14, 1967), which leaves every conservation row as it
-was.  Vehicle counts are not searched: each is the fewest vehicles that
-carry the mass on its (arc, t), so every capacity row holds and a point's
-energy is its objective.  Travel times are at least 1, so no arc carries
-more than its commodity's supply and every visited point is within bounds.
+from the max-flow point `flows.start_point`, and its one move pushes a unit
+around a cycle of at most six edges of one commodity's graph, the cycle
+neighbourhood of min-cost flow (Klein, Management Science 14, 1967), which
+leaves every conservation row as it was.  Vehicle counts are not searched:
+each is the fewest vehicles that carry the mass on its (arc, t), so every
+capacity row holds and a point's energy is its objective.  Travel times are
+at least 1, so no arc carries more than its commodity's supply and every
+visited point is within bounds.
 
 Each annealer sweep consumes the draws `rng.integers(0, n, n)`,
 `rng.integers(0, 2, n)`, `rng.random(n)` and `rng.random(n)` of a
@@ -90,10 +56,10 @@ import marshal
 import math
 import os
 import time
-from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NoReturn
 
+from . import flows
 from .expansion import (
     Assignment,
     FeasibilityReport,
@@ -101,8 +67,8 @@ from .expansion import (
     Model,
     ModelError,
     _require_length,
-    absorb_bounds,
     evaluate_objective,
+    tag_str,
     vehicle_caps,
     verify_assignment,
 )
@@ -224,302 +190,6 @@ def postprocess_flows(model: Model, a: Assignment) -> tuple[Assignment, Feasibil
 
 # --- exact search -------------------------------------------------------------
 
-class _Network:
-    """One flow network over (depot, t) nodes whose adjacency never changes.
-
-    Source and sink edges have fixed capacities.  Each arc edge is keyed by
-    the vehicle variable of its (arc, departure t), one edge per key, and
-    has capacity min(ub, cap_mass[key] // load), so only those capacities
-    depend on the search node.  Edges are stored in pairs: edge e ^ 1 is the
-    reverse of edge e, so in a residual list the flow on edge e is the
-    residual capacity of e ^ 1.  Arc j, `arcs[j]` = (key, ub, load), is
-    edge 2j, and `edge_of[key]` is its edge.  Travel times are at least 1,
-    so every arc edge runs forward in time and the network is a DAG.
-
-    `cuts` maps each key to the cuts learned from failed solves that cross
-    its edge.  A cut is (fixed, arcs): the capacity of the source and sink
-    edges leaving its source side S, and the (key, ub, load) of each arc
-    edge leaving S.  Its capacity under any `cap_mass`, fixed plus the sum
-    of min(ub, cap_mass[key] // load) over arcs, bounds the maximum flow
-    from above, so a cut below `need` certifies that no flow of `need` units
-    exists.
-    """
-
-    def __init__(self, n_nodes: int, arcs, sources, sinks, need: int):
-        """arcs: (u, v, key, ub, load); sources: (v, cap); sinks: (u, cap);
-        need: the flow that must reach the sink.  Raises ModelError when two
-        arcs share a key: a model has one flow variable per (arc, commodity,
-        t), and the merged network one arc per vehicle variable."""
-        self.source = n_nodes
-        self.sink = n_nodes + 1
-        self.need = need
-        self.adj: list[list[int]] = [[] for _ in range(n_nodes + 2)]
-        self.head: list[int] = []
-        self.base: list[int] = []        # residual capacities before any flow
-        self.arcs: list[tuple[int, int, int]] = []                # edge 2j: (key, ub, load)
-        self.edge_of: dict[int, int] = {}                         # key: its arc edge
-        self.cuts: dict[int, list[tuple[int, tuple]]] = {}        # key: learned cuts
-        for u, v, key, ub, load in arcs:
-            if key in self.edge_of:
-                raise ModelError(f"two flow variables of one commodity share vehicle {key}")
-            self.edge_of[key] = self._add(u, v, 0)
-            self.arcs.append((key, ub, load))
-        for v, cap in sources:
-            self._add(self.source, v, cap)
-        for u, cap in sinks:
-            self._add(u, self.sink, cap)
-
-    def _add(self, u: int, v: int, cap: int) -> int:
-        e = len(self.head)
-        self.head += (v, u)
-        self.base += (cap, 0)
-        self.adj[u].append(e)
-        self.adj[v].append(e + 1)
-        return e
-
-    def solve(self, cap_mass: dict[int, int], res: list[int] | None = None,
-              edge: int | None = None, excess: int = 0,
-              changed: Iterable[int] = ()) -> list[int] | None:
-        """A flow of `need` units within the capacities of `cap_mass`, as a
-        residual list, or None when none exists (the max-flow verdict).
-
-        With `res` None the search starts from the empty flow, and every arc
-        edge's residual capacity is derived from `cap_mass`: every key counts
-        as changed.  Otherwise `res` holds `need` units within capacities
-        that differ from `cap_mass` only on the arc edge `edge`, which
-        carries `excess` > 0 units more than its new capacity, and a copy is
-        repaired.  First the residual capacity of each arc edge whose key
-        is in `changed` is re-derived from `cap_mass`; `changed` must hold
-        every key whose capacity differs from the one `res`'s residual
-        capacities were last derived under, `edge`'s among them, so every
-        other arc edge's residual capacity is already exact.  Then the
-        excess is rerouted: pushed from the edge's tail to its head along
-        residual paths, each unit taken off the edge, so the flow value
-        stays `need`.  The edge's residual capacity is negative while an
-        excess remains, so no path runs along it, and each search stops at
-        the head, so none runs back along its reverse.  A child with a flow
-        of `need` units differs from `res` by a circulation that runs
-        against the edge, so the reroute moves the whole excess exactly
-        when the child is feasible.
-
-        The solve and the repair run one Edmonds-Karp loop: shortest
-        residual paths from the source to the sink for `need` units, or from
-        the tail to the head for the excess.  When a search finds no path,
-        the nodes it reached are the source side S of a minimum cut below
-        `need`, and that cut is learned (`_learn`).  From the source, its
-        capacity is the flow so far.  From the tail, S holds the source,
-        since the reverse residuals of the flow into the tail lead back to
-        it, and not the sink, since every sink edge is saturated; no
-        residual edge leaves S, so at the child its capacity is `need` less
-        the excess left.  Cancelling that excess would change no edge that
-        leaves S, and the set a maximum flow reaches from the source is the
-        same for every maximum flow, so a repair learns the cut a solve from
-        the empty flow would.  The caller evaluates the learned cuts
-        (`solve_exact`); a certificate is a proof, so the verdict is still
-        the max-flow verdict."""
-        arcs, edge_of = self.arcs, self.edge_of
-        if res is None:
-            res, changed = self.base.copy(), edge_of
-            start, end, left = self.source, self.sink, self.need
-        else:
-            res, start, end, left = res.copy(), self.head[edge ^ 1], self.head[edge], excess
-        for k in changed:
-            e = edge_of.get(k)
-            if e is not None:
-                _, ub, load = arcs[e >> 1]
-                units = cap_mass[k] // load
-                res[e] = (ub if ub < units else units) - res[e + 1]
-        while left:
-            parent, reached = self._search(res, start, end)
-            if parent[end] == -1:
-                self._learn(reached, parent)
-                return None
-            push = self._push(res, parent, start, end, left)
-            left -= push
-            if edge is not None:    # each unit rerouted is taken off the edge
-                res[edge] += push
-                res[edge ^ 1] -= push
-        return res
-
-    def _search(self, res: list[int], start: int, end: int) -> tuple[list[int], list[int]]:
-        """Breadth-first search of the residual network from `start`, which
-        stops once `end` is labelled: per node the edge that labelled it (-1
-        unlabelled, -2 at `start`), and the labelled nodes in order."""
-        adj, head = self.adj, self.head
-        parent = [-1] * len(adj)
-        parent[start] = -2
-        queue = [start]
-        for u in queue:          # the list grows while it is read
-            for e in adj[u]:
-                v = head[e]
-                if parent[v] == -1 and res[e] > 0:
-                    parent[v] = e
-                    queue.append(v)
-            if parent[end] != -1:
-                break
-        return parent, queue
-
-    def _push(self, res: list[int], parent: list[int], start: int, end: int,
-              most: int) -> int:
-        """Push up to `most` units along the path `parent` holds from
-        `start` to `end`, as many as its tightest edge passes, and return
-        them."""
-        head = self.head
-        v = end
-        while v != start:
-            e = parent[v]
-            if res[e] < most:
-                most = res[e]
-            v = head[e ^ 1]
-        v = end
-        while v != start:
-            e = parent[v]
-            res[e] -= most
-            res[e ^ 1] += most
-            v = head[e ^ 1]
-        return most
-
-    def _learn(self, reached: list[int], parent: list[int]) -> None:
-        """Store the minimum cut of a failed solve: S is the set `reached`
-        by its last search in the residual network, whose `parent` entries
-        are set.  The cut is the fixed capacity of the source and sink edges
-        leaving S plus the (key, ub, load) of each arc edge (e < 2 len(arcs))
-        leaving S, and it is stored under each of its keys, all distinct."""
-        fixed, arcs = 0, []
-        for u in reached:
-            for e in self.adj[u]:
-                if not e & 1 and parent[self.head[e]] == -1:
-                    if e < 2 * len(self.arcs):
-                        arcs.append(self.arcs[e >> 1])
-                    else:
-                        fixed += self.base[e]
-        cut = (fixed, tuple(arcs))
-        for key, _, _ in arcs:
-            self.cuts.setdefault(key, []).append(cut)
-
-
-def _relaxation(g: Graph) -> list[_Network]:
-    """The max-flow relaxation of a vehicle assignment, as networks keyed by
-    vehicle variable: one per commodity in `g.loads` order (timing), then
-    one merged-mass network with all commodities pooled (joint capacity).
-    Each is a necessary condition for flows within the vehicle capacities."""
-    per_node = len(g.loads)       # cells per (depot, t) node
-    inner = [(g.variables[i], tail // per_node, head // per_node, z)
-             for i, tail, head, z in g.edges if head < len(g.cells)]
-    sup = [(g.cells[c][1], c // per_node, mass) for c, mass in g.mass.items() if mass > 0]
-    dem = [(g.cells[c][1], c // per_node, -mass) for c, mass in g.mass.items() if mass < 0]
-    networks = []
-    for k, load in g.loads.items():
-        arcs = [(u, w, z, v.upper_bound, load) for v, u, w, z in inner if v.commodity == k]
-        networks.append(_Network(
-            g.nodes, arcs,
-            [(n, mass // load) for c, n, mass in sup if c == k],
-            [(n, mass // load) for c, n, mass in dem if c == k],
-            sum(mass for c, _, mass in sup if c == k) // load))
-    merged: dict[int, list] = {}       # z: [u, w, z, ub mass, 1]
-    for v, u, w, z in inner:
-        merged.setdefault(z, [u, w, z, 0, 1])[3] += v.upper_bound * g.loads[v.commodity]
-    networks.append(_Network(
-        g.nodes, merged.values(),
-        [(n, mass) for _, n, mass in sup],
-        [(n, mass) for _, n, mass in dem],
-        sum(mass for _, _, mass in sup)))
-    return networks
-
-
-class _Expired(Exception):
-    """The exact search's time limit passed before it finished."""
-
-
-def find_feasible_flows(g: Graph, cap_mass: dict[int, int],
-                        deadline: float = math.inf) -> dict[int, int] | None:
-    """Exact integral commodity flows within the vehicle capacities `cap_mass`, or None.
-
-    Depth-first search over (time, depot, commodity) cells: everything
-    present at a cell must depart the same step, split over the outgoing
-    flow variables without exceeding per-variable bounds or the remaining
-    shared vehicle capacity on each (arc, t).  Every unit must end at a
-    demand, so no variable takes more units than its destination cell can
-    still absorb: `absorb_bounds` under the fixed capacities, less the
-    units already arriving there.  That cuts only subtrees without a
-    completion, so the first completion found is the one the bare
-    enumeration finds.
-
-    The search runs on an explicit stack, one frame per flow variable given
-    its units (cell, option position, units left before it, its take, its
-    largest take), and one cursor: the cell being split, its options, the
-    next option and the units left.  Each step gives that option its
-    smallest take; or, past the last option with no units left, opens the
-    next cell holding mass, returning the completion when none does; or
-    backtracks, when the take would pass its largest, units are left over
-    or the opened cell demands more than arrives.  A backtrack moves the top
-    frame to its next take, popping the frames that have none left, so no
-    model is too deep for it.  The clock is read on the first step and
-    every 256th after it, and past `deadline` (a `time.perf_counter` value)
-    the search gives up and raises `_Expired`, so an unfinished completion
-    never reads as None.
-    """
-    cells, out, mass, loads, variables = g.cells, g.out, g.mass, g.loads, g.variables
-    cap_left = dict(cap_mass)
-    absorb = absorb_bounds(g, cap_left)
-    incoming = [0] * len(cells)
-    chosen: dict[int, int] = {}
-    stack: list[list[int]] = []   # [cell, option, units left before it, take, largest take]
-    steps = 0
-    c, options, j, units = -1, (), 0, 0   # the cursor: before the first cell
-    while True:
-        if not steps & 255 and time.perf_counter() > deadline:
-            raise _Expired
-        steps += 1
-        if j < len(options):   # give option j its smallest take
-            i, _, head, z = options[j]
-            room = min(variables[i].upper_bound, cap_left[z] // load)
-            most = min(room, absorb[head] - incoming[head] // load, units)
-            take = max(0, units - sum(min(variables[k].upper_bound, cap_left[y] // load)
-                                      for k, _, _, y in options[j + 1:]))
-            if take <= most:
-                stack.append([c, j, units, take, most])
-                if take:
-                    chosen[i] = take
-                    cap_left[z] -= take * load
-                    incoming[head] += take * load
-                j, units = j + 1, units - take
-                continue
-        elif not units:        # cell c is split: open the next cell holding mass
-            for c in range(c + 1, len(cells)):
-                available = incoming[c] + mass.get(c, 0)
-                if available:
-                    break
-            else:
-                return chosen
-            load = loads[cells[c][1]]
-            options, j, units = out[c], 0, available // load
-            if units > 0:
-                continue
-        # backtrack: the deepest frame with a larger take left takes it
-        while stack:
-            frame = stack[-1]
-            c, j, units, take, most = frame
-            options = out[c]
-            i, _, head, z = options[j]
-            load = loads[cells[c][1]]
-            if take:
-                chosen.pop(i)
-                cap_left[z] += take * load
-                incoming[head] -= take * load
-            if take < most:
-                take += 1
-                frame[3] = take
-                chosen[i] = take
-                cap_left[z] -= take * load
-                incoming[head] += take * load
-                j, units = j + 1, units - take
-                break
-            stack.pop()
-        else:
-            return None
-
-
 def _require_finite_objective(model: Model) -> None:
     """Raise ModelError when `choose_alpha`, one more than the objective at
     the vehicle bounds, overflows a float: an inf cost never beats the empty
@@ -551,8 +221,8 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     the current path (depth, cost so far, relaxation flows, their solve
     depths, next count), so no model is too deep for it.
     Internal nodes are pruned by a demand-cut cost bound and the max-flow
-    relaxation's networks (`_relaxation`), and leaves are completed by
-    find_feasible_flows.  The networks are solved from the empty flow
+    relaxation's networks (`flows.relaxation`), and leaves are completed by
+    `flows.find_feasible_flows`.  The networks are solved from the empty flow
     before the node loop, up to the first that fails, so a node's
     relaxation step is only a child's fit test.
 
@@ -567,7 +237,7 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     edge.  Where the flow does not fit, the child evaluates that network's
     cuts learned across the edge in place, and one below the network's
     demand prunes it with no call; only when none does is the flow
-    repaired (`_Network.solve`, handed the edge and its excess), and the
+    repaired (`flows.Network.solve`, handed the edge and its excess), and the
     flow list is copied only then, so every verdict equals a solve from
     scratch.  The repair re-derives residual capacities only on the arc
     edges of the variables branched since that network's flow was last
@@ -578,11 +248,11 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
 
     Returns a provably optimal sample or an explicit infeasible result.
     When the time limit expires it returns, uncertified, the cheaper of the
-    incumbent and the annealer's start point (`_start_point`), the
+    incumbent and the annealer's start point (`flows.start_point`), the
     incumbent on a tie; the start point counts only if it verifies, and it
     never prunes, so a search that completes is unchanged by it.  Raises
     ModelError when the objective overflows (`_require_finite_objective`)
-    or two flow variables share an (arc, commodity, t) (`_Network`), and
+    or two flow variables share an (arc, commodity, t) (`flows.Network`), and
     ValueError when `time_limit` is negative or NaN; inf means no limit.
     """
     if not time_limit >= 0:    # NaN compares false, so it lands here too
@@ -593,7 +263,7 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     deadline = start + time_limit
     g = Graph(model)
     capacity = g.capacity
-    networks = _relaxation(g)
+    networks = flows.relaxation(g)
     caps = vehicle_caps(g)
     cost_of = dict(model.objective)
 
@@ -634,18 +304,18 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
     nodes = 0
     timed_out = False
 
-    flows = []   # the root's relaxation flows, or None when one network fails
+    relaxed = []   # the root's relaxation flows, or None when one network fails
     for net in networks:
-        flows.append(net.solve(cap_mass))
-        if flows[-1] is None:
-            flows = None
+        relaxed.append(net.solve(cap_mass))
+        if relaxed[-1] is None:
+            relaxed = None
             break
 
     # One frame per internal node on the path: [depth, cost so far, relaxation
     # flows, their solve depths, next vehicle count].  A node is visited as
-    # (depth, cost_so_far, flows, solved), `flows` being its parent's
+    # (depth, cost_so_far, relaxed, solved), `relaxed` being its parent's
     # relaxation flows (the root's own at the root) and solved[n] the depth at
-    # which flows[n] was last solved or repaired: only the vehicle variables
+    # which relaxed[n] was last solved or repaired: only the vehicle variables
     # branched since, branch_vars[solved[n]:depth], can have capacities
     # that differ from those its residual capacities were derived under.
     stack: list[list] = []
@@ -654,7 +324,7 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
         while True:
             nodes += 1
             if time.perf_counter() > deadline:
-                raise _Expired
+                raise flows.Expired
             # the demand cut: every demand depot still needs enough vehicle
             # arrivals to carry its total demanded mass
             bound = cost_so_far
@@ -675,7 +345,7 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
                     copied = False
                     for n, net, edge, ub, load, need, cuts in fits[depth - 1]:
                         units = cap_mass[z] // load
-                        excess = flows[n][edge ^ 1] - (ub if ub < units else units)
+                        excess = relaxed[n][edge ^ 1] - (ub if ub < units else units)
                         if excess <= 0:
                             continue
                         for i, (fixed, cut_arcs) in enumerate(cuts):
@@ -685,23 +355,23 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
                             if fixed < need:
                                 if i:
                                     cuts.insert(0, cuts.pop(i))
-                                flows = None
+                                relaxed = None
                                 break
                         else:
-                            res = net.solve(cap_mass, flows[n], edge, excess,
+                            res = net.solve(cap_mass, relaxed[n], edge, excess,
                                             branch_vars[solved[n]:depth])
                             if res is None:
-                                flows = None
-                        if flows is None:
+                                relaxed = None
+                        if relaxed is None:
                             break
                         if not copied:
-                            flows, solved, copied = flows.copy(), solved.copy(), True
-                        flows[n], solved[n] = res, depth
-                if flows is not None:
+                            relaxed, solved, copied = relaxed.copy(), solved.copy(), True
+                        relaxed[n], solved[n] = res, depth
+                if relaxed is not None:
                     if depth < len(branch_vars):
-                        stack.append([depth, cost_so_far, flows, solved, 0])
+                        stack.append([depth, cost_so_far, relaxed, solved, 0])
                     else:
-                        leaf = find_feasible_flows(g, cap_mass, deadline)
+                        leaf = flows.find_feasible_flows(g, cap_mass, deadline)
                         if leaf is not None:
                             leaf.update((z, cap_mass[z] // capacity) for z in branch_vars)
                             best_cost = cost_so_far
@@ -710,7 +380,7 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
             # the next node: the next count of the deepest frame with one left
             while stack:
                 frame = stack[-1]
-                n, cost_so_far, flows, solved, value = frame
+                n, cost_so_far, relaxed, solved, value = frame
                 z = branch_vars[n]
                 p = depot_at[n]
                 if value > caps[z]:   # its last count, caps[z], left cap_mass as it was
@@ -730,9 +400,9 @@ def solve_exact(model: Model, time_limit: float = 300.0) -> ExactResult:
                 break
             else:
                 break
-    except _Expired:
+    except flows.Expired:
         timed_out = True
-        start_point = Assignment(values=tuple(_start_point(g)[0]))
+        start_point = Assignment(values=tuple(flows.start_point(g)[0]))
         if verify_assignment(model, start_point).feasible and (
                 best is None
                 or evaluate_objective(model, start_point) < evaluate_objective(model, best)):
@@ -759,7 +429,7 @@ def brute_force_oracle(model: Model) -> ExactResult:
     for c in model.constraints:
         if abs(c.rhs) + sum(abs(a) * max(model.variables[i].upper_bound, 1)
                                  for i, a in c.terms) >= 2**63:
-            raise ModelError(f"row {c.tag} too large for exhaustive enumeration: "
+            raise ModelError(f"row {tag_str(c.tag)} too large for exhaustive enumeration: "
                              "its terms can reach 2**63")
 
     n = len(model.variables)
@@ -809,7 +479,7 @@ def anneal_sample(h: Hamiltonian, model: Model, params: AnnealParams | None = No
     """Restart-based simulated annealing over conservation-feasible flows.
 
     Each restart runs one Metropolis chain from the max-flow start point
-    (`_start_point`); every proposal pushes one unit either way around a
+    (`flows.start_point`); every proposal pushes one unit either way around a
     cycle drawn from `_flow_cycles`, and a move that would take a flow or a
     derived vehicle count out of its bounds is rejected.  The temperature
     cools geometrically from the dearest arc cost, where a one-vehicle rise
@@ -931,29 +601,6 @@ def _serve(write: int, reads: list[int], run, restarts: range) -> NoReturn:
         os._exit(0)
 
 
-def _start_point(g: Graph) -> tuple[list[int], list[int]]:
-    """The annealer's start point, as a full value list, and the mass it
-    puts on each vehicle variable's (arc, t) (0 at every flow variable).
-    Its flows solve each commodity's network of `_relaxation` with every
-    vehicle variable at its bound; a commodity that cannot be routed keeps
-    zero flows.  Each vehicle count is the fewest vehicles that carry the
-    mass on its (arc, t), so every capacity row holds."""
-    cap_mass = {z: g.capacity * g.variables[z].upper_bound for z in g.vehicles}
-    values = [0] * len(g.variables)
-    mass = [0] * len(g.variables)
-    for (k, load), net in zip(g.loads.items(), _relaxation(g)):
-        res = net.solve(cap_mass)
-        if res is None:
-            continue
-        for i, _, head, z in g.edges:   # net holds the edges of k within the horizon
-            if head < len(g.cells) and g.variables[i].commodity == k:
-                values[i] = res[net.edge_of[z] ^ 1]
-                mass[z] += values[i] * load
-    for z in g.vehicles:
-        values[z] = -(-mass[z] // g.capacity)
-    return values, mass
-
-
 _MAX_CYCLE_EDGES = 6
 
 
@@ -1011,7 +658,7 @@ class _Chain:
         self.cost = [0.0] * len(g.variables)
         for z, cost in model.objective:
             self.cost[z] = cost
-        self.start, self.mass = _start_point(g)
+        self.start, self.mass = flows.start_point(g)
         edge = {i: (z, g.loads[g.variables[i].commodity]) for i, _, _, z in g.edges}
         self.moves = [
             tuple(sorted(((i, d * s, edge[i][0], d * s * edge[i][1]) for i, s in cycle),

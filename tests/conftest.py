@@ -127,6 +127,30 @@ def huge_vehicle_bound_instance() -> Instance:
     )
 
 
+def over_the_expansion_bound() -> dict[str, dict]:
+    """`Instance` keyword arguments whose expansion count, (|arcs| +
+    |depots| + 1) x (|commodities| + 1) x horizon, passes
+    MAX_EXPANDED_VARIABLES though |arcs| x (|commodities| + 1) x horizon
+    does not; `serialize_instance(SimpleNamespace(**kwargs))` writes each as
+    a document.  Under that second count alone, `compile` and `solve` run
+    the first without end, and the others for seconds: each walks every
+    (depot, t), and the reports write a column a step."""
+    two = (Depot("A", "A"), Depot("B", "B"))
+    one = (Commodity("K", 1),)
+    return {
+        "no_arcs": dict(depots=two, arcs=(), commodities=one, horizon=10**300, capacity=1,
+                        schedule=(ScheduleEntry("A", "K", 5, 1),
+                                  ScheduleEntry("B", "K", 10**299, -1))),
+        "ten_depots": dict(depots=tuple(Depot(f"D{i}", f"D{i}") for i in range(10)),
+                           arcs=(Arc("D0", "D1", 1.0, 1),), commodities=one, horizon=50_000,
+                           capacity=1, schedule=()),
+        "no_arcs_or_commodities": dict(depots=two, arcs=(), commodities=(), horizon=10**6,
+                                       capacity=1, schedule=()),
+        "nothing": dict(depots=(), arcs=(), commodities=(), horizon=10**6, capacity=1,
+                        schedule=()),
+    }
+
+
 def arc_separator_doc() -> dict:
     """Depots A->B, C, A and B->C: the keys of arcs A->B to C and A to B->C
     would both read A->B->C."""

@@ -171,7 +171,9 @@ class TestCompile:
                       constraints=(replace(micro_model.constraints[0],
                                            terms=((0, 10.0),)),)
                       + micro_model.constraints[1:])
-        with pytest.raises(NonIntegerCoefficientError):
+        # the row is named as verify and report name it
+        refusal = r"^constraint conservation\(A,K,t=1\): coefficient 10\.0 on variable 0 "
+        with pytest.raises(NonIntegerCoefficientError, match=refusal):
             compile_hamiltonian(bad)
 
     def test_custom_alpha(self, micro_model):

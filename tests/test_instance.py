@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from hamflow import build_case_study, parse_instance, serialize_instance, validate_instance
 from hamflow.instance import (
+    MAX_EXPANDED_VARIABLES,
     Arc,
     Commodity,
     Depot,
@@ -28,7 +29,12 @@ from hamflow.instance import (
     load_cost_map,
 )
 
-from conftest import GOLDEN_DIR, arc_separator_doc, random_micro_instance
+from conftest import (
+    GOLDEN_DIR,
+    arc_separator_doc,
+    over_the_expansion_bound,
+    random_micro_instance,
+)
 
 
 def minimal_doc() -> dict:
@@ -225,6 +231,24 @@ def test_depot_id_with_arc_separator_is_refused():
     with pytest.raises(InstanceSchemaError, match=re.escape(refusal)):
         Instance(depots=tuple(Depot(d["id"], d["label"]) for d in doc["depots"]),
                  arcs=(), commodities=(), horizon=2, capacity=1, schedule=())
+
+
+@pytest.mark.parametrize("name, counted", [
+    ("no_arcs", "(0 arcs + 2 depots + 1) x (1 commodities + 1) = 6"),
+    ("ten_depots", "(1 arcs + 10 depots + 1) x (1 commodities + 1) = 24"),
+    ("no_arcs_or_commodities", "(0 arcs + 2 depots + 1) x (0 commodities + 1) = 3"),
+    ("nothing", "(0 arcs + 0 depots + 1) x (0 commodities + 1) = 1"),
+])
+def test_expansion_bound(name, counted):
+    """Depots and the horizon count even where there is no arc or commodity:
+    each instance is refused in one line, naming what was counted, before
+    anything walks its horizon."""
+    with pytest.raises(InstanceSchemaError) as exc:
+        Instance(**over_the_expansion_bound()[name])
+    per_step = int(counted.rpartition("= ")[2])
+    assert str(exc.value) == (f"horizon exceeds {MAX_EXPANDED_VARIABLES // per_step}: "
+                              f"{counted} a step would expand to more than "
+                              f"{MAX_EXPANDED_VARIABLES} variables")
 
 
 class TestWholeNumberLiterals:

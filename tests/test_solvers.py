@@ -20,6 +20,7 @@ import pytest
 import hamflow
 from hamflow import cli, expansion, parse_instance, serialize_instance, solvers
 from hamflow.expansion import Assignment, expand_model, prune_model, verify_assignment
+from hamflow.flows import Expired, Network, find_feasible_flows, relaxation, start_point
 from hamflow.hamiltonian import (
     PolynomialFormatError,
     compile_hamiltonian,
@@ -123,7 +124,7 @@ class TestSolveExact:
         assert (result.status, result.certified) == ("time_limit", False)
         report = verify_assignment(model, result.sample.assignment)
         assert report.feasible and report.bound_findings == ()
-        start = Assignment(values=tuple(solvers._start_point(expansion.Graph(model))[0]))
+        start = Assignment(values=tuple(start_point(expansion.Graph(model))[0]))
         assert result.objective <= expansion.evaluate_objective(model, start)
 
 
@@ -235,7 +236,7 @@ def _assert_flow_fits(net, res, cap_mass):
 
 
 class TestFlowRepair:
-    """`_Network.solve` repairs a parent's flow after one key's capacity
+    """`Network.solve` repairs a parent's flow after one key's capacity
     changes; its verdict must be the max-flow verdict from the empty flow."""
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -253,8 +254,8 @@ class TestFlowRepair:
         learns the cut the fresh solve learns."""
         searches = _record_searches(monkeypatch)
         model = waves_model(k)
-        networks = solvers._relaxation(expansion.Graph(model))
-        oracle = solvers._relaxation(expansion.Graph(model))
+        networks = relaxation(expansion.Graph(model))
+        oracle = relaxation(expansion.Graph(model))
         capacity = int(model.instance.capacity)
         bound = {v.index: v.upper_bound for v in model.variables
                  if v.kind == expansion.VEHICLE}
@@ -309,8 +310,8 @@ class TestFlowRepair:
         """Nodes 0, 1, 2: 2 units enter at 0 and leave at 2, over the arc
         0->2 (key 10) or the path 0->1->2 (keys 11 and 12), every bound 5 and
         load 1.  From the empty flow all of it takes the shorter arc."""
-        net = solvers._Network(3, [(0, 2, 10, 5, 1), (0, 1, 11, 5, 1), (1, 2, 12, 5, 1)],
-                               [(0, 2)], [(2, 2)], 2)
+        net = Network(3, [(0, 2, 10, 5, 1), (0, 1, 11, 5, 1), (1, 2, 12, 5, 1)],
+                      [(0, 2)], [(2, 2)], 2)
         caps = {10: 2, 11: 2, 12: 2}
         res = net.solve(caps)
         assert _arc_flows(net, res) == {10: 2, 11: 0, 12: 0}
@@ -331,8 +332,8 @@ class TestFlowRepair:
         and 1->2 (key 13).  The one path from 0 to 2 that avoids the arc runs
         back along the source edge into 0 and out along the one into 1, so
         the flow value stays 2."""
-        net = solvers._Network(3, [(0, 2, 10, 5, 1), (1, 2, 13, 5, 1)],
-                               [(0, 2), (1, 1)], [(2, 2)], 2)
+        net = Network(3, [(0, 2, 10, 5, 1), (1, 2, 13, 5, 1)],
+                      [(0, 2), (1, 1)], [(2, 2)], 2)
         parent = net.solve({10: 2, 13: 2})
         assert _arc_flows(net, parent) == {10: 2, 13: 0}
         searches = _record_searches(monkeypatch)
@@ -373,7 +374,7 @@ class TestFlowRepair:
             schedule=(ScheduleEntry("A", "K1", 1, 30.0), ScheduleEntry("B", "K1", 2, -30.0)))
         model = expand_model(inst)
         g = expansion.Graph(model)
-        networks = solvers._relaxation(g)
+        networks = relaxation(g)
         assert [net.need for net in networks] == [3, 0, 30]
         cap_mass = {z: 100 * model.variables[z].upper_bound for z in g.vehicles}
         flows = _solve_all(networks, cap_mass)
@@ -390,17 +391,17 @@ class TestFlowRepair:
 
 
 def _record_searches(monkeypatch) -> list[bool]:
-    """One entry per `_Network._search` from now on, in order: whether it
+    """One entry per `Network._search` from now on, in order: whether it
     started at its network's source.  A repair searches from the branched
     edge's tail only."""
     searches = []
-    search = solvers._Network._search
+    search = Network._search
 
     def recorded(net, res, start, end):
         searches.append(start == net.source)
         return search(net, res, start, end)
 
-    monkeypatch.setattr(solvers._Network, "_search", recorded)
+    monkeypatch.setattr(Network, "_search", recorded)
     return searches
 
 
@@ -418,7 +419,7 @@ def _solve_all(networks, cap_mass):
 
 def _repair(net, cap_mass, res, key, changed):
     """The search's fit test on `key`'s arc edge, then, only where its flow
-    exceeds the new capacity, `_Network.solve`'s repair: `res` itself when
+    exceeds the new capacity, `Network.solve`'s repair: `res` itself when
     the network has no such edge or its flow fits."""
     edge = net.edge_of.get(key)
     if edge is None:
@@ -448,12 +449,12 @@ def _cut_capacity(cut, cap_mass) -> int:
 
 class TestOneArcPerKey:
     """Every relaxation network holds at most one arc per key, arc j at edge
-    2j: a repair reads the one branched edge, and `_start_point` one
+    2j: a repair reads the one branched edge, and `start_point` one
     residual per flow variable."""
 
     @staticmethod
     def assert_one_arc_per_key(model):
-        for net in solvers._relaxation(expansion.Graph(model)):
+        for net in relaxation(expansion.Graph(model)):
             keys = [key for key, _, _ in net.arcs]
             assert len(set(keys)) == len(keys)
             assert all(net.edge_of[key] == 2 * j for j, key in enumerate(keys))
@@ -492,15 +493,14 @@ class TestLearnedCuts:
         probability 0.7 and uniform below it otherwise, so both verdicts
         occur often."""
         model = waves_model(2)
-        fresh = solvers._relaxation(expansion.Graph(model))
+        fresh = relaxation(expansion.Graph(model))
         searched = []
-        relaxation = solvers._relaxation
 
         def recording(g):
             searched.append(relaxation(g))
             return searched[-1]
 
-        monkeypatch.setattr(solvers, "_relaxation", recording)
+        monkeypatch.setattr(hamflow.flows, "relaxation", recording)
         assert solve_exact(model).nodes == 2711
         (networks,) = searched
         capacity = int(model.instance.capacity)
@@ -546,15 +546,13 @@ class TestLearnedCuts:
             def setdefault(self, key, default=None):
                 return super().setdefault(key, Watched())
 
-        relaxation = solvers._relaxation
-
         def recording(g):
             networks = relaxation(g)
             for net in networks:
                 net.cuts = WatchedCuts()
             return networks
 
-        monkeypatch.setattr(solvers, "_relaxation", recording)
+        monkeypatch.setattr(hamflow.flows, "relaxation", recording)
         assert solve_exact(waves_model(2)).nodes == 2711
         assert len(watched) > 500
         assert sum(1 for at in watched if at) > 50
@@ -603,7 +601,7 @@ class TestLeafCompletion:
             capacity = int(model.instance.capacity)
             for counts in itertools.product(*(range(v.upper_bound + 1) for v in vehicles)):
                 fixed = {v.index: c for v, c in zip(vehicles, counts)}
-                flows = solvers.find_feasible_flows(
+                flows = find_feasible_flows(
                     expansion.Graph(model), {z: capacity * c for z, c in fixed.items()})
                 assert (flows is not None) == (counts in feasible)
                 outcomes[flows is not None] += 1
@@ -622,9 +620,9 @@ class TestLeafCompletion:
         capacity = int(model.instance.capacity)
         best = solve_exact(model).sample.assignment.values
         cap_mass = {z: capacity * best[z] for z in g.vehicles}
-        assert solvers.find_feasible_flows(g, cap_mass) is not None
-        with pytest.raises(solvers._Expired):
-            solvers.find_feasible_flows(g, cap_mass, deadline=-math.inf)
+        assert find_feasible_flows(g, cap_mass) is not None
+        with pytest.raises(Expired):
+            find_feasible_flows(g, cap_mass, deadline=-math.inf)
 
 
 class TestTimeLimit:
@@ -649,8 +647,8 @@ class TestTimeLimit:
     def test_leaf_expiry_ends_the_search(self, monkeypatch):
         """A leaf completion that runs out of time ends the search as
         time_limit, not as infeasible."""
-        complete = solvers.find_feasible_flows
-        monkeypatch.setattr(solvers, "find_feasible_flows",
+        complete = find_feasible_flows
+        monkeypatch.setattr(hamflow.flows, "find_feasible_flows",
                             lambda g, cap_mass, deadline: complete(g, cap_mass, -math.inf))
         model = waves_model(1)
         result = solve_exact(model)
@@ -689,7 +687,7 @@ class TestCheaperPointOnExpiry:
     @staticmethod
     def expire_after_first_leaf(monkeypatch):
         shift = [0.0]
-        complete = solvers.find_feasible_flows
+        complete = find_feasible_flows
 
         def leaf(g, cap_mass, deadline):
             flows = complete(g, cap_mass, deadline)
@@ -697,9 +695,10 @@ class TestCheaperPointOnExpiry:
                 shift[0] = 1e6
             return flows
 
-        monkeypatch.setattr(solvers, "find_feasible_flows", leaf)
+        monkeypatch.setattr(hamflow.flows, "find_feasible_flows", leaf)
         monkeypatch.setattr(solvers, "time", type("Clock", (), {
             "perf_counter": staticmethod(lambda: time.perf_counter() + shift[0])}))
+        monkeypatch.setattr(hamflow.flows, "time", solvers.time)
 
     @pytest.mark.parametrize("direct_cost, objective, detour", [(10.0, 10.0, False),
                                                                 (12.0, 12.0, True)],
@@ -728,7 +727,7 @@ class TestCheaperPointOnExpiry:
 def _assert_start_point(model, result):
     """The sample of a search that timed out without an incumbent: the
     annealer's start point, which verifies."""
-    assert result.sample.assignment.values == tuple(solvers._start_point(expansion.Graph(model))[0])
+    assert result.sample.assignment.values == tuple(start_point(expansion.Graph(model))[0])
     report = verify_assignment(model, result.sample.assignment)
     assert report.feasible and report.bound_findings == ()
     assert result.sample.objective == expansion.evaluate_objective(model, result.sample.assignment)
@@ -918,7 +917,7 @@ class TestCycleAnnealer:
     @pytest.mark.parametrize("k", [1, 3])
     def test_start_flow_is_feasible(self, k):
         model = waves_model(k)
-        values, _ = solvers._start_point(expansion.Graph(model))
+        values, _ = start_point(expansion.Graph(model))
         assert any(values)
         for v in model.variables:
             assert 0 <= values[v.index] <= v.upper_bound
@@ -1484,8 +1483,8 @@ class TestNoCyclicGarbage:
         export_hamiltonian(h, poly)
         return {
             "solve_exact": lambda: solve_exact(model),
-            "find_feasible_flows": lambda: solvers.find_feasible_flows(expansion.Graph(model),
-                                                                       cap_mass),
+            "find_feasible_flows": lambda: find_feasible_flows(expansion.Graph(model),
+                                                               cap_mass),
             "anneal_sample": lambda: anneal_sample(h, model, AnnealParams(restarts=3, sweeps=5),
                                                    seed=3),
             "serialize_instance": lambda: serialize_instance(inst),
